@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -47,7 +48,7 @@ from .gkp import (
     solvability_verdict,
     solvable,
 )
-from .montecarlo import kappa_draws, load_sampling_spec, sample_kappa
+from .montecarlo import kappa_draws, load_sampling_spec, summarize_kappa
 from .nucdata import load_chain, partition
 from .resources import resource_path, sha256_of
 
@@ -303,7 +304,7 @@ def cmd_condition(args) -> int:
     samples = args.samples if args.samples is not None else spec.sample_count
 
     kappas, excluded = kappa_draws(chain, coeffs, spec, sample_count=samples, seed=seed)
-    summary = sample_kappa(chain, coeffs, spec, sample_count=samples, seed=seed)
+    summary = summarize_kappa(kappas, excluded, seed)
     histogram = _histogram_csv(kappas)
 
     lines = [
@@ -324,17 +325,7 @@ def cmd_condition(args) -> int:
             seed,
             {"coeffs": coeffs.name, "spec": spec.name},
         ),
-        "summary": {
-            "mean": summary.mean,
-            "std": summary.std,
-            "median": summary.median,
-            "p5": summary.p5,
-            "p95": summary.p95,
-            "rank_deficient_fraction": summary.rank_deficient_fraction,
-            "excluded_fraction": summary.excluded_fraction,
-            "seed": summary.seed,
-            "sample_count": summary.sample_count,
-        },
+        "summary": dataclasses.asdict(summary),
     }
     if args.format == "csv":
         print(histogram, end="")
@@ -365,6 +356,9 @@ def _load_rhs_file(path: Path) -> list[dict]:
         for key in ("A", "transition", "delta_eV", "sigma_eV"):
             if key not in row:
                 raise ValidationError(f"rhs file {path}: row {k} is missing {key!r}")
+        for key in ("delta_eV", "sigma_eV"):
+            if not math.isfinite(float(row[key])):
+                raise ValidationError(f"rhs file {path}: row {k} has a non-finite {key}")
         if float(row["sigma_eV"]) <= 0:
             raise ValidationError(f"rhs file {path}: row {k} has non-positive sigma_eV")
     return obj["rows"]
@@ -526,6 +520,15 @@ def cmd_ramsey(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+    def integer(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return int(text)
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gkpforge",
@@ -538,7 +541,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="chain file or bundled resource name (default: bundled Mo chain)")
     common.add_argument("--out", default=None, metavar="DIR", help="directory for JSON/CSV artifacts")
     common.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    common.add_argument("--seed", type=int, default=None, metavar="U64")
+    common.add_argument("--seed", type=_int_at_least(0), default=None, metavar="U64")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -558,7 +561,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("condition", parents=[common], help="Monte Carlo conditioning of the design matrix")
     p.add_argument("--spec", default="mo91-sampling-v1", metavar="PATH")
     p.add_argument("--coeffs", default="mo41-coeffs-v1", metavar="PATH")
-    p.add_argument("--samples", type=int, default=None, metavar="N")
+    p.add_argument("--samples", type=_int_at_least(1), default=None, metavar="N")
     p.set_defaults(handler=cmd_condition)
 
     p = sub.add_parser("extract", parents=[common], help="weighted rank-2 extraction from an rhs file")

@@ -49,9 +49,12 @@ __all__ = [
     "solvability_verdict",
     "DesignMatrix",
     "build_design",
+    "normalize_columns",
     "precondition",
+    "condition_numbers",
     "condition_number",
     "ExtractionResult",
+    "solve_many",
     "extract",
     "RANK_DEFICIENCY_RTOL",
 ]
@@ -314,6 +317,17 @@ def build_design(odd_isotopes: Sequence[IsotopeRecord], coeffs: ElectronicCoeffi
     return DesignMatrix(rows=tuple(rows), columns=COLUMN_NAMES, entries=np.array(data))
 
 
+def normalize_columns(stack: np.ndarray, columns: Sequence[str]):
+    """Scale every column of a (..., rows, cols) stack to unit Euclidean
+    norm, refusing a column that is zero in any matrix before dividing.
+    Returns the normalized stack and its (..., cols) column norms."""
+    norms = np.linalg.norm(stack, axis=-2)
+    zero = (norms == 0.0).reshape(-1, norms.shape[-1]).any(axis=0)
+    if zero.any():
+        raise RankDeficiencyError(f"column {columns[int(np.argmax(zero))]!r} is identically zero")
+    return stack / norms[..., None, :], norms
+
+
 def precondition(m: DesignMatrix) -> DesignMatrix:
     """Scale every column to unit Euclidean norm, keeping the originals.
 
@@ -323,12 +337,17 @@ def precondition(m: DesignMatrix) -> DesignMatrix:
     """
     if m.preconditioned:
         return m
-    norms = np.linalg.norm(m.entries, axis=0)
-    for k, norm in enumerate(norms):
-        if norm == 0.0:
-            raise RankDeficiencyError(f"column {m.columns[k]!r} is identically zero")
-    return replace(m, entries=m.entries / norms, preconditioned=True,
+    entries, norms = normalize_columns(m.entries, m.columns)
+    return replace(m, entries=entries, preconditioned=True,
                    column_norms=tuple(float(n) for n in norms))
+
+
+def condition_numbers(stack: np.ndarray) -> np.ndarray:
+    """sigma_max / sigma_min of every matrix in a (..., rows, cols) stack
+    of preconditioned matrices; +inf where sigma_min falls below the
+    rank-deficiency threshold."""
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return np.where(sv[..., -1] < RANK_DEFICIENCY_RTOL * sv[..., 0], np.inf, sv[..., 0] / sv[..., -1])
 
 
 def condition_number(m: DesignMatrix) -> float:
@@ -342,11 +361,7 @@ def condition_number(m: DesignMatrix) -> float:
         raise UnderdeterminedError(
             f"{n_rows} equations for {n_cols} unknowns; the topology is underdetermined"
         )
-    work = m if m.preconditioned else precondition(m)
-    sv = np.linalg.svd(work.entries, compute_uv=False)
-    if sv[-1] < RANK_DEFICIENCY_RTOL * sv[0]:
-        return math.inf
-    return float(sv[0] / sv[-1])
+    return float(condition_numbers(precondition(m).entries))
 
 
 @dataclass(frozen=True)
@@ -377,28 +392,20 @@ class ExtractionResult:
         }
 
 
-def extract(m: DesignMatrix, rhs_sigma=None) -> ExtractionResult:
-    """Weighted linear least squares on the preconditioned system.
+def solve_many(m: DesignMatrix, rhs_stack, sigma):
+    """Weighted least squares of one design against a (trials, rows) rhs
+    stack sharing the per-row one-sigma sigma (unit weights when None).
 
-    Rows are whitened by their one-sigma uncertainties, the normalized
-    system is solved by SVD, and estimates with their covariance are
-    scaled back through the stored column norms. Refuses underdetermined
-    and numerically rank-deficient systems.
+    One SVD of the row-whitened preconditioned system solves every trial;
+    estimates and covariance are scaled back through the column norms.
+    Refuses underdetermined and numerically rank-deficient systems.
+    Returns (estimates (trials, cols), standard errors (cols,), kappa,
+    residual norms (trials,) in eV).
     """
-    if m.rhs is None:
-        raise ValidationError("design matrix has no right-hand side attached")
-    sigma = m.rhs_sigma if rhs_sigma is None else np.asarray(rhs_sigma, dtype=float)
-    if sigma is None:
-        sigma = np.ones(len(m.rows))
+    sigma = np.ones(len(m.rows)) if sigma is None else np.asarray(sigma, dtype=float)
     if sigma.shape != (len(m.rows),) or np.any(sigma <= 0):
         raise ValidationError("rhs_sigma must provide one positive uncertainty per row")
 
-    n_rows, n_cols = m.shape
-    if n_rows < n_cols:
-        raise UnderdeterminedError(
-            f"{n_rows} equations for {n_cols} unknowns; at least as many "
-            "(odd isotope) x (rank-2 transition) rows as unknowns are required"
-        )
     pre = precondition(m)
     kappa = condition_number(pre)
     if math.isinf(kappa):
@@ -407,28 +414,30 @@ def extract(m: DesignMatrix, rhs_sigma=None) -> ExtractionResult:
             "vectors are not linearly independent"
         )
 
-    weighted = pre.entries / sigma[:, None]
-    rhs_w = m.rhs / sigma
-    u, s, vt = np.linalg.svd(weighted, full_matrices=False)
-    y = vt.T @ ((u.T @ rhs_w) / s)
+    u, s, vt = np.linalg.svd(pre.entries / sigma[:, None], full_matrices=False)
+    y = (((rhs_stack / sigma) @ u) / s) @ vt
     cov_y = (vt.T / (s * s)) @ vt
 
     norms = np.asarray(pre.column_norms)
-    estimates = y / norms
-    covariance = cov_y / np.outer(norms, norms)
-    errors = np.sqrt(np.diag(covariance))
+    errors = np.sqrt(np.diag(cov_y / np.outer(norms, norms)))
+    residuals = np.linalg.norm(rhs_stack - y @ pre.entries.T, axis=-1)
+    return y / norms, errors, kappa, residuals
 
-    fitted = pre.entries @ y
-    residual_norm = float(np.linalg.norm(m.rhs - fitted))
 
+def extract(m: DesignMatrix) -> ExtractionResult:
+    """Weighted least-squares extraction of the attached right-hand side
+    with its attached uncertainties; see solve_many."""
+    if m.rhs is None:
+        raise ValidationError("design matrix has no right-hand side attached")
+    estimates, errors, kappa, residuals = solve_many(m, m.rhs[None, :], m.rhs_sigma)
     backgrounds = tuple(
-        (name, float(estimates[k]), float(errors[k]))
+        (name, float(estimates[0, k]), float(errors[k]))
         for k, name in enumerate(m.columns[:-1])
     )
     return ExtractionResult(
-        alpha_manko_hat=float(estimates[-1]),
+        alpha_manko_hat=float(estimates[0, -1]),
         alpha_manko_se=float(errors[-1]),
         background_estimates=backgrounds,
         condition_number=kappa,
-        residual_norm_eV=residual_norm,
+        residual_norm_eV=float(residuals[0]),
     )

@@ -4,6 +4,10 @@ Two campaigns: conditioning of the radioactive-isotope design matrix with
 the unmeasured A=91 parameters sampled from declared brackets, and
 injection-recovery of the gravitomagnetic amplitude against per-row noise.
 
+Both are random-number plumbing around gkp, which builds, normalizes and
+solves: kappa comes from one condition_numbers call per block of draws,
+and an injection campaign is one solve_many call over all its trials.
+
 The random stream is partitioned into fixed-size blocks, block b seeded
 with (seed, b). Results are therefore bit-identical for a given seed no
 matter how draws are batched or parallelized, and per-worker summaries
@@ -22,8 +26,8 @@ import numpy as np
 
 from .budget import chi_bound
 from .errors import ConfigurationError, ValidationError
-from .gkp import ElectronicCoefficients, build_design, extract
-from .nucdata import IsotopeChain, partition, spin_mass_lever
+from .gkp import ElectronicCoefficients, build_design, condition_numbers, normalize_columns, solve_many
+from .nucdata import IsotopeChain, partition
 from .resources import resource_path
 
 __all__ = [
@@ -32,6 +36,7 @@ __all__ = [
     "load_sampling_spec",
     "KappaSummary",
     "kappa_draws",
+    "summarize_kappa",
     "sample_kappa",
     "RecoveryStats",
     "injection_recovery",
@@ -39,6 +44,10 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 1024
+
+# a guarded draw gives up after this many rejection rounds: a band that
+# keeps rejecting for this long leaves (almost) no support to sample
+MAX_REJECTION_ROUNDS = 10_000
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,8 @@ class ParameterSpec:
                 raise ValidationError(f"parameter {self.name!r}: bounds must be finite and ordered")
             if self.distribution == "log-uniform" and self.low <= 0:
                 raise ValidationError(f"parameter {self.name!r}: log-uniform needs positive bounds")
+            if -self.exclude_abs_below <= self.low and self.high <= self.exclude_abs_below:
+                raise ValidationError(f"parameter {self.name!r}: the guard band covers the whole support")
         else:
             if self.mean is None or self.sigma is None or self.sigma <= 0:
                 raise ValidationError(f"parameter {self.name!r}: gaussian needs mean and sigma > 0")
@@ -134,13 +145,14 @@ def _draw_guarded(param: ParameterSpec, rng: np.random.Generator, size: int) -> 
     rejected proposal count)."""
     values = param.draw(rng, size)
     rejected = 0
-    if param.exclude_abs_below > 0:
+    for _ in range(MAX_REJECTION_ROUNDS):
         bad = np.abs(values) < param.exclude_abs_below
-        while bad.any():
-            rejected += int(bad.sum())
-            values[bad] = param.draw(rng, int(bad.sum()))
-            bad = np.abs(values) < param.exclude_abs_below
-    return values, rejected
+        if not bad.any():
+            return values, rejected
+        rejected += int(bad.sum())
+        values[bad] = param.draw(rng, int(bad.sum()))
+    raise ValidationError(f"parameter {param.name!r}: the guard band still rejected draws "
+                          f"after {MAX_REJECTION_ROUNDS} rounds")
 
 
 @dataclass(frozen=True)
@@ -165,72 +177,46 @@ class KappaSummary:
 
 
 def kappa_draws(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: SamplingSpec,
-                sample_count: int | None = None, seed: int | None = None,
-                return_samples: bool = False):
+                sample_count: int | None = None, seed: int | None = None) -> tuple[np.ndarray, float]:
     """Per-draw condition numbers of the three-odd-isotope design matrix.
 
-    Each draw builds the (95, 97, synthetic 91) x (first rank-2
-    transition) matrix with the sampled A=91 parameters and the fixed
-    measured values, preconditions it, and records kappa.
+    Each draw stacks the sampled synthetic A=91 row (I = 9/2) under the
+    measured A=95 and A=97 rows of the first rank-2 transition. Returns
+    (kappas, guard-band excluded fraction of proposals).
     """
     n = spec.sample_count if sample_count is None else int(sample_count)
     seed = spec.seed if seed is None else int(seed)
     qs_spec = spec.parameter("Qs_91")
     be2_spec = spec.parameter("BE2_91")
 
-    rec95 = chain.isotope(95)
-    rec97 = chain.isotope(97)
-    if rec95.Qs is None or rec97.Qs is None or rec95.BE2_up is None or rec97.BE2_up is None:
-        raise ValidationError("chain must provide measured Qs and B(E2) for A=95 and A=97")
     transition = coeffs.rank2_transitions()[0]
-    H, P, G = transition.H_eV_per_b, transition.P_eV_per_wu, transition.G_eV_per_lever
+    fixed = build_design((chain.isotope(95), chain.isotope(97)), coeffs.subset([transition.label]))
     lever91 = float(Fraction(81, 4) / 91)
 
-    fixed = np.array(
-        [
-            [H * rec95.Qs.value, P * rec95.BE2_up.value, G * spin_mass_lever(rec95)],
-            [H * rec97.Qs.value, P * rec97.BE2_up.value, G * spin_mass_lever(rec97)],
-        ]
-    )
-
     kappas = np.empty(n)
-    qs_all = np.empty(n)
-    be2_all = np.empty(n)
     rejected_total = 0
     for block_start in range(0, n, BLOCK_SIZE):
-        block_index = block_start // BLOCK_SIZE
         block_len = min(BLOCK_SIZE, n - block_start)
-        rng = _block_rng(seed, block_index)
+        rng = _block_rng(seed, block_start // BLOCK_SIZE)
         qs, rejected = _draw_guarded(qs_spec, rng, block_len)
         be2, rejected2 = _draw_guarded(be2_spec, rng, block_len)
         rejected_total += rejected + rejected2
 
-        matrices = np.broadcast_to(fixed, (block_len, 2, 3)).copy()
-        third = np.column_stack([H * qs, P * be2, np.full(block_len, G * lever91)])
-        stacked = np.concatenate([matrices, third[:, None, :]], axis=1)
-        norms = np.linalg.norm(stacked, axis=1)
-        normalized = stacked / norms[:, None, :]
-        sv = np.linalg.svd(normalized, compute_uv=False)
-        block_kappa = np.where(
-            sv[:, -1] < 1e3 * np.finfo(float).eps * sv[:, 0], np.inf, sv[:, 0] / sv[:, -1]
-        )
-        sl = slice(block_start, block_start + block_len)
-        kappas[sl] = block_kappa
-        qs_all[sl] = qs
-        be2_all[sl] = be2
+        stacked = np.empty((block_len, 3, 3))
+        stacked[:, :2] = fixed.entries
+        stacked[:, 2] = np.column_stack([transition.H_eV_per_b * qs, transition.P_eV_per_wu * be2,
+                                         np.full(block_len, transition.G_eV_per_lever * lever91)])
+        normalized, _ = normalize_columns(stacked, fixed.columns)
+        kappas[block_start:block_start + block_len] = condition_numbers(normalized)
 
     proposals = n + rejected_total
     excluded_fraction = rejected_total / proposals if proposals else 0.0
-    if return_samples:
-        return kappas, excluded_fraction, qs_all, be2_all
     return kappas, excluded_fraction
 
 
-def sample_kappa(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: SamplingSpec,
-                 sample_count: int | None = None, seed: int | None = None) -> KappaSummary:
-    """Condition-number distribution summary; identical seed gives a
-    bit-identical summary."""
-    kappas, excluded_fraction = kappa_draws(chain, coeffs, spec, sample_count, seed)
+def summarize_kappa(kappas: np.ndarray, excluded_fraction: float, seed: int) -> KappaSummary:
+    """Summary of per-draw condition numbers; statistics run over the
+    finite (full-rank) draws."""
     finite = kappas[np.isfinite(kappas)]
     if finite.size == 0:
         raise ValidationError("every draw was rank deficient; check the sampling bounds")
@@ -242,9 +228,17 @@ def sample_kappa(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: Samp
         p95=float(np.percentile(finite, 95)),
         rank_deficient_fraction=float(np.mean(~np.isfinite(kappas))),
         excluded_fraction=float(excluded_fraction),
-        seed=spec.seed if seed is None else int(seed),
+        seed=int(seed),
         sample_count=int(kappas.size),
     )
+
+
+def sample_kappa(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: SamplingSpec,
+                 sample_count: int | None = None, seed: int | None = None) -> KappaSummary:
+    """Condition-number distribution summary; identical seed gives a
+    bit-identical summary."""
+    kappas, excluded_fraction = kappa_draws(chain, coeffs, spec, sample_count, seed)
+    return summarize_kappa(kappas, excluded_fraction, spec.seed if seed is None else seed)
 
 
 @dataclass(frozen=True)
@@ -272,48 +266,36 @@ def injection_recovery(chain: IsotopeChain, coeffs: ElectronicCoefficients,
     """Inject known amplitudes, add per-row gaussian noise, re-extract.
 
     truth holds "backgrounds" (pair of amplitudes) and "alpha_manko". The
-    derived coupling bound per trial is the ratio of the recovered
-    one-sigma energy residual to the nominal signal, which reduces to the
-    standard error of the gravitomagnetic amplitude.
+    trials share one design and one sigma, hence one standard error of
+    the gravitomagnetic amplitude and one derived coupling bound: the
+    recovered one-sigma energy residual over the nominal signal.
     """
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     if noise_eV < 0:
         raise ValidationError("noise must be non-negative")
-    _, odd = partition(chain)
-    if not odd:
-        raise ValidationError("chain has no odd isotopes; nothing to extract")
-    design = build_design(odd, coeffs)
+    design = build_design(partition(chain)[1], coeffs)
     x_true = np.array([*truth["backgrounds"], truth["alpha_manko"]], dtype=float)
-    rhs_true = design.entries @ x_true
     n_rows = len(design.rows)
 
-    alpha_hats = np.empty(trials)
-    alpha_ses = np.empty(trials)
-    kappa = math.nan
-    for block_start in range(0, trials, BLOCK_SIZE):
-        block_index = block_start // BLOCK_SIZE
-        block_len = min(BLOCK_SIZE, trials - block_start)
-        rng = _block_rng(seed, block_index)
-        noise = rng.normal(0.0, noise_eV, (block_len, n_rows)) if noise_eV > 0 else np.zeros((block_len, n_rows))
-        for k in range(block_len):
-            noisy = design.with_rhs(rhs_true + noise[k], np.full(n_rows, noise_eV if noise_eV > 0 else 1.0))
-            result = extract(noisy)
-            alpha_hats[block_start + k] = result.alpha_manko_hat
-            alpha_ses[block_start + k] = result.alpha_manko_se
-            kappa = result.condition_number
+    noise = np.concatenate([
+        _block_rng(seed, block).normal(0.0, noise_eV, (min(BLOCK_SIZE, trials - start), n_rows))
+        for block, start in enumerate(range(0, trials, BLOCK_SIZE))
+    ])
+    sigma = np.full(n_rows, noise_eV if noise_eV > 0 else 1.0)
+    estimates, errors, kappa, _ = solve_many(design, design.entries @ x_true + noise, sigma)
+    alpha_hats = estimates[:, -1]
+    alpha_ses = np.full(trials, errors[-1])
 
     truth_alpha = float(truth["alpha_manko"])
     err = np.abs(alpha_hats - truth_alpha)
     if noise_eV > 0:
         cover1 = float(np.mean(err <= alpha_ses))
         cover2 = float(np.mean(err <= 2 * alpha_ses))
-        bounds = np.array(
-            [chi_bound(se * signal_at_chi1_eV, signal_at_chi1_eV) for se in alpha_ses]
-        )
+        bound = chi_bound(errors[-1] * signal_at_chi1_eV, signal_at_chi1_eV)
     else:
         cover1 = cover2 = 1.0
-        bounds = np.zeros(trials)
+        bound = 0.0
     return RecoveryStats(
         trials=trials,
         seed=seed,
@@ -323,9 +305,9 @@ def injection_recovery(chain: IsotopeChain, coeffs: ElectronicCoefficients,
         mean_se_alpha_manko=float(alpha_ses.mean()),
         coverage_1sigma=cover1,
         coverage_2sigma=cover2,
-        chi_bound_median=float(np.median(bounds)),
-        chi_bound_p5=float(np.percentile(bounds, 5)),
-        chi_bound_p95=float(np.percentile(bounds, 95)),
+        chi_bound_median=bound,
+        chi_bound_p5=bound,
+        chi_bound_p95=bound,
         condition_number=kappa,
         rows=n_rows,
     )

@@ -159,6 +159,14 @@ def test_condition_histogram_schema(capsys, tmp_path):
     assert total == 500
 
 
+@pytest.mark.parametrize("flag, value", [("--samples", "-5"), ("--samples", "0"), ("--seed", "-1")])
+def test_condition_rejects_out_of_range_flags(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["condition", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # extract
 
@@ -218,6 +226,18 @@ def test_extract_bad_sigma_rejected(capsys, tmp_path):
     code, _, err = _run(capsys, "extract", "--rhs", str(rhs_file))
     assert code == 2
     assert "sigma" in err
+
+
+def test_extract_non_finite_rhs_rejected(capsys, tmp_path):
+    fixture = json.loads(Path(RHS_FIXTURE).read_text(encoding="utf-8"))
+    fixture["rows"][0]["delta_eV"] = float("nan")
+    rhs_file = tmp_path / "nan.json"
+    rhs_file.write_text(json.dumps(fixture), encoding="utf-8")
+    code, out, err = _run(capsys, "extract", "--chain", "mo-chain-frib-synthetic-v1",
+                          "--rhs", str(rhs_file), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "non-finite delta_eV" in err
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from gkpforge.gkp import (
     alpha_t_from_be2,
     build_design,
     condition_number,
+    condition_numbers,
     extract,
     precondition,
     solvability_verdict,
@@ -183,6 +184,18 @@ def test_condition_number_degenerate_sentinel():
         entries=np.column_stack([column, column, np.array([0.0, 1.0, 0.0])]),
     )
     assert math.isinf(condition_number(m))
+
+
+def test_condition_numbers_stack_matches_per_matrix():
+    rng = np.random.default_rng(23)
+    entries = rng.normal(size=(40, 4, 3)) * 10.0 ** rng.integers(-6, 6, size=(40, 1, 3))
+    entries[7, :, 1] = entries[7, :, 0]  # exactly degenerate: the +inf sentinel
+    matrices = [precondition(DesignMatrix(rows=tuple((k, "t") for k in range(4)),
+                                          columns=COLUMN_NAMES, entries=e)) for e in entries]
+    stacked = condition_numbers(np.stack([m.entries for m in matrices]))
+    per_matrix = np.array([condition_number(m) for m in matrices])
+    assert math.isinf(per_matrix[7])
+    assert np.array_equal(stacked, per_matrix)
 
 
 def test_condition_number_underdetermined_rejected():

@@ -13,12 +13,18 @@ from gkpforge.gkp import (
     DesignMatrix,
     TransitionCoefficients,
     ElectronicCoefficients,
+    build_design,
     condition_number,
+    extract,
     precondition,
+    solve_many,
 )
 from gkpforge.montecarlo import (
+    BLOCK_SIZE,
     ParameterSpec,
     SamplingSpec,
+    _block_rng,
+    _draw_guarded,
     injection_recovery,
     kappa_draws,
     sample_kappa,
@@ -49,6 +55,33 @@ def test_parameter_spec_validation():
         ParameterSpec(name="x", distribution="log-uniform", low=-1.0, high=1.0)
     with pytest.raises(ValidationError):
         ParameterSpec(name="x", distribution="gaussian", mean=0.0, sigma=0.0)
+    # a guard band covering the whole support would reject every proposal
+    with pytest.raises(ValidationError, match="guard band"):
+        ParameterSpec(name="x", distribution="uniform", low=-0.1, high=0.1, exclude_abs_below=0.2)
+    with pytest.raises(ValidationError, match="guard band"):
+        ParameterSpec(name="x", distribution="log-uniform", low=1.0, high=2.0, exclude_abs_below=2.0)
+
+
+class _CountingRng:
+    """Generator stand-in that fails a test after `limit` normal draws
+    instead of letting an unbounded rejection loop hang it."""
+
+    def __init__(self, limit):
+        self.calls = 0
+        self.limit = limit
+        self._rng = np.random.default_rng(0)
+
+    def normal(self, *args):
+        self.calls += 1
+        assert self.calls <= self.limit, "rejection loop did not stop"
+        return self._rng.normal(*args)
+
+
+def test_guarded_gaussian_draw_gives_up():
+    param = ParameterSpec(name="x", distribution="gaussian", mean=0.0, sigma=1e-3,
+                          exclude_abs_below=1.0)
+    with pytest.raises(ValidationError, match="guard band"):
+        _draw_guarded(param, _CountingRng(limit=100_000), 8)
 
 
 def test_spec_missing_parameter_rejected(mo_chain, coeffs):
@@ -63,7 +96,10 @@ def test_spec_missing_parameter_rejected(mo_chain, coeffs):
 
 def test_single_draw_matches_condition_number(mo_chain, coeffs):
     spec = _spec(sample_count=1, seed=123)
-    kappas, _, qs, be2 = kappa_draws(mo_chain, coeffs, spec, return_samples=True)
+    kappas, _ = kappa_draws(mo_chain, coeffs, spec)
+    rng = _block_rng(123, 0)
+    qs, _ = _draw_guarded(spec.parameter("Qs_91"), rng, 1)
+    be2, _ = _draw_guarded(spec.parameter("BE2_91"), rng, 1)
     t = coeffs.rank2_transitions()[0]
     rec95, rec97 = mo_chain.isotope(95), mo_chain.isotope(97)
     entries = np.array([
@@ -193,6 +229,44 @@ def test_null_injection_three_sigma_consistency(frib_chain, coeffs):
             if abs(res.alpha_manko_hat) <= 3 * res.alpha_manko_se:
                 consistent += 1
     assert consistent / trials >= 0.99
+
+
+def _reference_campaign(design, truth, noise_eV, trials, seed):
+    """Per-trial extract loop over the block-seeded noise stream; returns
+    the noisy (trials, rows) rhs stack, the estimates and their errors."""
+    rhs_true = design.entries @ np.array([*truth["backgrounds"], truth["alpha_manko"]])
+    n_rows = len(design.rows)
+    rhs = np.concatenate([
+        rhs_true + _block_rng(seed, block).normal(0.0, noise_eV, (min(BLOCK_SIZE, trials - start), n_rows))
+        for block, start in enumerate(range(0, trials, BLOCK_SIZE))
+    ])
+    results = [extract(design.with_rhs(row, np.full(n_rows, noise_eV))) for row in rhs]
+    return (rhs, np.array([r.alpha_manko_hat for r in results]),
+            np.array([r.alpha_manko_se for r in results]))
+
+
+@pytest.mark.parametrize("labels", [["1s-2p3/2"], None], ids=["3-row", "6-row"])
+def test_batched_campaign_matches_per_trial_extract(frib_chain, coeffs, labels):
+    # alpha more than 20 standard errors from zero keeps every estimate
+    # away from zero, so a relative tolerance measures round-off only
+    truth = {"backgrounds": (1.0, 1.0), "alpha_manko": 1e9}
+    used = coeffs if labels is None else coeffs.subset(labels)
+    _, odd = partition(frib_chain)
+    design = build_design(odd, used)
+    trials, seed, noise_eV = 1500, 808, 1e-13
+    rhs, hats, ses = _reference_campaign(design, truth, noise_eV, trials, seed)
+
+    stats = injection_recovery(frib_chain, used, truth, noise_eV, trials=trials, seed=seed)
+    err = np.abs(hats - truth["alpha_manko"])
+    assert round(stats.coverage_1sigma * trials) == int(np.sum(err <= ses))
+    assert round(stats.coverage_2sigma * trials) == int(np.sum(err <= 2 * ses))
+    assert stats.mean_se_alpha_manko == float(ses.mean())
+    assert stats.bias_alpha_manko == pytest.approx(hats.mean() - truth["alpha_manko"],
+                                                   abs=1e-12 * truth["alpha_manko"])
+
+    estimates, errors, _, _ = solve_many(design, rhs, np.full(len(design.rows), noise_eV))
+    np.testing.assert_allclose(estimates[:, -1], hats, rtol=1e-12, atol=0.0)
+    assert np.all(errors[-1] == ses)
 
 
 def test_injection_recovery_deterministic(frib_chain, coeffs):
