@@ -356,6 +356,8 @@ def build_budget(chain: IsotopeChain, channels, anchors: AnchorSet,
         raise ConfigurationError(f"scenario must be 'current' or 'projected', got {scenario!r}")
     probe_A = anchors.probe_A if probe_A is None else probe_A
     probe = chain.isotope(probe_A)
+    if probe.spin == 0:
+        raise ValidationError(f"probe A={probe_A} is even-even (I = 0) and carries no rank-2 signal")
     rank2_channels = [c for c in channels if c.rank2_sensitive()]
     if not rank2_channels:
         raise ConfigurationError("no rank-2-sensitive channel (j >= 3/2) available for the budget")

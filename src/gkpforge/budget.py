@@ -168,12 +168,12 @@ def ramsey_plan(half_life_s: float | None, T_R_requested_s: float, repetitions: 
     request exceeds the optimum. The per-shot linewidth is 1/(2 pi T_R)
     and the campaign sensitivity divides by sqrt(repetitions).
     """
-    if T_R_requested_s <= 0:
-        raise ValidationError("requested interrogation time must be positive")
+    if not (math.isfinite(T_R_requested_s) and T_R_requested_s > 0):
+        raise ValidationError("requested interrogation time must be positive and finite")
     if repetitions < 1:
         raise ValidationError("repetitions must be at least 1")
-    if half_life_s is not None and half_life_s <= 0:
-        raise ValidationError("half-life must be positive (or None for stable)")
+    if half_life_s is not None and not (math.isfinite(half_life_s) and half_life_s > 0):
+        raise ValidationError("half-life must be positive and finite (or None for stable)")
 
     warning = None
     penalty = None

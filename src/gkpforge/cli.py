@@ -345,17 +345,30 @@ def cmd_condition(args) -> int:
 # ---------------------------------------------------------------------------
 # extract
 
+# rhs row fields: accepted JSON types and how a refusal names them
+_RHS_FIELDS = {
+    "A": ((int,), "an integer"),
+    "transition": ((str,), "a string"),
+    "delta_eV": ((int, float), "a real number"),
+    "sigma_eV": ((int, float), "a real number"),
+}
+
+
 def _load_rhs_file(path: Path) -> list[dict]:
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"rhs file {path} is not valid JSON: {exc}") from exc
-    if "rows" not in obj or not isinstance(obj["rows"], list) or not obj["rows"]:
+    if not isinstance(obj, dict) or not isinstance(obj.get("rows"), list) or not obj["rows"]:
         raise ValidationError(f"rhs file {path} must contain a non-empty 'rows' list")
     for k, row in enumerate(obj["rows"]):
-        for key in ("A", "transition", "delta_eV", "sigma_eV"):
+        if not isinstance(row, dict):
+            raise ValidationError(f"rhs file {path}: row {k} is not an object")
+        for key, (types, kind) in _RHS_FIELDS.items():
             if key not in row:
                 raise ValidationError(f"rhs file {path}: row {k} is missing {key!r}")
+            if isinstance(row[key], bool) or not isinstance(row[key], types):
+                raise ValidationError(f"rhs file {path}: row {k} has {key} = {row[key]!r}, expected {kind}")
         for key in ("delta_eV", "sigma_eV"):
             if not math.isfinite(float(row[key])):
                 raise ValidationError(f"rhs file {path}: row {k} has a non-finite {key}")
@@ -482,8 +495,7 @@ def cmd_milestones(args) -> int:
 
 
 def cmd_ramsey(args) -> int:
-    half_life = None if args.half_life in (None, "stable") else float(args.half_life)
-    plan = ramsey_plan(half_life, args.tr, args.reps)
+    plan = ramsey_plan(args.half_life, args.tr, args.reps)
     lines = ["Ramsey interrogation plan", ""]
     if plan.half_life_s is None:
         lines.append("species: stable")
@@ -527,6 +539,22 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
         return int(text)
     return integer
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a finite real number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _half_life(text: str) -> float | None:
+    """argparse type: 'stable' (None) or a finite number of seconds."""
+    return None if text == "stable" else _finite_float(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -576,8 +604,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_milestones)
 
     p = sub.add_parser("ramsey", parents=[common], help="decay-limited Ramsey interrogation plan")
-    p.add_argument("--half-life", default=None, metavar="S", help="half-life in seconds, or 'stable'")
-    p.add_argument("--tr", type=float, required=True, metavar="S", help="requested interrogation time")
+    p.add_argument("--half-life", type=_half_life, default=None, metavar="S",
+                   help="half-life in seconds, or 'stable'")
+    p.add_argument("--tr", type=_finite_float, required=True, metavar="S", help="requested interrogation time")
     p.add_argument("--reps", type=int, default=1, metavar="N")
     p.set_defaults(handler=cmd_ramsey)
 

@@ -342,12 +342,90 @@ def precondition(m: DesignMatrix) -> DesignMatrix:
                    column_norms=tuple(float(n) for n in norms))
 
 
+# the closed form is trusted only where the Gram eigenvalues l1 > l2 > l3
+# are at least this far apart relative to l1 ...
+CLOSED_FORM_GAP_RTOL = 1e-4
+# ... l2 is at least this fraction of l1 (det(A) from cofactors has an
+# absolute error of ~eps * sigma1^3, so kappa's relative error grows as
+# eps * kappa * sigma1 / sigma2; here sigma2 >= 0.1 sigma1) ...
+CLOSED_FORM_MIN_L2_RTOL = 1e-2
+# ... and kappa stays below this, far from the rank-deficiency threshold
+CLOSED_FORM_MAX_KAPPA = 1e8
+
+
+def _svd_condition_numbers(stack: np.ndarray) -> np.ndarray:
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return np.where(sv[..., -1] < RANK_DEFICIENCY_RTOL * sv[..., 0], np.inf, sv[..., 0] / sv[..., -1])
+
+
+def _closed_form_condition_numbers(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """kappa = sqrt(l1 / l3) of an (n, 3, 3) stack from the eigenvalues
+    l1 >= l2 >= l3 of G = A^T A, and the mask of matrices inside the
+    trusted region. NaN fails every comparison, so non-finite matrices
+    fall outside it."""
+    n = len(stack)
+    a = np.ascontiguousarray(stack.reshape(n, 9).T).reshape(3, 3, n)  # a[row, col] holds n draws
+    with np.errstate(all="ignore"):
+        g = np.einsum("ijn,ikn->jkn", a, a)
+        # l1: largest root of the characteristic cubic by the trigonometric
+        # form, written on the deviator B = G - m I (the cubic's own
+        # coefficients would cancel when the spectrum is clustered)
+        m = (g[0, 0] + g[1, 1] + g[2, 2]) / 3.0
+        b00, b11, b22 = g[0, 0] - m, g[1, 1] - m, g[2, 2] - m
+        g01, g02, g12 = g[0, 1], g[0, 2], g[1, 2]
+        p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
+        det_b = b00 * (b11 * b22 - g12 * g12) - g01 * (g01 * b22 - g12 * g02) + g02 * (g01 * g12 - b11 * g02)
+        phi = np.arccos(np.clip(det_b / (2.0 * p ** 3), -1.0, 1.0)) / 3.0
+        l1 = m + 2.0 * p * np.cos(phi)
+        # l2 l3 = det(A)^2 / l1 and l2 + l3 = (c - l2 l3) / l1, with c the
+        # sum of the squared 2x2 minors of A (Cauchy-Binet): sums of
+        # non-negative terms, so the small eigenvalues keep SVD's resolution
+        rows, lower = a[[0, 0, 1]], a[[1, 2, 2]]
+        minors = rows[:, [1, 2, 0]] * lower[:, [2, 0, 1]] - rows[:, [2, 0, 1]] * lower[:, [1, 2, 0]]
+        det = np.einsum("jn,jn->n", minors[0], a[2])
+        prod23 = det * det / l1
+        # the nine squares are summed three at a time in a fixed order: one
+        # nine-term reduction is ordered differently for a one-matrix stack
+        squares = np.einsum("ijn,ijn->in", minors, minors)
+        sum23 = (squares[0] + squares[1] + squares[2] - prod23) / l1
+        # l2 - l3 from the trigonometric form where the spectrum is clustered
+        # (spread p below l2 + l3), else from the quadratic's discriminant
+        gap23 = np.where(p < sum23, 2.0 * math.sqrt(3.0) * p * np.sin(phi),
+                         np.sqrt(np.maximum(sum23 * sum23 - 4.0 * prod23, 0.0)))
+        l2 = 0.5 * (sum23 + gap23)
+        l3 = prod23 / l2
+        kappa = np.sqrt(l1 / l3)
+        margin = CLOSED_FORM_GAP_RTOL * l1
+        trusted = ((l2 >= CLOSED_FORM_MIN_L2_RTOL * l1) & (l1 - l2 >= margin) & (l2 - l3 >= margin)
+                   & (kappa < CLOSED_FORM_MAX_KAPPA))
+    return kappa, trusted
+
+
 def condition_numbers(stack: np.ndarray) -> np.ndarray:
     """sigma_max / sigma_min of every matrix in a (..., rows, cols) stack
     of preconditioned matrices; +inf where sigma_min falls below the
-    rank-deficiency threshold."""
-    sv = np.linalg.svd(stack, compute_uv=False)
-    return np.where(sv[..., -1] < RANK_DEFICIENCY_RTOL * sv[..., 0], np.inf, sv[..., 0] / sv[..., -1])
+    rank-deficiency threshold.
+
+    (n, 3, 3) stacks take a closed form:
+    kappa = sqrt(l1 / l3) from the eigenvalues of G = A^T A, with l1 the
+    largest root of the characteristic cubic (trigonometric form) and
+    l2, l3 from l2 l3 = det(A)^2 / l1 and the Cauchy-Binet sum of squared
+    2x2 minors, so sigma_min keeps the SVD's absolute resolution instead
+    of the squared kappa of an eigensolver on G. Matrices outside the
+    trusted region (eigenvalue gaps below CLOSED_FORM_GAP_RTOL * l1, l2
+    below CLOSED_FORM_MIN_L2_RTOL * l1, kappa >= CLOSED_FORM_MAX_KAPPA, or
+    anything non-finite) take the SVD, so every rank-deficiency verdict
+    comes from it. Either way a matrix's kappa depends on that matrix
+    alone, not on the stack around it. Single matrices, non-square
+    designs and other stack shapes take the SVD throughout.
+    """
+    stack = np.asarray(stack)
+    if stack.ndim != 3 or stack.shape[1:] != (3, 3):
+        return _svd_condition_numbers(stack)
+    kappa, trusted = _closed_form_condition_numbers(stack)
+    if not trusted.all():
+        kappa[~trusted] = _svd_condition_numbers(stack[~trusted])
+    return kappa
 
 
 def condition_number(m: DesignMatrix) -> float:

@@ -185,6 +185,8 @@ def kappa_draws(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: Sampl
     (kappas, guard-band excluded fraction of proposals).
     """
     n = spec.sample_count if sample_count is None else int(sample_count)
+    if n < 1:
+        raise ValidationError("sample_count must be at least 1")
     seed = spec.seed if seed is None else int(seed)
     qs_spec = spec.parameter("Qs_91")
     be2_spec = spec.parameter("BE2_91")

@@ -225,6 +225,11 @@ def test_budget_probe_dependence(mo_chain, anchors):
     assert budget97.combined_current_eV > budget95.combined_current_eV
 
 
+def test_budget_refuses_even_even_probe(mo_chain, anchors):
+    with pytest.raises(ValidationError, match="A=92 is even-even"):
+        build_budget(mo_chain, default_channels(), anchors, probe_A=92)
+
+
 def test_budget_rejects_unknown_scenario(mo_chain, anchors):
     with pytest.raises(ConfigurationError):
         build_budget(mo_chain, default_channels(), anchors, scenario="fantasy")

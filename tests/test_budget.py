@@ -118,6 +118,14 @@ def test_ramsey_rejects_bad_inputs():
         ramsey_plan(-5.0, 10.0, 1)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_ramsey_rejects_non_finite_times(value):
+    with pytest.raises(ValidationError, match="finite"):
+        ramsey_plan(None, value, 1)
+    with pytest.raises(ValidationError, match="finite"):
+        ramsey_plan(value, 10.0, 1)
+
+
 def test_decay_penalty_normalization_and_divergence():
     t_opt = HALF_LIFE_91 / (2 * math.log(2))
     assert decay_penalty(t_opt, HALF_LIFE_91) == pytest.approx(1.0, rel=1e-14)

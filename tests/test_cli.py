@@ -240,6 +240,27 @@ def test_extract_non_finite_rhs_rejected(capsys, tmp_path):
     assert "non-finite delta_eV" in err
 
 
+@pytest.mark.parametrize("key, value", [("delta_eV", "abc"), ("A", "x")])
+def test_extract_mistyped_rhs_rejected(capsys, tmp_path, key, value):
+    fixture = json.loads(Path(RHS_FIXTURE).read_text(encoding="utf-8"))
+    fixture["rows"][0][key] = value
+    rhs_file = tmp_path / "mistyped.json"
+    rhs_file.write_text(json.dumps(fixture), encoding="utf-8")
+    code, out, err = _run(capsys, "extract", "--chain", "mo-chain-frib-synthetic-v1",
+                          "--rhs", str(rhs_file), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert f"row 0 has {key} = {value!r}" in err
+
+
+def test_extract_rhs_row_not_an_object(capsys, tmp_path):
+    rhs_file = tmp_path / "number_row.json"
+    rhs_file.write_text(json.dumps({"rows": [95]}), encoding="utf-8")
+    code, _, err = _run(capsys, "extract", "--rhs", str(rhs_file))
+    assert code == 2
+    assert "row 0 is not an object" in err
+
+
 # ---------------------------------------------------------------------------
 # milestones / ramsey
 
@@ -287,6 +308,28 @@ def test_ramsey_stable(capsys):
 def test_ramsey_invalid_input(capsys):
     code, _, _ = _run(capsys, "ramsey", "--half-life", "930", "--tr", "-5")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--tr", "1", "--half-life", "abc"), "--half-life"),
+    (("--tr", "1", "--half-life", "inf"), "--half-life"),
+    (("--tr", "nan"), "--tr"),
+    (("--tr", "inf"), "--tr"),
+])
+def test_ramsey_rejects_unparseable_flags(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["ramsey", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}" in captured.err
+
+
+def test_budget_even_even_probe_refused(capsys):
+    code, out, err = _run(capsys, "budget", "--probe", "92")
+    assert code == 2
+    assert out == ""
+    assert "even-even" in err and "signal must be positive" not in err
 
 
 # ---------------------------------------------------------------------------

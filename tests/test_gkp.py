@@ -11,15 +11,19 @@ from gkpforge.errors import (
     UnderdeterminedError,
     ValidationError,
 )
+import gkpforge.montecarlo as montecarlo
 from gkpforge.gkp import (
     COLUMN_NAMES,
+    RANK_DEFICIENCY_RTOL,
     DesignMatrix,
     Topology,
+    _closed_form_condition_numbers,
     alpha_t_from_be2,
     build_design,
     condition_number,
     condition_numbers,
     extract,
+    normalize_columns,
     precondition,
     solvability_verdict,
     solvable,
@@ -196,6 +200,123 @@ def test_condition_numbers_stack_matches_per_matrix():
     per_matrix = np.array([condition_number(m) for m in matrices])
     assert math.isinf(per_matrix[7])
     assert np.array_equal(stacked, per_matrix)
+
+
+def _svd_kappa(stack):
+    """The LAPACK reference: sigma_max / sigma_min with the +inf sentinel."""
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return np.where(sv[..., -1] < RANK_DEFICIENCY_RTOL * sv[..., 0], np.inf, sv[..., 0] / sv[..., -1])
+
+
+def _shipped_blocks(chain, coeffs, monkeypatch):
+    """The normalized (block, 3, 3) stacks of the shipped conditioning spec."""
+    blocks = []
+
+    def record(stack):
+        blocks.append(stack.copy())
+        return condition_numbers(stack)
+
+    monkeypatch.setattr(montecarlo, "condition_numbers", record)
+    montecarlo.kappa_draws(chain, coeffs, montecarlo.load_sampling_spec("mo91-sampling-v1"))
+    return blocks
+
+
+def test_closed_form_kappa_matches_svd_on_shipped_draws(mo_chain, coeffs, monkeypatch):
+    blocks = _shipped_blocks(mo_chain, coeffs, monkeypatch)
+    assert sum(len(b) for b in blocks) == 100_000
+    for stack in blocks:
+        _, trusted = _closed_form_condition_numbers(stack)
+        assert trusted.all()  # no shipped draw falls back to the SVD
+        reference = _svd_kappa(stack)
+        assert np.isfinite(reference).all()
+        np.testing.assert_allclose(condition_numbers(stack), reference, rtol=1e-12, atol=0.0)
+
+
+def _mpmath_kappa(matrix, mpmath):
+    with mpmath.workdps(40):
+        sv = sorted(mpmath.svd_r(mpmath.matrix(matrix.tolist()), compute_uv=False), reverse=True)
+        return math.inf if sv[2] == 0 else float(sv[0] / sv[2])
+
+
+def _adversarial_family(name, rng, n=128):
+    """(n, 3, 3) column-normalized stacks: U diag(s) V^T with the singular
+    values of the family, or exactly repeated columns."""
+    def from_singular_values(s2, s3):
+        u = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+        v = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+        return u @ (np.stack([np.ones(n), s2, s3], axis=-1)[:, :, None] * v.transpose(0, 2, 1))
+
+    if name == "random":
+        stack = rng.normal(size=(n, 3, 3))
+    elif name == "near_rank2":
+        stack = from_singular_values(10.0 ** rng.uniform(-1, 0, n), 10.0 ** rng.uniform(-11, -1, n))
+    elif name == "small_sigma2":  # where cofactor det(A) loses most, relative to kappa
+        stack = from_singular_values(10.0 ** rng.uniform(-2, -1, n), 10.0 ** rng.uniform(-7, -3, n))
+    elif name == "near_rank1":
+        stack = from_singular_values(10.0 ** rng.uniform(-9, -3, n), 10.0 ** rng.uniform(-11, -9, n))
+    elif name == "near_orthogonal":
+        stack = np.eye(3) + 10.0 ** rng.uniform(-10, -1, (n, 1, 1)) * rng.normal(size=(n, 3, 3))
+    else:  # exactly rank deficient: a repeated column, every other one of rank 1
+        stack = rng.normal(size=(n, 3, 3))
+        stack[:, :, 2] = stack[:, :, 0]
+        stack[::2, :, 1] = stack[::2, :, 0]
+    return normalize_columns(stack, COLUMN_NAMES)[0]
+
+
+FAMILIES = ["random", "near_rank2", "small_sigma2", "near_rank1", "near_orthogonal", "rank_deficient"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_closed_form_kappa_adversarial_families(family):
+    mpmath = pytest.importorskip("mpmath")
+    stack = _adversarial_family(family, np.random.default_rng(2026))
+    kappa, svd = condition_numbers(stack), _svd_kappa(stack)
+    _, trusted = _closed_form_condition_numbers(stack)
+    assert trusted.any() == (family not in ("near_rank1", "rank_deficient"))
+    reference = np.array([_mpmath_kappa(m, mpmath) for m in stack])
+    assert np.array_equal(np.isinf(kappa), np.isinf(svd))
+    assert np.array_equal(np.isinf(kappa), reference > 1.0 / RANK_DEFICIENCY_RTOL)
+    if family == "rank_deficient":
+        assert np.isinf(kappa).all()
+    # SVD's own error in kappa is of order eps * kappa; both meet one bound
+    finite = np.isfinite(kappa)
+    bound = 16.0 * np.finfo(float).eps * reference[finite]
+    assert np.all(np.abs(svd[finite] / reference[finite] - 1.0) <= bound)
+    assert np.all(np.abs(kappa[finite] / reference[finite] - 1.0) <= bound)
+
+
+def test_kappa_of_a_matrix_does_not_depend_on_its_stack():
+    rng = np.random.default_rng(11)
+    stack = np.concatenate([_adversarial_family(f, rng, n=32) for f in FAMILIES])
+    kappa = condition_numbers(stack)
+    order = rng.permutation(len(stack))
+    assert np.array_equal(condition_numbers(stack[order]), kappa[order])
+    assert np.array_equal(np.concatenate([condition_numbers(stack[k:k + 1]) for k in range(len(stack))]), kappa)
+    for parts in (len(stack) // 2, len(stack) // 5, 7):
+        split = np.array_split(stack, parts)
+        assert np.array_equal(np.concatenate([condition_numbers(part) for part in split]), kappa)
+
+
+def test_single_matrices_and_other_shapes_take_the_svd():
+    rng = np.random.default_rng(5)
+    for shape in [(3, 3), (200, 4, 3), (2, 64, 3, 3)]:
+        stack = rng.normal(size=shape)
+        assert np.array_equal(condition_numbers(stack), _svd_kappa(stack))
+    m = precondition(DesignMatrix(rows=tuple((k, "t") for k in range(3)), columns=COLUMN_NAMES,
+                                  entries=rng.normal(size=(3, 3))))
+    assert condition_number(m) == float(_svd_kappa(m.entries))
+
+
+def test_non_finite_entries_take_the_svd():
+    stack = np.random.default_rng(8).normal(size=(64, 3, 3))
+    stack[3, 1, 1] = np.nan
+    for kernel in (condition_numbers, _svd_kappa):
+        with pytest.raises(np.linalg.LinAlgError):
+            kernel(stack)
+    stack[3, 1, 1] = np.inf
+    kappa = condition_numbers(stack)
+    assert np.isnan(kappa[3]) and np.isnan(_svd_kappa(stack)[3])
+    assert np.isfinite(np.delete(kappa, 3)).all()
 
 
 def test_condition_number_underdetermined_rejected():

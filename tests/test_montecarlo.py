@@ -94,6 +94,13 @@ def test_spec_missing_parameter_rejected(mo_chain, coeffs):
         sample_kappa(mo_chain, coeffs, spec)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_count_must_be_positive(mo_chain, coeffs, count):
+    for campaign in (kappa_draws, sample_kappa):
+        with pytest.raises(ValidationError, match="sample_count must be at least 1"):
+            campaign(mo_chain, coeffs, _spec(), sample_count=count)
+
+
 def test_single_draw_matches_condition_number(mo_chain, coeffs):
     spec = _spec(sample_count=1, seed=123)
     kappas, _ = kappa_draws(mo_chain, coeffs, spec)
