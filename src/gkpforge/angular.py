@@ -1,9 +1,11 @@
 """Exact angular-momentum algebra.
 
 Wigner 6j symbols evaluated by the Racah single-sum formula in exact
-rational arithmetic (half-integers carried as doubled integers, factorials
-as Python bignums), converted to floating point only at the very end. At
-desk scale (arguments up to 99/2) results are correct to about one ulp.
+integer arithmetic: half-integers are carried as doubled integers, the
+triangle coefficients and the Racah terms as bignum binomial products, and
+the squared symbol becomes a float through a single correctly rounded
+int/int division before the square root. At desk scale (arguments up to
+99/2) results are correct to about one ulp.
 
 The module also provides the rank-K selection rule for electronic states,
 the electric-quadrupole hyperfine ladder with its exact centroid
@@ -36,10 +38,10 @@ __all__ = [
 def _twice(j, name: str = "argument") -> int:
     """Validate a half-integer and return it doubled as an exact int."""
     if isinstance(j, Fraction):
-        tj = 2 * j
-        if tj.denominator != 1:
+        numerator, denominator = j.numerator, j.denominator
+        if denominator > 2:
             raise ValidationError(f"{name} {j} is not a half-integer")
-        tj = int(tj)
+        tj = numerator if denominator == 2 else 2 * numerator
     elif isinstance(j, int):
         tj = 2 * j
     else:
@@ -57,51 +59,57 @@ def triangle_ok(j1, j2, j3) -> bool:
     return abs(t1 - t2) <= t3 <= t1 + t2 and (t1 + t2 + t3) % 2 == 0
 
 
-def _delta_sq(ta: int, tb: int, tc: int) -> Fraction:
-    # square of the triangle coefficient, exact
-    return Fraction(
-        math.factorial((ta + tb - tc) // 2)
-        * math.factorial((ta - tb + tc) // 2)
-        * math.factorial((-ta + tb + tc) // 2),
-        math.factorial((ta + tb + tc) // 2 + 1),
-    )
-
-
 def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
     """Wigner 6j symbol {j1 j2 j3; j4 j5 j6} by the Racah sum.
 
     Returns exactly 0.0 whenever any of the four triads violates the
     triangle condition; this encodes the rank-2 selection rule, e.g.
     {1/2 1/2 2; I I F} = 0 because (1/2, 1/2, 2) cannot close.
+
+    Everything before the last step is an exact integer. Each triad
+    (a, b, c) with half-perimeter s contributes 1/Delta^2 = (s+1) * s! /
+    ((s-a)! (s-b)! (s-c)!), and each Racah term (z+1)! / (prod_f (z-f)! *
+    prod_c (c-z)!) is z+1 times a multinomial coefficient, because the seven
+    factorial arguments add up to z. With S the alternating sum of the terms
+    and D the product of the 1/Delta^2, the symbol is sign(S) * sqrt(S^2 / D),
+    and S^2 / D is rounded to a float by one int/int division, which Python
+    rounds correctly.
     """
     t = [_twice(j, f"j{k+1}") for k, j in enumerate((j1, j2, j3, j4, j5, j6))]
     triads = [(t[0], t[1], t[2]), (t[0], t[4], t[5]), (t[3], t[1], t[5]), (t[3], t[4], t[2])]
     for ta, tb, tc in triads:
         if not (abs(ta - tb) <= tc <= ta + tb and (ta + tb + tc) % 2 == 0):
             return 0.0
-    dsq = Fraction(1)
-    for triad in triads:
-        dsq *= _delta_sq(*triad)
+    comb = math.comb
+    delta_inv_sq = 1
+    for ta, tb, tc in triads:
+        s, a, b = (ta + tb + tc) // 2, (ta + tb - tc) // 2, (ta - tb + tc) // 2
+        delta_inv_sq *= (s + 1) * comb(s, a) * comb(s - a, b)
     floors = [(ta + tb + tc) // 2 for ta, tb, tc in triads]
     caps = [
         (t[0] + t[1] + t[3] + t[4]) // 2,
         (t[1] + t[2] + t[4] + t[5]) // 2,
         (t[2] + t[0] + t[5] + t[3]) // 2,
     ]
-    total = Fraction(0)
-    for z in range(max(floors), min(caps) + 1):
-        den = 1
-        for f in floors:
-            den *= math.factorial(z - f)
-        for c in caps:
-            den *= math.factorial(c - z)
-        total += Fraction((-1) ** z * math.factorial(z + 1), den)
+    z_min, z_max = max(floors), min(caps)
+    term, n = z_min + 1, 0
+    for k in [z_min - f for f in floors] + [c - z_min for c in caps]:
+        n += k
+        term *= comb(n, k)
+    # term(z+1) / term(z) = (z+2) prod_c (c-z) / prod_f (z+1-f), exact in integers
+    f1, f2, f3, f4 = floors
+    c1, c2, c3 = caps
+    total = 0
+    for z in range(z_min, z_max + 1):
+        total += -term if z % 2 else term
+        term = term * (z + 2) * (c1 - z) * (c2 - z) * (c3 - z) // (
+            (z + 1 - f1) * (z + 1 - f2) * (z + 1 - f3) * (z + 1 - f4)
+        )
     if total == 0:
         return 0.0
-    # |result| = sqrt(total^2 * prod(delta^2)), sign from the alternating sum
-    magnitude_sq = total * total * dsq
-    sign = 1.0 if total > 0 else -1.0
-    return sign * math.sqrt(float(magnitude_sq))
+    # sign by hand: math.copysign would overflow converting a large total
+    magnitude = math.sqrt((total * total) / delta_inv_sq)
+    return magnitude if total > 0 else -magnitude
 
 
 @dataclass(frozen=True)
@@ -178,28 +186,27 @@ def hfs_e2_levels(I, j, B_const_eV: float) -> tuple[HyperfineLevel, ...]:
     structure requires both I >= 1 and j >= 3/2; otherwise the F ladder is
     returned with all quadrupole coefficients exactly zero.
     """
-    I = Fraction(_twice(I, "I"), 2)
-    j = Fraction(_twice(j, "j"), 2)
-    has_quadrupole = I >= 1 and j >= Fraction(3, 2)
+    tI, tj = _twice(I, "I"), _twice(j, "j")
+    has_quadrupole = tI >= 2 and tj >= 3
+    # doubled integers: 4I(I+1) = 2I(2I+2), likewise for j and F, and 4K;
+    # the coefficient's numerator and denominator are both scaled by 32
+    four_I, four_j = tI * (tI + 2), tj * (tj + 2)
+    denominator = 32 * tI * (tI - 1) * tj * (tj - 1)
     levels = []
-    F = abs(I - j)
-    while F <= I + j:
-        K = F * (F + 1) - I * (I + 1) - j * (j + 1)
+    for tF in range(abs(tI - tj), tI + tj + 1, 2):
+        four_K = tF * (tF + 2) - four_I - four_j
         if has_quadrupole:
-            numerator = Fraction(3, 2) * K * (K + 1) - 2 * I * (I + 1) * j * (j + 1)
-            denominator = (2 * I * (2 * I - 1)) * (2 * j * (2 * j - 1))
-            coefficient = numerator / denominator
+            coefficient = Fraction(3 * four_K * (four_K + 4) - 4 * four_I * four_j, denominator)
         else:
             coefficient = Fraction(0)
         levels.append(
             HyperfineLevel(
-                F=F,
-                K_casimir=K,
+                F=Fraction(tF, 2),
+                K_casimir=Fraction(four_K, 4),
                 quadrupole_coefficient=coefficient,
                 shift_eV=B_const_eV * float(coefficient),
             )
         )
-        F += 1
     return tuple(levels)
 
 

@@ -381,7 +381,8 @@ def cmd_extract(args) -> int:
     chain, chain_path = _chain_from_args(args, default="mo-chain-frib-synthetic-v1")
     coeffs_path = resource_path(args.coeffs)
     coeffs = load_coefficients(coeffs_path)
-    anchors = load_anchors(resource_path(args.anchors))
+    anchors_path = resource_path(args.anchors)
+    anchors = load_anchors(anchors_path)
     rhs_path = Path(args.rhs)
     if not rhs_path.exists():
         raise ValidationError(f"rhs file {str(rhs_path)!r} does not exist")
@@ -435,8 +436,8 @@ def cmd_extract(args) -> int:
     report = {
         "manifest": _manifest(
             "extract",
-            {"chain": chain_path, "coeffs": coeffs_path, "rhs": rhs_path},
-            args.seed,
+            {"chain": chain_path, "coeffs": coeffs_path, "anchors": anchors_path, "rhs": rhs_path},
+            None,
             {"coeffs": coeffs.name, "anchors": anchors.name},
         ),
         "rows": [list(key) for key in design.rows],

@@ -159,13 +159,6 @@ class IsotopeRecord:
             raise ValidationError(f"{tag}: half-life must be positive when given")
 
     @property
-    def nuclear_mass_u(self) -> float:
-        """Nuclear mass in atomic mass units, represented by the mass
-        number (adequate at the toolkit's order-of-magnitude precision;
-        upgradeable to tabulated masses)."""
-        return float(self.A)
-
-    @property
     def is_even_even(self) -> bool:
         return self.spin == 0
 
@@ -305,45 +298,71 @@ def _chain_from_csv_text(text: str) -> IsotopeChain:
     )
 
 
+_NUMBER = ((int, float), "a number")
+_INTEGER = ((int,), "an integer")
+_OBJECT = ((dict,), "an object")
+
+
+def _json_field(obj: dict, key: str, expected: tuple, context: str, required: bool = True):
+    """obj[key] checked against JSON types (booleans refused); None when an
+    optional key is absent or null."""
+    if key not in obj and required:
+        raise ValidationError(f"{context} is missing the {key!r} key")
+    value = obj.get(key)
+    if value is None and not required:
+        return None
+    types, kind = expected
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValidationError(f"{context} has {key} = {value!r}, expected {kind}")
+    return value
+
+
 def _measured_from_json(obj, context: str) -> Measured | None:
     if obj is None:
         return None
     if not isinstance(obj, dict) or "value" not in obj:
         raise ValidationError(f"{context}: expected an object with a 'value' key")
+    sigma = _json_field(obj, "sigma", _NUMBER, context, required=False)
     return Measured(
-        value=float(obj["value"]),
-        sigma=float(obj["sigma"]) if obj.get("sigma") is not None else None,
+        value=float(_json_field(obj, "value", _NUMBER, context)),
+        sigma=float(sigma) if sigma is not None else None,
         effective=bool(obj.get("effective", False)),
     )
 
 
-def _chain_from_json_obj(obj: dict) -> IsotopeChain:
-    for key in ("element", "reference_A", "isotopes"):
-        if key not in obj:
-            raise ValidationError(f"JSON chain is missing the {key!r} key")
+def _chain_from_json_obj(obj) -> IsotopeChain:
+    if not isinstance(obj, dict):
+        raise ValidationError("JSON chain must be an object")
+    element = _json_field(obj, "element", ((str,), "a string"), "JSON chain")
+    reference_A = _json_field(obj, "reference_A", _INTEGER, "JSON chain")
+    isotopes = _json_field(obj, "isotopes", ((list,), "a list"), "JSON chain")
     records = []
-    for iso in obj["isotopes"]:
-        ctx = f"isotope A={iso.get('A', '?')}"
+    for k, iso in enumerate(isotopes):
+        if not isinstance(iso, dict):
+            raise ValidationError(f"JSON chain isotope record {k} is not an object")
+        A = _json_field(iso, "A", _INTEGER, f"JSON chain isotope record {k}")
+        ctx = f"isotope A={A}"
+        half_life = _json_field(iso, "half_life_s", _NUMBER, ctx, required=False)
         records.append(
             IsotopeRecord(
-                A=int(iso["A"]),
-                Z=int(iso["Z"]),
-                spin=parse_spin(iso["I"]),
-                parity=int(iso["parity"]),
-                r_ch=_measured_from_json(iso["r_ch"], f"{ctx} field r_ch"),
+                A=A,
+                Z=_json_field(iso, "Z", _INTEGER, ctx),
+                spin=parse_spin(_json_field(iso, "I", ((str, int, float), "a spin string or number"), ctx)),
+                parity=_json_field(iso, "parity", _INTEGER, ctx),
+                r_ch=_measured_from_json(_json_field(iso, "r_ch", _OBJECT, ctx), f"{ctx} field r_ch"),
                 beta2=_measured_from_json(iso.get("beta2"), f"{ctx} field beta2"),
                 Qs=_measured_from_json(iso.get("Qs"), f"{ctx} field Qs"),
                 BE2_up=_measured_from_json(iso.get("BE2_up"), f"{ctx} field BE2_up"),
                 delta_r2=_measured_from_json(iso.get("delta_r2"), f"{ctx} field delta_r2"),
-                half_life_s=float(iso["half_life_s"]) if iso.get("half_life_s") is not None else None,
+                half_life_s=float(half_life) if half_life is not None else None,
                 beta4=_measured_from_json(iso.get("beta4"), f"{ctx} field beta4"),
             )
         )
     return IsotopeChain(
-        element=str(obj["element"]),
-        reference_A=int(obj["reference_A"]),
+        element=element,
+        reference_A=reference_A,
         records=tuple(records),
-        provenance=dict(obj.get("provenance", {})),
+        provenance=dict(_json_field(obj, "provenance", _OBJECT, "JSON chain", required=False) or {}),
     )
 
 

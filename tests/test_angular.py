@@ -9,6 +9,7 @@ import pytest
 
 from gkpforge.angular import (
     ElectronicChannel,
+    _twice,
     centroid,
     default_channels,
     hfs_e2_levels,
@@ -142,6 +143,111 @@ def test_wigner_6j_rejects_non_half_integers():
         wigner_6j(0.3, 1, 1, 1, 1, 1)
     with pytest.raises(ValidationError):
         wigner_6j(-1, 1, 1, 1, 1, 1)
+
+
+# Reference: the exact-Fraction Racah sum and ladder that the integer
+# arithmetic replaced, kept to check that every returned value is unchanged.
+
+def _reference_delta_sq(ta, tb, tc):
+    return Fraction(
+        math.factorial((ta + tb - tc) // 2)
+        * math.factorial((ta - tb + tc) // 2)
+        * math.factorial((-ta + tb + tc) // 2),
+        math.factorial((ta + tb + tc) // 2 + 1),
+    )
+
+
+def _reference_6j(*t):
+    """6j symbol from doubled arguments, summed in Fractions."""
+    triads = [(t[0], t[1], t[2]), (t[0], t[4], t[5]), (t[3], t[1], t[5]), (t[3], t[4], t[2])]
+    for ta, tb, tc in triads:
+        if not (abs(ta - tb) <= tc <= ta + tb and (ta + tb + tc) % 2 == 0):
+            return 0.0
+    dsq = Fraction(1)
+    for triad in triads:
+        dsq *= _reference_delta_sq(*triad)
+    floors = [(ta + tb + tc) // 2 for ta, tb, tc in triads]
+    caps = [(t[0] + t[1] + t[3] + t[4]) // 2, (t[1] + t[2] + t[4] + t[5]) // 2,
+            (t[2] + t[0] + t[5] + t[3]) // 2]
+    total = Fraction(0)
+    for z in range(max(floors), min(caps) + 1):
+        den = 1
+        for f in floors:
+            den *= math.factorial(z - f)
+        for c in caps:
+            den *= math.factorial(c - z)
+        total += Fraction((-1) ** z * math.factorial(z + 1), den)
+    if total == 0:
+        return 0.0
+    sign = 1.0 if total > 0 else -1.0
+    return sign * math.sqrt(float(total * total * dsq))
+
+
+def _reference_ladder(I, j, B):
+    """(F, K, coefficient, shift) per level, computed in Fractions."""
+    has_quadrupole = I >= 1 and j >= Fraction(3, 2)
+    levels = []
+    F = abs(I - j)
+    while F <= I + j:
+        K = F * (F + 1) - I * (I + 1) - j * (j + 1)
+        if has_quadrupole:
+            numerator = Fraction(3, 2) * K * (K + 1) - 2 * I * (I + 1) * j * (j + 1)
+            coefficient = numerator / ((2 * I * (2 * I - 1)) * (2 * j * (2 * j - 1)))
+        else:
+            coefficient = Fraction(0)
+        levels.append((F, K, coefficient, B * float(coefficient)))
+        F += 1
+    return levels
+
+
+def _same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_wigner_6j_bit_identical_to_fraction_sum_small():
+    mismatches = [
+        t for t in itertools.product(range(7), repeat=6)
+        if not _same_float(wigner_6j(*(Fraction(x, 2) for x in t)), _reference_6j(*t))
+    ]
+    assert mismatches == []
+
+
+def test_wigner_6j_bit_identical_to_fraction_sum_large():
+    rng = random.Random(99)
+    checked = 0
+    while checked < 500:
+        t1, t2, t4, t5 = (rng.randint(0, 99) for _ in range(4))
+        if (t1 + t2 + t4 + t5) % 2:
+            continue
+        lo3, hi3 = max(abs(t1 - t2), abs(t4 - t5)), min(t1 + t2, t4 + t5, 99)
+        lo6, hi6 = max(abs(t1 - t5), abs(t4 - t2)), min(t1 + t5, t4 + t2, 99)
+        if lo3 > hi3 or lo6 > hi6:
+            continue
+        t = (t1, t2, rng.randrange(lo3, hi3 + 1, 2), t4, t5, rng.randrange(lo6, hi6 + 1, 2))
+        if max(t) <= 49:
+            continue
+        assert _same_float(wigner_6j(*(Fraction(x, 2) for x in t)), _reference_6j(*t)), t
+        checked += 1
+
+
+@pytest.mark.parametrize("B", [1.0, -3.7e-5])
+def test_hfs_e2_levels_identical_to_fraction_ladder(B):
+    for twice_I in range(0, 25):
+        for twice_j in range(1, 24):
+            I, j = Fraction(twice_I, 2), Fraction(twice_j, 2)
+            got = [(lvl.F, lvl.K_casimir, lvl.quadrupole_coefficient, lvl.shift_eV)
+                   for lvl in hfs_e2_levels(I, j, B)]
+            want = _reference_ladder(I, j, B)
+            assert got == want, (I, j)
+            assert all(type(x) is Fraction for level in got for x in level[:3])
+            assert all(_same_float(g[3], w[3]) for g, w in zip(got, want))
+
+
+def test_twice_refuses_non_half_integers_and_negatives():
+    assert _twice(Fraction(7, 2)) == 7 and _twice(Fraction(3)) == 6
+    for bad in (Fraction(1, 3), Fraction(-1, 2), Fraction(-2), -1, -0.5):
+        with pytest.raises(ValidationError):
+            _twice(bad)
 
 
 def test_rank2_allowed():

@@ -261,6 +261,28 @@ def test_extract_rhs_row_not_an_object(capsys, tmp_path):
     assert "row 0 is not an object" in err
 
 
+def test_extract_manifest_hashes_anchors(capsys, tmp_path):
+    anchors = json.loads(resource_path("mo41-anchors-v1").read_text(encoding="utf-8"))
+    anchors["signal_anchor"]["anchor_output_eV"] *= 2
+    edited = tmp_path / "anchors.json"
+    edited.write_text(json.dumps(anchors), encoding="utf-8")
+    manifests, signals = [], []
+    for extra in ((), ("--anchors", str(edited))):
+        code, report = _run_json(capsys, "extract", "--chain", "mo-chain-frib-synthetic-v1",
+                                 "--rhs", RHS_FIXTURE, "--seed", "7", *extra)
+        assert code == 0
+        _validate(report, "extract_report")
+        manifests.append(report["manifest"])
+        signals.append(report["signal_at_chi1_eV"])
+    default, changed = (m["inputs"]["anchors"] for m in manifests)
+    assert default["path"] == str(resource_path("mo41-anchors-v1"))
+    assert changed["path"] == str(edited)
+    assert default["sha256"] != changed["sha256"]
+    assert signals == [2e-21, 4e-21]
+    # extract draws nothing at random, so no seed is recorded even when given
+    assert [m["seed"] for m in manifests] == [None, None]
+
+
 # ---------------------------------------------------------------------------
 # milestones / ramsey
 
@@ -334,6 +356,49 @@ def test_budget_even_even_probe_refused(capsys):
 
 # ---------------------------------------------------------------------------
 # cross-command behavior
+
+def _frib_chain_with(tmp_path, edit) -> str:
+    chain = json.loads(resource_path("mo-chain-frib-synthetic-v1").read_text(encoding="utf-8"))
+    edit(chain["isotopes"])
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("key", ["A", "Z", "I", "parity", "r_ch"])
+def test_budget_chain_record_missing_key(capsys, tmp_path, key):
+    chain = _frib_chain_with(tmp_path, lambda isotopes: isotopes[1].pop(key))
+    code, out, err = _run(capsys, "budget", "--chain", chain)
+    assert code == 2
+    assert out == ""
+    where = "isotope record 1" if key == "A" else "isotope A=92"
+    assert f"{where} is missing the {key!r} key" in err
+
+
+def test_budget_chain_record_not_an_object(capsys, tmp_path):
+    chain = _frib_chain_with(tmp_path, lambda isotopes: isotopes.__setitem__(0, 91))
+    code, _, err = _run(capsys, "budget", "--chain", chain)
+    assert code == 2
+    assert "isotope record 0 is not an object" in err
+
+
+@pytest.mark.parametrize("index, key, value, where", [
+    (0, "A", "x", "isotope record 0"),
+    (1, "parity", "+", "isotope A=92"),
+])
+def test_budget_chain_record_mistyped_field(capsys, tmp_path, index, key, value, where):
+    chain = _frib_chain_with(tmp_path, lambda isotopes: isotopes[index].__setitem__(key, value))
+    code, _, err = _run(capsys, "budget", "--chain", chain)
+    assert code == 2
+    assert f"{where} has {key} = {value!r}, expected an integer" in err
+
+
+def test_budget_chain_measured_value_mistyped(capsys, tmp_path):
+    chain = _frib_chain_with(tmp_path, lambda isotopes: isotopes[0]["r_ch"].__setitem__("value", "abc"))
+    code, _, err = _run(capsys, "budget", "--chain", chain)
+    assert code == 2
+    assert "isotope A=91 field r_ch has value = 'abc', expected a number" in err
+
 
 def test_csv_format_budget_and_solvability(capsys):
     code, out, _ = _run(capsys, "budget", "--format", "csv")
