@@ -304,17 +304,17 @@ _OBJECT = ((dict,), "an object")
 
 
 def _json_field(obj: dict, key: str, expected: tuple, context: str, required: bool = True):
-    """obj[key] checked against JSON types (booleans refused); None when an
-    optional key is absent or null."""
-    if key not in obj and required:
-        raise ValidationError(f"{context} is missing the {key!r} key")
+    """obj[key] checked against the exact types json.loads produces (so a
+    boolean is not an integer); None when an optional key is absent or null."""
     value = obj.get(key)
+    types, kind = expected
+    if type(value) in types:
+        return value
     if value is None and not required:
         return None
-    types, kind = expected
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ValidationError(f"{context} has {key} = {value!r}, expected {kind}")
-    return value
+    if key not in obj:
+        raise ValidationError(f"{context} is missing the {key!r} key")
+    raise ValidationError(f"{context} has {key} = {value!r}, expected {kind}")
 
 
 def _measured_from_json(obj, context: str) -> Measured | None:

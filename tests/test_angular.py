@@ -145,8 +145,8 @@ def test_wigner_6j_rejects_non_half_integers():
         wigner_6j(-1, 1, 1, 1, 1, 1)
 
 
-# Reference: the exact-Fraction Racah sum and ladder that the integer
-# arithmetic replaced, kept to check that every returned value is unchanged.
+# Reference Racah sum and ladder in exact Fractions: the integer arithmetic
+# in gkpforge.angular must return the same floats and Fractions bit for bit.
 
 def _reference_delta_sq(ta, tb, tc):
     return Fraction(
