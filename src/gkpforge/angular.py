@@ -67,13 +67,14 @@ def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
     {1/2 1/2 2; I I F} = 0 because (1/2, 1/2, 2) cannot close.
 
     Everything before the last step is an exact integer. Each triad
-    (a, b, c) with half-perimeter s contributes 1/Delta^2 = (s+1) * s! /
-    ((s-a)! (s-b)! (s-c)!), and each Racah term (z+1)! / (prod_f (z-f)! *
-    prod_c (c-z)!) is z+1 times a multinomial coefficient, because the seven
-    factorial arguments add up to z. With S the alternating sum of the terms
-    and D the product of the 1/Delta^2, the symbol is sign(S) * sqrt(S^2 / D),
-    and S^2 / D is rounded to a float by one int/int division, which Python
-    rounds correctly.
+    (a, b, c) has 1/Delta^2 = (s+1)! / ((s-2a)! (s-2b)! (s-2c)!) with
+    s = a + b + c, which is s+1 times a multinomial coefficient; each Racah
+    term (z+1)! / (prod_f (z-f)! * prod_c (c-z)!) is likewise z+1 times a
+    multinomial coefficient, because the seven factorial arguments add up
+    to z. With S the alternating sum of the terms and D the product of the
+    1/Delta^2, the symbol is sign(S) * sqrt(S^2 / D), and S^2 / D is
+    rounded to a float by one int/int division, which Python rounds
+    correctly.
     """
     t = [_twice(j, f"j{k+1}") for k, j in enumerate((j1, j2, j3, j4, j5, j6))]
     triads = [(t[0], t[1], t[2]), (t[0], t[4], t[5]), (t[3], t[1], t[5]), (t[3], t[4], t[2])]
@@ -83,8 +84,8 @@ def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
     comb = math.comb
     delta_inv_sq = 1
     for ta, tb, tc in triads:
-        s, a, b = (ta + tb + tc) // 2, (ta + tb - tc) // 2, (ta - tb + tc) // 2
-        delta_inv_sq *= (s + 1) * comb(s, a) * comb(s - a, b)
+        s, u, v = (ta + tb + tc) // 2, (ta + tb - tc) // 2, (ta - tb + tc) // 2
+        delta_inv_sq *= (s + 1) * comb(s, u) * comb(s - u, v)
     floors = [(ta + tb + tc) // 2 for ta, tb, tc in triads]
     caps = [
         (t[0] + t[1] + t[3] + t[4]) // 2,
