@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -116,8 +117,9 @@ def _flatten_csv(report: dict) -> str:
 
 
 def _emit(report: dict, table: str, args) -> None:
+    text = json.dumps(report, indent=2, sort_keys=True) if args.format == "json" or args.out else None
     if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(text)
     elif args.format == "csv":
         print(_flatten_csv(report), end="")
     else:
@@ -126,7 +128,7 @@ def _emit(report: dict, table: str, args) -> None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"{report['manifest']['command']}.json"
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        path.write_text(text + "\n", encoding="utf-8")
 
 
 def _chain_from_args(args, default: str = "mo-chain-v1"):
@@ -558,7 +560,9 @@ def _half_life(text: str) -> float | None:
     return None if text == "stable" else _finite_float(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process and shared by every main() call: keep it stateless."""
     parser = argparse.ArgumentParser(
         prog="gkpforge",
         description="Barrier budgets, topology checks, conditioning studies, rank-2 extraction, "

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    NumericalError,
     RankDeficiencyError,
     UnderdeterminedError,
     ValidationError,
@@ -476,9 +477,10 @@ def solve_many(m: DesignMatrix, rhs_stack, sigma):
 
     One SVD of the row-whitened preconditioned system solves every trial;
     estimates and covariance are scaled back through the column norms.
-    Refuses underdetermined and numerically rank-deficient systems.
-    Returns (estimates (trials, cols), standard errors (cols,), kappa,
-    residual norms (trials,) in eV).
+    Refuses underdetermined and numerically rank-deficient systems, and
+    raises NumericalError when the whitened solve overflows. Returns
+    (estimates (trials, cols), standard errors (cols,), kappa, residual
+    norms (trials,) in eV).
     """
     sigma = np.ones(len(m.rows)) if sigma is None else np.asarray(sigma, dtype=float)
     if sigma.shape != (len(m.rows),) or np.any(sigma <= 0):
@@ -492,14 +494,24 @@ def solve_many(m: DesignMatrix, rhs_stack, sigma):
             "vectors are not linearly independent"
         )
 
-    u, s, vt = np.linalg.svd(pre.entries / sigma[:, None], full_matrices=False)
-    y = (((rhs_stack / sigma) @ u) / s) @ vt
-    cov_y = (vt.T / (s * s)) @ vt
-
     norms = np.asarray(pre.column_norms)
-    errors = np.sqrt(np.diag(cov_y / np.outer(norms, norms)))
-    residuals = np.linalg.norm(rhs_stack - y @ pre.entries.T, axis=-1)
-    return y / norms, errors, kappa, residuals
+    # overflow is reported below as a NumericalError, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, s, vt = np.linalg.svd(pre.entries / sigma[:, None], full_matrices=False)
+        y = (((rhs_stack / sigma) @ u) / s) @ vt
+        s2 = s * s
+        cov_y = (vt.T / s2) @ vt
+        estimates = y / norms
+        errors = np.sqrt(np.diag(cov_y / np.outer(norms, norms)))
+        residuals = np.linalg.norm(rhs_stack - y @ pre.entries.T, axis=-1)
+    # an overflowing s*s turns the standard errors into 0.0, not into inf
+    if not (np.isfinite(s2).all() and np.isfinite(errors).all()
+            and np.isfinite(estimates).all() and np.isfinite(residuals).all()):
+        raise NumericalError(
+            "the weighted solve overflowed: estimates, standard errors or residual norms "
+            "are not finite; check the scale of the rhs values and uncertainties"
+        )
+    return estimates, errors, kappa, residuals
 
 
 def extract(m: DesignMatrix) -> ExtractionResult:

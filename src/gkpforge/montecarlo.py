@@ -222,12 +222,13 @@ def summarize_kappa(kappas: np.ndarray, excluded_fraction: float, seed: int) -> 
     finite = kappas[np.isfinite(kappas)]
     if finite.size == 0:
         raise ValidationError("every draw was rank deficient; check the sampling bounds")
+    p5, p95 = np.percentile(finite, [5, 95])
     return KappaSummary(
         mean=float(finite.mean()),
         std=float(finite.std(ddof=1)) if finite.size > 1 else 0.0,
         median=float(np.median(finite)),
-        p5=float(np.percentile(finite, 5)),
-        p95=float(np.percentile(finite, 95)),
+        p5=float(p5),
+        p95=float(p95),
         rank_deficient_fraction=float(np.mean(~np.isfinite(kappas))),
         excluded_fraction=float(excluded_fraction),
         seed=int(seed),

@@ -251,6 +251,10 @@ def _measured_or_none(token: str, context: str) -> Measured | None:
 
 def _record_from_csv_row(row: dict, lineno: int) -> IsotopeRecord:
     ctx = f"row {lineno}"
+    # csv.DictReader fills the cells missing from a short row with None
+    missing = [column for column in _CSV_COLUMNS if row[column] is None]
+    if missing:
+        raise ValidationError(f"{ctx}: fewer cells than the header; no value for field {missing[0]}")
     try:
         A = int(row["A"])
         Z = int(row["Z"])
@@ -258,7 +262,11 @@ def _record_from_csv_row(row: dict, lineno: int) -> IsotopeRecord:
     except (KeyError, ValueError) as exc:
         raise ValidationError(f"{ctx}: bad integer field ({exc})") from exc
     spin = parse_spin(row["I"])
-    half_life = row.get("half_life_s", "").strip()
+    half_life = row["half_life_s"].strip()
+    try:
+        half_life_s = float(half_life) if half_life else None
+    except ValueError:
+        raise ValidationError(f"{ctx} field half_life_s: {half_life!r} is not a number") from None
     beta4 = row.get("beta4", "")
     return IsotopeRecord(
         A=A,
@@ -270,7 +278,7 @@ def _record_from_csv_row(row: dict, lineno: int) -> IsotopeRecord:
         Qs=_measured_or_none(row.get("Qs", ""), f"{ctx} field Qs"),
         BE2_up=_measured_or_none(row.get("BE2_up", ""), f"{ctx} field BE2_up"),
         delta_r2=_measured_or_none(row.get("delta_r2", ""), f"{ctx} field delta_r2"),
-        half_life_s=float(half_life) if half_life else None,
+        half_life_s=half_life_s,
         beta4=_measured_or_none(beta4, f"{ctx} field beta4") if beta4 is not None else None,
     )
 

@@ -8,6 +8,7 @@ override the bundled tables without reinstalling.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from importlib import resources as _importlib_resources
@@ -28,6 +29,13 @@ RESOURCE_FILES = {
 }
 
 
+@functools.cache
+def _bundled_data_dir() -> Path:
+    """The package's data directory; the install does not move while the
+    process runs, so it is resolved once."""
+    return Path(str(_importlib_resources.files("gkpforge") / "data"))
+
+
 def resource_path(name: str) -> Path:
     """Resolve a resource name (or a direct file path) to a local path."""
     if name in RESOURCE_FILES:
@@ -37,7 +45,7 @@ def resource_path(name: str) -> Path:
             candidate = Path(override) / basename
             if candidate.exists():
                 return candidate
-        path = Path(str(_importlib_resources.files("gkpforge") / "data" / basename))
+        path = _bundled_data_dir() / basename
         if not path.exists():
             raise ConfigurationError(f"bundled resource {name!r} is missing its data file {basename!r}")
         return path
@@ -51,7 +59,7 @@ def resource_path(name: str) -> Path:
 
 def schema_path(schema_name: str) -> Path:
     """Path of a shipped JSON schema (report validation)."""
-    return Path(str(_importlib_resources.files("gkpforge") / "data" / "schemas" / f"{schema_name}.json"))
+    return _bundled_data_dir() / "schemas" / f"{schema_name}.json"
 
 
 def sha256_of(path: str | Path) -> str:

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from gkpforge import __version__, cli
 from gkpforge.cli import main
+from gkpforge.nucdata import chain_to_csv, load_bundled_chain
 from gkpforge.resources import resource_path, schema_path
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -253,6 +255,18 @@ def test_extract_mistyped_rhs_rejected(capsys, tmp_path, key, value):
     assert f"row 0 has {key} = {value!r}" in err
 
 
+def test_extract_overflowing_rhs_exit3(capsys, tmp_path):
+    fixture = json.loads(Path(RHS_FIXTURE).read_text(encoding="utf-8"))
+    for row in fixture["rows"]:
+        row["delta_eV"], row["sigma_eV"] = 1e308, 1e-300
+    rhs_file = tmp_path / "extreme.json"
+    rhs_file.write_text(json.dumps(fixture), encoding="utf-8")
+    code, out, err = _run(capsys, "extract", "--rhs", str(rhs_file), "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
+
+
 def test_extract_rhs_row_not_an_object(capsys, tmp_path):
     rhs_file = tmp_path / "number_row.json"
     rhs_file.write_text(json.dumps({"rows": [95]}), encoding="utf-8")
@@ -400,6 +414,31 @@ def test_budget_chain_measured_value_mistyped(capsys, tmp_path):
     assert "isotope A=91 field r_ch has value = 'abc', expected a number" in err
 
 
+def _csv_chain_with(tmp_path, edit) -> str:
+    """mo-chain-v1 as CSV, with edit(header, data rows) applied to its cells."""
+    header, *rows = [line.split(",") for line in chain_to_csv(load_bundled_chain("mo-chain-v1")).splitlines()]
+    edit(header, rows)
+    path = tmp_path / "chain.csv"
+    path.write_text("".join(",".join(cells) + "\n" for cells in [header, *rows]), encoding="utf-8")
+    return str(path)
+
+
+def test_csv_chain_unparseable_half_life(capsys, tmp_path):
+    chain = _csv_chain_with(tmp_path, lambda header, rows: rows[1].__setitem__(header.index("half_life_s"), "abc"))
+    code, out, err = _run(capsys, "solvability", "--chain", chain)
+    assert code == 2
+    assert out == ""
+    assert "row 3 field half_life_s: 'abc' is not a number" in err
+
+
+def test_csv_chain_row_shorter_than_header(capsys, tmp_path):
+    chain = _csv_chain_with(tmp_path, lambda header, rows: rows.__setitem__(1, rows[1][:3]))
+    code, out, err = _run(capsys, "solvability", "--chain", chain)
+    assert code == 2
+    assert out == ""
+    assert "row 3: fewer cells than the header; no value for field parity" in err
+
+
 def test_csv_format_budget_and_solvability(capsys):
     code, out, _ = _run(capsys, "budget", "--format", "csv")
     assert code == 0
@@ -432,3 +471,43 @@ def test_data_dir_override(capsys, tmp_path, monkeypatch):
 
     # names not present in the override directory fall back to the bundle
     assert not str(resource_path("milestones-v1")).startswith(str(tmp_path))
+
+
+# ---------------------------------------------------------------------------
+# one parser per process, reused by every main() call
+
+@pytest.fixture
+def fresh_parser():
+    """Start from an unbuilt parser, so the next main() call is a first call."""
+    cli._build_parser.cache_clear()
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_shared_parser_does_not_keep_appended_isotopes(capsys, fresh_parser):
+    first = _run(capsys, "solvability", "--format", "json")
+    n_odd = json.loads(first[1])["selected"]["N_odd"]
+    for _ in range(2):
+        code, report = _run_json(capsys, "solvability", "--add-isotope", "91")
+        assert code == 0
+        assert report["selected"]["N_odd"] == n_odd + 1
+    assert _run(capsys, "solvability", "--format", "json") == first
+
+
+def test_shared_parser_after_an_argparse_error(capsys, fresh_parser):
+    alone = _run(capsys, "budget", "--format", "json")
+    with pytest.raises(SystemExit) as exc:
+        main(["budget", "--scenario", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert _run(capsys, "budget", "--format", "json") == alone
+
+
+def test_version_exits_zero_twice(capsys, fresh_parser):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"gkpforge {__version__}\n"

@@ -7,6 +7,7 @@ import pytest
 
 from gkpforge.errors import (
     ConfigurationError,
+    NumericalError,
     RankDeficiencyError,
     UnderdeterminedError,
     ValidationError,
@@ -411,6 +412,16 @@ def test_extract_rejects_bad_sigma(frib_chain, coeffs):
     rhs = design.entries @ TRUTH
     with pytest.raises(ValidationError):
         extract(design.with_rhs(rhs, np.zeros(len(design.rows))))
+
+
+def test_extract_refuses_overflowing_weights(frib_chain, coeffs):
+    # finite rhs, but the whitened singular values overflow when squared,
+    # which would report a standard error of 0.0
+    _, odd = partition(frib_chain)
+    design = build_design(odd, coeffs)
+    rhs = design.entries @ TRUTH
+    with pytest.raises(NumericalError):
+        extract(design.with_rhs(rhs, np.full(len(design.rows), 1e-300)))
 
 
 def test_extract_refuses_degenerate_directions():
