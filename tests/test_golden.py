@@ -1,0 +1,94 @@
+"""Golden reports: every command's stdout and --out files, byte for byte.
+
+Each case runs in json, csv and table format, once to stdout and once
+with --out, with the report timestamp pinned. Manifest paths into the
+bundled data directory and into tests/golden are written as <data> and
+<golden>, so the files do not depend on the checkout's location.
+
+After a deliberate change to report bytes, regenerate the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from gkpforge.cli import ENV_TIMESTAMP, main
+from gkpforge.resources import ENV_DATA_DIR, resource_path
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+TIMESTAMP = "2026-08-09T00:00:00+00:00"
+FORMATS = ("json", "csv", "table")
+
+CASES = {
+    "budget": ["budget"],
+    "solvability": ["solvability"],
+    "condition": ["condition"],
+    "condition-samples-2048-seed-5": ["condition", "--samples", "2048", "--seed", "5"],
+    "extract": ["extract", "--rhs", "<data>/synthetic_rhs_noiseless_v1.json"],
+    "extract-mo-chain-v1": ["extract", "--chain", "mo-chain-v1", "--rhs", "<golden>/rhs_mo_chain_v1.json"],
+    "milestones": ["milestones"],
+    "milestones-target": ["milestones", "--target", "1e-15"],
+    "ramsey-stable": ["ramsey", "--half-life", "stable", "--tr", "10", "--reps", "1000"],
+    "ramsey-decaying": ["ramsey", "--half-life", "930", "--tr", "2000", "--reps", "100"],
+}
+
+
+def _swap(text: str, pairs) -> str:
+    for old, new in pairs:
+        text = text.replace(old, new)
+    return text
+
+
+def _run(argv: list[str], fmt: str, out_dir: Path | None) -> tuple[str, dict[str, str]]:
+    """stdout and the --out files of one run, with placeholders for paths."""
+    places = {"<data>": str(resource_path("mo-chain-v1").parent), "<golden>": str(GOLDEN)}
+    argv = [_swap(arg, places.items()) for arg in argv]
+    argv += ["--format", fmt] + (["--out", str(out_dir)] if out_dir else [])
+    stdout = io.StringIO()
+    with mock.patch.dict(os.environ, {ENV_TIMESTAMP: TIMESTAMP}), contextlib.redirect_stdout(stdout):
+        os.environ.pop(ENV_DATA_DIR, None)
+        assert main(argv) == 0
+    back = [(path, name) for name, path in places.items()]
+    files = {p.name: _swap(p.read_text(encoding="utf-8"), back) for p in out_dir.iterdir()} if out_dir else {}
+    return _swap(stdout.getvalue(), back), files
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_report(case, fmt, tmp_path):
+    expected_stdout = (GOLDEN / case / f"stdout.{fmt}").read_text(encoding="utf-8")
+    expected_files = {p.name: p.read_text(encoding="utf-8") for p in (GOLDEN / case / "out").iterdir()}
+
+    stdout, _ = _run(CASES[case], fmt, None)
+    assert stdout == expected_stdout
+    stdout, files = _run(CASES[case], fmt, tmp_path)
+    assert stdout == expected_stdout
+    assert files == expected_files
+
+
+def regenerate() -> None:
+    for case, argv in sorted(CASES.items()):
+        target = GOLDEN / case
+        (target / "out").mkdir(parents=True, exist_ok=True)
+        for old in (target / "out").iterdir():
+            old.unlink()
+        for fmt in FORMATS:
+            stdout, _ = _run(argv, fmt, None)
+            (target / f"stdout.{fmt}").write_text(stdout, encoding="utf-8")
+        with tempfile.TemporaryDirectory() as out_dir:
+            _, files = _run(argv, "json", Path(out_dir))
+        for name, text in files.items():
+            (target / "out" / name).write_text(text, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()
