@@ -23,17 +23,17 @@ reported for transparency.
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .angular import ElectronicChannel
-from .constants import z_alpha_squared
+from .constants import FINE_STRUCTURE_ALPHA, z_alpha_squared
 from .errors import ConfigurationError, ValidationError
 from .nucdata import IsotopeChain, IsotopeRecord, spin_mass_lever
-from .resources import resource_path
+from .resources import json_field, load_json, resource_path
 
 __all__ = [
     "SignalModel",
@@ -81,6 +81,20 @@ class AnchorSet:
     metrological_floor_eV: float
     provenance: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not 1 <= self.Z < 1 / FINE_STRUCTURE_ALPHA:
+            raise ValidationError(f"anchor set {self.name!r}: Z = {self.Z} is outside [1, 1/alpha)")
+        # the anchors that divide: a zero or subnormal one overflows the ratio
+        for name in ("signal_anchor_eV", "hfs_e2_anchor_Qs_b", "tnp_anchor_BE2_wu", "fs_gap_eV", "f_tilde_nominal"):
+            if not abs(getattr(self, name)) >= sys.float_info.min:
+                raise ValidationError(f"anchor set {self.name!r}: {name} must be nonzero and not subnormal")
+        band_lo, band_hi = self.f_tilde_band
+        if not 0 < band_lo <= self.f_tilde_nominal <= band_hi:
+            raise ValidationError(
+                f"anchor set {self.name!r}: the f_tilde band {self.f_tilde_band} must be positive "
+                f"and contain the nominal {self.f_tilde_nominal}"
+            )
+
     def scenario(self, name: str) -> dict:
         if name not in self.scenarios:
             raise ConfigurationError(
@@ -92,31 +106,41 @@ class AnchorSet:
 def load_anchors(source: str | Path = "mo41-anchors-v1") -> AnchorSet:
     """Load an anchor set from a resource name or a JSON file path."""
     path = resource_path(str(source))
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
-        return AnchorSet(
-            name=obj["name"],
-            Z=int(obj["Z"]),
-            probe_A=int(obj["probe_A"]),
-            R_N_fm=float(obj["R_N_fm"]),
-            signal_anchor_eV=float(obj["signal_anchor"]["anchor_output_eV"]),
-            f_tilde_nominal=float(obj["f_tilde"]["nominal_raw"]),
-            f_tilde_band=(float(obj["f_tilde"]["band_raw"][0]), float(obj["f_tilde"]["band_raw"][1])),
-            hfs_e2_anchor_Qs_b=float(obj["hfs_e2_anchor"]["anchor_input_Qs_b"]),
-            hfs_e2_anchor_eV=float(obj["hfs_e2_anchor"]["anchor_output_eV"]),
-            tnp_anchor_BE2_wu=float(obj["tnp_anchor"]["anchor_input_BE2_wu"]),
-            tnp_anchor_eV=float(obj["tnp_anchor"]["anchor_output_eV"]),
-            fs_gap_eV=float(obj["fs_gap_eV"]),
-            scenarios=dict(obj["scenarios"]),
-            metrological_floor_eV=float(obj["metrological_floor_eV"]),
-            provenance={
-                k: v.get("provenance", "")
-                for k, v in obj.items()
-                if isinstance(v, dict) and "provenance" in v
-            },
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"anchor file {path} is malformed: {exc}") from exc
+    obj = load_json(path, "anchor file")
+    where = f"anchor file {path}"
+    part = {key: json_field(obj, key, "object", where)
+            for key in ("signal_anchor", "f_tilde", "hfs_e2_anchor", "tnp_anchor", "scenarios")}
+
+    def number(key: str, section: str | None = None) -> float:
+        return json_field(part[section] if section else obj, key, "number", f"{where}: {section}" if section else where)
+
+    band = json_field(part["f_tilde"], "band_raw", "list", f"{where}: f_tilde")
+    if len(band) != 2 or any(type(edge) not in (int, float) for edge in band):
+        raise ValidationError(f"{where}: f_tilde has band_raw = {band!r}, expected two numbers")
+    scenarios = {}
+    for name, knobs in part["scenarios"].items():
+        context = f"{where}: scenario {name}"
+        if type(knobs) is not dict:
+            raise ValidationError(f"{context} is not an object")
+        scenarios[name] = {**knobs, **{key: json_field(knobs, key, "number", context)
+                                       for key in ("hfs2_theory_fraction", "tnp_knowledge_fraction")}}
+    return AnchorSet(
+        name=json_field(obj, "name", "string", where),
+        Z=json_field(obj, "Z", "integer", where),
+        probe_A=json_field(obj, "probe_A", "integer", where),
+        R_N_fm=number("R_N_fm"),
+        signal_anchor_eV=number("anchor_output_eV", "signal_anchor"),
+        f_tilde_nominal=number("nominal_raw", "f_tilde"),
+        f_tilde_band=(float(band[0]), float(band[1])),
+        hfs_e2_anchor_Qs_b=number("anchor_input_Qs_b", "hfs_e2_anchor"),
+        hfs_e2_anchor_eV=number("anchor_output_eV", "hfs_e2_anchor"),
+        tnp_anchor_BE2_wu=number("anchor_input_BE2_wu", "tnp_anchor"),
+        tnp_anchor_eV=number("anchor_output_eV", "tnp_anchor"),
+        fs_gap_eV=number("fs_gap_eV"),
+        scenarios=scenarios,
+        metrological_floor_eV=number("metrological_floor_eV"),
+        provenance={k: v.get("provenance", "") for k, v in obj.items() if type(v) is dict and "provenance" in v},
+    )
 
 
 @dataclass(frozen=True)

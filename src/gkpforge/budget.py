@@ -9,15 +9,14 @@ spurious binary rounding (1e-13 / 2e-21 is exactly 5e7).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
 from .constants import PLANCK_EV_S
-from .errors import ConfigurationError, ValidationError
-from .resources import resource_path
+from .errors import ValidationError
+from .resources import json_field, load_json, resource_path
 
 __all__ = [
     "chi_bound",
@@ -82,28 +81,34 @@ class MilestoneLadder:
     era_boundary_eV: float
 
     def __post_init__(self):
+        if not self.rows:
+            raise ValidationError("milestone ladder has no rows")
         sens = [m.sensitivity_eV for m in self.rows]
         if any(nxt >= prev for prev, nxt in zip(sens, sens[1:])):
             raise ValidationError("milestone sensitivities must be strictly decreasing")
+        if sens[-1] <= 0:
+            raise ValidationError("milestone sensitivities must be positive")
 
 
 def load_milestones(source: str | Path = "milestones-v1") -> MilestoneLadder:
     path = resource_path(str(source))
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
-        boundary = float(obj["era_boundary_eV"])
-        rows = tuple(
-            Milestone(
-                sensitivity_eV=float(r["sensitivity_eV"]),
-                dominant_barrier=r["dominant_barrier"],
-                required_advance=r["required_advance"],
-                era=ERA_ELECTROMAGNETIC if float(r["sensitivity_eV"]) > boundary else ERA_METROLOGY,
-            )
-            for r in obj["rows"]
-        )
-        return MilestoneLadder(name=obj.get("name", ""), rows=rows, era_boundary_eV=boundary)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"milestone file {path} is malformed: {exc}") from exc
+    obj = load_json(path, "milestone file")
+    where = f"milestone file {path}"
+    boundary = json_field(obj, "era_boundary_eV", "number", where)
+    rows = []
+    for k, r in enumerate(json_field(obj, "rows", "list", where)):
+        context = f"{where}: row {k}"
+        if type(r) is not dict:
+            raise ValidationError(f"{context} is not an object")
+        sensitivity = json_field(r, "sensitivity_eV", "number", context)
+        rows.append(Milestone(
+            sensitivity_eV=sensitivity,
+            dominant_barrier=json_field(r, "dominant_barrier", "string", context),
+            required_advance=json_field(r, "required_advance", "string", context),
+            era=ERA_ELECTROMAGNETIC if sensitivity > boundary else ERA_METROLOGY,
+        ))
+    return MilestoneLadder(name=json_field(obj, "name", "string", where, required=False) or "",
+                           rows=tuple(rows), era_boundary_eV=boundary)
 
 
 def milestone_lookup(target_sensitivity_eV: float, ladder: MilestoneLadder | None = None) -> Milestone:

@@ -19,9 +19,8 @@ mode this analysis exists to prevent.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -35,8 +34,8 @@ from .errors import (
     UnderdeterminedError,
     ValidationError,
 )
-from .nucdata import IsotopeRecord, spin_mass_lever
-from .resources import resource_path
+from .nucdata import IsotopeRecord, json_spin, spin_mass_lever
+from .resources import json_field, load_json, resource_path
 
 __all__ = [
     "COLUMN_NAMES",
@@ -122,26 +121,26 @@ class ElectronicCoefficients:
 
 def load_coefficients(source: str | Path = "mo41-coeffs-v1") -> ElectronicCoefficients:
     path = resource_path(str(source))
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
-        transitions = tuple(
-            TransitionCoefficients(
-                label=t["label"],
-                H_eV_per_b=float(t["H_eV_per_b"]),
-                P_eV_per_wu=float(t["P_eV_per_wu"]),
-                G_eV_per_lever=float(t["G_eV_per_lever"]),
-                upper_j=Fraction(t["upper"]["j"]),
-            )
-            for t in obj["transitions"]
-        )
-        return ElectronicCoefficients(
-            name=obj["name"],
-            transitions=transitions,
-            provenance=obj.get("provenance", ""),
-            alpha_t_convention=obj.get("alpha_t_convention", ""),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"coefficients file {path} is malformed: {exc}") from exc
+    obj = load_json(path, "coefficients file")
+    where = f"coefficients file {path}"
+    transitions = []
+    for k, t in enumerate(json_field(obj, "transitions", "list", where)):
+        context = f"{where}: transition {k}"
+        if type(t) is not dict:
+            raise ValidationError(f"{context} is not an object")
+        transitions.append(TransitionCoefficients(
+            label=json_field(t, "label", "string", context),
+            H_eV_per_b=json_field(t, "H_eV_per_b", "number", context),
+            P_eV_per_wu=json_field(t, "P_eV_per_wu", "number", context),
+            G_eV_per_lever=json_field(t, "G_eV_per_lever", "number", context),
+            upper_j=json_spin(json_field(t, "upper", "object", context), "j", f"{context} upper"),
+        ))
+    return ElectronicCoefficients(
+        name=json_field(obj, "name", "string", where),
+        transitions=tuple(transitions),
+        provenance=json_field(obj, "provenance", "string", where, required=False) or "",
+        alpha_t_convention=json_field(obj, "alpha_t_convention", "string", where, required=False) or "",
+    )
 
 
 def alpha_t_from_be2(records: Sequence[IsotopeRecord]) -> dict[int, float]:
@@ -458,17 +457,9 @@ class ExtractionResult:
         return replace(self, chi_bound=bound)
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha_manko_hat": self.alpha_manko_hat,
-            "alpha_manko_se": self.alpha_manko_se,
-            "background_estimates": [
-                {"name": name, "value": value, "se": se}
-                for name, value, se in self.background_estimates
-            ],
-            "condition_number": self.condition_number,
-            "residual_norm_eV": self.residual_norm_eV,
-            "chi_bound": self.chi_bound,
-        }
+        return dict(asdict(self), background_estimates=[
+            {"name": name, "value": value, "se": se} for name, value, se in self.background_estimates
+        ])
 
 
 def solve_many(m: DesignMatrix, rhs_stack, sigma):
@@ -497,7 +488,10 @@ def solve_many(m: DesignMatrix, rhs_stack, sigma):
     norms = np.asarray(pre.column_norms)
     # overflow is reported below as a NumericalError, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        u, s, vt = np.linalg.svd(pre.entries / sigma[:, None], full_matrices=False)
+        whitened = pre.entries / sigma[:, None]
+        if not np.isfinite(whitened).all():  # LAPACK's SVD may never return on an inf entry
+            raise NumericalError("the row-whitened design matrix overflowed; check the rhs uncertainties")
+        u, s, vt = np.linalg.svd(whitened, full_matrices=False)
         y = (((rhs_stack / sigma) @ u) / s) @ vt
         s2 = s * s
         cov_y = (vt.T / s2) @ vt

@@ -16,7 +16,6 @@ merge by plain index-ordered concatenation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +27,7 @@ from .budget import chi_bound
 from .errors import ConfigurationError, ValidationError
 from .gkp import ElectronicCoefficients, build_design, condition_numbers, normalize_columns, solve_many
 from .nucdata import IsotopeChain, partition
-from .resources import resource_path
+from .resources import json_field, load_json, resource_path
 
 __all__ = [
     "ParameterSpec",
@@ -101,6 +100,8 @@ class SamplingSpec:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValidationError("sample_count must be at least 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed}")
 
     def parameter(self, name: str) -> ParameterSpec:
         for p in self.parameters:
@@ -111,29 +112,26 @@ class SamplingSpec:
 
 def load_sampling_spec(source: str | Path = "mo91-sampling-v1") -> SamplingSpec:
     path = resource_path(str(source))
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
-        params = tuple(
-            ParameterSpec(
-                name=p["name"],
-                distribution=p["distribution"],
-                low=p.get("low"),
-                high=p.get("high"),
-                mean=p.get("mean"),
-                sigma=p.get("sigma"),
-                units=p.get("units", ""),
-                exclude_abs_below=float(p.get("exclude_abs_below", 0.0)),
-            )
-            for p in obj["parameters"]
-        )
-        return SamplingSpec(
-            parameters=params,
-            sample_count=int(obj["sample_count"]),
-            seed=int(obj["seed"]),
-            name=obj.get("name", ""),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"sampling spec {path} is malformed: {exc}") from exc
+    obj = load_json(path, "sampling spec")
+    where = f"sampling spec {path}"
+    params = []
+    for k, p in enumerate(json_field(obj, "parameters", "list", where)):
+        context = f"{where}: parameter {k}"
+        if type(p) is not dict:
+            raise ValidationError(f"{context} is not an object")
+        params.append(ParameterSpec(
+            name=json_field(p, "name", "string", context),
+            distribution=json_field(p, "distribution", "string", context),
+            units=json_field(p, "units", "string", context, required=False) or "",
+            exclude_abs_below=json_field(p, "exclude_abs_below", "number", context, required=False) or 0.0,
+            **{key: json_field(p, key, "number", context, required=False) for key in ("low", "high", "mean", "sigma")},
+        ))
+    return SamplingSpec(
+        parameters=tuple(params),
+        sample_count=json_field(obj, "sample_count", "integer", where),
+        seed=json_field(obj, "seed", "integer", where),
+        name=json_field(obj, "name", "string", where, required=False) or "",
+    )
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:

@@ -11,15 +11,17 @@ flagged with a leading tilde, "~8(1)", and the flag survives round trips.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from .errors import ValidationError
-from .resources import resource_path
+from .resources import json_field, load_json, resource_path
 
 __all__ = [
     "Measured",
@@ -28,6 +30,7 @@ __all__ = [
     "parse_measured",
     "format_measured",
     "parse_spin",
+    "json_spin",
     "load_chain",
     "load_bundled_chain",
     "partition",
@@ -105,6 +108,7 @@ def format_measured(m: Measured) -> str:
     return ("~" + text) if m.effective else text
 
 
+@functools.lru_cache(maxsize=None)  # chains repeat a handful of spins
 def parse_spin(text: str | float | Fraction) -> Fraction:
     """Parse a spin as an exact non-negative half-integer Fraction."""
     if isinstance(text, Fraction):
@@ -145,8 +149,8 @@ class IsotopeRecord:
             raise ValidationError(f"{tag}: requires A >= Z >= 1 (got A={self.A}, Z={self.Z})")
         if self.parity not in (+1, -1):
             raise ValidationError(f"{tag}: parity must be +1 or -1, got {self.parity!r}")
-        if (2 * self.spin).denominator != 1 or self.spin < 0:
-            raise ValidationError(f"{tag}: spin must be a non-negative half-integer")
+        if (2 * self.spin).denominator != 1 or not 0 <= self.spin <= self.A:
+            raise ValidationError(f"{tag}: spin must be a non-negative half-integer no larger than A")
         if self.r_ch.value <= 0:
             raise ValidationError(f"{tag}: charge radius must be positive")
         if self.Qs is not None and self.spin < 1:
@@ -155,8 +159,8 @@ class IsotopeRecord:
             )
         if self.Qs is None and self.spin >= 1:
             raise ValidationError(f"{tag}: I={self.spin} >= 1 requires a quadrupole moment entry")
-        if self.half_life_s is not None and self.half_life_s <= 0:
-            raise ValidationError(f"{tag}: half-life must be positive when given")
+        if self.half_life_s is not None and not 0 < self.half_life_s < math.inf:
+            raise ValidationError(f"{tag}: half-life must be positive and finite when given")
 
     @property
     def is_even_even(self) -> bool:
@@ -255,6 +259,9 @@ def _record_from_csv_row(row: dict, lineno: int) -> IsotopeRecord:
     missing = [column for column in _CSV_COLUMNS if row[column] is None]
     if missing:
         raise ValidationError(f"{ctx}: fewer cells than the header; no value for field {missing[0]}")
+    # ... and files the extra cells of a long row under the key None
+    if None in row:
+        raise ValidationError(f"{ctx}: {len(row[None])} more cells than the header")
     try:
         A = int(row["A"])
         Z = int(row["Z"])
@@ -306,71 +313,51 @@ def _chain_from_csv_text(text: str) -> IsotopeChain:
     )
 
 
-_NUMBER = ((int, float), "a number")
-_INTEGER = ((int,), "an integer")
-_OBJECT = ((dict,), "an object")
+def json_spin(obj: dict, key: str, context: str) -> Fraction:
+    """A spin field of a JSON data file: a string such as "5/2", or a number."""
+    kind = "number" if type(obj.get(key)) in (int, float) else "string"
+    return parse_spin(json_field(obj, key, kind, context))
 
 
-def _json_field(obj: dict, key: str, expected: tuple, context: str, required: bool = True):
-    """obj[key] checked against the exact types json.loads produces (so a
-    boolean is not an integer); None when an optional key is absent or null."""
-    value = obj.get(key)
-    types, kind = expected
-    if type(value) in types:
-        return value
-    if value is None and not required:
-        return None
-    if key not in obj:
-        raise ValidationError(f"{context} is missing the {key!r} key")
-    raise ValidationError(f"{context} has {key} = {value!r}, expected {kind}")
-
-
-def _measured_from_json(obj, context: str) -> Measured | None:
+def _measured_from_json(iso: dict, key: str, ctx: str, required: bool = False) -> Measured | None:
+    obj = json_field(iso, key, "object", ctx, required)
     if obj is None:
         return None
-    if not isinstance(obj, dict) or "value" not in obj:
-        raise ValidationError(f"{context}: expected an object with a 'value' key")
-    sigma = _json_field(obj, "sigma", _NUMBER, context, required=False)
+    context = f"{ctx} field {key}"
     return Measured(
-        value=float(_json_field(obj, "value", _NUMBER, context)),
-        sigma=float(sigma) if sigma is not None else None,
-        effective=bool(obj.get("effective", False)),
+        value=json_field(obj, "value", "number", context),
+        sigma=json_field(obj, "sigma", "number", context, required=False),
+        effective="effective" in obj and json_field(obj, "effective", "boolean", context),
     )
 
 
-def _chain_from_json_obj(obj) -> IsotopeChain:
-    if not isinstance(obj, dict):
-        raise ValidationError("JSON chain must be an object")
-    element = _json_field(obj, "element", ((str,), "a string"), "JSON chain")
-    reference_A = _json_field(obj, "reference_A", _INTEGER, "JSON chain")
-    isotopes = _json_field(obj, "isotopes", ((list,), "a list"), "JSON chain")
+def _chain_from_json_obj(obj: dict) -> IsotopeChain:
     records = []
-    for k, iso in enumerate(isotopes):
-        if not isinstance(iso, dict):
+    for k, iso in enumerate(json_field(obj, "isotopes", "list", "JSON chain")):
+        if type(iso) is not dict:
             raise ValidationError(f"JSON chain isotope record {k} is not an object")
-        A = _json_field(iso, "A", _INTEGER, f"JSON chain isotope record {k}")
+        A = json_field(iso, "A", "integer", f"JSON chain isotope record {k}")
         ctx = f"isotope A={A}"
-        half_life = _json_field(iso, "half_life_s", _NUMBER, ctx, required=False)
         records.append(
             IsotopeRecord(
                 A=A,
-                Z=_json_field(iso, "Z", _INTEGER, ctx),
-                spin=parse_spin(_json_field(iso, "I", ((str, int, float), "a spin string or number"), ctx)),
-                parity=_json_field(iso, "parity", _INTEGER, ctx),
-                r_ch=_measured_from_json(_json_field(iso, "r_ch", _OBJECT, ctx), f"{ctx} field r_ch"),
-                beta2=_measured_from_json(iso.get("beta2"), f"{ctx} field beta2"),
-                Qs=_measured_from_json(iso.get("Qs"), f"{ctx} field Qs"),
-                BE2_up=_measured_from_json(iso.get("BE2_up"), f"{ctx} field BE2_up"),
-                delta_r2=_measured_from_json(iso.get("delta_r2"), f"{ctx} field delta_r2"),
-                half_life_s=float(half_life) if half_life is not None else None,
-                beta4=_measured_from_json(iso.get("beta4"), f"{ctx} field beta4"),
+                Z=json_field(iso, "Z", "integer", ctx),
+                spin=json_spin(iso, "I", ctx),
+                parity=json_field(iso, "parity", "integer", ctx),
+                r_ch=_measured_from_json(iso, "r_ch", ctx, required=True),
+                beta2=_measured_from_json(iso, "beta2", ctx),
+                Qs=_measured_from_json(iso, "Qs", ctx),
+                BE2_up=_measured_from_json(iso, "BE2_up", ctx),
+                delta_r2=_measured_from_json(iso, "delta_r2", ctx),
+                half_life_s=json_field(iso, "half_life_s", "number", ctx, required=False),
+                beta4=_measured_from_json(iso, "beta4", ctx),
             )
         )
     return IsotopeChain(
-        element=element,
-        reference_A=reference_A,
+        element=json_field(obj, "element", "string", "JSON chain"),
+        reference_A=json_field(obj, "reference_A", "integer", "JSON chain"),
         records=tuple(records),
-        provenance=dict(_json_field(obj, "provenance", _OBJECT, "JSON chain", required=False) or {}),
+        provenance=dict(json_field(obj, "provenance", "object", "JSON chain", required=False) or {}),
     )
 
 
@@ -383,15 +370,10 @@ def load_chain(path: str | Path, format: str | None = None) -> IsotopeChain:
     if not p.exists():
         raise ValidationError(f"chain file {str(p)!r} does not exist")
     fmt = (format or p.suffix.lstrip(".")).lower()
-    text = p.read_text(encoding="utf-8")
     if fmt == "csv":
-        return _chain_from_csv_text(text)
+        return _chain_from_csv_text(p.read_text(encoding="utf-8"))
     if fmt == "json":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"chain file {str(p)!r} is not valid JSON: {exc}") from exc
-        return _chain_from_json_obj(obj)
+        return _chain_from_json_obj(load_json(p, "chain file"))
     raise ValidationError(f"unknown chain format {fmt!r} (expected csv or json)")
 
 

@@ -4,17 +4,25 @@ Every shipped dataset is addressable by a versioned name. The environment
 variable GKPFORGE_DATA_DIR redirects lookup to an external directory that
 must contain files with the same basenames, which lets deployments pin or
 override the bundled tables without reinstalling.
+
+Every JSON data file is read through load_json and json_field, which refuse
+(ValidationError) what is not a JSON object, NaN and Infinity, and fields of
+the wrong type; range checks belong to the dataclass that owns the value.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import os
+import re
+import sys
 from importlib import resources as _importlib_resources
+from math import isfinite
 from pathlib import Path
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 
 ENV_DATA_DIR = "GKPFORGE_DATA_DIR"
 
@@ -68,3 +76,61 @@ def sha256_of(path: str | Path) -> str:
         for block in iter(lambda: handle.read(65536), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+# json_field kinds: the exact types json.loads produces for each (so a
+# boolean is neither an integer nor a number), and how a refusal names it
+_KINDS = {
+    "integer": ((int,), "an integer"),
+    "number": ((float, int), "a number"),
+    "string": ((str,), "a string"),
+    "boolean": ((bool,), "a boolean"),
+    "object": ((dict,), "an object"),
+    "list": ((list,), "a list"),
+}
+_FLOAT_MAX = sys.float_info.max
+_CONSTANT_KEY = re.compile(r'"([^"\\]*)"\s*:\s*-?(?:NaN|Infinity)')
+
+
+def _refuse_constant(name: str):
+    raise ValidationError(f"{name} is not a finite number")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def load_json(path: str | Path, what: str) -> dict:
+    """The JSON object in a data file; what ("chain file", ...) names the
+    file in refusals. NaN and Infinity literals are refused."""
+    where = f"{what} {str(path)!r}"
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        obj = _DECODER.decode(text)
+    except ValidationError as exc:
+        key = _CONSTANT_KEY.search(text)
+        raise ValidationError(f"{where} has a non-finite {key.group(1) if key else 'number'}: {exc}") from None
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"{where} cannot be read as JSON: {exc}") from exc
+    if type(obj) is not dict:
+        raise ValidationError(f"{where} must hold a JSON object")
+    return obj
+
+
+def json_field(obj: dict, key: str, kind: str, context: str, required: bool = True):
+    """obj[key] checked by exact type against a kind of _KINDS; a number
+    must also be finite and comes back as a float. None when an optional
+    key is absent or null."""
+    value = obj.get(key)
+    if kind == "number":
+        if type(value) is float:
+            if isfinite(value):  # 1e400 parses to inf without reaching parse_constant
+                return value
+        elif type(value) is int and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            return float(value)
+    elif type(value) in _KINDS[kind][0]:
+        return value
+    if value is None and not required:
+        return None
+    if key not in obj:
+        raise ValidationError(f"{context} is missing the {key!r} key")
+    raise ValidationError(f"{context} has {key} = {value!r}, expected {_KINDS[kind][1]}")

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -437,6 +440,105 @@ def test_csv_chain_row_shorter_than_header(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "row 3: fewer cells than the header; no value for field parity" in err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_csv_chain_non_finite_half_life(capsys, tmp_path, cell):
+    chain = _csv_chain_with(tmp_path, lambda header, rows: rows[1].__setitem__(header.index("half_life_s"), cell))
+    code, out, err = _run(capsys, "solvability", "--chain", chain)
+    assert code == 2
+    assert out == ""
+    assert "isotope A=94: half-life must be positive and finite" in err
+
+
+def test_csv_chain_row_longer_than_header(capsys, tmp_path):
+    chain = _csv_chain_with(tmp_path, lambda header, rows: rows[1].extend(["extra", "cells"]))
+    code, out, err = _run(capsys, "solvability", "--chain", chain)
+    assert code == 2
+    assert out == ""
+    assert "row 3: 2 more cells than the header" in err
+
+
+def _edited_resource(tmp_path, name: str, edit) -> str:
+    """A copy of a bundled JSON resource with edit(obj) applied."""
+    obj = json.loads(resource_path(name).read_text(encoding="utf-8"))
+    edit(obj)
+    path = tmp_path / resource_path(name).name
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--anchors", ["budget"]),
+    ("--coeffs", ["condition", "--samples", "64"]),
+    ("--spec", ["condition", "--samples", "64"]),
+    ("--ladder", ["milestones"]),
+])
+def test_data_file_syntax_error_exit2(capsys, tmp_path, flag, argv):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"name": ', encoding="utf-8")
+    code, out, err = _run(capsys, *argv, flag, str(broken), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert f"'{broken}' cannot be read as JSON" in err
+
+
+def test_spec_negative_seed_exit2(capsys, tmp_path):
+    spec = _edited_resource(tmp_path, "mo91-sampling-v1", lambda obj: obj.__setitem__("seed", -1))
+    code, out, err = _run(capsys, "condition", "--spec", spec, "--samples", "64", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "seed must be a non-negative integer, got -1" in err
+
+
+def test_chain_overflowing_spin_exit2(capsys, tmp_path):
+    chain = _frib_chain_with(tmp_path, lambda isotopes: isotopes[2].__setitem__("I", 1e308))
+    code, out, err = _run(capsys, "solvability", "--chain", chain, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "isotope A=94: spin must be a non-negative half-integer no larger than A" in err
+
+
+def test_anchor_subnormal_signal_exit2(capsys, tmp_path):
+    anchors = _edited_resource(tmp_path, "mo41-anchors-v1",
+                               lambda obj: obj["signal_anchor"].__setitem__("anchor_output_eV", 1e-320))
+    code, out, err = _run(capsys, "budget", "--anchors", anchors, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "signal_anchor_eV must be nonzero and not subnormal" in err
+
+
+def test_overflowing_report_exit3(capsys, tmp_path):
+    # a finite Qs whose square overflows the second-order hyperfine residual
+    chain = _frib_chain_with(tmp_path, lambda isotopes: isotopes[3]["Qs"].__setitem__("value", -1e308))
+    for fmt in ("json", "table"):
+        code, out, err = _run(capsys, "budget", "--chain", chain, "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert "non-finite number" in err
+
+
+def test_empty_milestone_ladder_exit2(capsys, tmp_path):
+    ladder = _edited_resource(tmp_path, "milestones-v1", lambda obj: obj.__setitem__("rows", []))
+    code, out, err = _run(capsys, "milestones", "--ladder", ladder, "--target", "1e-15")
+    assert code == 2
+    assert out == ""
+    assert "milestone ladder has no rows" in err
+
+
+def test_extract_subnormal_sigma_exit3_without_hanging(tmp_path):
+    """LAPACK's SVD can spin forever on an inf entry, so run it in a child
+    with a deadline: a regression fails here instead of stalling the suite."""
+    fixture = json.loads(Path(RHS_FIXTURE).read_text(encoding="utf-8"))
+    fixture["rows"][0]["sigma_eV"] = 1e-320
+    rhs_file = tmp_path / "subnormal.json"
+    rhs_file.write_text(json.dumps(fixture), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    child = subprocess.run([sys.executable, "-m", "gkpforge.cli", "extract", "--rhs", str(rhs_file),
+                            "--format", "json"], env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 3
+    assert child.stdout == ""
+    assert "row-whitened design matrix overflowed" in child.stderr
 
 
 def test_csv_format_budget_and_solvability(capsys):
