@@ -89,10 +89,10 @@ class AnchorSet:
             if not abs(getattr(self, name)) >= sys.float_info.min:
                 raise ValidationError(f"anchor set {self.name!r}: {name} must be nonzero and not subnormal")
         band_lo, band_hi = self.f_tilde_band
-        if not 0 < band_lo <= self.f_tilde_nominal <= band_hi:
+        if not 0 < band_lo <= self.f_tilde_nominal <= band_hi < math.inf:
             raise ValidationError(
-                f"anchor set {self.name!r}: the f_tilde band {self.f_tilde_band} must be positive "
-                f"and contain the nominal {self.f_tilde_nominal}"
+                f"anchor set {self.name!r}: the f_tilde band {self.f_tilde_band} must be positive, "
+                f"finite and contain the nominal {self.f_tilde_nominal}"
             )
 
     def scenario(self, name: str) -> dict:

@@ -108,7 +108,7 @@ def format_measured(m: Measured) -> str:
     return ("~" + text) if m.effective else text
 
 
-@functools.lru_cache(maxsize=None)  # chains repeat a handful of spins
+@functools.lru_cache(maxsize=64)  # chains repeat a handful of spins
 def parse_spin(text: str | float | Fraction) -> Fraction:
     """Parse a spin as an exact non-negative half-integer Fraction."""
     if isinstance(text, Fraction):

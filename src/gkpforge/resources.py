@@ -89,7 +89,6 @@ _KINDS = {
     "list": ((list,), "a list"),
 }
 _FLOAT_MAX = sys.float_info.max
-_CONSTANT_KEY = re.compile(r'"([^"\\]*)"\s*:\s*-?(?:NaN|Infinity)')
 
 
 def _refuse_constant(name: str):
@@ -107,7 +106,8 @@ def load_json(path: str | Path, what: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
         obj = _DECODER.decode(text)
     except ValidationError as exc:
-        key = _CONSTANT_KEY.search(text)
+        # the refusal names the field: the first "key": NaN or Infinity in the text
+        key = re.search(r'"([^"\\]*)"\s*:\s*-?(?:NaN|Infinity)', text)
         raise ValidationError(f"{where} has a non-finite {key.group(1) if key else 'number'}: {exc}") from None
     except (OSError, ValueError) as exc:
         raise ValidationError(f"{where} cannot be read as JSON: {exc}") from exc

@@ -73,10 +73,7 @@ def _replaced(obj, path, text: str) -> str:
     parent = copy
     for key in path[:-1]:
         parent = parent[key]
-    if path:
-        parent[path[-1]] = marker
-    else:
-        copy = marker
+    parent[path[-1]] = marker
     return json.dumps(copy, ensure_ascii=False, indent=1).replace(json.dumps(marker), text)
 
 
@@ -93,7 +90,6 @@ def fuzz() -> list[str]:
     validators = {}
     failures = []
     rng = random.Random(SEED)
-    os.environ["GKPFORGE_TIMESTAMP"] = "2026-08-09T00:00:00+00:00"
     with tempfile.TemporaryDirectory() as tmp:
         for resource, commands in COMMANDS.items():
             source = resource_path(resource)
