@@ -85,7 +85,8 @@ class AnchorSet:
         if not 1 <= self.Z < 1 / FINE_STRUCTURE_ALPHA:
             raise ValidationError(f"anchor set {self.name!r}: Z = {self.Z} is outside [1, 1/alpha)")
         # the anchors that divide: a zero or subnormal one overflows the ratio
-        for name in ("signal_anchor_eV", "hfs_e2_anchor_Qs_b", "tnp_anchor_BE2_wu", "fs_gap_eV", "f_tilde_nominal"):
+        for name in ("signal_anchor_eV", "hfs_e2_anchor_Qs_b", "tnp_anchor_BE2_wu",
+                     "fs_gap_eV", "f_tilde_nominal"):
             if not abs(getattr(self, name)) >= sys.float_info.min:
                 raise ValidationError(f"anchor set {self.name!r}: {name} must be nonzero and not subnormal")
         band_lo, band_hi = self.f_tilde_band
@@ -108,40 +109,43 @@ def load_anchors(source: str | Path = "mo41-anchors-v1") -> AnchorSet:
     path = resource_path(str(source))
     obj = load_json(path, "anchor file")
     where = f"anchor file {path}"
-    part = {key: json_field(obj, key, "object", where)
-            for key in ("signal_anchor", "f_tilde", "hfs_e2_anchor", "tnp_anchor", "scenarios")}
-
-    def number(key: str, section: str | None = None) -> float:
-        return json_field(part[section] if section else obj, key, "number", f"{where}: {section}" if section else where)
-
-    band = json_field(part["f_tilde"], "band_raw", "list", f"{where}: f_tilde")
-    if len(band) != 2 or any(type(edge) not in (int, float) for edge in band):
+    signal = json_field(obj, "signal_anchor", "object", where)
+    f_tilde = json_field(obj, "f_tilde", "object", where)
+    hfs_e2 = json_field(obj, "hfs_e2_anchor", "object", where)
+    tnp = json_field(obj, "tnp_anchor", "object", where)
+    band = json_field(f_tilde, "band_raw", "list", f"{where}: f_tilde")
+    if len(band) != 2:
         raise ValidationError(f"{where}: f_tilde has band_raw = {band!r}, expected two numbers")
     scenarios = {}
-    for name, knobs in part["scenarios"].items():
+    for name, knobs in json_field(obj, "scenarios", "object", where).items():
         context = f"{where}: scenario {name}"
         if type(knobs) is not dict:
             raise ValidationError(f"{context} is not an object")
-        scenarios[name] = {**knobs, **{key: json_field(knobs, key, "number", context)
-                                       for key in ("hfs2_theory_fraction", "tnp_knowledge_fraction")}}
+        scenarios[name] = dict(knobs)
+        for key in ("hfs2_theory_fraction", "tnp_knowledge_fraction"):
+            scenarios[name][key] = json_field(knobs, key, "number", context)
     return AnchorSet(
         name=json_field(obj, "name", "string", where),
         Z=json_field(obj, "Z", "integer", where),
         probe_A=json_field(obj, "probe_A", "integer", where),
-        R_N_fm=number("R_N_fm"),
-        signal_anchor_eV=number("anchor_output_eV", "signal_anchor"),
-        f_tilde_nominal=number("nominal_raw", "f_tilde"),
-        f_tilde_band=(float(band[0]), float(band[1])),
-        hfs_e2_anchor_Qs_b=number("anchor_input_Qs_b", "hfs_e2_anchor"),
-        hfs_e2_anchor_eV=number("anchor_output_eV", "hfs_e2_anchor"),
-        tnp_anchor_BE2_wu=number("anchor_input_BE2_wu", "tnp_anchor"),
-        tnp_anchor_eV=number("anchor_output_eV", "tnp_anchor"),
-        fs_gap_eV=number("fs_gap_eV"),
+        R_N_fm=json_field(obj, "R_N_fm", "number", where),
+        signal_anchor_eV=json_field(signal, "anchor_output_eV", "number", f"{where}: signal_anchor"),
+        f_tilde_nominal=json_field(f_tilde, "nominal_raw", "number", f"{where}: f_tilde"),
+        f_tilde_band=tuple(json_field({"band_raw": edge}, "band_raw", "number", f"{where}: f_tilde")
+                           for edge in band),
+        hfs_e2_anchor_Qs_b=json_field(hfs_e2, "anchor_input_Qs_b", "number", f"{where}: hfs_e2_anchor"),
+        hfs_e2_anchor_eV=json_field(hfs_e2, "anchor_output_eV", "number", f"{where}: hfs_e2_anchor"),
+        tnp_anchor_BE2_wu=json_field(tnp, "anchor_input_BE2_wu", "number", f"{where}: tnp_anchor"),
+        tnp_anchor_eV=json_field(tnp, "anchor_output_eV", "number", f"{where}: tnp_anchor"),
+        fs_gap_eV=json_field(obj, "fs_gap_eV", "number", where),
         scenarios=scenarios,
-        metrological_floor_eV=number("metrological_floor_eV"),
-        provenance={k: v.get("provenance", "") for k, v in obj.items() if type(v) is dict and "provenance" in v},
+        metrological_floor_eV=json_field(obj, "metrological_floor_eV", "number", where),
+        provenance={
+            k: v.get("provenance", "")
+            for k, v in obj.items()
+            if type(v) is dict and "provenance" in v
+        },
     )
-
 
 @dataclass(frozen=True)
 class SignalModel:

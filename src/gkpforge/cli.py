@@ -116,28 +116,29 @@ def _flatten_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-def _emit(report: dict, table: str, args, histogram: str | None = None) -> None:
-    """Print the report as json, csv or table and write it to --out. A
-    histogram (condition) is the csv form and is written to --out as well.
-    A report holding NaN or Infinity is refused as a numerical failure."""
+def _emit(report: dict, table: str, args) -> None:
+    """Print the report as json, csv or table and write it to --out. A report
+    holding NaN or Infinity is refused as a numerical failure."""
     try:
-        text = (json.dumps(report, indent=2, sort_keys=True, allow_nan=False) if args.format == "json" or args.out
-                else json.dumps(report, allow_nan=False))
+        if args.format == "json" or args.out:
+            text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        else:
+            text = json.dumps(report, allow_nan=False)
     except ValueError as exc:
-        raise NumericalError(f"the report would hold a non-finite number ({exc}); an input is out of range") from None
+        raise NumericalError(
+            f"the report would hold a non-finite number ({exc}); an input is out of range"
+        ) from None
     if args.format == "json":
         print(text)
     elif args.format == "csv":
-        print(_flatten_csv(report) if histogram is None else histogram, end="")
+        print(_flatten_csv(report), end="")
     else:
         print(table)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        command = report["manifest"]["command"]
-        (out_dir / f"{command}.json").write_text(text + "\n", encoding="utf-8")
-        if histogram is not None:
-            (out_dir / f"{command}_histogram.csv").write_text(histogram, encoding="utf-8")
+        path = out_dir / f"{report['manifest']['command']}.json"
+        path.write_text(text + "\n", encoding="utf-8")
 
 
 def _chain_from_args(args, default: str = "mo-chain-v1"):
@@ -194,7 +195,17 @@ def cmd_budget(args) -> int:
         "scenario": budget.scenario,
         "probe_A": budget.probe_A,
         "channel": budget.channel_label,
-        "entries": [dataclasses.asdict(e) for e in budget.entries],
+        "entries": [
+            {
+                "name": e.name,
+                "scaling": e.scaling,
+                "raw_eV": e.raw_eV,
+                "current_eV": e.current_eV,
+                "projected_eV": e.projected_eV,
+                "note": e.note,
+            }
+            for e in budget.entries
+        ],
         "combined_current_eV": budget.combined_current_eV,
         "combined_projected_eV": budget.combined_projected_eV,
         "max_current_eV": budget.max_current_eV,
@@ -215,12 +226,6 @@ def cmd_budget(args) -> int:
 # ---------------------------------------------------------------------------
 # solvability
 
-def _topology_json(top: Topology, nbkg: int, **extra) -> dict:
-    ok, n_eq, n_unk = solvable(top, nbkg)
-    return {**extra, "N_ee": top.N_ee, "N_odd": top.N_odd, "N_trans_rank2": top.N_trans_rank2,
-            "solvable": ok, "n_equations": n_eq, "n_unknowns": n_unk, "verdict": solvability_verdict(top, nbkg)}
-
-
 def cmd_solvability(args) -> int:
     chain, chain_path = _chain_from_args(args)
     even_even, odd = partition(chain)
@@ -233,26 +238,50 @@ def cmd_solvability(args) -> int:
         ("Stable, 2 trans.", Topology(n_ee, n_odd_stable, 2)),
         ("+ FRIB + 2 trans.", Topology(n_ee, n_odd_stable + 1, 2)),
     ]
-    rows = [_topology_json(top, args.nbkg, label=label) for label, top in enumeration]
-    selected = _topology_json(Topology(n_ee, n_odd_stable + len(args.add_isotope), args.transitions),
-                              args.nbkg, N_bkg=args.nbkg)
+    selected = Topology(n_ee, n_odd_stable + len(args.add_isotope), args.transitions)
+    ok, n_eq, n_unk = solvable(selected, args.nbkg)
 
     lines = [
         "Experimental topologies for the rank-2 extraction",
         "",
         f"{'Topology':<20}{'N_ee':<6}{'N_odd':<7}{'N_trans':<9}{'Solvable?':<14}",
     ]
-    for row in rows:
-        lines.append(f"{row['label']:<20}{row['N_ee']:<6}{row['N_odd']:<7}{row['N_trans_rank2']:<9}{row['verdict']:<14}")
+    rows_json = []
+    for label, top in enumeration:
+        verdict = solvability_verdict(top, args.nbkg)
+        lines.append(f"{label:<20}{top.N_ee:<6}{top.N_odd:<7}{top.N_trans_rank2:<9}{verdict:<14}")
+        ok_row, eq_row, unk_row = solvable(top, args.nbkg)
+        rows_json.append(
+            {
+                "label": label,
+                "N_ee": top.N_ee,
+                "N_odd": top.N_odd,
+                "N_trans_rank2": top.N_trans_rank2,
+                "solvable": ok_row,
+                "n_equations": eq_row,
+                "n_unknowns": unk_row,
+                "verdict": verdict,
+            }
+        )
+    sel_verdict = solvability_verdict(selected, args.nbkg)
     lines += [
         "",
-        f"Selected configuration: N_odd={selected['N_odd']}, N_trans={selected['N_trans_rank2']}, "
-        f"N_bkg={args.nbkg} -> {selected['verdict']}",
+        f"Selected configuration: N_odd={selected.N_odd}, N_trans={selected.N_trans_rank2}, "
+        f"N_bkg={args.nbkg} -> {sel_verdict}",
     ]
     report = {
         "manifest": _manifest("solvability", {"chain": chain_path}, None, {}),
-        "topologies": rows,
-        "selected": selected,
+        "topologies": rows_json,
+        "selected": {
+            "N_ee": selected.N_ee,
+            "N_odd": selected.N_odd,
+            "N_trans_rank2": selected.N_trans_rank2,
+            "N_bkg": args.nbkg,
+            "solvable": ok,
+            "n_equations": n_eq,
+            "n_unknowns": n_unk,
+            "verdict": sel_verdict,
+        },
     }
     _emit(report, "\n".join(lines), args)
     return EXIT_OK
@@ -310,7 +339,18 @@ def cmd_condition(args) -> int:
         ),
         "summary": dataclasses.asdict(summary),
     }
-    _emit(report, "\n".join(lines), args, histogram=histogram)
+    if args.format == "csv":
+        print(histogram, end="")
+    else:
+        _emit(report, "\n".join(lines), args)
+    if args.out:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "condition_histogram.csv").write_text(histogram, encoding="utf-8")
+        if args.format == "csv":
+            (out_dir / "condition.json").write_text(
+                json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            )
     return EXIT_OK
 
 
@@ -328,7 +368,8 @@ def _load_rhs_file(path: Path) -> dict[tuple[int, str], tuple[float, float]]:
         if type(row) is not dict:
             raise ValidationError(f"{context} is not an object")
         key = json_field(row, "A", "integer", context), json_field(row, "transition", "string", context)
-        delta, sigma = json_field(row, "delta_eV", "number", context), json_field(row, "sigma_eV", "number", context)
+        delta = json_field(row, "delta_eV", "number", context)
+        sigma = json_field(row, "sigma_eV", "number", context)
         if sigma <= 0:
             raise ValidationError(f"{context} has non-positive sigma_eV")
         by_key[key] = delta, sigma
@@ -421,7 +462,15 @@ def cmd_milestones(args) -> int:
         )
     report = {
         "manifest": _manifest("milestones", {"ladder": ladder_path}, None, {"ladder": ladder.name}),
-        "rows": [dataclasses.asdict(r) for r in ladder.rows],
+        "rows": [
+            {
+                "sensitivity_eV": r.sensitivity_eV,
+                "dominant_barrier": r.dominant_barrier,
+                "required_advance": r.required_advance,
+                "era": r.era,
+            }
+            for r in ladder.rows
+        ],
         "era_boundary_eV": ladder.era_boundary_eV,
     }
     if args.target is not None:
@@ -431,7 +480,12 @@ def cmd_milestones(args) -> int:
             f"Target {_sci(args.target)} eV -> dominant barrier: {row.dominant_barrier}; "
             f"required advance: {row.required_advance}; era: {row.era}",
         ]
-        report["target"] = dict(dataclasses.asdict(row), sensitivity_eV=args.target)
+        report["target"] = {
+            "sensitivity_eV": args.target,
+            "dominant_barrier": row.dominant_barrier,
+            "required_advance": row.required_advance,
+            "era": row.era,
+        }
     _emit(report, "\n".join(lines), args)
     return EXIT_OK
 
@@ -455,7 +509,19 @@ def cmd_ramsey(args) -> int:
         lines.append(f"decay penalty at requested T_R: {_sci(plan.decay_penalty_at_request)}")
     if plan.warning:
         lines.append(f"WARNING: {plan.warning}")
-    report = {"manifest": _manifest("ramsey", {}, None, {}), **dataclasses.asdict(plan)}
+    report = {
+        "manifest": _manifest("ramsey", {}, None, {}),
+        "half_life_s": plan.half_life_s,
+        "T_R_requested_s": plan.T_R_requested_s,
+        "T_R_s": plan.T_R_s,
+        "T_R_opt_s": plan.T_R_opt_s,
+        "per_shot_linewidth_Hz": plan.per_shot_linewidth_Hz,
+        "repetitions": plan.repetitions,
+        "campaign_sensitivity_Hz": plan.campaign_sensitivity_Hz,
+        "campaign_sensitivity_eV": plan.campaign_sensitivity_eV,
+        "decay_penalty_at_request": plan.decay_penalty_at_request,
+        "warning": plan.warning,
+    }
     _emit(report, "\n".join(lines), args)
     return EXIT_OK
 

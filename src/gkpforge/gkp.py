@@ -20,7 +20,7 @@ mode this analysis exists to prevent.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -457,9 +457,17 @@ class ExtractionResult:
         return replace(self, chi_bound=bound)
 
     def to_json_dict(self) -> dict:
-        return dict(asdict(self), background_estimates=[
-            {"name": name, "value": value, "se": se} for name, value, se in self.background_estimates
-        ])
+        return {
+            "alpha_manko_hat": self.alpha_manko_hat,
+            "alpha_manko_se": self.alpha_manko_se,
+            "background_estimates": [
+                {"name": name, "value": value, "se": se}
+                for name, value, se in self.background_estimates
+            ],
+            "condition_number": self.condition_number,
+            "residual_norm_eV": self.residual_norm_eV,
+            "chi_bound": self.chi_bound,
+        }
 
 
 def solve_many(m: DesignMatrix, rhs_stack, sigma):

@@ -122,9 +122,12 @@ def load_sampling_spec(source: str | Path = "mo91-sampling-v1") -> SamplingSpec:
         params.append(ParameterSpec(
             name=json_field(p, "name", "string", context),
             distribution=json_field(p, "distribution", "string", context),
+            low=json_field(p, "low", "number", context, required=False),
+            high=json_field(p, "high", "number", context, required=False),
+            mean=json_field(p, "mean", "number", context, required=False),
+            sigma=json_field(p, "sigma", "number", context, required=False),
             units=json_field(p, "units", "string", context, required=False) or "",
             exclude_abs_below=json_field(p, "exclude_abs_below", "number", context, required=False) or 0.0,
-            **{key: json_field(p, key, "number", context, required=False) for key in ("low", "high", "mean", "sigma")},
         ))
     return SamplingSpec(
         parameters=tuple(params),

@@ -11,7 +11,6 @@ flagged with a leading tilde, "~8(1)", and the flag survives round trips.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -108,7 +107,6 @@ def format_measured(m: Measured) -> str:
     return ("~" + text) if m.effective else text
 
 
-@functools.lru_cache(maxsize=64)  # chains repeat a handful of spins
 def parse_spin(text: str | float | Fraction) -> Fraction:
     """Parse a spin as an exact non-negative half-integer Fraction."""
     if isinstance(text, Fraction):

@@ -16,7 +16,6 @@ import functools
 import hashlib
 import json
 import os
-import re
 import sys
 from importlib import resources as _importlib_resources
 from math import isfinite
@@ -92,7 +91,17 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def _refuse_constant(name: str):
-    raise ValidationError(f"{name} is not a finite number")
+    raise ValidationError(f"has a non-finite number ({name})")
+
+
+def _name_non_finite(pairs: list) -> dict:
+    """object_pairs_hook that refuses, by its key, a value that is NaN or
+    Infinity or a list holding one."""
+    for key, value in pairs:
+        for item in value if type(value) is list else (value,):
+            if type(item) is float and not isfinite(item):
+                raise ValidationError(f"has a non-finite {key}")
+    return dict(pairs)
 
 
 _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
@@ -106,9 +115,11 @@ def load_json(path: str | Path, what: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
         obj = _DECODER.decode(text)
     except ValidationError as exc:
-        # the refusal names the field: the first "key": NaN or Infinity in the text
-        key = re.search(r'"([^"\\]*)"\s*:\s*-?(?:NaN|Infinity)', text)
-        raise ValidationError(f"{where} has a non-finite {key.group(1) if key else 'number'}: {exc}") from None
+        try:  # decode again, keeping the literal, to name the key that holds it
+            json.loads(text, object_pairs_hook=_name_non_finite)
+        except ValidationError as named:
+            exc = named
+        raise ValidationError(f"{where} {exc}") from None
     except (OSError, ValueError) as exc:
         raise ValidationError(f"{where} cannot be read as JSON: {exc}") from exc
     if type(obj) is not dict:

@@ -508,6 +508,17 @@ def test_anchor_subnormal_signal_exit2(capsys, tmp_path):
     assert "signal_anchor_eV must be nonzero and not subnormal" in err
 
 
+def test_anchor_band_edge_beyond_float_range_exit2(capsys, tmp_path):
+    # a JSON integer too large for a float, which float() would refuse with OverflowError
+    anchors = _edited_resource(tmp_path, "mo41-anchors-v1",
+                               lambda obj: obj["f_tilde"].__setitem__("band_raw", [1, 10 ** 400]))
+    code, out, err = _run(capsys, "budget", "--anchors", anchors, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "f_tilde has band_raw = 1000" in err
+    assert "expected a number" in err
+
+
 def test_overflowing_report_exit3(capsys, tmp_path):
     # a finite Qs whose square overflows the second-order hyperfine residual
     chain = _frib_chain_with(tmp_path, lambda isotopes: isotopes[3]["Qs"].__setitem__("value", -1e308))

@@ -50,6 +50,20 @@ def test_load_json_refuses_non_finite_literals(tmp_path, literal):
         load_json(path, "data file")
 
 
+def test_load_json_names_the_list_that_holds_a_non_finite_literal(tmp_path):
+    path = tmp_path / "data.json"
+    path.write_text('{"band_raw": [1, NaN], "width": NaN}', encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape(f"data file '{path}' has a non-finite band_raw")):
+        load_json(path, "data file")
+
+
+def test_load_json_without_a_key_for_the_literal(tmp_path):
+    path = tmp_path / "data.json"
+    path.write_text('{"rows": [[NaN]]}', encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape(f"data file '{path}' has a non-finite number (NaN)")):
+        load_json(path, "data file")
+
+
 def test_load_json_names_the_file_of_a_syntax_error(tmp_path):
     path = tmp_path / "data.json"
     path.write_text('{"name": ', encoding="utf-8")
