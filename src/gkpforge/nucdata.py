@@ -147,7 +147,8 @@ class IsotopeRecord:
             raise ValidationError(f"{tag}: requires A >= Z >= 1 (got A={self.A}, Z={self.Z})")
         if self.parity not in (+1, -1):
             raise ValidationError(f"{tag}: parity must be +1 or -1, got {self.parity!r}")
-        if (2 * self.spin).denominator != 1 or not 0 <= self.spin <= self.A:
+        twice_spin = 2 * self.spin
+        if twice_spin.denominator != 1 or not 0 <= twice_spin.numerator <= 2 * self.A:
             raise ValidationError(f"{tag}: spin must be a non-negative half-integer no larger than A")
         if self.r_ch.value <= 0:
             raise ValidationError(f"{tag}: charge radius must be positive")

@@ -112,7 +112,8 @@ def load_json(path: str | Path, what: str) -> dict:
     file in refusals. NaN and Infinity literals are refused."""
     where = f"{what} {str(path)!r}"
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
         obj = _DECODER.decode(text)
     except ValidationError as exc:
         try:  # decode again, keeping the literal, to name the key that holds it
