@@ -32,7 +32,9 @@ CASES = {
     "budget": ["budget"],
     "solvability": ["solvability"],
     "condition": ["condition"],
+    "condition-samples-1-seed-7": ["condition", "--samples", "1", "--seed", "7"],
     "condition-samples-2048-seed-5": ["condition", "--samples", "2048", "--seed", "5"],
+    "condition-samples-5000-seed-7": ["condition", "--samples", "5000", "--seed", "7"],
     "extract": ["extract", "--rhs", "<data>/synthetic_rhs_noiseless_v1.json"],
     "extract-mo-chain-v1": ["extract", "--chain", "mo-chain-v1", "--rhs", "<golden>/rhs_mo_chain_v1.json"],
     "milestones": ["milestones"],
