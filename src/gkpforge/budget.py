@@ -10,6 +10,7 @@ spurious binary rounding (1e-13 / 2e-21 is exactly 5e7).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -177,6 +178,8 @@ def ramsey_plan(half_life_s: float | None, T_R_requested_s: float, repetitions: 
         raise ValidationError("requested interrogation time must be positive and finite")
     if repetitions < 1:
         raise ValidationError("repetitions must be at least 1")
+    if repetitions > sys.float_info.max:  # math.sqrt would overflow converting it to a float
+        raise ValidationError(f"repetitions must be at most {sys.float_info.max:.6g}")
     if half_life_s is not None and not (math.isfinite(half_life_s) and half_life_s > 0):
         raise ValidationError("half-life must be positive and finite (or None for stable)")
 

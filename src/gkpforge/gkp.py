@@ -358,21 +358,31 @@ def _svd_condition_numbers(stack: np.ndarray) -> np.ndarray:
     return np.where(sv[..., -1] < RANK_DEFICIENCY_RTOL * sv[..., 0], np.inf, sv[..., 0] / sv[..., -1])
 
 
+def _dot3(x, y):
+    """x[0] y[0] + x[1] y[1] + x[2] y[2], elementwise, summed in this fixed order."""
+    return (x[0] * y[0] + x[1] * y[1]) + x[2] * y[2]
+
+
+def _cross(x, y):
+    """The cross product x × y of two length-3 sequences of arrays."""
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+
+
 def _closed_form_condition_numbers(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """kappa = sqrt(l1 / l3) of an (n, 3, 3) stack from the eigenvalues
     l1 >= l2 >= l3 of G = A^T A, and the mask of matrices inside the
     trusted region. NaN fails every comparison, so non-finite matrices
     fall outside it."""
-    n = len(stack)
-    a = np.ascontiguousarray(stack.reshape(n, 9).T).reshape(3, 3, n)  # a[row, col] holds n draws
+    a = np.ascontiguousarray(stack.transpose(1, 2, 0))  # a[row, col] holds n draws
+    cols = a.transpose(1, 0, 2)  # cols[col, row]
     with np.errstate(all="ignore"):
-        g = np.einsum("ijn,ikn->jkn", a, a)
+        g00, g11, g22 = (_dot3(cols[k], cols[k]) for k in range(3))
+        g01, g02, g12 = _dot3(cols[0], cols[1]), _dot3(cols[0], cols[2]), _dot3(cols[1], cols[2])
         # l1: largest root of the characteristic cubic by the trigonometric
         # form, written on the deviator B = G - m I (the cubic's own
         # coefficients would cancel when the spectrum is clustered)
-        m = (g[0, 0] + g[1, 1] + g[2, 2]) / 3.0
-        b00, b11, b22 = g[0, 0] - m, g[1, 1] - m, g[2, 2] - m
-        g01, g02, g12 = g[0, 1], g[0, 2], g[1, 2]
+        m = (g00 + g11 + g22) / 3.0
+        b00, b11, b22 = g00 - m, g11 - m, g22 - m
         p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
         det_b = b00 * (b11 * b22 - g12 * g12) - g01 * (g01 * b22 - g12 * g02) + g02 * (g01 * g12 - b11 * g02)
         phi = np.arccos(np.clip(det_b / (2.0 * p ** 3), -1.0, 1.0)) / 3.0
@@ -380,14 +390,11 @@ def _closed_form_condition_numbers(stack: np.ndarray) -> tuple[np.ndarray, np.nd
         # l2 l3 = det(A)^2 / l1 and l2 + l3 = (c - l2 l3) / l1, with c the
         # sum of the squared 2x2 minors of A (Cauchy-Binet): sums of
         # non-negative terms, so the small eigenvalues keep SVD's resolution
-        rows, lower = a[[0, 0, 1]], a[[1, 2, 2]]
-        minors = rows[:, [1, 2, 0]] * lower[:, [2, 0, 1]] - rows[:, [2, 0, 1]] * lower[:, [1, 2, 0]]
-        det = np.einsum("jn,jn->n", minors[0], a[2])
+        minors = (_cross(a[0], a[1]), _cross(a[0], a[2]), _cross(a[1], a[2]))
+        det = _dot3(minors[0], a[2])
         prod23 = det * det / l1
-        # the nine squares are summed three at a time in a fixed order: one
-        # nine-term reduction is ordered differently for a one-matrix stack
-        squares = np.einsum("ijn,ijn->in", minors, minors)
-        sum23 = (squares[0] + squares[1] + squares[2] - prod23) / l1
+        c = sum(_dot3(minor, minor) for minor in minors)
+        sum23 = (c - prod23) / l1
         # l2 - l3 from the trigonometric form where the spectrum is clustered
         # (spread p below l2 + l3), else from the quadratic's discriminant
         gap23 = np.where(p < sum23, 2.0 * math.sqrt(3.0) * p * np.sin(phi),
@@ -415,9 +422,19 @@ def condition_numbers(stack: np.ndarray) -> np.ndarray:
     trusted region (eigenvalue gaps below CLOSED_FORM_GAP_RTOL * l1, l2
     below CLOSED_FORM_MIN_L2_RTOL * l1, kappa >= CLOSED_FORM_MAX_KAPPA, or
     anything non-finite) take the SVD, so every rank-deficiency verdict
-    comes from it. Either way a matrix's kappa depends on that matrix
-    alone, not on the stack around it. Single matrices, non-square
-    designs and other stack shapes take the SVD throughout.
+    comes from it. Single matrices, non-square designs and other stack
+    shapes take the SVD throughout.
+
+    The closed form works on draws-last storage: a stack that is the
+    (n, 3, 3) view of a C-contiguous (3, 3, n) array (each entry's n
+    values contiguous) is read without a copy, and any other stack is
+    copied into that layout once. Every dot product, Gram entry and
+    squared minor is a fixed-order three-term sum, (x0 y0 + x1 y1) + x2 y2,
+    of elementwise products. einsum is avoided because its summation
+    order depends on the strides and length of its operands (a one-matrix
+    stack sums differently from a long one), and so a matrix's kappa
+    depends on that matrix alone, bit for bit, not on the stack around it
+    or on its layout.
     """
     stack = np.asarray(stack)
     if stack.ndim != 3 or stack.shape[1:] != (3, 3):
@@ -428,17 +445,21 @@ def condition_numbers(stack: np.ndarray) -> np.ndarray:
     return kappa
 
 
+def _refuse_underdetermined(m: DesignMatrix) -> None:
+    n_rows, n_cols = m.shape
+    if n_rows < n_cols:
+        raise UnderdeterminedError(
+            f"{n_rows} equations for {n_cols} unknowns; the topology is underdetermined"
+        )
+
+
 def condition_number(m: DesignMatrix) -> float:
     """sigma_max / sigma_min of the (preconditioned) design matrix.
 
     Returns +inf when sigma_min falls below the rank-deficiency threshold.
     Underdetermined matrices are rejected; check solvability first.
     """
-    n_rows, n_cols = m.shape
-    if n_rows < n_cols:
-        raise UnderdeterminedError(
-            f"{n_rows} equations for {n_cols} unknowns; the topology is underdetermined"
-        )
+    _refuse_underdetermined(m)
     return float(condition_numbers(precondition(m).entries))
 
 
@@ -486,7 +507,8 @@ def solve_many(m: DesignMatrix, rhs_stack, sigma):
         raise ValidationError("rhs_sigma must provide one positive uncertainty per row")
 
     pre = precondition(m)
-    kappa = condition_number(pre)
+    _refuse_underdetermined(pre)
+    kappa = float(condition_numbers(pre.entries))
     if math.isinf(kappa):
         raise RankDeficiencyError(
             "design matrix is numerically rank deficient; the isotope parameter "

@@ -5,13 +5,15 @@ the unmeasured A=91 parameters sampled from declared brackets, and
 injection-recovery of the gravitomagnetic amplitude against per-row noise.
 
 Both are random-number plumbing around gkp, which builds, normalizes and
-solves: kappa comes from one condition_numbers call per block of draws,
-and an injection campaign is one solve_many call over all its trials.
+solves: kappa comes from one condition_numbers call per batch of
+KAPPA_BATCH draws, held draws-last (each matrix entry's draws contiguous
+in memory), and an injection campaign is one solve_many call over all
+its trials.
 
-The random stream is partitioned into fixed-size blocks, block b seeded
-with (seed, b). Results are therefore bit-identical for a given seed no
-matter how draws are batched or parallelized, and per-worker summaries
-merge by plain index-ordered concatenation.
+The random stream is partitioned into fixed-size blocks of BLOCK_SIZE
+draws, block b seeded with (seed, b). Results are therefore bit-identical
+for a given seed no matter how draws are batched or parallelized, and
+per-worker summaries merge by plain index-ordered concatenation.
 """
 
 from __future__ import annotations
@@ -40,9 +42,14 @@ __all__ = [
     "RecoveryStats",
     "injection_recovery",
     "BLOCK_SIZE",
+    "KAPPA_BATCH",
 ]
 
 BLOCK_SIZE = 1024
+# kappa_draws conditions this many draws per condition_numbers call: four
+# RNG blocks amortize numpy's per-call overhead, where eight gain little
+# and nearly double the allocation peak
+KAPPA_BATCH = 4 * BLOCK_SIZE
 
 # a guarded draw gives up after this many rejection rounds: a band that
 # keeps rejecting for this long leaves (almost) no support to sample
@@ -198,19 +205,22 @@ def kappa_draws(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: Sampl
 
     kappas = np.empty(n)
     rejected_total = 0
-    for block_start in range(0, n, BLOCK_SIZE):
-        block_len = min(BLOCK_SIZE, n - block_start)
-        rng = _block_rng(seed, block_start // BLOCK_SIZE)
-        qs, rejected = _draw_guarded(qs_spec, rng, block_len)
-        be2, rejected2 = _draw_guarded(be2_spec, rng, block_len)
-        rejected_total += rejected + rejected2
-
-        stacked = np.empty((block_len, 3, 3))
+    for batch_start in range(0, n, KAPPA_BATCH):
+        batch_len = min(KAPPA_BATCH, n - batch_start)
+        stacked = np.empty((3, 3, batch_len)).transpose(2, 0, 1)  # draws last in memory
         stacked[:, :2] = fixed.entries
-        stacked[:, 2] = np.column_stack([transition.H_eV_per_b * qs, transition.P_eV_per_wu * be2,
-                                         np.full(block_len, transition.G_eV_per_lever * lever91)])
+        stacked[:, 2, 2] = transition.G_eV_per_lever * lever91
+        for block_start in range(batch_start, batch_start + batch_len, BLOCK_SIZE):
+            block_len = min(BLOCK_SIZE, n - block_start)
+            rng = _block_rng(seed, block_start // BLOCK_SIZE)
+            qs, rejected = _draw_guarded(qs_spec, rng, block_len)
+            be2, rejected2 = _draw_guarded(be2_spec, rng, block_len)
+            rejected_total += rejected + rejected2
+            rows = slice(block_start - batch_start, block_start - batch_start + block_len)
+            stacked[rows, 2, 0] = transition.H_eV_per_b * qs
+            stacked[rows, 2, 1] = transition.P_eV_per_wu * be2
         normalized, _ = normalize_columns(stacked, fixed.columns)
-        kappas[block_start:block_start + block_len] = condition_numbers(normalized)
+        kappas[batch_start:batch_start + batch_len] = condition_numbers(normalized)
 
     proposals = n + rejected_total
     excluded_fraction = rejected_total / proposals if proposals else 0.0

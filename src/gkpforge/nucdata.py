@@ -20,7 +20,7 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from .errors import ValidationError
-from .resources import json_field, load_json, resource_path
+from .resources import json_field, load_json, read_text, resource_path
 
 __all__ = [
     "Measured",
@@ -371,7 +371,7 @@ def load_chain(path: str | Path, format: str | None = None) -> IsotopeChain:
         raise ValidationError(f"chain file {str(p)!r} does not exist")
     fmt = (format or p.suffix.lstrip(".")).lower()
     if fmt == "csv":
-        return _chain_from_csv_text(p.read_text(encoding="utf-8"))
+        return _chain_from_csv_text(read_text(p, "chain file", "CSV"))
     if fmt == "json":
         return _chain_from_json_obj(load_json(p, "chain file"))
     raise ValidationError(f"unknown chain format {fmt!r} (expected csv or json)")

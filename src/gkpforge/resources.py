@@ -5,9 +5,11 @@ variable GKPFORGE_DATA_DIR redirects lookup to an external directory that
 must contain files with the same basenames, which lets deployments pin or
 override the bundled tables without reinstalling.
 
-Every JSON data file is read through load_json and json_field, which refuse
-(ValidationError) what is not a JSON object, NaN and Infinity, and fields of
-the wrong type; range checks belong to the dataclass that owns the value.
+Every data file is read through read_text, which refuses (ValidationError)
+a file that cannot be opened or decoded. JSON files go on through load_json
+and json_field, which refuse what is not a JSON object, NaN and Infinity,
+and fields of the wrong type; range checks belong to the dataclass that
+owns the value.
 """
 
 from __future__ import annotations
@@ -107,13 +109,23 @@ def _name_non_finite(pairs: list) -> dict:
 _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
+def read_text(path: str | Path, what: str, kind: str) -> str:
+    """The UTF-8 text of a data file; a file that cannot be opened or
+    decoded is refused, named by what ("chain file", ...) and its kind
+    ("JSON", "CSV")."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"{what} {str(path)!r} cannot be read as {kind}: {exc}") from exc
+
+
 def load_json(path: str | Path, what: str) -> dict:
     """The JSON object in a data file; what ("chain file", ...) names the
     file in refusals. NaN and Infinity literals are refused."""
     where = f"{what} {str(path)!r}"
+    text = read_text(path, what, "JSON")
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
         obj = _DECODER.decode(text)
     except ValidationError as exc:
         try:  # decode again, keeping the literal, to name the key that holds it
@@ -121,7 +133,7 @@ def load_json(path: str | Path, what: str) -> dict:
         except ValidationError as named:
             exc = named
         raise ValidationError(f"{where} {exc}") from None
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"{where} cannot be read as JSON: {exc}") from exc
     if type(obj) is not dict:
         raise ValidationError(f"{where} must hold a JSON object")

@@ -349,6 +349,13 @@ def test_ramsey_invalid_input(capsys):
     assert code == 2
 
 
+def test_ramsey_reps_beyond_float_range_exit2(capsys):
+    code, out, err = _run(capsys, "ramsey", "--tr", "1", "--reps", "1" + "0" * 400)
+    assert code == 2
+    assert out == ""
+    assert "repetitions must be at most 1.79769e+308" in err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("--tr", "1", "--half-life", "abc"), "--half-life"),
     (("--tr", "1", "--half-life", "inf"), "--half-life"),
@@ -449,6 +456,15 @@ def test_csv_chain_non_finite_half_life(capsys, tmp_path, cell):
     assert code == 2
     assert out == ""
     assert "isotope A=94: half-life must be positive and finite" in err
+
+
+def test_csv_chain_that_is_a_directory_exit2(capsys, tmp_path):
+    chain = tmp_path / "chain.csv"
+    chain.mkdir()
+    code, out, err = _run(capsys, "solvability", "--chain", str(chain))
+    assert code == 2
+    assert out == ""
+    assert f"chain file '{chain}' cannot be read as CSV" in err
 
 
 def test_csv_chain_row_longer_than_header(capsys, tmp_path):

@@ -209,8 +209,9 @@ def _svd_kappa(stack):
     return np.where(sv[..., -1] < RANK_DEFICIENCY_RTOL * sv[..., 0], np.inf, sv[..., 0] / sv[..., -1])
 
 
-def _shipped_blocks(chain, coeffs, monkeypatch):
-    """The normalized (block, 3, 3) stacks of the shipped conditioning spec."""
+def _shipped_blocks(chain, coeffs, monkeypatch, sample_count=None):
+    """The normalized (batch, 3, 3) stacks of the shipped conditioning spec,
+    as kappa_draws passes them to condition_numbers, and its kappas."""
     blocks = []
 
     def record(stack):
@@ -218,12 +219,13 @@ def _shipped_blocks(chain, coeffs, monkeypatch):
         return condition_numbers(stack)
 
     monkeypatch.setattr(montecarlo, "condition_numbers", record)
-    montecarlo.kappa_draws(chain, coeffs, montecarlo.load_sampling_spec("mo91-sampling-v1"))
-    return blocks
+    spec = montecarlo.load_sampling_spec("mo91-sampling-v1")
+    kappas, _ = montecarlo.kappa_draws(chain, coeffs, spec, sample_count)
+    return blocks, kappas
 
 
 def test_closed_form_kappa_matches_svd_on_shipped_draws(mo_chain, coeffs, monkeypatch):
-    blocks = _shipped_blocks(mo_chain, coeffs, monkeypatch)
+    blocks, _ = _shipped_blocks(mo_chain, coeffs, monkeypatch)
     assert sum(len(b) for b in blocks) == 100_000
     for stack in blocks:
         _, trusted = _closed_form_condition_numbers(stack)
@@ -296,6 +298,31 @@ def test_kappa_of_a_matrix_does_not_depend_on_its_stack():
     for parts in (len(stack) // 2, len(stack) // 5, 7):
         split = np.array_split(stack, parts)
         assert np.array_equal(np.concatenate([condition_numbers(part) for part in split]), kappa)
+
+
+def _draws_last(stack):
+    """The (n, 3, 3) view of a C-contiguous (3, 3, n) copy of a stack."""
+    return np.ascontiguousarray(stack.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_kappa_of_a_matrix_does_not_depend_on_its_layout(family):
+    stack = _adversarial_family(family, np.random.default_rng(31))
+    assert stack.flags.c_contiguous and not _draws_last(stack).flags.c_contiguous
+    kappa = condition_numbers(stack)
+    assert np.array_equal(condition_numbers(_draws_last(stack)), kappa)
+    for k in range(0, len(stack), 9):  # one-matrix stacks, either layout
+        assert np.array_equal(condition_numbers(_draws_last(stack[k:k + 1])), kappa[k:k + 1])
+        assert np.array_equal(condition_numbers(stack[k:k + 1]), kappa[k:k + 1])
+
+
+@pytest.mark.parametrize("samples", [1, 1023, 1025, 4096, 4097, 10_000])
+def test_kappa_draws_equal_the_kappa_of_each_draw_alone(mo_chain, coeffs, monkeypatch, samples):
+    batches, kappas = _shipped_blocks(mo_chain, coeffs, monkeypatch, samples)
+    starts = range(0, samples, montecarlo.KAPPA_BATCH)
+    assert [len(b) for b in batches] == [min(montecarlo.KAPPA_BATCH, samples - s) for s in starts]
+    alone = [condition_numbers(draw[None]) for batch in batches for draw in batch]
+    assert np.array_equal(kappas, np.concatenate(alone))
 
 
 def test_single_matrices_and_other_shapes_take_the_svd():
@@ -398,6 +425,16 @@ def test_underdetermined_stable_pair_refused(mo_chain, coeffs):
     rhs = design.entries @ TRUTH
     with pytest.raises(UnderdeterminedError):
         extract(design.with_rhs(rhs, np.full(2, 1e-22)))
+
+
+def test_solve_many_preconditions_once(frib_chain, coeffs, monkeypatch):
+    import gkpforge.gkp as gkp
+
+    calls = []
+    monkeypatch.setattr(gkp, "precondition", lambda m: calls.append(m) or precondition(m))
+    design = build_design(partition(frib_chain)[1], coeffs)
+    gkp.solve_many(design, (design.entries @ TRUTH)[None, :], None)
+    assert len(calls) == 1
 
 
 def test_extract_requires_rhs(frib_chain, coeffs):
