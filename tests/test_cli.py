@@ -458,9 +458,11 @@ def test_csv_chain_non_finite_half_life(capsys, tmp_path, cell):
     assert "isotope A=94: half-life must be positive and finite" in err
 
 
-def test_csv_chain_that_is_a_directory_exit2(capsys, tmp_path):
+@pytest.mark.parametrize("make", [lambda p: p.mkdir(), lambda p: p.write_bytes(b"\xff\xfe")],
+                         ids=["directory", "not_utf8"])
+def test_csv_chain_that_cannot_be_read_exit2(capsys, tmp_path, make):
     chain = tmp_path / "chain.csv"
-    chain.mkdir()
+    make(chain)
     code, out, err = _run(capsys, "solvability", "--chain", str(chain))
     assert code == 2
     assert out == ""

@@ -12,6 +12,7 @@ from gkpforge.errors import (
     UnderdeterminedError,
     ValidationError,
 )
+import gkpforge.gkp as gkp
 import gkpforge.montecarlo as montecarlo
 from gkpforge.gkp import (
     COLUMN_NAMES,
@@ -428,8 +429,6 @@ def test_underdetermined_stable_pair_refused(mo_chain, coeffs):
 
 
 def test_solve_many_preconditions_once(frib_chain, coeffs, monkeypatch):
-    import gkpforge.gkp as gkp
-
     calls = []
     monkeypatch.setattr(gkp, "precondition", lambda m: calls.append(m) or precondition(m))
     design = build_design(partition(frib_chain)[1], coeffs)
