@@ -11,7 +11,9 @@ arithmetic for the anomalous-coupling bound.
 
 __version__ = "0.1.0"
 
-from . import angular, barriers, budget, gkp, montecarlo, nucdata
+import importlib
+
+from . import angular, barriers, budget, nucdata
 from .errors import (
     ConfigurationError,
     GkpforgeError,
@@ -38,3 +40,13 @@ __all__ = [
     "RankDeficiencyError",
     "NumericalError",
 ]
+
+# the numpy layers load on first use, so that the closed-form commands
+# start without numpy
+_LAZY_SUBMODULES = ("gkp", "montecarlo")
+
+
+def __getattr__(name: str):
+    if name in _LAZY_SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

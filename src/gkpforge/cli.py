@@ -6,6 +6,10 @@ configuration versions, tool version, timestamp) and is deterministic
 given (inputs, flags, seed). Exit codes: 0 success, 1 computation refused
 on physics grounds, 2 input validation error, 3 internal numerical
 failure.
+
+budget, solvability, milestones and ramsey are closed-form and start
+without numpy; condition and extract import the numerical layers (`gkp`,
+`montecarlo`, numpy) in their handlers.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .angular import default_channels
@@ -40,18 +42,9 @@ from .errors import (
     RefusalError,
     ValidationError,
 )
-from .gkp import (
-    Topology,
-    build_design,
-    extract,
-    load_coefficients,
-    precondition,
-    solvability_verdict,
-    solvable,
-)
-from .montecarlo import kappa_draws, load_sampling_spec, summarize_kappa
 from .nucdata import load_chain, partition
 from .resources import json_field, load_json, resource_path, sha256_of
+from .topology import Topology, solvability_verdict, solvable
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -290,23 +283,34 @@ def cmd_solvability(args) -> int:
 # ---------------------------------------------------------------------------
 # condition
 
-_HISTOGRAM_EDGES = np.logspace(0.0, 3.0, 49)
+@functools.cache
+def _histogram_edges():
+    import numpy as np
+
+    return np.logspace(0.0, 3.0, 49)
 
 
-def _histogram_csv(kappas: np.ndarray) -> str:
+def _histogram_csv(kappas) -> str:
+    """Histogram of a κ array on log-spaced bins, plus the rank-deficient count."""
+    import numpy as np
+
+    edges = _histogram_edges()
     finite = kappas[np.isfinite(kappas)]
-    counts, _ = np.histogram(finite, bins=_HISTOGRAM_EDGES)
+    counts, _ = np.histogram(finite, bins=edges)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["bin_left", "bin_right", "count"])
-    for left, right, count in zip(_HISTOGRAM_EDGES[:-1], _HISTOGRAM_EDGES[1:], counts):
+    for left, right, count in zip(edges[:-1], edges[1:], counts):
         writer.writerow([repr(float(left)), repr(float(right)), int(count)])
-    writer.writerow([repr(float(_HISTOGRAM_EDGES[-1])), "inf", int((finite > _HISTOGRAM_EDGES[-1]).sum())])
+    writer.writerow([repr(float(edges[-1])), "inf", int((finite > edges[-1]).sum())])
     writer.writerow(["rank_deficient", "", int(np.sum(~np.isfinite(kappas)))])
     return buf.getvalue()
 
 
 def cmd_condition(args) -> int:
+    from .gkp import load_coefficients
+    from .montecarlo import kappa_draws, load_sampling_spec, summarize_kappa
+
     chain, chain_path = _chain_from_args(args)
     coeffs_path = resource_path(args.coeffs)
     coeffs = load_coefficients(coeffs_path)
@@ -377,6 +381,10 @@ def _load_rhs_file(path: Path) -> dict[tuple[int, str], tuple[float, float]]:
 
 
 def cmd_extract(args) -> int:
+    import numpy as np
+
+    from .gkp import build_design, extract, load_coefficients, precondition
+
     chain, chain_path = _chain_from_args(args, default="mo-chain-frib-synthetic-v1")
     coeffs_path = resource_path(args.coeffs)
     coeffs = load_coefficients(coeffs_path)
@@ -611,6 +619,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numerical_errors() -> tuple[type[Exception], ...]:
+    """NumericalError, and numpy's LinAlgError once a handler has loaded
+    numpy: only such a handler can raise it."""
+    numpy = sys.modules.get("numpy")
+    return (NumericalError,) if numpy is None else (NumericalError, numpy.linalg.LinAlgError)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -622,7 +637,7 @@ def main(argv=None) -> int:
     except (ValidationError, ConfigurationError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except _numerical_errors() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -268,8 +268,6 @@ class RecoveryStats:
     coverage_1sigma: float
     coverage_2sigma: float
     chi_bound_median: float
-    chi_bound_p5: float
-    chi_bound_p95: float
     condition_number: float
     rows: int
 
@@ -320,8 +318,6 @@ def injection_recovery(chain: IsotopeChain, coeffs: ElectronicCoefficients,
         coverage_1sigma=cover1,
         coverage_2sigma=cover2,
         chi_bound_median=bound,
-        chi_bound_p5=bound,
-        chi_bound_p95=bound,
         condition_number=kappa,
         rows=n_rows,
     )

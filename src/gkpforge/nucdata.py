@@ -371,10 +371,15 @@ def load_chain(path: str | Path, format: str | None = None) -> IsotopeChain:
         raise ValidationError(f"chain file {str(p)!r} does not exist")
     fmt = (format or p.suffix.lstrip(".")).lower()
     if fmt == "csv":
-        return _chain_from_csv_text(read_text(p, "chain file", "CSV"))
-    if fmt == "json":
-        return _chain_from_json_obj(load_json(p, "chain file"))
-    raise ValidationError(f"unknown chain format {fmt!r} (expected csv or json)")
+        parse, content = _chain_from_csv_text, read_text(p, "chain file", "CSV")
+    elif fmt == "json":
+        parse, content = _chain_from_json_obj, load_json(p, "chain file")
+    else:
+        raise ValidationError(f"unknown chain format {fmt!r} (expected csv or json)")
+    try:
+        return parse(content)
+    except ValidationError as exc:
+        raise ValidationError(f"chain file {str(p)!r}: {exc}") from None
 
 
 def load_bundled_chain(name: str = "mo-chain-v1") -> IsotopeChain:

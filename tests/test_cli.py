@@ -477,6 +477,36 @@ def test_csv_chain_row_longer_than_header(capsys, tmp_path):
     assert "row 3: 2 more cells than the header" in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda header, rows: [cells.pop() for cells in (header, *rows)],
+     "CSV chain header is missing columns ['half_life_s']"),
+    (lambda header, rows: rows[1].__setitem__(header.index("A"), "x"), "row 3: bad integer field"),
+], ids=["header", "row"])
+def test_csv_chain_refusal_names_the_file(capsys, tmp_path, edit, message):
+    chain = _csv_chain_with(tmp_path, edit)
+    code, out, err = _run(capsys, "solvability", "--chain", chain)
+    assert code == 2
+    assert out == ""
+    assert f"invalid input: chain file '{chain}': {message}" in err
+
+
+def test_empty_csv_chain_refusal_names_the_file(capsys, tmp_path):
+    chain = tmp_path / "chain.csv"
+    chain.write_text("", encoding="utf-8")
+    code, out, err = _run(capsys, "solvability", "--chain", str(chain))
+    assert code == 2
+    assert out == ""
+    assert f"invalid input: chain file '{chain}': CSV chain file is empty" in err
+
+
+def test_json_chain_field_refusal_names_the_file(capsys, tmp_path):
+    chain = _frib_chain_with(tmp_path, lambda isotopes: isotopes[1].pop("Z"))
+    code, out, err = _run(capsys, "solvability", "--chain", chain)
+    assert code == 2
+    assert out == ""
+    assert f"invalid input: chain file '{chain}': isotope A=92 is missing the 'Z' key" in err
+
+
 def _edited_resource(tmp_path, name: str, edit) -> str:
     """A copy of a bundled JSON resource with edit(obj) applied."""
     obj = json.loads(resource_path(name).read_text(encoding="utf-8"))
