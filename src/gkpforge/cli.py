@@ -109,9 +109,10 @@ def _flatten_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-def _emit(report: dict, table: str, args) -> None:
-    """Print the report as json, csv or table and write it to --out. A report
-    holding NaN or Infinity is refused as a numerical failure."""
+def _emit(report: dict, table: str, args, csv_text: str | None = None) -> None:
+    """Print the report as json, csv (csv_text, or the flattened report) or
+    table and write it to --out. A report holding NaN or Infinity is refused
+    as a numerical failure before anything is printed or written."""
     try:
         if args.format == "json" or args.out:
             text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
@@ -124,14 +125,13 @@ def _emit(report: dict, table: str, args) -> None:
     if args.format == "json":
         print(text)
     elif args.format == "csv":
-        print(_flatten_csv(report), end="")
+        print(_flatten_csv(report) if csv_text is None else csv_text, end="")
     else:
         print(table)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"{report['manifest']['command']}.json"
-        path.write_text(text + "\n", encoding="utf-8")
+        (out_dir / f"{report['manifest']['command']}.json").write_text(text + "\n", encoding="utf-8")
 
 
 def _chain_from_args(args, default: str = "mo-chain-v1"):
@@ -155,8 +155,7 @@ def cmd_budget(args) -> int:
     band = signal_band(model, probe, points=5)
     qed_fraction, qed_residual = qed_correction(model, beta2_variation=0.5)
     bound_nominal = chi_bound(budget.combined_eV, anchors.signal_anchor_eV)
-    band_signals = [s for _, s in band]
-    bound_band = [chi_bound(budget.combined_eV, s) for s in band_signals]
+    bound_band = [chi_bound(budget.combined_eV, s) for _, s in band]
 
     lines = [
         f"Electromagnetic barrier budget  (probe A={budget.probe_A}, channel {budget.channel_label}, scenario {budget.scenario})",
@@ -164,12 +163,8 @@ def cmd_budget(args) -> int:
         f"{'Barrier':<22}{'Scaling':<10}{'Raw (eV)':<14}{'Current (eV)':<15}{'Projected (eV)':<15}",
     ]
     for e in budget.entries:
-        if e.raw_eV is None:
-            lines.append(f"{e.name:<22}{e.scaling:<10}{e.note}")
-        else:
-            lines.append(
-                f"{e.name:<22}{e.scaling:<10}{_sci(e.raw_eV):<14}{_sci(e.current_eV):<15}{_sci(e.projected_eV):<15}"
-            )
+        values = e.note if e.raw_eV is None else f"{_sci(e.raw_eV):<14}{_sci(e.current_eV):<15}{_sci(e.projected_eV):<15}"
+        lines.append(f"{e.name:<22}{e.scaling:<10}{values}")
     lines += [
         f"{'Combined (sum)':<32}{'':<14}{_sci(budget.combined_current_eV):<15}{_sci(budget.combined_projected_eV):<15}",
         f"{'Combined (max)':<32}{'':<14}{_sci(budget.max_current_eV):<15}{_sci(budget.max_projected_eV):<15}",
@@ -188,17 +183,7 @@ def cmd_budget(args) -> int:
         "scenario": budget.scenario,
         "probe_A": budget.probe_A,
         "channel": budget.channel_label,
-        "entries": [
-            {
-                "name": e.name,
-                "scaling": e.scaling,
-                "raw_eV": e.raw_eV,
-                "current_eV": e.current_eV,
-                "projected_eV": e.projected_eV,
-                "note": e.note,
-            }
-            for e in budget.entries
-        ],
+        "entries": [dataclasses.asdict(e) for e in budget.entries],
         "combined_current_eV": budget.combined_current_eV,
         "combined_projected_eV": budget.combined_projected_eV,
         "max_current_eV": budget.max_current_eV,
@@ -219,11 +204,30 @@ def cmd_budget(args) -> int:
 # ---------------------------------------------------------------------------
 # solvability
 
+def _topology_row(top: Topology, nbkg: int) -> dict:
+    """One topology's counts, counting solvability and verdict as a report row."""
+    ok, n_eq, n_unk = solvable(top, nbkg)
+    return {
+        **dataclasses.asdict(top),
+        "solvable": ok,
+        "n_equations": n_eq,
+        "n_unknowns": n_unk,
+        "verdict": solvability_verdict(top, nbkg),
+    }
+
+
 def cmd_solvability(args) -> int:
     chain, chain_path = _chain_from_args(args)
+    counted = {r.A for r in chain.records}
+    for A in args.add_isotope:
+        is_even_even = A % 2 == chain.Z % 2 == 0
+        if is_even_even or A in counted:
+            why = "is even-even and adds no rank-2 equation" if is_even_even else "is already counted"
+            raise ValidationError(f"--add-isotope {A}: A={A} {why}")
+        counted.add(A)
     even_even, odd = partition(chain)
     n_ee = len(even_even) - (1 if any(r.A == chain.reference_A for r in even_even) else 0)
-    n_odd_stable = len(odd)
+    n_odd_stable = sum(r.stable for r in odd)
 
     enumeration = [
         ("Stable, 1 trans.", Topology(n_ee, n_odd_stable, 1)),
@@ -231,50 +235,23 @@ def cmd_solvability(args) -> int:
         ("Stable, 2 trans.", Topology(n_ee, n_odd_stable, 2)),
         ("+ FRIB + 2 trans.", Topology(n_ee, n_odd_stable + 1, 2)),
     ]
-    selected = Topology(n_ee, n_odd_stable + len(args.add_isotope), args.transitions)
-    ok, n_eq, n_unk = solvable(selected, args.nbkg)
+    rows = [{"label": label, **_topology_row(top, args.nbkg)} for label, top in enumeration]
+    top = Topology(n_ee, len(odd) + len(args.add_isotope), args.transitions)
+    selected = dict(_topology_row(top, args.nbkg), N_bkg=args.nbkg)
 
     lines = [
         "Experimental topologies for the rank-2 extraction",
         "",
         f"{'Topology':<20}{'N_ee':<6}{'N_odd':<7}{'N_trans':<9}{'Solvable?':<14}",
-    ]
-    rows_json = []
-    for label, top in enumeration:
-        verdict = solvability_verdict(top, args.nbkg)
-        lines.append(f"{label:<20}{top.N_ee:<6}{top.N_odd:<7}{top.N_trans_rank2:<9}{verdict:<14}")
-        ok_row, eq_row, unk_row = solvable(top, args.nbkg)
-        rows_json.append(
-            {
-                "label": label,
-                "N_ee": top.N_ee,
-                "N_odd": top.N_odd,
-                "N_trans_rank2": top.N_trans_rank2,
-                "solvable": ok_row,
-                "n_equations": eq_row,
-                "n_unknowns": unk_row,
-                "verdict": verdict,
-            }
-        )
-    sel_verdict = solvability_verdict(selected, args.nbkg)
-    lines += [
+        *(f"{r['label']:<20}{r['N_ee']:<6}{r['N_odd']:<7}{r['N_trans_rank2']:<9}{r['verdict']:<14}" for r in rows),
         "",
-        f"Selected configuration: N_odd={selected.N_odd}, N_trans={selected.N_trans_rank2}, "
-        f"N_bkg={args.nbkg} -> {sel_verdict}",
+        f"Selected configuration: N_odd={selected['N_odd']}, N_trans={selected['N_trans_rank2']}, "
+        f"N_bkg={args.nbkg} -> {selected['verdict']}",
     ]
     report = {
         "manifest": _manifest("solvability", {"chain": chain_path}, None, {}),
-        "topologies": rows_json,
-        "selected": {
-            "N_ee": selected.N_ee,
-            "N_odd": selected.N_odd,
-            "N_trans_rank2": selected.N_trans_rank2,
-            "N_bkg": args.nbkg,
-            "solvable": ok,
-            "n_equations": n_eq,
-            "n_unknowns": n_unk,
-            "verdict": sel_verdict,
-        },
+        "topologies": rows,
+        "selected": selected,
     }
     _emit(report, "\n".join(lines), args)
     return EXIT_OK
@@ -343,18 +320,9 @@ def cmd_condition(args) -> int:
         ),
         "summary": dataclasses.asdict(summary),
     }
-    if args.format == "csv":
-        print(histogram, end="")
-    else:
-        _emit(report, "\n".join(lines), args)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "condition_histogram.csv").write_text(histogram, encoding="utf-8")
-        if args.format == "csv":
-            (out_dir / "condition.json").write_text(
-                json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+    _emit(report, "\n".join(lines), args, csv_text=histogram)
+    if args.out:  # _emit has created the directory
+        (Path(args.out) / "condition_histogram.csv").write_text(histogram, encoding="utf-8")
     return EXIT_OK
 
 
@@ -463,22 +431,12 @@ def cmd_milestones(args) -> int:
         "Sensitivity milestones",
         "",
         f"{'Sensitivity (eV)':<18}{'Dominant barrier':<22}{'Required advance':<42}{'Era':<26}",
+        *(f"{_sci(r.sensitivity_eV):<18}{r.dominant_barrier:<22}{r.required_advance:<42}{r.era:<26}"
+          for r in ladder.rows),
     ]
-    for row in ladder.rows:
-        lines.append(
-            f"{_sci(row.sensitivity_eV):<18}{row.dominant_barrier:<22}{row.required_advance:<42}{row.era:<26}"
-        )
     report = {
         "manifest": _manifest("milestones", {"ladder": ladder_path}, None, {"ladder": ladder.name}),
-        "rows": [
-            {
-                "sensitivity_eV": r.sensitivity_eV,
-                "dominant_barrier": r.dominant_barrier,
-                "required_advance": r.required_advance,
-                "era": r.era,
-            }
-            for r in ladder.rows
-        ],
+        "rows": [dataclasses.asdict(r) for r in ladder.rows],
         "era_boundary_eV": ladder.era_boundary_eV,
     }
     if args.target is not None:
@@ -488,12 +446,7 @@ def cmd_milestones(args) -> int:
             f"Target {_sci(args.target)} eV -> dominant barrier: {row.dominant_barrier}; "
             f"required advance: {row.required_advance}; era: {row.era}",
         ]
-        report["target"] = {
-            "sensitivity_eV": args.target,
-            "dominant_barrier": row.dominant_barrier,
-            "required_advance": row.required_advance,
-            "era": row.era,
-        }
+        report["target"] = dict(dataclasses.asdict(row), sensitivity_eV=args.target)
     _emit(report, "\n".join(lines), args)
     return EXIT_OK
 
@@ -519,16 +472,7 @@ def cmd_ramsey(args) -> int:
         lines.append(f"WARNING: {plan.warning}")
     report = {
         "manifest": _manifest("ramsey", {}, None, {}),
-        "half_life_s": plan.half_life_s,
-        "T_R_requested_s": plan.T_R_requested_s,
-        "T_R_s": plan.T_R_s,
-        "T_R_opt_s": plan.T_R_opt_s,
-        "per_shot_linewidth_Hz": plan.per_shot_linewidth_Hz,
-        "repetitions": plan.repetitions,
-        "campaign_sensitivity_Hz": plan.campaign_sensitivity_Hz,
-        "campaign_sensitivity_eV": plan.campaign_sensitivity_eV,
-        "decay_penalty_at_request": plan.decay_penalty_at_request,
-        "warning": plan.warning,
+        **dataclasses.asdict(plan),
     }
     _emit(report, "\n".join(lines), args)
     return EXIT_OK

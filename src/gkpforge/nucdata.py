@@ -361,15 +361,13 @@ def _chain_from_json_obj(obj: dict) -> IsotopeChain:
     )
 
 
-def load_chain(path: str | Path, format: str | None = None) -> IsotopeChain:
-    """Load and validate an isotope chain from a CSV or JSON file.
-
-    The format is inferred from the suffix unless given explicitly.
-    """
+def load_chain(path: str | Path) -> IsotopeChain:
+    """Load and validate an isotope chain from a CSV or JSON file, as its
+    suffix says."""
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"chain file {str(p)!r} does not exist")
-    fmt = (format or p.suffix.lstrip(".")).lower()
+    fmt = p.suffix.lstrip(".").lower()
     if fmt == "csv":
         parse, content = _chain_from_csv_text, read_text(p, "chain file", "CSV")
     elif fmt == "json":
@@ -384,7 +382,7 @@ def load_chain(path: str | Path, format: str | None = None) -> IsotopeChain:
 
 def load_bundled_chain(name: str = "mo-chain-v1") -> IsotopeChain:
     """Load a named bundled chain (default: the reference Mo chain)."""
-    return load_chain(resource_path(name), format="json")
+    return load_chain(resource_path(name))
 
 
 def _measured_to_json(m: Measured | None):

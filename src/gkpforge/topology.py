@@ -22,7 +22,6 @@ class Topology:
     N_ee: int
     N_odd: int
     N_trans_rank2: int
-    notes: str = ""
 
     def __post_init__(self):
         if min(self.N_ee, self.N_odd, self.N_trans_rank2) < 0:

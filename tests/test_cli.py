@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -118,6 +120,27 @@ def test_solvability_enumeration_labels(capsys):
     assert verdicts == ["No (2 < 3)", "Yes (3 = 3)", "Yes (4 > 3)", "Yes (6 ≫ 3)"]
 
 
+def test_solvability_stable_rows_count_stable_isotopes(capsys):
+    _, default = _run_json(capsys, "solvability")
+    code, frib = _run_json(capsys, "solvability", "--chain", "mo-chain-frib-synthetic-v1")
+    assert code == 0
+    # the FRIB chain's 91Mo is radioactive: the "Stable" rows must not count it
+    assert frib["topologies"] == default["topologies"]
+    assert frib["selected"]["N_odd"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["--add-isotope", "95"],  # already in the chain
+    ["--add-isotope", "91", "--add-isotope", "91"],  # given twice
+    ["--add-isotope", "102"],  # even Z and even A: I = 0
+], ids=["in-chain", "repeated", "even-even"])
+def test_solvability_add_isotope_refuses_what_it_cannot_add(capsys, argv):
+    code, out, err = _run(capsys, "solvability", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"--add-isotope {argv[-1]}" in err
+
+
 # ---------------------------------------------------------------------------
 # condition
 
@@ -170,6 +193,20 @@ def test_condition_rejects_out_of_range_flags(capsys, flag, value):
         main(["condition", flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_condition_csv_out_refuses_a_non_finite_summary(capsys, tmp_path, monkeypatch):
+    import gkpforge.montecarlo as montecarlo
+
+    summarize = montecarlo.summarize_kappa
+    monkeypatch.setattr(montecarlo, "summarize_kappa",
+                        lambda *a, **kw: dataclasses.replace(summarize(*a, **kw), std=math.inf))
+    out_dir = tmp_path / "D"
+    code, out, err = _run(capsys, "condition", "--samples", "16", "--format", "csv", "--out", str(out_dir))
+    assert code == 3
+    assert out == ""
+    assert "numerical failure:" in err
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------
