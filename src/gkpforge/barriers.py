@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from .angular import ElectronicChannel
 from .constants import FINE_STRUCTURE_ALPHA, z_alpha_squared
 from .errors import ConfigurationError, ValidationError
 from .nucdata import IsotopeChain, IsotopeRecord, spin_mass_lever
-from .resources import json_field, load_json, resource_path
+from .resources import freeze, json_field, load_validated, resource_path
 
 __all__ = [
     "SignalModel",
@@ -63,7 +64,8 @@ def gamma_prime(Z: int) -> float:
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Calibration anchors read from a configuration file."""
+    """Calibration anchors read from a configuration file; scenarios and
+    provenance are kept as read-only mappings."""
 
     name: str
     Z: int
@@ -77,11 +79,13 @@ class AnchorSet:
     tnp_anchor_BE2_wu: float
     tnp_anchor_eV: float
     fs_gap_eV: float
-    scenarios: dict
+    scenarios: Mapping
     metrological_floor_eV: float
-    provenance: dict = field(default_factory=dict)
+    provenance: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "scenarios", freeze(self.scenarios))
+        object.__setattr__(self, "provenance", freeze(self.provenance))
         if not 1 <= self.Z < 1 / FINE_STRUCTURE_ALPHA:
             raise ValidationError(f"anchor set {self.name!r}: Z = {self.Z} is outside [1, 1/alpha)")
         # the anchors that divide: a zero or subnormal one overflows the ratio
@@ -96,7 +100,7 @@ class AnchorSet:
                 f"finite and contain the nominal {self.f_tilde_nominal}"
             )
 
-    def scenario(self, name: str) -> dict:
+    def scenario(self, name: str) -> Mapping:
         if name not in self.scenarios:
             raise ConfigurationError(
                 f"anchor set {self.name!r} has no scenario {name!r} (known: {sorted(self.scenarios)})"
@@ -105,9 +109,12 @@ class AnchorSet:
 
 
 def load_anchors(source: str | Path = "mo41-anchors-v1") -> AnchorSet:
-    """Load an anchor set from a resource name or a JSON file path."""
-    path = resource_path(str(source))
-    obj = load_json(path, "anchor file")
+    """Load an anchor set from a resource name or a JSON file path; the set
+    is shared with every load of the same bytes."""
+    return load_validated(resource_path(str(source)), "anchor file", "JSON", _anchors_from_json)
+
+
+def _anchors_from_json(obj: dict, path: Path) -> AnchorSet:
     where = f"anchor file {path}"
     signal = json_field(obj, "signal_anchor", "object", where)
     f_tilde = json_field(obj, "f_tilde", "object", where)

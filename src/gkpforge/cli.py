@@ -220,11 +220,16 @@ def cmd_solvability(args) -> int:
     chain, chain_path = _chain_from_args(args)
     counted = {r.A for r in chain.records}
     for A in args.add_isotope:
-        is_even_even = A % 2 == chain.Z % 2 == 0
-        if is_even_even or A in counted:
-            why = "is even-even and adds no rank-2 equation" if is_even_even else "is already counted"
-            raise ValidationError(f"--add-isotope {A}: A={A} {why}")
-        counted.add(A)
+        if A < chain.Z:
+            why = f"is below Z={chain.Z}, which would mean a negative neutron number"
+        elif A % 2 == chain.Z % 2 == 0:
+            why = "is even-even and adds no rank-2 equation"
+        elif A in counted:
+            why = "is already counted"
+        else:
+            counted.add(A)
+            continue
+        raise ValidationError(f"--add-isotope {A}: A={A} {why}")
     even_even, odd = partition(chain)
     n_ee = len(even_even) - (1 if any(r.A == chain.reference_A for r in even_even) else 0)
     n_odd_stable = sum(r.stable for r in odd)

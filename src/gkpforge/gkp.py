@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .nucdata import IsotopeRecord, json_spin, spin_mass_lever
-from .resources import json_field, load_json, resource_path
+from .resources import json_field, load_validated, resource_path
 from .topology import Topology, solvability_verdict, solvable  # re-exported: numpy-free counting
 
 __all__ = [
@@ -121,8 +121,12 @@ class ElectronicCoefficients:
 
 
 def load_coefficients(source: str | Path = "mo41-coeffs-v1") -> ElectronicCoefficients:
-    path = resource_path(str(source))
-    obj = load_json(path, "coefficients file")
+    """Load electronic coefficients from a resource name or a JSON file path;
+    they are shared with every load of the same bytes."""
+    return load_validated(resource_path(str(source)), "coefficients file", "JSON", _coefficients_from_json)
+
+
+def _coefficients_from_json(obj: dict, path: Path) -> ElectronicCoefficients:
     where = f"coefficients file {path}"
     transitions = []
     for k, t in enumerate(json_field(obj, "transitions", "list", where)):

@@ -15,12 +15,13 @@ import io
 import json
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from .errors import ValidationError
-from .resources import json_field, load_json, read_text, resource_path
+from .resources import freeze, json_field, load_validated, resource_path
 
 __all__ = [
     "Measured",
@@ -182,12 +183,13 @@ def spin_mass_lever(rec: IsotopeRecord) -> float:
 
 @dataclass(frozen=True)
 class IsotopeChain:
-    """Validated, immutable isotope chain of a single element."""
+    """Validated, immutable isotope chain of a single element; provenance
+    is kept as a read-only mapping."""
 
     element: str
     reference_A: int
     records: tuple[IsotopeRecord, ...]
-    provenance: dict = field(default_factory=dict)
+    provenance: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.records:
@@ -208,6 +210,7 @@ class IsotopeChain:
                 f"exactly the reference isotope must have delta_r2 = 0; found zeros at {refs}"
             )
         object.__setattr__(self, "records", tuple(sorted(self.records, key=lambda r: r.A)))
+        object.__setattr__(self, "provenance", freeze(self.provenance))
 
     @property
     def Z(self) -> int:
@@ -225,7 +228,7 @@ class IsotopeChain:
             element=self.element,
             reference_A=self.reference_A,
             records=self.records + (rec,),
-            provenance=dict(self.provenance),
+            provenance=self.provenance,
         )
 
 
@@ -357,27 +360,35 @@ def _chain_from_json_obj(obj: dict) -> IsotopeChain:
         element=json_field(obj, "element", "string", "JSON chain"),
         reference_A=json_field(obj, "reference_A", "integer", "JSON chain"),
         records=tuple(records),
-        provenance=dict(json_field(obj, "provenance", "object", "JSON chain", required=False) or {}),
+        provenance=json_field(obj, "provenance", "object", "JSON chain", required=False) or {},
     )
+
+
+def _naming_the_file(parse):
+    """parse(content) as a load_validated validator whose refusals name the
+    chain file."""
+    def validate(content, path) -> IsotopeChain:
+        try:
+            return parse(content)
+        except ValidationError as exc:
+            raise ValidationError(f"chain file {str(path)!r}: {exc}") from None
+    return validate
+
+
+_CHAIN_VALIDATORS = {"csv": _naming_the_file(_chain_from_csv_text),
+                   "json": _naming_the_file(_chain_from_json_obj)}
 
 
 def load_chain(path: str | Path) -> IsotopeChain:
     """Load and validate an isotope chain from a CSV or JSON file, as its
-    suffix says."""
+    suffix says. The chain is shared with every load of the same bytes."""
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"chain file {str(p)!r} does not exist")
     fmt = p.suffix.lstrip(".").lower()
-    if fmt == "csv":
-        parse, content = _chain_from_csv_text, read_text(p, "chain file", "CSV")
-    elif fmt == "json":
-        parse, content = _chain_from_json_obj, load_json(p, "chain file")
-    else:
+    if fmt not in _CHAIN_VALIDATORS:
         raise ValidationError(f"unknown chain format {fmt!r} (expected csv or json)")
-    try:
-        return parse(content)
-    except ValidationError as exc:
-        raise ValidationError(f"chain file {str(p)!r}: {exc}") from None
+    return load_validated(p, "chain file", fmt.upper(), _CHAIN_VALIDATORS[fmt])
 
 
 def load_bundled_chain(name: str = "mo-chain-v1") -> IsotopeChain:
@@ -422,6 +433,7 @@ def chain_to_json(chain: IsotopeChain) -> str:
             "isotopes": isotopes,
         },
         indent=2,
+        default=dict,  # the read-only provenance mappings
     )
 
 

@@ -5,11 +5,20 @@ variable GKPFORGE_DATA_DIR redirects lookup to an external directory that
 must contain files with the same basenames, which lets deployments pin or
 override the bundled tables without reinstalling.
 
-Every data file is read through read_text, which refuses (ValidationError)
-a file that cannot be opened or decoded. JSON files go on through load_json
-and json_field, which refuse what is not a JSON object, NaN and Infinity,
-and fields of the wrong type; range checks belong to the dataclass that
-owns the value.
+Every data file is opened once per load, by _read: it reads the bytes,
+takes their sha256 and decodes the text from those same bytes, and refuses
+(ValidationError) a file that cannot be opened or decoded. JSON files go
+on through load_json and json_field, which refuse what is not a JSON
+object, NaN and Infinity, and fields of the wrong type; range checks
+belong to the dataclass that owns the value.
+
+The data loaders go through load_validated, which memoizes the validated
+object on (validator, sha256 of the bytes read): a file whose bytes were
+already validated in this process gives back the same immutable object
+without being parsed again, whatever its path or mtime. Only successes
+are kept, and at most MEMO_SIZE of them. sha256_of gives the digest of the
+bytes that the last load of a path parsed, so a report's manifest records
+the bytes behind its numbers.
 """
 
 from __future__ import annotations
@@ -19,9 +28,12 @@ import hashlib
 import json
 import os
 import sys
+from collections import OrderedDict
+from collections.abc import Mapping
 from importlib import resources as _importlib_resources
 from math import isfinite
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import ConfigurationError, ValidationError
 
@@ -71,7 +83,26 @@ def schema_path(schema_name: str) -> Path:
     return _bundled_data_dir() / "schemas" / f"{schema_name}.json"
 
 
+# validated objects by (validator, sha256 of the bytes), and the sha256 of
+# the bytes each path last gave a load; both least recently used first
+MEMO_SIZE = 32
+_validated: OrderedDict = OrderedDict()
+_parsed_digests: OrderedDict = OrderedDict()
+
+
+def _remember(memo: OrderedDict, key, value) -> None:
+    memo[key] = value
+    memo.move_to_end(key)
+    if len(memo) > MEMO_SIZE:
+        memo.popitem(last=False)
+
+
 def sha256_of(path: str | Path) -> str:
+    """sha256 of the bytes that the last load of path parsed; the file is
+    hashed only when nothing has loaded it."""
+    digest = _parsed_digests.get(os.fspath(path))
+    if digest is not None:
+        return digest
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(65536), b""):
@@ -109,22 +140,46 @@ def _name_non_finite(pairs: list) -> dict:
 _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
-def read_text(path: str | Path, what: str, kind: str) -> str:
-    """The UTF-8 text of a data file; a file that cannot be opened or
-    decoded is refused, named by what ("chain file", ...) and its kind
-    ("JSON", "CSV")."""
+def _read(path: str | Path, what: str, kind: str) -> tuple[str, str]:
+    """The UTF-8 text of a data file and the sha256 of its bytes, from one
+    read, which sha256_of then reports for path; a file that cannot be
+    opened or decoded is refused, named by what ("chain file", ...) and its
+    kind ("JSON", "CSV")."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
+        text = data.decode("utf-8")
     except (OSError, ValueError) as exc:
         raise ValidationError(f"{what} {str(path)!r} cannot be read as {kind}: {exc}") from exc
+    digest = hashlib.sha256(data).hexdigest()
+    _remember(_parsed_digests, os.fspath(path), digest)
+    if "\r" in text:  # the newlines open() gives in text mode
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text, digest
 
 
 def load_json(path: str | Path, what: str) -> dict:
     """The JSON object in a data file; what ("chain file", ...) names the
     file in refusals. NaN and Infinity literals are refused."""
-    where = f"{what} {str(path)!r}"
-    text = read_text(path, what, "JSON")
+    return _json_object(_read(path, what, "JSON")[0], f"{what} {str(path)!r}")
+
+
+def load_validated(path: str | Path, what: str, kind: str, validate):
+    """validate(content, path) for a data file, where content is the file's
+    JSON object (kind "JSON") or its text (kind "CSV"). The result is kept
+    on (validate, sha256 of the bytes read) and given back while those bytes
+    stay the same, so it must be immutable; a refusal is not kept."""
+    text, digest = _read(path, what, kind)
+    key = (validate, digest)
+    obj = _validated.get(key)
+    if obj is None:
+        content = _json_object(text, f"{what} {str(path)!r}") if kind == "JSON" else text
+        obj = validate(content, path)
+    _remember(_validated, key, obj)
+    return obj
+
+
+def _json_object(text: str, where: str) -> dict:
     try:
         obj = _DECODER.decode(text)
     except ValidationError as exc:
@@ -138,6 +193,16 @@ def load_json(path: str | Path, what: str) -> dict:
     if type(obj) is not dict:
         raise ValidationError(f"{where} must hold a JSON object")
     return obj
+
+
+def freeze(value):
+    """A read-only copy of a JSON value: objects become mapping proxies and
+    lists tuples, all the way down."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({key: freeze(item) for key, item in value.items()})
+    if type(value) is list:
+        return tuple(freeze(item) for item in value)
+    return value
 
 
 def json_field(obj: dict, key: str, kind: str, context: str, required: bool = True):

@@ -141,6 +141,14 @@ def test_solvability_add_isotope_refuses_what_it_cannot_add(capsys, argv):
     assert f"--add-isotope {argv[-1]}" in err
 
 
+@pytest.mark.parametrize("A", ["1", "-5", "41"], ids=["one", "negative", "odd-below-Z"])
+def test_solvability_add_isotope_refuses_an_A_below_Z(capsys, A):
+    code, out, err = _run(capsys, "solvability", f"--add-isotope={A}")
+    assert code == 2
+    assert out == ""
+    assert f"--add-isotope {A}: A={A} is below Z=42" in err
+
+
 # ---------------------------------------------------------------------------
 # condition
 
