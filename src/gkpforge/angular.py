@@ -7,6 +7,18 @@ the squared symbol becomes a float through a single correctly rounded
 int/int division before the square root. At desk scale (arguments up to
 99/2) results are correct to about one ulp.
 
+Every argument is validated on every call, and each exact value is then
+computed once per symmetry class. A 6j's doubled triad sums alpha (four)
+and column sums beta (three), each sorted, are invariant under all 144
+classical and Regge symmetries, and the Racah sum and the Delta product are
+exact integers that depend only on them; so the symbol is memoised on
+(sorted alpha, sorted beta), for at most SIXJ_MEMO_SIZE classes, and every
+member of a class gets the same float. A quadrupole ladder's F, K and
+exact coefficients do not depend on B and are memoised per (2I, 2j), for at
+most LADDER_MEMO_SIZE manifolds; each call multiplies B by the same float
+of each coefficient, so the shifts are the same bits as an unmemoised
+ladder's.
+
 The module also provides the rank-K selection rule for electronic states,
 the electric-quadrupole hyperfine ladder with its exact centroid
 cancellation, and the perturbative rank-2 admixture picked up by dressed
@@ -15,6 +27,7 @@ j = 1/2 states through off-diagonal hyperfine mixing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +46,10 @@ __all__ = [
     "induced_rank2_admixture",
     "default_channels",
 ]
+
+# bounds of the two memos, in distinct 6j classes and distinct (2I, 2j)
+SIXJ_MEMO_SIZE = 1024
+LADDER_MEMO_SIZE = 256
 
 
 def _twice(j, name: str = "argument") -> int:
@@ -59,28 +76,54 @@ def triangle_ok(j1, j2, j3) -> bool:
     return abs(t1 - t2) <= t3 <= t1 + t2 and (t1 + t2 + t3) % 2 == 0
 
 
+_SIXJ_NAMES = ("j1", "j2", "j3", "j4", "j5", "j6")
+
+
 def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
     """Wigner 6j symbol {j1 j2 j3; j4 j5 j6} by the Racah sum.
 
     Returns exactly 0.0 whenever any of the four triads violates the
     triangle condition; this encodes the rank-2 selection rule, e.g.
-    {1/2 1/2 2; I I F} = 0 because (1/2, 1/2, 2) cannot close.
+    {1/2 1/2 2; I I F} = 0 because (1/2, 1/2, 2) cannot close. With the
+    doubled triad sums alpha (four) and column sums beta (three), the twelve
+    differences beta_k - alpha_i are exactly the twelve triangle
+    inequalities, so the triads close iff every alpha is even and
+    max(alpha) <= min(beta).
 
-    Everything before the last step is an exact integer. Each triad
-    (a, b, c) has 1/Delta^2 = (s+1)! / ((s-2a)! (s-2b)! (s-2c)!) with
-    s = a + b + c, which is s+1 times a multinomial coefficient; each Racah
-    term (z+1)! / (prod_f (z-f)! * prod_c (c-z)!) is likewise z+1 times a
-    multinomial coefficient, because the seven factorial arguments add up
-    to z. With S the alternating sum of the terms and D the product of the
-    1/Delta^2, the symbol is sign(S) * sqrt(S^2 / D), and S^2 / D is
-    rounded to a float by one int/int division, which Python rounds
-    correctly.
+    Every argument is validated on every call; the value then comes from
+    _racah, memoised on (sorted alpha, sorted beta).
     """
-    t = [_twice(j, f"j{k+1}") for k, j in enumerate((j1, j2, j3, j4, j5, j6))]
+    t0, t1, t2, t3, t4, t5 = map(_twice, (j1, j2, j3, j4, j5, j6), _SIXJ_NAMES)
+    alphas = tuple(sorted((t0 + t1 + t2, t0 + t4 + t5, t3 + t1 + t5, t3 + t4 + t2)))
+    betas = tuple(sorted((t0 + t1 + t3 + t4, t1 + t2 + t4 + t5, t2 + t0 + t5 + t3)))
+    if (alphas[0] | alphas[1] | alphas[2] | alphas[3]) & 1 or alphas[3] > betas[0]:
+        return 0.0
+    return _racah(alphas, betas)
+
+
+@functools.lru_cache(maxsize=SIXJ_MEMO_SIZE)
+def _racah(alphas: tuple[int, ...], betas: tuple[int, ...]) -> float:
+    """The 6j symbol of the Regge class with sorted doubled triad sums
+    alphas and column sums betas, whose triads close.
+
+    One member's doubled edges are rebuilt from the sorted sums; any member
+    serves, because the Racah sum S and the product D of the 1/Delta^2 are
+    exact integers fixed by the class. Everything before the last step is
+    an exact integer. Each triad (a, b, c) has 1/Delta^2 = (s+1)! /
+    ((s-2a)! (s-2b)! (s-2c)!) with s = a + b + c, which is s+1 times a
+    multinomial coefficient; each Racah term (z+1)! / (prod_f (z-f)! *
+    prod_c (c-z)!) is likewise z+1 times a multinomial coefficient, because
+    the seven factorial arguments add up to z. The symbol is
+    sign(S) * sqrt(S^2 / D), and S^2 / D is rounded to a float by one
+    int/int division, which Python rounds correctly.
+    """
+    a1, a2, a3, a4 = alphas
+    b1, b2, b3 = betas
+    t = (
+        (a1 + a2 - b2) // 2, (a1 + a3 - b3) // 2, (a1 + a4 - b1) // 2,
+        (a3 + a4 - b2) // 2, (a2 + a4 - b3) // 2, (a2 + a3 - b1) // 2,
+    )
     triads = [(t[0], t[1], t[2]), (t[0], t[4], t[5]), (t[3], t[1], t[5]), (t[3], t[4], t[2])]
-    for ta, tb, tc in triads:
-        if not (abs(ta - tb) <= tc <= ta + tb and (ta + tb + tc) % 2 == 0):
-            return 0.0
     comb = math.comb
     delta_inv_sq = 1
     for ta, tb, tc in triads:
@@ -176,7 +219,7 @@ class HyperfineLevel:
 
     @property
     def weight(self) -> int:
-        return int(2 * self.F + 1)
+        return 2 * self.F.numerator // self.F.denominator + 1
 
 
 def hfs_e2_levels(I, j, B_const_eV: float) -> tuple[HyperfineLevel, ...]:
@@ -185,9 +228,20 @@ def hfs_e2_levels(I, j, B_const_eV: float) -> tuple[HyperfineLevel, ...]:
     Shift per level: B * [ (3/2) K (K+1) - 2 I(I+1) j(j+1) ]
     / [ 2I(2I-1) * 2j(2j-1) ], with K the Casimir combination. Quadrupole
     structure requires both I >= 1 and j >= 3/2; otherwise the F ladder is
-    returned with all quadrupole coefficients exactly zero.
+    returned with all quadrupole coefficients exactly zero. Each level's
+    shift is B times the float of its coefficient; the rest of the ladder
+    does not depend on B and is memoised per (2I, 2j) by _ladder.
     """
-    tI, tj = _twice(I, "I"), _twice(j, "j")
+    return tuple(
+        HyperfineLevel(F, K, coefficient, B_const_eV * as_float)
+        for F, K, coefficient, as_float in _ladder(_twice(I, "I"), _twice(j, "j"))
+    )
+
+
+@functools.lru_cache(maxsize=LADDER_MEMO_SIZE)
+def _ladder(tI: int, tj: int) -> tuple[tuple[Fraction, Fraction, Fraction, float], ...]:
+    """(F, K, quadrupole coefficient, its float) per level of the (I, j)
+    ladder, from doubled I and j."""
     has_quadrupole = tI >= 2 and tj >= 3
     # doubled integers: 4I(I+1) = 2I(2I+2), likewise for j and F, and 4K;
     # the coefficient's numerator and denominator are both scaled by 32
@@ -200,14 +254,7 @@ def hfs_e2_levels(I, j, B_const_eV: float) -> tuple[HyperfineLevel, ...]:
             coefficient = Fraction(3 * four_K * (four_K + 4) - 4 * four_I * four_j, denominator)
         else:
             coefficient = Fraction(0)
-        levels.append(
-            HyperfineLevel(
-                F=Fraction(tF, 2),
-                K_casimir=Fraction(four_K, 4),
-                quadrupole_coefficient=coefficient,
-                shift_eV=B_const_eV * float(coefficient),
-            )
-        )
+        levels.append((Fraction(tF, 2), Fraction(four_K, 4), coefficient, float(coefficient)))
     return tuple(levels)
 
 

@@ -34,7 +34,7 @@ from .angular import ElectronicChannel
 from .constants import FINE_STRUCTURE_ALPHA, z_alpha_squared
 from .errors import ConfigurationError, ValidationError
 from .nucdata import IsotopeChain, IsotopeRecord, spin_mass_lever
-from .resources import freeze, json_field, load_validated, resource_path
+from .resources import freeze, json_field, load_validated
 
 __all__ = [
     "SignalModel",
@@ -109,9 +109,9 @@ class AnchorSet:
 
 
 def load_anchors(source: str | Path = "mo41-anchors-v1") -> AnchorSet:
-    """Load an anchor set from a resource name or a JSON file path; the set
-    is shared with every load of the same bytes."""
-    return load_validated(resource_path(str(source)), "anchor file", "JSON", _anchors_from_json)
+    """Load an anchor set from a resource name or a JSON file path (a Path
+    is read as given); the set is shared with every load of the same bytes."""
+    return load_validated(source, "anchor file", "JSON", _anchors_from_json)
 
 
 def _anchors_from_json(obj: dict, path: Path) -> AnchorSet:

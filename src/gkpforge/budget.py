@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .constants import PLANCK_EV_S
 from .errors import ValidationError
-from .resources import json_field, load_validated, resource_path
+from .resources import json_field, load_validated
 
 __all__ = [
     "chi_bound",
@@ -92,9 +92,10 @@ class MilestoneLadder:
 
 
 def load_milestones(source: str | Path = "milestones-v1") -> MilestoneLadder:
-    """Load a milestone ladder from a resource name or a JSON file path;
-    the ladder is shared with every load of the same bytes."""
-    return load_validated(resource_path(str(source)), "milestone file", "JSON", _milestones_from_json)
+    """Load a milestone ladder from a resource name or a JSON file path (a
+    Path is read as given); the ladder is shared with every load of the
+    same bytes."""
+    return load_validated(source, "milestone file", "JSON", _milestones_from_json)
 
 
 def _milestones_from_json(obj: dict, path: Path) -> MilestoneLadder:

@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .nucdata import IsotopeRecord, json_spin, spin_mass_lever
-from .resources import json_field, load_validated, resource_path
+from .resources import json_field, load_validated
 from .topology import Topology, solvability_verdict, solvable  # re-exported: numpy-free counting
 
 __all__ = [
@@ -121,9 +121,10 @@ class ElectronicCoefficients:
 
 
 def load_coefficients(source: str | Path = "mo41-coeffs-v1") -> ElectronicCoefficients:
-    """Load electronic coefficients from a resource name or a JSON file path;
-    they are shared with every load of the same bytes."""
-    return load_validated(resource_path(str(source)), "coefficients file", "JSON", _coefficients_from_json)
+    """Load electronic coefficients from a resource name or a JSON file path
+    (a Path is read as given); they are shared with every load of the same
+    bytes."""
+    return load_validated(source, "coefficients file", "JSON", _coefficients_from_json)
 
 
 def _coefficients_from_json(obj: dict, path: Path) -> ElectronicCoefficients:
@@ -458,10 +459,12 @@ def solve_many(m: DesignMatrix, rhs_stack, sigma):
 
     One SVD of the row-whitened preconditioned system solves every trial;
     estimates and covariance are scaled back through the column norms.
-    Refuses underdetermined and numerically rank-deficient systems, and
-    raises NumericalError when the whitened solve overflows. Returns
-    (estimates (trials, cols), standard errors (cols,), kappa, residual
-    norms (trials,) in eV).
+    Refuses underdetermined systems and numerically rank-deficient ones:
+    the rank test runs on the preconditioned design, whose kappa is
+    returned, and on the singular values of the row-whitened system that
+    is solved. Raises NumericalError when the whitened solve overflows.
+    Returns (estimates (trials, cols), standard errors (cols,), kappa,
+    residual norms (trials,) in eV).
     """
     sigma = np.ones(len(m.rows)) if sigma is None else np.asarray(sigma, dtype=float)
     if sigma.shape != (len(m.rows),) or np.any(sigma <= 0):
@@ -483,6 +486,11 @@ def solve_many(m: DesignMatrix, rhs_stack, sigma):
         if not np.isfinite(whitened).all():  # LAPACK's SVD may never return on an inf entry
             raise NumericalError("the row-whitened design matrix overflowed; check the rhs uncertainties")
         u, s, vt = np.linalg.svd(whitened, full_matrices=False)
+        if s[-1] < RANK_DEFICIENCY_RTOL * s[0]:
+            raise RankDeficiencyError(
+                "the row-whitened design matrix is numerically rank deficient; "
+                "check the spread of the rhs uncertainties"
+            )
         y = (((rhs_stack / sigma) @ u) / s) @ vt
         s2 = s * s
         cov_y = (vt.T / s2) @ vt

@@ -29,7 +29,7 @@ from .budget import chi_bound
 from .errors import ConfigurationError, ValidationError
 from .gkp import ElectronicCoefficients, build_design, condition_numbers, normalize_columns, solve_many
 from .nucdata import IsotopeChain, partition
-from .resources import json_field, load_validated, resource_path
+from .resources import json_field, load_validated
 
 __all__ = [
     "ParameterSpec",
@@ -118,9 +118,9 @@ class SamplingSpec:
 
 
 def load_sampling_spec(source: str | Path = "mo91-sampling-v1") -> SamplingSpec:
-    """Load a sampling spec from a resource name or a JSON file path; the
-    spec is shared with every load of the same bytes."""
-    return load_validated(resource_path(str(source)), "sampling spec", "JSON", _sampling_spec_from_json)
+    """Load a sampling spec from a resource name or a JSON file path (a Path
+    is read as given); the spec is shared with every load of the same bytes."""
+    return load_validated(source, "sampling spec", "JSON", _sampling_spec_from_json)
 
 
 def _sampling_spec_from_json(obj: dict, path: Path) -> SamplingSpec:

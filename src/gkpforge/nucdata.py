@@ -383,12 +383,15 @@ def load_chain(path: str | Path) -> IsotopeChain:
     """Load and validate an isotope chain from a CSV or JSON file, as its
     suffix says. The chain is shared with every load of the same bytes."""
     p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"chain file {str(p)!r} does not exist")
     fmt = p.suffix.lstrip(".").lower()
-    if fmt not in _CHAIN_VALIDATORS:
-        raise ValidationError(f"unknown chain format {fmt!r} (expected csv or json)")
-    return load_validated(p, "chain file", fmt.upper(), _CHAIN_VALIDATORS[fmt])
+    try:
+        if fmt not in _CHAIN_VALIDATORS:
+            raise ValidationError(f"unknown chain format {fmt!r} (expected csv or json)")
+        return load_validated(p, "chain file", fmt.upper(), _CHAIN_VALIDATORS[fmt])
+    except ValidationError:
+        if p.exists():  # stat only on the refusal path
+            raise
+        raise ValidationError(f"chain file {str(p)!r} does not exist") from None
 
 
 def load_bundled_chain(name: str = "mo-chain-v1") -> IsotopeChain:

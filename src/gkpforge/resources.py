@@ -164,11 +164,15 @@ def load_json(path: str | Path, what: str) -> dict:
     return _json_object(_read(path, what, "JSON")[0], f"{what} {str(path)!r}")
 
 
-def load_validated(path: str | Path, what: str, kind: str, validate):
+def load_validated(source: str | Path, what: str, kind: str, validate):
     """validate(content, path) for a data file, where content is the file's
-    JSON object (kind "JSON") or its text (kind "CSV"). The result is kept
-    on (validate, sha256 of the bytes read) and given back while those bytes
-    stay the same, so it must be immutable; a refusal is not kept."""
+    JSON object (kind "JSON") or its text (kind "CSV"). A str source is
+    resolved by resource_path; a Path is one a caller already resolved and
+    is read as given, so an input is resolved once per request. The result
+    is kept on (validate, sha256 of the bytes read) and given back while
+    those bytes stay the same, so it must be immutable; a refusal is not
+    kept."""
+    path = source if isinstance(source, Path) else resource_path(source)
     text, digest = _read(path, what, kind)
     key = (validate, digest)
     obj = _validated.get(key)

@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from gkpforge import angular
 from gkpforge.angular import (
+    LADDER_MEMO_SIZE,
+    SIXJ_MEMO_SIZE,
     ElectronicChannel,
     _twice,
     centroid,
@@ -19,6 +22,8 @@ from gkpforge.angular import (
     wigner_6j,
 )
 from gkpforge.errors import ValidationError
+
+from angular_oracle import _CLASSICAL, _reference_6j, _reference_ladder, _regge, _same_float
 
 HALF = Fraction(1, 2)
 
@@ -145,65 +150,6 @@ def test_wigner_6j_rejects_non_half_integers():
         wigner_6j(-1, 1, 1, 1, 1, 1)
 
 
-# Reference Racah sum and ladder in exact Fractions: the integer arithmetic
-# in gkpforge.angular must return the same floats and Fractions bit for bit.
-
-def _reference_delta_sq(ta, tb, tc):
-    return Fraction(
-        math.factorial((ta + tb - tc) // 2)
-        * math.factorial((ta - tb + tc) // 2)
-        * math.factorial((-ta + tb + tc) // 2),
-        math.factorial((ta + tb + tc) // 2 + 1),
-    )
-
-
-def _reference_6j(*t):
-    """6j symbol from doubled arguments, summed in Fractions."""
-    triads = [(t[0], t[1], t[2]), (t[0], t[4], t[5]), (t[3], t[1], t[5]), (t[3], t[4], t[2])]
-    for ta, tb, tc in triads:
-        if not (abs(ta - tb) <= tc <= ta + tb and (ta + tb + tc) % 2 == 0):
-            return 0.0
-    dsq = Fraction(1)
-    for triad in triads:
-        dsq *= _reference_delta_sq(*triad)
-    floors = [(ta + tb + tc) // 2 for ta, tb, tc in triads]
-    caps = [(t[0] + t[1] + t[3] + t[4]) // 2, (t[1] + t[2] + t[4] + t[5]) // 2,
-            (t[2] + t[0] + t[5] + t[3]) // 2]
-    total = Fraction(0)
-    for z in range(max(floors), min(caps) + 1):
-        den = 1
-        for f in floors:
-            den *= math.factorial(z - f)
-        for c in caps:
-            den *= math.factorial(c - z)
-        total += Fraction((-1) ** z * math.factorial(z + 1), den)
-    if total == 0:
-        return 0.0
-    sign = 1.0 if total > 0 else -1.0
-    return sign * math.sqrt(float(total * total * dsq))
-
-
-def _reference_ladder(I, j, B):
-    """(F, K, coefficient, shift) per level, computed in Fractions."""
-    has_quadrupole = I >= 1 and j >= Fraction(3, 2)
-    levels = []
-    F = abs(I - j)
-    while F <= I + j:
-        K = F * (F + 1) - I * (I + 1) - j * (j + 1)
-        if has_quadrupole:
-            numerator = Fraction(3, 2) * K * (K + 1) - 2 * I * (I + 1) * j * (j + 1)
-            coefficient = numerator / ((2 * I * (2 * I - 1)) * (2 * j * (2 * j - 1)))
-        else:
-            coefficient = Fraction(0)
-        levels.append((F, K, coefficient, B * float(coefficient)))
-        F += 1
-    return levels
-
-
-def _same_float(a, b):
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
-
-
 def test_wigner_6j_bit_identical_to_fraction_sum_small():
     mismatches = [
         t for t in itertools.product(range(7), repeat=6)
@@ -241,6 +187,46 @@ def test_hfs_e2_levels_identical_to_fraction_ladder(B):
             assert got == want, (I, j)
             assert all(type(x) is Fraction for level in got for x in level[:3])
             assert all(_same_float(g[3], w[3]) for g, w in zip(got, want))
+
+
+def test_memos_are_bounded_by_their_module_constants():
+    assert angular._racah.cache_parameters()["maxsize"] == SIXJ_MEMO_SIZE == 1024
+    assert angular._ladder.cache_parameters()["maxsize"] == LADDER_MEMO_SIZE == 256
+
+
+def test_a_refused_argument_raises_on_every_call():
+    assert wigner_6j(1, 1, 1, 1, 1, 1) == wigner_6j(1.0, 1, 1, 1, 1, 1)
+    for bad in (Fraction(1, 3), 1.25, -1):
+        for _ in range(3):
+            with pytest.raises(ValidationError, match="j1"):
+                wigner_6j(bad, 1, 1, 1, 1, 1)
+    for _ in range(3):
+        with pytest.raises(ValidationError, match="I"):
+            hfs_e2_levels(Fraction(2, 3), Fraction(3, 2), 1.0)
+
+
+def test_symmetric_symbols_are_equal_floats():
+    # criterion 08's four permutations and Regge's symmetry: one class, one
+    # float, computed once
+    rng = random.Random(8)
+    for _ in range(250):
+        j = _random_valid_sixj(rng, max_twice=8)
+        reference = wigner_6j(*j)
+        misses = angular._racah.cache_info().misses
+        assert [wigner_6j(*g(*j)) for g in (*_CLASSICAL, _regge)] == [reference] * 5
+        assert angular._racah.cache_info().misses == misses
+
+
+def test_ladders_share_their_exact_fields_across_B():
+    I, j = Fraction(7, 2), Fraction(5, 2)
+    one = hfs_e2_levels(I, j, 1.0)
+    misses = angular._ladder.cache_info().misses
+    other = hfs_e2_levels(I, j, -3.7e-5)
+    assert angular._ladder.cache_info().misses == misses
+    assert [(lvl.F, lvl.K_casimir, lvl.quadrupole_coefficient) for lvl in one] == [
+        (lvl.F, lvl.K_casimir, lvl.quadrupole_coefficient) for lvl in other]
+    assert [lvl.shift_eV for lvl in other] == [-3.7e-5 * float(lvl.quadrupole_coefficient) for lvl in one]
+    assert [lvl.weight for lvl in one] == [int(2 * lvl.F + 1) for lvl in one] == [3, 5, 7, 9, 11, 13]
 
 
 def test_twice_refuses_non_half_integers_and_negatives():

@@ -645,6 +645,31 @@ def test_extract_subnormal_sigma_exit3_without_hanging(tmp_path):
     assert "row-whitened design matrix overflowed" in child.stderr
 
 
+def _golden_rhs_with_last_sigma(tmp_path, sigma: float) -> str:
+    rhs = json.loads((Path(__file__).parent / "golden" / "rhs_mo_chain_v1.json").read_text(encoding="utf-8"))
+    rhs["rows"][-1]["sigma_eV"] = sigma
+    path = tmp_path / "rhs.json"
+    path.write_text(json.dumps(rhs), encoding="utf-8")
+    return str(path)
+
+
+def test_extract_refuses_a_rank_deficient_whitened_system(capsys, tmp_path):
+    # one row weighted 1e32 times the others: the unweighted design has
+    # kappa 3.17, the matrix that is solved about 1.6e18
+    rhs = _golden_rhs_with_last_sigma(tmp_path, 1e-40)
+    code, out, err = _run(capsys, "extract", "--chain", "mo-chain-v1", "--rhs", rhs, "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert "row-whitened design matrix is numerically rank deficient" in err
+
+
+def test_extract_solves_a_well_conditioned_uneven_weighting(capsys, tmp_path):
+    rhs = _golden_rhs_with_last_sigma(tmp_path, 1e-8)
+    code, report = _run_json(capsys, "extract", "--chain", "mo-chain-v1", "--rhs", rhs)
+    assert code == 0
+    assert report["alpha_manko_hat"] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_csv_format_budget_and_solvability(capsys):
     code, out, _ = _run(capsys, "budget", "--format", "csv")
     assert code == 0

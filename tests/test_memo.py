@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,39 @@ def test_extract_opens_each_input_once_and_hashes_the_bytes_it_parsed(capsys, tm
     assert {role: opened[entry["path"]] for role, entry in inputs.items()} == dict.fromkeys(inputs, 1)
     for entry in inputs.values():
         assert entry["sha256"] == _sha256(Path(entry["path"]).read_bytes())
+
+
+@pytest.mark.parametrize("argv", [
+    ["budget"],
+    ["milestones", "--target", "1e-15"],
+    ["condition", "--samples", "64"],
+    ["extract", "--rhs", str(resource_path("synthetic-rhs-noiseless-v1"))],
+])
+def test_each_input_is_resolved_once_per_request(capsys, monkeypatch, argv):
+    argv = [*argv, "--format", "json"]
+    assert main(argv) == 0  # imports, the parser and the memo are warm from here on
+    capsys.readouterr()
+    resolved, stats = [], []
+    real_resource_path, real_stat = resources.resource_path, os.stat
+
+    def counting_resource_path(name):
+        resolved.append(name)
+        return real_resource_path(name)
+
+    def counting_stat(path, *args, **kwargs):
+        stats.append(os.fspath(path))
+        return real_stat(path, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        for module in [m for name, m in sys.modules.items() if name.startswith("gkpforge")]:
+            if getattr(module, "resource_path", None) is real_resource_path:
+                patched.setattr(module, "resource_path", counting_resource_path)
+        patched.setattr(os, "stat", counting_stat)
+        assert main(argv) == 0
+    inputs = json.loads(capsys.readouterr().out)["manifest"]["inputs"]
+    named = [role for role in inputs if role != "rhs"]  # the rhs path is read as given
+    assert len(resolved) == len(named)
+    assert sorted(stats) == sorted(inputs[role]["path"] for role in named)
 
 
 def test_the_manifest_hashes_the_bytes_parsed_not_a_later_write(capsys, tmp_path, monkeypatch):
