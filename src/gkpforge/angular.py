@@ -19,10 +19,9 @@ most LADDER_MEMO_SIZE manifolds; each call multiplies B by the same float
 of each coefficient, so the shifts are the same bits as an unmemoised
 ladder's.
 
-The module also provides the rank-K selection rule for electronic states,
-the electric-quadrupole hyperfine ladder with its exact centroid
-cancellation, and the perturbative rank-2 admixture picked up by dressed
-j = 1/2 states through off-diagonal hyperfine mixing.
+The module also provides the rank-K selection rule for electronic states
+and the electric-quadrupole hyperfine ladder with its exact centroid
+cancellation.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ __all__ = [
     "HyperfineLevel",
     "hfs_e2_levels",
     "centroid",
-    "induced_rank2_admixture",
     "default_channels",
 ]
 
@@ -270,19 +268,6 @@ def centroid(levels: Sequence[HyperfineLevel]) -> float:
         raise ValidationError("cannot take the centroid of an empty ladder")
     weights = [lvl.weight for lvl in levels]
     return sum(w * lvl.shift_eV for w, lvl in zip(weights, levels)) / sum(weights)
-
-
-def induced_rank2_admixture(V_mix_eV: float, fs_gap_eV: float, signal_p32_eV: float) -> float:
-    """Effective rank-2 matrix element of a dressed j = 1/2 state.
-
-    Off-diagonal quadrupole mixing with the j = 3/2 partner admixes a
-    rank-2 component of 2 * (V_mix / fs_gap) * signal; for realistic
-    mixing this lands many orders below the metrological floor, which is
-    why j = 1/2 channels count as rank-2 blind.
-    """
-    if fs_gap_eV <= 0:
-        raise ValidationError(f"fine-structure gap must be positive, got {fs_gap_eV!r}")
-    return 2.0 * (V_mix_eV / fs_gap_eV) * signal_p32_eV
 
 
 def default_channels(fs_gap_2p_eV: float = 150.0) -> tuple[ElectronicChannel, ...]:

@@ -46,8 +46,6 @@ __all__ = [
     "hfs_e2_first_order",
     "hfs_second_order",
     "tnp_shift",
-    "tnp_factorization_error",
-    "fs_differential_suppression",
     "BarrierEntry",
     "BarrierBudget",
     "build_budget",
@@ -167,7 +165,6 @@ class SignalModel:
     """
 
     chi: float = 1.0
-    alpha_manko: float = 1.0
     f_tilde: float = 20.0
     f_tilde_nominal: float = 20.0
     f_tilde_band: tuple[float, float] = (1.0, 100.0)
@@ -196,21 +193,16 @@ class SignalModel:
         return self.baseline_shift_eV > 0
 
     @classmethod
-    def from_anchors(cls, anchors: AnchorSet, chain: IsotopeChain | None = None,
-                     chi: float = 1.0, f_tilde: float | None = None) -> "SignalModel":
-        if chain is not None:
-            reference = spin_mass_lever(chain.isotope(anchors.probe_A))
-        else:
-            reference = 6.25 / 95.0
+    def from_anchors(cls, anchors: AnchorSet, chain: IsotopeChain, chi: float = 1.0) -> "SignalModel":
         return cls(
             chi=chi,
-            f_tilde=anchors.f_tilde_nominal if f_tilde is None else f_tilde,
+            f_tilde=anchors.f_tilde_nominal,
             f_tilde_nominal=anchors.f_tilde_nominal,
             f_tilde_band=anchors.f_tilde_band,
             baseline_shift_eV=anchors.signal_anchor_eV,
             Z=anchors.Z,
             R_N_fm=anchors.R_N_fm,
-            reference_spin_sq_over_mass=reference,
+            reference_spin_sq_over_mass=spin_mass_lever(chain.isotope(anchors.probe_A)),
         )
 
 
@@ -317,32 +309,6 @@ def tnp_shift(rec: IsotopeRecord, calib: tuple[float, float],
     return raw, knowledge_fraction * raw
 
 
-def tnp_factorization_error(E_nuclear_eV: float, E_electronic_eV: float) -> float:
-    """Relative error of factorizing the polarizability into a purely
-    electronic coefficient times a purely nuclear scalar.
-
-    (E_electronic / E_nuclear)^2: about 1e-6 for 10 keV electronic against
-    10 MeV nuclear scales. Small enough to preserve the direction of the
-    polarizability vector in isotope-parameter space.
-    """
-    if E_nuclear_eV <= 0 or E_electronic_eV <= 0:
-        raise ValidationError("both energy scales must be positive")
-    return (E_electronic_eV / E_nuclear_eV) ** 2
-
-
-def fs_differential_suppression(Z: int, seltzer_residual_eV: float) -> float:
-    """Scalar non-linearity left on the fine-structure differential.
-
-    The j = 1/2 and j = 3/2 radial densities at the nuclear surface differ
-    only by (Z alpha)^2 / 4 (about 2% at Z = 42), so differencing the two
-    transitions suppresses higher-moment scalar contamination by that
-    factor.
-    """
-    if seltzer_residual_eV < 0:
-        raise ValidationError("seltzer residual must be non-negative")
-    return (z_alpha_squared(Z) / 4.0) * seltzer_residual_eV
-
-
 @dataclass(frozen=True)
 class BarrierEntry:
     name: str
@@ -355,27 +321,24 @@ class BarrierEntry:
 
 @dataclass(frozen=True)
 class BarrierBudget:
-    """Per-barrier raw/current/projected residuals for one probe isotope."""
+    """Per-barrier raw/current/projected residuals for one probe isotope.
 
+    The fields, in order, are the budget report's block; combined_eV and
+    dominant are the combined residual and dominant barrier of the
+    budget's own scenario.
+    """
+
+    scenario: str
     probe_A: int
-    channel_label: str
+    channel: str
     entries: tuple[BarrierEntry, ...]
     combined_current_eV: float
     combined_projected_eV: float
     max_current_eV: float
     max_projected_eV: float
-    dominant_current: str
-    dominant_projected: str
+    combined_eV: float
+    dominant: str
     signal_nominal_eV: float
-    scenario: str
-
-    @property
-    def combined_eV(self) -> float:
-        return self.combined_current_eV if self.scenario == "current" else self.combined_projected_eV
-
-    @property
-    def dominant(self) -> str:
-        return self.dominant_current if self.scenario == "current" else self.dominant_projected
 
 
 def build_budget(chain: IsotopeChain, channels, anchors: AnchorSet,
@@ -400,19 +363,12 @@ def build_budget(chain: IsotopeChain, channels, anchors: AnchorSet,
     fs_gap = channel.fs_gap_eV if channel.fs_gap_eV is not None else anchors.fs_gap_eV
 
     hfs1_raw = abs(hfs_e2_first_order(probe, channel, (anchors.hfs_e2_anchor_Qs_b, anchors.hfs_e2_anchor_eV)))
-
-    residuals = {}
-    for scen_name in ("current", "projected"):
-        knobs = anchors.scenario(scen_name)
-        if hfs1_raw > 0:
-            _, hfs2_sub = hfs_second_order(hfs1_raw, fs_gap, knobs["hfs2_theory_fraction"])
-            hfs2_raw = hfs1_raw * hfs1_raw / fs_gap
-        else:
-            hfs2_raw, hfs2_sub = 0.0, 0.0
-        tnp_raw, tnp_res = tnp_shift(
-            probe, (anchors.tnp_anchor_BE2_wu, anchors.tnp_anchor_eV), knobs["tnp_knowledge_fraction"]
-        )
-        residuals[scen_name] = {"hfs2_raw": hfs2_raw, "hfs2": hfs2_sub, "tnp_raw": tnp_raw, "tnp": tnp_res}
+    tnp_calib = anchors.tnp_anchor_BE2_wu, anchors.tnp_anchor_eV
+    current, projected = anchors.scenario("current"), anchors.scenario("projected")
+    hfs2_raw, hfs2_current = hfs_second_order(hfs1_raw, fs_gap, current["hfs2_theory_fraction"])
+    _, hfs2_projected = hfs_second_order(hfs1_raw, fs_gap, projected["hfs2_theory_fraction"])
+    tnp_raw, tnp_current = tnp_shift(probe, tnp_calib, current["tnp_knowledge_fraction"])
+    _, tnp_projected = tnp_shift(probe, tnp_calib, projected["tnp_knowledge_fraction"])
 
     entries = (
         BarrierEntry(
@@ -434,46 +390,45 @@ def build_budget(chain: IsotopeChain, channels, anchors: AnchorSet,
         BarrierEntry(
             name="III. HFS (2nd)",
             scaling="Qs^2",
-            raw_eV=residuals["current"]["hfs2_raw"],
-            current_eV=residuals["current"]["hfs2"],
-            projected_eV=residuals["projected"]["hfs2"],
+            raw_eV=hfs2_raw,
+            current_eV=hfs2_current,
+            projected_eV=hfs2_projected,
             note="theory subtraction residual",
         ),
         BarrierEntry(
             name="IV. TNP",
             scaling="B(E2)",
-            raw_eV=residuals["current"]["tnp_raw"],
-            current_eV=residuals["current"]["tnp"],
-            projected_eV=residuals["projected"]["tnp"],
+            raw_eV=tnp_raw,
+            current_eV=tnp_current,
+            projected_eV=tnp_projected,
             note="transition-strength knowledge residual",
         ),
     )
 
-    def _combine(key: str) -> tuple[float, float, str]:
-        live = [(e.name, e.current_eV if key == "current" else e.projected_eV) for e in entries]
-        live = [(n, v) for n, v in live if v]
-        total = sum(v for _, v in live)
-        if live:
-            name, peak = max(live, key=lambda nv: nv[1])
-        else:
-            name, peak = "none", 0.0
-        return total, peak, name
+    def _combine(column) -> tuple[float, float, str]:
+        """Sum, peak and peak barrier (numeral stripped) of one scenario's
+        residuals, one per entry; a tie goes to the earlier entry."""
+        live = [(e.name, v) for e, v in zip(entries, column) if v]
+        name, peak = max(live, key=lambda nv: nv[1], default=("none", 0.0))
+        return sum(v for _, v in live), peak, name.split(". ", 1)[-1]
 
-    combined_current, max_current, dominant_current = _combine("current")
-    combined_projected, max_projected, dominant_projected = _combine("projected")
-    dominant_current = dominant_current.split(". ", 1)[-1]
-    dominant_projected = dominant_projected.split(". ", 1)[-1]
+    combined_current, max_current, dominant_current = _combine(e.current_eV for e in entries)
+    combined_projected, max_projected, dominant_projected = _combine(e.projected_eV for e in entries)
+    if scenario == "current":
+        combined, dominant = combined_current, dominant_current
+    else:
+        combined, dominant = combined_projected, dominant_projected
 
     return BarrierBudget(
+        scenario=scenario,
         probe_A=probe_A,
-        channel_label=channel.label,
+        channel=channel.label,
         entries=entries,
         combined_current_eV=combined_current,
         combined_projected_eV=combined_projected,
         max_current_eV=max_current,
         max_projected_eV=max_projected,
-        dominant_current=dominant_current,
-        dominant_projected=dominant_projected,
+        combined_eV=combined,
+        dominant=dominant,
         signal_nominal_eV=anchors.signal_anchor_eV,
-        scenario=scenario,
     )

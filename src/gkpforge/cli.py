@@ -87,8 +87,8 @@ def _manifest(command: str, inputs: dict[str, Path], seed: int | None, versions:
 
 
 def _flatten_csv(report: dict) -> str:
-    """Generic key,value CSV of the report's scalar payload; list-of-object
-    fields become their own row groups."""
+    """Generic key,value CSV of the report's scalar payload; list- or
+    tuple-of-object fields become their own row groups."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "value"])
@@ -96,7 +96,7 @@ def _flatten_csv(report: dict) -> str:
     for key, value in report.items():
         if key == "manifest":
             continue
-        if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+        if isinstance(value, (list, tuple)) and value and all(isinstance(v, dict) for v in value):
             tables[key] = value
         elif isinstance(value, (str, int, float, bool)) or value is None:
             writer.writerow([key, "" if value is None else value])
@@ -158,7 +158,7 @@ def cmd_budget(args) -> int:
     bound_band = [chi_bound(budget.combined_eV, s) for _, s in band]
 
     lines = [
-        f"Electromagnetic barrier budget  (probe A={budget.probe_A}, channel {budget.channel_label}, scenario {budget.scenario})",
+        f"Electromagnetic barrier budget  (probe A={budget.probe_A}, channel {budget.channel}, scenario {budget.scenario})",
         "",
         f"{'Barrier':<22}{'Scaling':<10}{'Raw (eV)':<14}{'Current (eV)':<15}{'Projected (eV)':<15}",
     ]
@@ -180,17 +180,7 @@ def cmd_budget(args) -> int:
         "manifest": _manifest(
             "budget", {"chain": chain_path, "anchors": anchors_path}, None, {"anchors": anchors.name}
         ),
-        "scenario": budget.scenario,
-        "probe_A": budget.probe_A,
-        "channel": budget.channel_label,
-        "entries": [dataclasses.asdict(e) for e in budget.entries],
-        "combined_current_eV": budget.combined_current_eV,
-        "combined_projected_eV": budget.combined_projected_eV,
-        "max_current_eV": budget.max_current_eV,
-        "max_projected_eV": budget.max_projected_eV,
-        "combined_eV": budget.combined_eV,
-        "dominant": budget.dominant,
-        "signal_nominal_eV": budget.signal_nominal_eV,
+        **dataclasses.asdict(budget),
         "chi_bound_nominal": bound_nominal,
         "chi_bound_band": [min(bound_band), max(bound_band)],
         "signal_band_eV": [[f, s] for f, s in band],
@@ -335,11 +325,12 @@ def cmd_condition(args) -> int:
 # extract
 
 def _load_rhs_file(path: Path) -> dict[tuple[int, str], tuple[float, float]]:
-    """The rows of an rhs file as {(A, transition): (delta_eV, sigma_eV)}."""
+    """The rows of an rhs file as {(A, transition): (delta_eV, sigma_eV)};
+    a repeated (A, transition) is refused."""
     rows = json_field(load_json(path, "rhs file"), "rows", "list", f"rhs file {path}")
     if not rows:
         raise ValidationError(f"rhs file {path} must contain a non-empty 'rows' list")
-    by_key = {}
+    by_key, row_of = {}, {}
     for k, row in enumerate(rows):
         context = f"rhs file {path}: row {k}"
         if type(row) is not dict:
@@ -349,7 +340,10 @@ def _load_rhs_file(path: Path) -> dict[tuple[int, str], tuple[float, float]]:
         sigma = json_field(row, "sigma_eV", "number", context)
         if sigma <= 0:
             raise ValidationError(f"{context} has non-positive sigma_eV")
+        if key in row_of:
+            raise ValidationError(f"{context} repeats row {row_of[key]}: A={key[0]}, transition {key[1]!r}")
         by_key[key] = delta, sigma
+        row_of[key] = k
     return by_key
 
 

@@ -16,7 +16,6 @@ from gkpforge.angular import (
     centroid,
     default_channels,
     hfs_e2_levels,
-    induced_rank2_admixture,
     rank2_allowed,
     triangle_ok,
     wigner_6j,
@@ -315,16 +314,3 @@ def test_centroid_cancellation_and_linearity():
 def test_centroid_rejects_empty():
     with pytest.raises(ValidationError):
         centroid(())
-
-
-def test_induced_rank2_admixture():
-    value = induced_rank2_admixture(1e-4, 150.0, 2e-21)
-    assert value == pytest.approx(2.6667e-27, rel=1e-3)
-    assert 1e-28 < value < 1e-26  # order 1e-27, far below the 1e-21 floor
-    assert induced_rank2_admixture(0.0, 150.0, 2e-21) == 0.0
-    base = induced_rank2_admixture(1e-4, 150.0, 1.0)
-    assert induced_rank2_admixture(1e-4, 150.0, 7.7) == pytest.approx(7.7 * base, rel=1e-12)
-    with pytest.raises(ValidationError):
-        induced_rank2_admixture(1e-4, 0.0, 2e-21)
-    with pytest.raises(ValidationError):
-        induced_rank2_admixture(1e-4, -5.0, 2e-21)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,14 +10,12 @@ from gkpforge.angular import ElectronicChannel, default_channels
 from gkpforge.barriers import (
     SignalModel,
     build_budget,
-    fs_differential_suppression,
     gravitomagnetic_shift,
     hfs_e2_first_order,
     hfs_second_order,
     load_anchors,
     qed_correction,
     signal_band,
-    tnp_factorization_error,
     tnp_shift,
 )
 from gkpforge.constants import FINE_STRUCTURE_ALPHA
@@ -158,29 +157,6 @@ def test_tnp_missing_be2_names_isotope(mo_chain):
         tnp_shift(rec, (8.0, 1e-12), 0.1)
 
 
-@pytest.mark.parametrize(
-    "nuclear,electronic,expected",
-    [(1e7, 1e4, 1e-6), (1e4, 1e4, 1.0), (2e7, 1e4, 2.5e-7)],
-)
-def test_tnp_factorization_error(nuclear, electronic, expected):
-    assert tnp_factorization_error(nuclear, electronic) == pytest.approx(expected, rel=1e-12)
-
-
-def test_tnp_factorization_error_domain():
-    with pytest.raises(ValidationError):
-        tnp_factorization_error(0.0, 1e4)
-    with pytest.raises(ValidationError):
-        tnp_factorization_error(1e7, -1.0)
-
-
-def test_fs_differential_suppression():
-    assert fs_differential_suppression(42, 1.0) == pytest.approx(0.0235, abs=3e-4)
-    assert fs_differential_suppression(42, 0.0) == 0.0
-    assert fs_differential_suppression(1, 1.0) == pytest.approx(1.33e-5, rel=1e-2)
-    with pytest.raises(ValidationError):
-        fs_differential_suppression(42, -1.0)
-
-
 def test_build_budget_current(mo_chain, anchors):
     budget = build_budget(mo_chain, default_channels(), anchors, scenario="current")
     assert budget.probe_A == 95
@@ -207,12 +183,15 @@ def test_budget_monotone_under_scenario(mo_chain, anchors):
 
 
 def test_budget_zero_anchors(mo_chain, anchors, tmp_path):
-    import dataclasses
-
     zeroed = dataclasses.replace(anchors, hfs_e2_anchor_eV=0.0, tnp_anchor_eV=0.0)
     budget = build_budget(mo_chain, default_channels(), zeroed)
     assert budget.combined_current_eV == 0.0
     assert budget.combined_projected_eV == 0.0
+    assert budget.dominant == "none"
+    # a vanishing first order does not excuse a theory fraction outside (0, 1]
+    scenarios = {**anchors.scenarios, "current": {**anchors.scenario("current"), "hfs2_theory_fraction": 0.0}}
+    with pytest.raises(ValidationError, match="theory_fraction"):
+        build_budget(mo_chain, default_channels(), dataclasses.replace(zeroed, scenarios=scenarios))
 
 
 def test_budget_probe_dependence(mo_chain, anchors):
@@ -223,6 +202,16 @@ def test_budget_probe_dependence(mo_chain, anchors):
     assert budget97.dominant == "HFS (2nd)"
     budget95 = build_budget(mo_chain, default_channels(), anchors, probe_A=95)
     assert budget97.combined_current_eV > budget95.combined_current_eV
+    # at the crossover the two residuals are equal (|E1| = 1 eV at A=95, so
+    # both are fraction / 150 eV) and the earlier barrier is named
+    fraction = {"hfs2_theory_fraction": 1e-3, "tnp_knowledge_fraction": 1e-3}
+    tied = dataclasses.replace(anchors, hfs_e2_anchor_Qs_b=-0.022, hfs_e2_anchor_eV=1.0,
+                               tnp_anchor_BE2_wu=8.0, tnp_anchor_eV=1 / 150,
+                               scenarios={"current": fraction, "projected": fraction})
+    budget = build_budget(mo_chain, default_channels(), tied, probe_A=95)
+    hfs2, tnp = budget.entries[2:]
+    assert hfs2.current_eV == tnp.current_eV
+    assert budget.dominant == "HFS (2nd)"
 
 
 def test_budget_refuses_even_even_probe(mo_chain, anchors):

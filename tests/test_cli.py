@@ -290,6 +290,19 @@ def test_extract_non_finite_rhs_rejected(capsys, tmp_path):
     assert "non-finite delta_eV" in err
 
 
+def test_extract_repeated_rhs_row_rejected(capsys, tmp_path):
+    fixture = json.loads(Path(RHS_FIXTURE).read_text(encoding="utf-8"))
+    rows = fixture["rows"]
+    rows.append(dict(rows[0], delta_eV=100 * rows[0]["delta_eV"]))
+    rhs_file = tmp_path / "repeated.json"
+    rhs_file.write_text(json.dumps(fixture), encoding="utf-8")
+    code, out, err = _run(capsys, "extract", "--chain", "mo-chain-frib-synthetic-v1",
+                          "--rhs", str(rhs_file), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert f"row {len(rows) - 1} repeats row 0: A={rows[0]['A']}" in err
+
+
 @pytest.mark.parametrize("key, value", [("delta_eV", "abc"), ("A", "x")])
 def test_extract_mistyped_rhs_rejected(capsys, tmp_path, key, value):
     fixture = json.loads(Path(RHS_FIXTURE).read_text(encoding="utf-8"))

@@ -78,6 +78,9 @@ def test_package_namespace_unchanged():
         "UnderdeterminedError", "RankDeficiencyError", "NumericalError",
     ]
     assert all(hasattr(gkpforge, name) for name in gkpforge.__all__)
+    for module in (gkpforge.angular, gkpforge.barriers, gkpforge.budget, gkpforge.gkp,
+                   gkpforge.montecarlo, gkpforge.nucdata, gkpforge.topology):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == [], module.__name__
     assert gkpforge.gkp.solvability_verdict is gkpforge.topology.solvability_verdict
     assert gkpforge.gkp.Topology is gkpforge.topology.Topology
     with pytest.raises(AttributeError, match="no attribute 'no_such_layer'"):
