@@ -31,6 +31,7 @@ from gkpforge.gkp import (
     solvable,
 )
 from gkpforge.nucdata import partition
+from kappa_oracle import reference_closed_form
 
 
 def _jacobi_singular_values(matrix, sweeps=80):
@@ -314,6 +315,48 @@ def test_kappa_of_a_matrix_does_not_depend_on_its_layout(family):
     assert np.array_equal(condition_numbers(_draws_last(stack)), kappa)
     for k in range(0, len(stack), 9):  # one-matrix stacks
         assert np.array_equal(condition_numbers(_draws_last(stack[k:k + 1])), kappa[k:k + 1])
+
+
+def _oracle_family(name, rng, n):
+    """(n, 3, 3) stacks that reach each branch of the closed form."""
+    if name == "nan_rows":
+        stack = rng.normal(size=(n, 3, 3))
+        stack[::3, rng.integers(0, 3)] = np.nan
+        return stack
+    if name == "wide":  # raw, unnormalized columns from 1e-8 to 1e8
+        return rng.normal(size=(n, 3, 3)) * 10.0 ** rng.uniform(-8, 8, (n, 1, 3))
+    if name == "clustered":  # spread p below l2 + l3: l2 - l3 from the sin form
+        stack = np.eye(3) + 10.0 ** rng.uniform(-6, -0.5, (n, 1, 1)) * rng.normal(size=(n, 3, 3))
+    elif name == "discriminant":  # spread spectra: l2 - l3 from the quadratic's discriminant
+        u, v = np.linalg.qr(rng.normal(size=(2, n, 3, 3)))[0]
+        s = np.stack([np.ones(n), 10.0 ** rng.uniform(-1, -0.3, n), 10.0 ** rng.uniform(-3, -1.3, n)], -1)
+        stack = u @ (s[:, :, None] * v.transpose(0, 2, 1))
+    else:  # near rank deficient, outside the trusted region: the SVD decides
+        stack = rng.normal(size=(n, 3, 3))
+        stack[:, :, 2] = stack[:, :, 0] + 10.0 ** rng.uniform(-16, -9, (n, 1)) * rng.normal(size=(n, 3))
+    return normalize_columns(stack, COLUMN_NAMES)[0]
+
+
+@pytest.mark.parametrize("n", [1, 5, 4096, 5000])
+@pytest.mark.parametrize("family", ["clustered", "discriminant", "near_rank_deficient", "nan_rows", "wide"])
+def test_closed_form_matches_the_expression_oracle_bit_for_bit(family, n):
+    rng = np.random.default_rng([41, n])
+    stack = _oracle_family(family, rng, n)
+    for layout in (stack, _draws_last(stack)):
+        before = layout.copy()
+        kappa, trusted = _closed_form_condition_numbers(layout)
+        reference_kappa, reference_trusted = reference_closed_form(layout)
+        assert np.array_equal(kappa, reference_kappa, equal_nan=True)
+        assert np.array_equal(trusted, reference_trusted)
+        assert np.array_equal(layout, before, equal_nan=True)  # the input is never written
+
+
+def test_closed_form_matches_the_expression_oracle_on_shipped_draws(mo_chain, coeffs, monkeypatch):
+    blocks, _ = _shipped_blocks(mo_chain, coeffs, monkeypatch, 3 * montecarlo.KAPPA_BATCH)
+    for stack in blocks:
+        kappa, trusted = _closed_form_condition_numbers(stack)
+        reference_kappa, reference_trusted = reference_closed_form(stack)
+        assert np.array_equal(kappa, reference_kappa) and np.array_equal(trusted, reference_trusted)
 
 
 @pytest.mark.parametrize("samples", [1, 1023, 1025, 4096, 4097, 10_000])
