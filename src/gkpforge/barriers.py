@@ -126,9 +126,13 @@ def _anchors_from_json(obj: dict, path: Path) -> AnchorSet:
         context = f"{where}: scenario {name}"
         if type(knobs) is not dict:
             raise ValidationError(f"{context} is not an object")
-        scenarios[name] = dict(knobs)
-        for key in ("hfs2_theory_fraction", "tnp_knowledge_fraction"):
-            scenarios[name][key] = json_field(knobs, key, "number", context)
+        theory = json_field(knobs, "hfs2_theory_fraction", "number", context)
+        if not 0.0 < theory <= 1.0:
+            raise ValidationError(f"{context}: hfs2_theory_fraction must lie in (0, 1], got {theory!r}")
+        knowledge = json_field(knobs, "tnp_knowledge_fraction", "number", context)
+        if not 0.0 <= knowledge <= 1.0:
+            raise ValidationError(f"{context}: tnp_knowledge_fraction must lie in [0, 1], got {knowledge!r}")
+        scenarios[name] = {**knobs, "hfs2_theory_fraction": theory, "tnp_knowledge_fraction": knowledge}
     return AnchorSet(
         name=json_field(obj, "name", "string", where),
         Z=json_field(obj, "Z", "integer", where),
@@ -410,7 +414,7 @@ def build_budget(chain: IsotopeChain, channels, anchors: AnchorSet,
         residuals, one per entry; a tie goes to the earlier entry."""
         live = [(e.name, v) for e, v in zip(entries, column) if v]
         name, peak = max(live, key=lambda nv: nv[1], default=("none", 0.0))
-        return sum(v for _, v in live), peak, name.split(". ", 1)[-1]
+        return sum((v for _, v in live), 0.0), peak, name.split(". ", 1)[-1]
 
     combined_current, max_current, dominant_current = _combine(e.current_eV for e in entries)
     combined_projected, max_projected, dominant_projected = _combine(e.projected_eV for e in entries)

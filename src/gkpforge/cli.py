@@ -280,6 +280,9 @@ def _histogram_csv(kappas) -> str:
 
 
 def cmd_condition(args) -> int:
+    """Condition numbers of the sampled three-isotope design: the summary
+    as json or a table. The κ histogram is the csv output and is written
+    to --out beside the json report; it is built only for those two."""
     from .gkp import load_coefficients
     from .montecarlo import kappa_draws, load_sampling_spec, summarize_kappa
 
@@ -293,7 +296,7 @@ def cmd_condition(args) -> int:
 
     kappas, excluded = kappa_draws(chain, coeffs, spec, sample_count=samples, seed=seed)
     summary = summarize_kappa(kappas, excluded, seed)
-    histogram = _histogram_csv(kappas)
+    histogram = _histogram_csv(kappas) if args.format == "csv" or args.out else None
 
     lines = [
         f"Conditioning study: {summary.sample_count} draws, seed {summary.seed}",

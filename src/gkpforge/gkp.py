@@ -320,53 +320,116 @@ def _svd_condition_numbers(stack: np.ndarray) -> np.ndarray:
     return np.where(sv[..., -1] < RANK_DEFICIENCY_RTOL * sv[..., 0], np.inf, sv[..., 0] / sv[..., -1])
 
 
-def _dot3(x, y):
-    """x[0] y[0] + x[1] y[1] + x[2] y[2], elementwise, summed in this fixed order."""
-    return (x[0] * y[0] + x[1] * y[1]) + x[2] * y[2]
+def _dot3(x, y, out, tmp):
+    """out = x[0] y[0] + x[1] y[1] + x[2] y[2], elementwise, summed in this
+    fixed order; tmp is scratch."""
+    np.multiply(x[0], y[0], out=out)
+    out += np.multiply(x[1], y[1], out=tmp)
+    out += np.multiply(x[2], y[2], out=tmp)
+    return out
 
 
-def _cross(x, y):
-    """The cross product x × y of two length-3 sequences of arrays."""
-    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+def _cross(x, y, out, tmp):
+    """out = the cross product x × y of two length-3 sequences of arrays;
+    tmp is scratch."""
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(x[i], y[j], out=out[k])
+        out[k] -= np.multiply(x[j], y[i], out=tmp)
+    return out
 
 
 def _closed_form_condition_numbers(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """kappa = sqrt(l1 / l3) of an (n, 3, 3) stack from the eigenvalues
     l1 >= l2 >= l3 of G = A^T A, and the mask of matrices inside the
     trusted region. NaN fails every comparison, so non-finite matrices
-    fall outside it."""
-    a = np.ascontiguousarray(stack.transpose(1, 2, 0))  # a[row, col] holds n draws
+    fall outside it.
+
+    Every quantity is updated in place in arrays of its own, never in the
+    input, and every sum keeps the association of the plain expression
+    (x0 y0 + x1 y1) + x2 y2, so kappa is bit-identical to evaluating the
+    formulas one numpy expression at a time."""
+    a = np.ascontiguousarray(stack.transpose(1, 2, 0))  # a[row, col] holds n draws; read only
     cols = a.transpose(1, 0, 2)  # cols[col, row]
+    n = a.shape[-1]
+    t, u = np.empty(n), np.empty(n)  # scratch
     with np.errstate(all="ignore"):
-        g00, g11, g22 = (_dot3(cols[k], cols[k]) for k in range(3))
-        g01, g02, g12 = _dot3(cols[0], cols[1]), _dot3(cols[0], cols[2]), _dot3(cols[1], cols[2])
+        g = np.empty((6, n))
+        for out, (i, j) in zip(g, ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))):
+            _dot3(cols[i], cols[j], out, t)
         # l1: largest root of the characteristic cubic by the trigonometric
         # form, written on the deviator B = G - m I (the cubic's own
         # coefficients would cancel when the spectrum is clustered)
-        m = (g00 + g11 + g22) / 3.0
-        b00, b11, b22 = g00 - m, g11 - m, g22 - m
-        p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
-        det_b = b00 * (b11 * b22 - g12 * g12) - g01 * (g01 * b22 - g12 * g02) + g02 * (g01 * g12 - b11 * g02)
-        phi = np.arccos(np.clip(det_b / (2.0 * p ** 3), -1.0, 1.0)) / 3.0
-        l1 = m + 2.0 * p * np.cos(phi)
+        m = np.add(g[0], g[1])
+        m += g[2]
+        m /= 3.0
+        g[:3] -= m
+        b00, b11, b22, g01, g02, g12 = g
+        p = np.multiply(b00, b00)
+        p += np.multiply(b11, b11, out=t)
+        p += np.multiply(b22, b22, out=t)
+        np.multiply(g01, g01, out=u)
+        u += np.multiply(g02, g02, out=t)
+        u += np.multiply(g12, g12, out=t)
+        u *= 2.0
+        p += u
+        p /= 6.0
+        np.sqrt(p, out=p)
+        # det(B) = b00 (b11 b22 - g12^2) - g01 (g01 b22 - g12 g02) + g02 (g01 g12 - b11 g02)
+        det_b = np.multiply(b11, b22)
+        det_b -= np.multiply(g12, g12, out=t)
+        det_b *= b00
+        np.multiply(g01, b22, out=u)
+        u -= np.multiply(g12, g02, out=t)
+        u *= g01
+        det_b -= u
+        np.multiply(g01, g12, out=u)
+        u -= np.multiply(b11, g02, out=t)
+        u *= g02
+        det_b += u
+        # phi = arccos(clip(det(B) / (2 p^3), -1, 1)) / 3
+        phi = det_b
+        phi /= np.multiply(np.power(p, 3, out=t), 2.0, out=t)
+        np.clip(phi, -1.0, 1.0, out=phi)
+        np.arccos(phi, out=phi)
+        phi /= 3.0
+        # l1 = m + (2 p) cos(phi)
+        l1 = m
+        l1 += np.multiply(np.cos(phi, out=t), np.multiply(p, 2.0, out=u), out=t)
         # l2 l3 = det(A)^2 / l1 and l2 + l3 = (c - l2 l3) / l1, with c the
         # sum of the squared 2x2 minors of A (Cauchy-Binet): sums of
         # non-negative terms, so the small eigenvalues keep SVD's resolution
-        minors = (_cross(a[0], a[1]), _cross(a[0], a[2]), _cross(a[1], a[2]))
-        det = _dot3(minors[0], a[2])
-        prod23 = det * det / l1
-        c = sum(_dot3(minor, minor) for minor in minors)
-        sum23 = (c - prod23) / l1
-        # l2 - l3 from the trigonometric form where the spectrum is clustered
-        # (spread p below l2 + l3), else from the quadratic's discriminant
-        gap23 = np.where(p < sum23, 2.0 * math.sqrt(3.0) * p * np.sin(phi),
-                         np.sqrt(np.maximum(sum23 * sum23 - 4.0 * prod23, 0.0)))
-        l2 = 0.5 * (sum23 + gap23)
-        l3 = prod23 / l2
-        kappa = np.sqrt(l1 / l3)
-        margin = CLOSED_FORM_GAP_RTOL * l1
-        trusted = ((l2 >= CLOSED_FORM_MIN_L2_RTOL * l1) & (l1 - l2 >= margin) & (l2 - l3 >= margin)
-                   & (kappa < CLOSED_FORM_MAX_KAPPA))
+        minors = np.empty((3, 3, n))
+        for out, (i, j) in zip(minors, ((0, 1), (0, 2), (1, 2))):
+            _cross(a[i], a[j], out, t)
+        prod23 = _dot3(minors[0], a[2], np.empty(n), t)  # det(A)
+        prod23 *= prod23
+        prod23 /= l1
+        sum23 = _dot3(minors[0], minors[0], np.empty(n), t)  # c
+        sum23 += _dot3(minors[1], minors[1], u, t)
+        sum23 += _dot3(minors[2], minors[2], u, t)
+        sum23 -= prod23
+        sum23 /= l1
+        # l2 - l3 from the quadratic's discriminant, except where the
+        # spectrum is clustered (spread p below l2 + l3): there from the
+        # trigonometric form
+        gap23 = np.multiply(sum23, sum23)
+        gap23 -= np.multiply(prod23, 4.0, out=t)
+        np.maximum(gap23, 0.0, out=gap23)
+        np.sqrt(gap23, out=gap23)
+        clustered = np.flatnonzero(p < sum23)
+        gap23[clustered] = 2.0 * math.sqrt(3.0) * p[clustered] * np.sin(phi[clustered])
+        l2 = gap23
+        l2 += sum23
+        l2 *= 0.5
+        l3 = prod23
+        l3 /= l2
+        kappa = np.divide(l1, l3)
+        np.sqrt(kappa, out=kappa)
+        margin = np.multiply(l1, CLOSED_FORM_GAP_RTOL, out=t)
+        trusted = l2 >= np.multiply(l1, CLOSED_FORM_MIN_L2_RTOL, out=u)
+        trusted &= np.subtract(l1, l2, out=u) >= margin
+        trusted &= np.subtract(l2, l3, out=u) >= margin
+        trusted &= kappa < CLOSED_FORM_MAX_KAPPA
     return kappa, trusted
 
 
@@ -390,9 +453,12 @@ def condition_numbers(stack: np.ndarray) -> np.ndarray:
     The closed form works on draws-last storage: a stack that is the
     (n, 3, 3) view of a C-contiguous (3, 3, n) array (each entry's n
     values contiguous) is read without a copy, and any other stack is
-    copied into that layout once. Every dot product, Gram entry and
-    squared minor is a fixed-order three-term sum, (x0 y0 + x1 y1) + x2 y2,
-    of elementwise products. einsum is avoided because its summation
+    copied into that layout once; the input is never written. The
+    formulas are evaluated in place, each quantity updated in an array of
+    its own, and every dot product, Gram entry and squared minor is a
+    fixed-order three-term sum, (x0 y0 + x1 y1) + x2 y2, of elementwise
+    products. The sin of the trigonometric l2 - l3 is taken only where the
+    spectrum is clustered. einsum is avoided because its summation
     order depends on the strides and length of its operands (a one-matrix
     stack sums differently from a long one), and so a matrix's kappa
     depends on that matrix alone, bit for bit, not on the stack around it

@@ -154,15 +154,18 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 def _draw_guarded(param: ParameterSpec, rng: np.random.Generator, size: int) -> tuple[np.ndarray, int]:
     """Draw with rejection of the |value| < guard band; returns (values,
-    rejected proposal count)."""
+    rejected proposal count). Without a band the first draw is returned."""
     values = param.draw(rng, size)
+    if param.exclude_abs_below <= 0.0:  # |value| < 0 rejects nothing
+        return values, 0
     rejected = 0
     for _ in range(MAX_REJECTION_ROUNDS):
         bad = np.abs(values) < param.exclude_abs_below
-        if not bad.any():
+        count = int(bad.sum())
+        if not count:
             return values, rejected
-        rejected += int(bad.sum())
-        values[bad] = param.draw(rng, int(bad.sum()))
+        rejected += count
+        values[bad] = param.draw(rng, count)
     raise ValidationError(f"parameter {param.name!r}: the guard band still rejected draws "
                           f"after {MAX_REJECTION_ROUNDS} rounds")
 
@@ -233,18 +236,24 @@ def kappa_draws(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: Sampl
 
 def summarize_kappa(kappas: np.ndarray, excluded_fraction: float, seed: int) -> KappaSummary:
     """Summary of per-draw condition numbers; statistics run over the
-    finite (full-rank) draws."""
+    finite (full-rank) draws.
+
+    kappas is never written: the finite draws are copied once, mean and
+    std are taken on that copy in draw order, and the percentiles and
+    median then partition the same copy in place."""
     finite = kappas[np.isfinite(kappas)]
     if finite.size == 0:
         raise ValidationError("every draw was rank deficient; check the sampling bounds")
-    p5, p95 = np.percentile(finite, [5, 95])
+    mean = float(finite.mean())
+    std = float(finite.std(ddof=1)) if finite.size > 1 else 0.0
+    p5, p95 = np.percentile(finite, [5, 95], overwrite_input=True)
     return KappaSummary(
-        mean=float(finite.mean()),
-        std=float(finite.std(ddof=1)) if finite.size > 1 else 0.0,
-        median=float(np.median(finite)),
+        mean=mean,
+        std=std,
+        median=float(np.median(finite, overwrite_input=True)),
         p5=float(p5),
         p95=float(p95),
-        rank_deficient_fraction=float(np.mean(~np.isfinite(kappas))),
+        rank_deficient_fraction=(kappas.size - finite.size) / kappas.size,
         excluded_fraction=float(excluded_fraction),
         seed=int(seed),
         sample_count=int(kappas.size),

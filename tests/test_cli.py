@@ -195,6 +195,22 @@ def test_condition_histogram_schema(capsys, tmp_path):
     assert total == 500
 
 
+@pytest.mark.parametrize("argv, builds", [
+    (["--format", "json"], 0),
+    (["--format", "table"], 0),
+    (["--format", "csv"], 1),
+    (["--format", "table", "--out", "OUT"], 1),
+])
+def test_condition_builds_the_histogram_only_for_csv_and_out(capsys, tmp_path, monkeypatch, argv, builds):
+    calls = []
+    histogram_csv = cli._histogram_csv
+    monkeypatch.setattr(cli, "_histogram_csv", lambda kappas: calls.append(1) or histogram_csv(kappas))
+    argv = [str(tmp_path) if a == "OUT" else a for a in argv]
+    code, _, _ = _run(capsys, "condition", "--samples", "64", *argv)
+    assert code == 0
+    assert len(calls) == builds
+
+
 @pytest.mark.parametrize("flag, value", [("--samples", "-5"), ("--samples", "0"), ("--seed", "-1")])
 def test_condition_rejects_out_of_range_flags(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -612,6 +628,34 @@ def test_anchor_subnormal_signal_exit2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "signal_anchor_eV must be nonzero and not subnormal" in err
+
+
+def test_budget_of_vanishing_residuals_is_a_float(capsys, tmp_path):
+    def zero_outputs(obj):
+        obj["hfs_e2_anchor"]["anchor_output_eV"] = 0.0
+        obj["tnp_anchor"]["anchor_output_eV"] = 0.0
+
+    anchors = _edited_resource(tmp_path, "mo41-anchors-v1", zero_outputs)
+    code, out, _ = _run(capsys, "budget", "--anchors", anchors, "--format", "json")
+    assert code == 0
+    assert '"combined_current_eV": 0.0' in out and '"combined_projected_eV": 0.0' in out
+    assert json.loads(out)["dominant"] == "none"
+    code, out, _ = _run(capsys, "budget", "--anchors", anchors, "--format", "csv")
+    assert code == 0
+    assert "combined_current_eV,0.0\n" in out and "combined_projected_eV,0.0\n" in out
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("hfs2_theory_fraction", 0, "hfs2_theory_fraction must lie in (0, 1], got 0.0"),
+    ("tnp_knowledge_fraction", 2, "tnp_knowledge_fraction must lie in [0, 1], got 2.0"),
+])
+def test_anchor_scenario_fraction_refusal_names_the_file(capsys, tmp_path, key, value, expected):
+    anchors = _edited_resource(tmp_path, "mo41-anchors-v1",
+                               lambda obj: obj["scenarios"]["current"].__setitem__(key, value))
+    code, out, err = _run(capsys, "budget", "--anchors", anchors, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert f"anchor file {anchors}: scenario current: {expected}" in err
 
 
 def test_anchor_band_edge_beyond_float_range_exit2(capsys, tmp_path):

@@ -28,6 +28,7 @@ from gkpforge.montecarlo import (
     injection_recovery,
     kappa_draws,
     sample_kappa,
+    summarize_kappa,
 )
 from gkpforge.nucdata import partition, spin_mass_lever
 
@@ -82,6 +83,30 @@ def test_guarded_gaussian_draw_gives_up():
                           exclude_abs_below=1.0)
     with pytest.raises(ValidationError, match="guard band"):
         _draw_guarded(param, _CountingRng(limit=100_000), 8)
+
+
+@pytest.mark.parametrize("distribution, bounds", [
+    ("uniform", {"low": 4.0, "high": 20.0}),
+    ("log-uniform", {"low": 1e-3, "high": 1e3}),
+    ("gaussian", {"mean": 0.0, "sigma": 1.0}),
+])
+def test_unguarded_draw_is_the_first_draw(distribution, bounds):
+    param = ParameterSpec(name="x", distribution=distribution, **bounds)
+    values, rejected = _draw_guarded(param, _block_rng(7, 3), 1000)
+    assert rejected == 0
+    assert np.array_equal(values, param.draw(_block_rng(7, 3), 1000))
+
+
+def test_summary_leaves_its_input_untouched(mo_chain, coeffs, sampling_spec):
+    kappas, excluded = kappa_draws(mo_chain, coeffs, sampling_spec, sample_count=3000, seed=5)
+    kappas[::7] = np.inf
+    before = kappas.tobytes()
+    summary = summarize_kappa(kappas, excluded, 5)
+    assert kappas.tobytes() == before
+    finite = kappas[np.isfinite(kappas)]
+    assert summary.median == float(np.median(finite))
+    assert (summary.p5, summary.p95) == tuple(float(q) for q in np.percentile(finite, [5, 95]))
+    assert summary.rank_deficient_fraction == float(np.mean(np.isinf(kappas)))
 
 
 def test_spec_missing_parameter_rejected(mo_chain, coeffs):
