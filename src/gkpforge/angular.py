@@ -19,9 +19,9 @@ most LADDER_MEMO_SIZE manifolds; each call multiplies B by the same float
 of each coefficient, so the shifts are the same bits as an unmemoised
 ladder's.
 
-The module also provides the rank-K selection rule for electronic states
-and the electric-quadrupole hyperfine ladder with its exact centroid
-cancellation.
+The module is also the one parser of half-integers (angular momenta and
+nuclear spins alike), and provides the electronic channels and the
+electric-quadrupole hyperfine ladder with its exact centroid cancellation.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .errors import ValidationError
 __all__ = [
     "wigner_6j",
     "triangle_ok",
+    "parse_half_integer",
     "ElectronicChannel",
-    "rank2_allowed",
     "HyperfineLevel",
     "hfs_e2_levels",
     "centroid",
@@ -60,11 +60,12 @@ def _twice(j, name: str = "argument") -> int:
     elif isinstance(j, int):
         tj = 2 * j
     else:
-        tj = round(2 * float(j))
-        if tj != 2 * float(j):
-            raise ValidationError(f"{name} {j!r} is not a half-integer")
+        twice = 2 * float(j)
+        if not twice.is_integer():  # nor is a NaN, an inf or a double that overflows
+            raise ValidationError(f"{name} {j!r} is not a half-integer whose double is a finite float")
+        tj = int(twice)
     if tj < 0:
-        raise ValidationError(f"{name} {j!r} must be non-negative")
+        raise ValidationError(f"{name} {j} must be non-negative")
     return tj
 
 
@@ -169,7 +170,7 @@ class ElectronicChannel:
     fs_gap_eV: float | None = None
 
     def __post_init__(self):
-        j = parse_half_integer(self.j)
+        j = parse_half_integer(self.j, "j")
         object.__setattr__(self, "j", j)
         if self.l < 0 or self.n <= self.l:
             raise ValidationError(f"channel {self.label!r}: requires n > l >= 0")
@@ -183,21 +184,15 @@ class ElectronicChannel:
         return self.j >= Fraction(3, 2)
 
 
-def parse_half_integer(j) -> Fraction:
-    if isinstance(j, str):
-        j = Fraction(j)
-    return Fraction(_twice(j, "j"), 2)
-
-
-def rank2_allowed(channel: ElectronicChannel, K: int) -> bool:
-    """Selection rule for a rank-K tensor diagonal in j: K <= 2j.
-
-    j = 1/2 states therefore carry no quadrupole (K = 2) observable at
-    zeroth order; the entire rank-2 signal lives in j >= 3/2 states.
-    """
-    if K < 0:
-        raise ValidationError(f"rank K must be non-negative, got {K}")
-    return Fraction(K) <= 2 * channel.j
+def parse_half_integer(value, name: str) -> Fraction:
+    """An exact non-negative half-integer from a str such as "5/2" or "2.5",
+    a Fraction, an int or a float, read exactly (a huge float is a huge
+    half-integer for the caller's range check); else a ValidationError."""
+    try:
+        exact = Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ValidationError(f"cannot parse {name} {value!r} as a half-integer") from None
+    return Fraction(_twice(exact, name), 2)
 
 
 @dataclass(frozen=True)

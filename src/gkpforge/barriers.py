@@ -51,14 +51,6 @@ __all__ = [
     "build_budget",
 ]
 
-C_K2 = math.sqrt(5.0 / 7.0)
-
-
-def gamma_prime(Z: int) -> float:
-    """Relativistic radial exponent sqrt(4 - (Z alpha)^2) of the rank-2
-    contact density; about 1.9764 at Z = 42."""
-    return math.sqrt(4.0 - z_alpha_squared(Z))
-
 
 @dataclass(frozen=True)
 class AnchorSet:
@@ -161,11 +153,12 @@ class SignalModel:
     """Gravitomagnetic signal scaling model, anchored at one reference
     isotope.
 
-    The full prefactor (contact density, R_N^(2 gamma' - 1) power law,
-    rank-2 projection C_K2 = sqrt(5/7), gravitational constants) is
-    absorbed into baseline_shift_eV, which is the shift of the reference
-    isotope at chi = 1 and nominal form factor. f_tilde is carried on the
-    raw plausibility scale; the nominal value maps to the baseline.
+    The full prefactor (contact density, R_N^(2 gamma' - 1) power law with
+    gamma' = sqrt(4 - (Z alpha)^2), rank-2 projection sqrt(5/7),
+    gravitational constants) is absorbed into baseline_shift_eV, which is
+    the shift of the reference isotope at chi = 1 and nominal form factor.
+    f_tilde is carried on the raw plausibility scale; the nominal value
+    maps to the baseline.
     """
 
     chi: float = 1.0
@@ -174,7 +167,6 @@ class SignalModel:
     f_tilde_band: tuple[float, float] = (1.0, 100.0)
     baseline_shift_eV: float = 2e-21
     Z: int = 42
-    R_N_fm: float = 5.5
     reference_spin_sq_over_mass: float = 6.25 / 95.0
 
     def __post_init__(self):
@@ -183,14 +175,6 @@ class SignalModel:
             raise ValidationError(
                 f"form factor {self.f_tilde} outside its plausibility band [{band_lo}, {band_hi}]"
             )
-
-    @property
-    def gamma_prime(self) -> float:
-        return gamma_prime(self.Z)
-
-    @property
-    def C_K2(self) -> float:
-        return C_K2
 
     @property
     def calibrated(self) -> bool:
@@ -205,7 +189,6 @@ class SignalModel:
             f_tilde_band=anchors.f_tilde_band,
             baseline_shift_eV=anchors.signal_anchor_eV,
             Z=anchors.Z,
-            R_N_fm=anchors.R_N_fm,
             reference_spin_sq_over_mass=spin_mass_lever(chain.isotope(anchors.probe_A)),
         )
 

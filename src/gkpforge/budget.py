@@ -117,15 +117,13 @@ def _milestones_from_json(obj: dict, path: Path) -> MilestoneLadder:
                            rows=tuple(rows), era_boundary_eV=boundary)
 
 
-def milestone_lookup(target_sensitivity_eV: float, ladder: MilestoneLadder | None = None) -> Milestone:
+def milestone_lookup(target_sensitivity_eV: float, ladder: MilestoneLadder) -> Milestone:
     """Ladder row whose sensitivity bin contains the target.
 
     Bin edges sit at the geometric midpoints between adjacent rows, so a
     target maps to the row nearest in log space. Total and monotone over
     the ladder's sensitivity range.
     """
-    if ladder is None:
-        ladder = load_milestones()
     top = ladder.rows[0].sensitivity_eV
     bottom = ladder.rows[-1].sensitivity_eV
     if not bottom <= target_sensitivity_eV <= top:
@@ -134,8 +132,7 @@ def milestone_lookup(target_sensitivity_eV: float, ladder: MilestoneLadder | Non
             f"[{bottom:.1e}, {top:.1e}] eV"
         )
     log_target = math.log10(target_sensitivity_eV)
-    best = min(ladder.rows, key=lambda row: abs(math.log10(row.sensitivity_eV) - log_target))
-    return best
+    return min(ladder.rows, key=lambda row: abs(math.log10(row.sensitivity_eV) - log_target))
 
 
 @dataclass(frozen=True)

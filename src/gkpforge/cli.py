@@ -372,16 +372,6 @@ def cmd_extract(args) -> int:
         raise ValidationError(f"rhs references isotopes absent from the chain's odd subset: {sorted(missing)}")
     coeffs_used = coeffs.subset(rhs_transitions)
 
-    top = Topology(0, len(odd_used), len(rhs_transitions))
-    ok, n_eq, n_unk = solvable(top, N_bkg=2)
-    if not ok:
-        raise RefusalError(
-            f"underdetermined topology: {n_eq} equations for {n_unk} unknowns. With "
-            f"{len(rhs_transitions)} rank-2 transition(s) the counting condition requires "
-            f"N_odd >= {math.ceil(n_unk / len(rhs_transitions))}; in the single-transition "
-            "case this is the N_odd >= 3 requirement."
-        )
-
     design = build_design(odd_used, coeffs_used)
     missing_rows = [key for key in design.rows if key not in rhs_rows]
     if missing_rows:
@@ -390,9 +380,15 @@ def cmd_extract(args) -> int:
 
     pre = precondition(design.with_rhs(rhs, sigma))
     result = extract(pre)
+    # after the solve, so that an underdetermined design (no rhs edit cures
+    # it) is refused first; leftover rows are of transitions blind to rank 2
+    unused_rows = sorted(set(rhs_rows).difference(design.rows))
+    if unused_rows:
+        raise ValidationError(f"rhs file has entries that no design row uses: {unused_rows}")
     bound = chi_bound_from_extraction(result, anchors.signal_anchor_eV)
     result = result.with_chi_bound(bound)
 
+    n_eq, n_unk = design.shape
     lines = [
         f"Rank-2 extraction: {n_eq} equations, {n_unk} unknowns, kappa = {_sci(result.condition_number)}",
         "",

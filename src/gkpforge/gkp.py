@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -244,19 +244,17 @@ class DesignMatrix:
         }
 
 
-def build_design(odd_isotopes: Sequence[IsotopeRecord], coeffs: ElectronicCoefficients,
-                 alpha_T: Mapping[int, float] | None = None) -> DesignMatrix:
+def build_design(odd_isotopes: Sequence[IsotopeRecord], coeffs: ElectronicCoefficients) -> DesignMatrix:
     """Assemble the design matrix over (odd isotope) x (rank-2 transition).
 
-    alpha_T defaults to the proportional-to-B(E2) convention. Each row
-    holds the three per-unknown sensitivities of that (isotope,
+    The polarizability follows the proportional-to-B(E2) convention. Each
+    row holds the three per-unknown sensitivities of that (isotope,
     transition) pair; the right-hand side is attached separately.
     """
     if not odd_isotopes:
         raise ValidationError("no odd isotopes supplied")
     transitions = coeffs.rank2_transitions()
-    if alpha_T is None:
-        alpha_T = alpha_t_from_be2(odd_isotopes)
+    polarizability = alpha_t_from_be2(odd_isotopes)
     rows = []
     data = []
     for rec in odd_isotopes:
@@ -264,15 +262,13 @@ def build_design(odd_isotopes: Sequence[IsotopeRecord], coeffs: ElectronicCoeffi
             raise ValidationError(f"isotope A={rec.A} is even-even and carries no rank-2 observable")
         if rec.Qs is None:
             raise ValidationError(f"isotope A={rec.A} is missing its quadrupole moment")
-        if rec.A not in alpha_T:
-            raise ValidationError(f"isotope A={rec.A} is missing its polarizability value")
         lever = spin_mass_lever(rec)
         for t in transitions:
             rows.append((rec.A, t.label))
             data.append(
                 [
                     t.H_eV_per_b * rec.Qs.value,
-                    t.P_eV_per_wu * alpha_T[rec.A],
+                    t.P_eV_per_wu * polarizability[rec.A],
                     t.G_eV_per_lever * lever,
                 ]
             )
@@ -476,8 +472,12 @@ def condition_numbers(stack: np.ndarray) -> np.ndarray:
 def _refuse_underdetermined(m: DesignMatrix) -> None:
     n_rows, n_cols = m.shape
     if n_rows < n_cols:
+        n_trans = max(len({label for _, label in m.rows}), 1)
         raise UnderdeterminedError(
-            f"{n_rows} equations for {n_cols} unknowns; the topology is underdetermined"
+            f"underdetermined topology: {n_rows} equations for {n_cols} unknowns. With "
+            f"{n_trans} rank-2 transition(s) the counting condition requires "
+            f"N_odd >= {math.ceil(n_cols / n_trans)}; in the single-transition case this is the "
+            "N_odd >= 3 requirement."
         )
 
 
@@ -536,8 +536,8 @@ def solve_many(m: DesignMatrix, rhs_stack, sigma):
     if sigma.shape != (len(m.rows),) or np.any(sigma <= 0):
         raise ValidationError("rhs_sigma must provide one positive uncertainty per row")
 
+    _refuse_underdetermined(m)
     pre = precondition(m)
-    _refuse_underdetermined(pre)
     kappa = float(condition_numbers(pre.entries))
     if math.isinf(kappa):
         raise RankDeficiencyError(

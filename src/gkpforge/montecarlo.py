@@ -74,6 +74,8 @@ class ParameterSpec:
             raise ValidationError(
                 f"parameter {self.name!r}: unknown distribution {self.distribution!r}"
             )
+        if not self.exclude_abs_below >= 0.0:  # a negative guard band would reject nothing
+            raise ValidationError(f"parameter {self.name!r}: exclude_abs_below must be non-negative")
         if self.distribution in ("uniform", "log-uniform"):
             if self.low is None or self.high is None:
                 raise ValidationError(f"parameter {self.name!r}: bounds required")

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from .angular import parse_half_integer
 from .errors import ValidationError
 from .resources import freeze, json_field, load_validated, resource_path
 
@@ -110,21 +111,7 @@ def format_measured(m: Measured) -> str:
 
 def parse_spin(text: str | float | Fraction) -> Fraction:
     """Parse a spin as an exact non-negative half-integer Fraction."""
-    if isinstance(text, Fraction):
-        spin = text
-    elif isinstance(text, str):
-        try:
-            spin = Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"cannot parse spin {text!r}") from exc
-    else:
-        spin = Fraction(text).limit_denominator(2)
-        if float(spin) != float(text):
-            raise ValidationError(f"spin {text!r} is not a half-integer")
-    # in integers, which is several times faster than Fraction arithmetic
-    if spin.numerator < 0 or spin.denominator > 2:
-        raise ValidationError(f"spin {text!r} is not a non-negative half-integer")
-    return spin
+    return parse_half_integer(text, "spin")
 
 
 @dataclass(frozen=True)
@@ -149,7 +136,7 @@ class IsotopeRecord:
             raise ValidationError(f"{tag}: requires A >= Z >= 1 (got A={self.A}, Z={self.Z})")
         if self.parity not in (+1, -1):
             raise ValidationError(f"{tag}: parity must be +1 or -1, got {self.parity!r}")
-        # a half-integer in [0, A], checked in integers as in parse_spin
+        # a half-integer in [0, A], checked in integers
         if self.spin.denominator > 2 or not 0 <= self.spin.numerator <= self.spin.denominator * self.A:
             raise ValidationError(f"{tag}: spin must be a non-negative half-integer no larger than A")
         if self.r_ch.value <= 0:

@@ -16,7 +16,6 @@ from gkpforge.angular import (
     centroid,
     default_channels,
     hfs_e2_levels,
-    rank2_allowed,
     triangle_ok,
     wigner_6j,
 )
@@ -147,6 +146,12 @@ def test_wigner_6j_rejects_non_half_integers():
         wigner_6j(0.3, 1, 1, 1, 1, 1)
     with pytest.raises(ValidationError):
         wigner_6j(-1, 1, 1, 1, 1, 1)
+    # a float whose double is not finite is refused, not an OverflowError
+    for bad in (1e308, -1e308, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidationError, match="j1"):
+            wigner_6j(bad, 1, 1, 1, 1, 1)
+        with pytest.raises(ValidationError, match="I"):
+            hfs_e2_levels(bad, 1.5, 1.0)
 
 
 def test_wigner_6j_bit_identical_to_fraction_sum_small():
@@ -238,11 +243,6 @@ def test_twice_refuses_non_half_integers_and_negatives():
 def test_rank2_allowed():
     p12 = ElectronicChannel(n=2, l=1, j=HALF, label="2p1/2", fs_gap_eV=150.0)
     p32 = ElectronicChannel(n=2, l=1, j=Fraction(3, 2), label="2p3/2", fs_gap_eV=150.0)
-    assert rank2_allowed(p12, 2) is False
-    assert rank2_allowed(p32, 2) is True
-    assert rank2_allowed(p12, 0) is True
-    assert rank2_allowed(p32, 0) is True
-    assert rank2_allowed(p12, 1) is True
     assert p12.rank2_sensitive() is False
     assert p32.rank2_sensitive() is True
 
@@ -250,8 +250,7 @@ def test_rank2_allowed():
 def test_rank2_selection_matches_sixj_vanishing():
     # rank-2 blindness of j=1/2 is the vanishing of the (j, j, 2) triad
     for channel in default_channels():
-        expected = triangle_ok(channel.j, channel.j, 2)
-        assert rank2_allowed(channel, 2) is expected
+        assert channel.rank2_sensitive() is triangle_ok(channel.j, channel.j, 2)
 
 
 def test_channel_validation():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 from fractions import Fraction
 
 import pytest
@@ -18,19 +17,10 @@ from gkpforge.barriers import (
     signal_band,
     tnp_shift,
 )
-from gkpforge.constants import FINE_STRUCTURE_ALPHA
 from gkpforge.errors import ConfigurationError, ValidationError
 
 P32 = ElectronicChannel(n=2, l=1, j=Fraction(3, 2), label="2p3/2", fs_gap_eV=150.0)
 P12 = ElectronicChannel(n=2, l=1, j=Fraction(1, 2), label="2p1/2", fs_gap_eV=150.0)
-
-
-def test_closed_form_constants():
-    model = SignalModel()
-    assert model.gamma_prime == pytest.approx(math.sqrt(4 - (42 * FINE_STRUCTURE_ALPHA) ** 2), rel=1e-12)
-    assert model.gamma_prime == pytest.approx(1.9764, abs=5e-5)
-    assert model.C_K2 == pytest.approx(math.sqrt(5.0 / 7.0), rel=1e-12)
-    assert model.C_K2 == pytest.approx(0.8452, abs=5e-5)
 
 
 def test_gravitomagnetic_shift_anchor(mo_chain, anchors):

@@ -259,6 +259,40 @@ def test_extract_underdetermined_refused(capsys, tmp_path):
     assert "N_odd >= 3" in err
 
 
+def _p12_inputs(tmp_path, isotopes) -> tuple[str, str]:
+    """Coefficients with an added 1s-2p1/2 transition (upper j = 1/2, zero
+    coefficients, so no design row), and an rhs file with 1s-2p3/2 and
+    1s-2p1/2 rows for the given isotopes."""
+    coeffs = _edited_resource(tmp_path, "mo41-coeffs-v1", lambda obj: obj["transitions"].append({
+        "label": "1s-2p1/2", "upper": {"n": 2, "l": 1, "j": "1/2"},
+        "H_eV_per_b": 0.0, "P_eV_per_wu": 0.0, "G_eV_per_lever": 0.0,
+    }))
+    fixture = json.loads(Path(RHS_FIXTURE).read_text(encoding="utf-8"))
+    rows = [r for r in fixture["rows"] if r["A"] in isotopes and r["transition"] == "1s-2p3/2"]
+    rhs_file = tmp_path / "with_p12.json"
+    rhs_file.write_text(json.dumps({"rows": rows + [dict(r, transition="1s-2p1/2") for r in rows]}),
+                        encoding="utf-8")
+    return coeffs, str(rhs_file)
+
+
+def test_extract_stable_pair_with_j_half_rows_refused_with_the_hint(capsys, tmp_path):
+    # four rhs rows, but only the two 1s-2p3/2 rows are equations
+    coeffs, rhs = _p12_inputs(tmp_path, (95, 97))
+    code, out, err = _run(capsys, "extract", "--chain", "mo-chain-v1", "--coeffs", coeffs, "--rhs", rhs)
+    assert code == 1
+    assert out == ""
+    assert "2 equations for 3 unknowns" in err and "N_odd >= 3" in err
+
+
+def test_extract_refuses_rhs_rows_no_design_row_uses(capsys, tmp_path):
+    coeffs, rhs = _p12_inputs(tmp_path, (91, 95, 97))
+    code, out, err = _run(capsys, "extract", "--coeffs", coeffs, "--rhs", rhs, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert ("rhs file has entries that no design row uses: "
+            "[(91, '1s-2p1/2'), (95, '1s-2p1/2'), (97, '1s-2p1/2')]") in err
+
+
 def test_extract_chi_bound_scale(capsys, tmp_path):
     # perturb the noiseless fixture with a seeded 1e-13 noise vector
     import numpy as np
@@ -611,6 +645,15 @@ def test_spec_negative_seed_exit2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "seed must be a non-negative integer, got -1" in err
+
+
+def test_spec_negative_guard_band_exit2(capsys, tmp_path):
+    spec = _edited_resource(tmp_path, "mo91-sampling-v1",
+                            lambda obj: obj["parameters"][0].__setitem__("exclude_abs_below", -0.5))
+    code, out, err = _run(capsys, "condition", "--spec", spec, "--samples", "64", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "parameter 'Qs_91': exclude_abs_below must be non-negative" in err
 
 
 def test_chain_overflowing_spin_exit2(capsys, tmp_path):

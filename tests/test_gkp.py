@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -125,9 +126,9 @@ def test_build_design_entries_match_products(mo_chain, coeffs):
 
 
 def test_build_design_missing_parameter_names_isotope(mo_chain, coeffs):
-    _, odd = partition(mo_chain)
+    odd = (mo_chain.isotope(95), dataclasses.replace(mo_chain.isotope(97), BE2_up=None))
     with pytest.raises(ValidationError, match="A=97"):
-        build_design(odd, coeffs, alpha_T={95: 8.0})
+        build_design(odd, coeffs)
 
 
 def test_alpha_t_proxy(mo_chain):
@@ -394,10 +395,14 @@ def test_condition_number_underdetermined_rejected():
     m = DesignMatrix(
         rows=((1, "t"), (2, "t")),
         columns=COLUMN_NAMES,
-        entries=np.ones((2, 3)),
+        entries=np.eye(2, 3),
     )
-    with pytest.raises(UnderdeterminedError):
+    with pytest.raises(UnderdeterminedError,
+                       match=r"2 equations for 3 unknowns\. With 1 rank-2 transition\(s\) .* N_odd >= 3"):
         condition_number(m)
+    # extract refuses on the shape too, before the zero column is looked at
+    with pytest.raises(UnderdeterminedError, match="N_odd >= 3"):
+        extract(m.with_rhs(np.ones(2)))
 
 
 def test_condition_number_against_jacobi_oracle():

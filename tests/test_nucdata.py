@@ -82,6 +82,9 @@ def test_parse_spin_forms():
         parse_spin("0.3")
     with pytest.raises(ValidationError):
         parse_spin("-1/2")
+    # read exactly, for the record's range check to refuse (no OverflowError)
+    huge = parse_spin(1e308)
+    assert type(huge) is Fraction and huge == int(1e308)
 
 
 def test_bundled_chain_matches_reference_table(mo_chain):
