@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 import importlib
 
-from . import angular, barriers, budget, nucdata
 from .errors import (
     ConfigurationError,
     GkpforgeError,
@@ -41,9 +40,9 @@ __all__ = [
     "NumericalError",
 ]
 
-# the numpy layers load on first use, so that the closed-form commands
-# start without numpy
-_LAZY_SUBMODULES = ("gkp", "montecarlo")
+# every layer loads on first use, so that a command loads only the layers
+# it runs (and the closed-form commands start without numpy)
+_LAZY_SUBMODULES = ("angular", "barriers", "budget", "gkp", "montecarlo", "nucdata")
 
 
 def __getattr__(name: str):

@@ -38,6 +38,7 @@ __all__ = [
     "wigner_6j",
     "triangle_ok",
     "parse_half_integer",
+    "RANK2_MIN_J",
     "ElectronicChannel",
     "HyperfineLevel",
     "hfs_e2_levels",
@@ -48,6 +49,10 @@ __all__ = [
 # bounds of the two memos, in distinct 6j classes and distinct (2I, 2j)
 SIXJ_MEMO_SIZE = 1024
 LADDER_MEMO_SIZE = 256
+
+# barrier (i), Wigner-Eckart: only a state with j >= 3/2 has a diagonal
+# rank-2 matrix element; every rank-2-sensitivity test reads this
+RANK2_MIN_J = Fraction(3, 2)
 
 
 def _twice(j, name: str = "argument") -> int:
@@ -180,8 +185,8 @@ class ElectronicChannel:
             raise ValidationError(f"channel {self.label!r}: fine-structure gap must be positive")
 
     def rank2_sensitive(self) -> bool:
-        """A diagonal rank-2 matrix element needs j >= 3/2."""
-        return self.j >= Fraction(3, 2)
+        """A diagonal rank-2 matrix element needs j >= RANK2_MIN_J."""
+        return self.j >= RANK2_MIN_J
 
 
 def parse_half_integer(value, name: str) -> Fraction:

@@ -7,9 +7,10 @@ given (inputs, flags, seed). Exit codes: 0 success, 1 computation refused
 on physics grounds, 2 input validation error, 3 internal numerical
 failure.
 
-budget, solvability, milestones and ramsey are closed-form and start
-without numpy; condition and extract import the numerical layers (`gkp`,
-`montecarlo`, numpy) in their handlers.
+Each handler imports the layers it runs, so that a command loads only
+those: budget, solvability, milestones and ramsey are closed-form and
+start without numpy; condition and extract load the numerical layers
+(`gkp`, `montecarlo`, numpy).
 """
 
 from __future__ import annotations
@@ -27,24 +28,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .angular import default_channels
-from .barriers import SignalModel, build_budget, load_anchors, qed_correction, signal_band
-from .budget import (
-    chi_bound,
-    chi_bound_from_extraction,
-    load_milestones,
-    milestone_lookup,
-    ramsey_plan,
-)
 from .errors import (
     ConfigurationError,
     NumericalError,
     RefusalError,
     ValidationError,
 )
-from .nucdata import load_chain, partition
 from .resources import json_field, load_json, resource_path, sha256_of
-from .topology import Topology, solvability_verdict, solvable
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -109,19 +99,37 @@ def _flatten_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+def _refuse_non_finite(report: dict) -> None:
+    """Refuse, as a numerical failure naming its top-level key, a report
+    holding NaN or Infinity anywhere in its dicts, lists and tuples (a
+    float subclass such as numpy's float64 counts as a float)."""
+    for key, value in report.items():
+        stack = [value]
+        while stack:
+            v = stack.pop()
+            kind = type(v)
+            if kind is dict:
+                stack.extend(v.values())
+            elif kind is list or kind is tuple:
+                stack.extend(v)
+            elif isinstance(v, float) and not math.isfinite(v):
+                raise NumericalError(
+                    f"the report would hold a non-finite number in {key!r}; an input is out of range"
+                )
+
+
 def _emit(report: dict, table: str, args, csv_text: str | None = None) -> None:
     """Print the report as json, csv (csv_text, or the flattened report) or
     table and write it to --out. A report holding NaN or Infinity is refused
     as a numerical failure before anything is printed or written."""
-    try:
-        if args.format == "json" or args.out:
+    if args.format == "json" or args.out:
+        try:
             text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-        else:
-            text = json.dumps(report, allow_nan=False)
-    except ValueError as exc:
-        raise NumericalError(
-            f"the report would hold a non-finite number ({exc}); an input is out of range"
-        ) from None
+        except ValueError:
+            _refuse_non_finite(report)
+            raise
+    else:
+        _refuse_non_finite(report)
     if args.format == "json":
         print(text)
     elif args.format == "csv":
@@ -134,43 +142,40 @@ def _emit(report: dict, table: str, args, csv_text: str | None = None) -> None:
         (out_dir / f"{report['manifest']['command']}.json").write_text(text + "\n", encoding="utf-8")
 
 
-def _chain_from_args(args, default: str = "mo-chain-v1"):
-    source = args.chain or default
-    path = resource_path(source)
-    return load_chain(path), path
-
-
 # ---------------------------------------------------------------------------
 # budget
 
 def cmd_budget(args) -> int:
-    chain, chain_path = _chain_from_args(args)
-    anchors_path = resource_path(args.anchors)
-    anchors = load_anchors(anchors_path)
-    channels = default_channels(anchors.fs_gap_eV)
-    budget = build_budget(chain, channels, anchors, scenario=args.scenario, probe_A=args.probe)
+    from . import angular, barriers, budget, nucdata
 
-    model = SignalModel.from_anchors(anchors, chain)
-    probe = chain.isotope(budget.probe_A)
-    band = signal_band(model, probe, points=5)
-    qed_fraction, qed_residual = qed_correction(model, beta2_variation=0.5)
-    bound_nominal = chi_bound(budget.combined_eV, anchors.signal_anchor_eV)
-    bound_band = [chi_bound(budget.combined_eV, s) for _, s in band]
+    chain_path = resource_path(args.chain or "mo-chain-v1")
+    chain = nucdata.load_chain(chain_path)
+    anchors_path = resource_path(args.anchors)
+    anchors = barriers.load_anchors(anchors_path)
+    channels = angular.default_channels(anchors.fs_gap_eV)
+    result = barriers.build_budget(chain, channels, anchors, scenario=args.scenario, probe_A=args.probe)
+
+    model = barriers.SignalModel.from_anchors(anchors, chain)
+    probe = chain.isotope(result.probe_A)
+    band = barriers.signal_band(model, probe, points=5)
+    qed_fraction, qed_residual = barriers.qed_correction(model, beta2_variation=0.5)
+    bound_nominal = budget.chi_bound(result.combined_eV, anchors.signal_anchor_eV)
+    bound_band = [budget.chi_bound(result.combined_eV, s) for _, s in band]
 
     lines = [
-        f"Electromagnetic barrier budget  (probe A={budget.probe_A}, channel {budget.channel}, scenario {budget.scenario})",
+        f"Electromagnetic barrier budget  (probe A={result.probe_A}, channel {result.channel}, scenario {result.scenario})",
         "",
         f"{'Barrier':<22}{'Scaling':<10}{'Raw (eV)':<14}{'Current (eV)':<15}{'Projected (eV)':<15}",
     ]
-    for e in budget.entries:
+    for e in result.entries:
         values = e.note if e.raw_eV is None else f"{_sci(e.raw_eV):<14}{_sci(e.current_eV):<15}{_sci(e.projected_eV):<15}"
         lines.append(f"{e.name:<22}{e.scaling:<10}{values}")
     lines += [
-        f"{'Combined (sum)':<32}{'':<14}{_sci(budget.combined_current_eV):<15}{_sci(budget.combined_projected_eV):<15}",
-        f"{'Combined (max)':<32}{'':<14}{_sci(budget.max_current_eV):<15}{_sci(budget.max_projected_eV):<15}",
-        f"{'Signal (nominal)':<32}{_sci(budget.signal_nominal_eV)}",
+        f"{'Combined (sum)':<32}{'':<14}{_sci(result.combined_current_eV):<15}{_sci(result.combined_projected_eV):<15}",
+        f"{'Combined (max)':<32}{'':<14}{_sci(result.max_current_eV):<15}{_sci(result.max_projected_eV):<15}",
+        f"{'Signal (nominal)':<32}{_sci(result.signal_nominal_eV)}",
         "",
-        f"Scenario combined residual: {_sci(budget.combined_eV)} eV, dominant barrier: {budget.dominant}",
+        f"Scenario combined residual: {_sci(result.combined_eV)} eV, dominant barrier: {result.dominant}",
         f"|chi-1| bound at nominal signal: {_sci(bound_nominal)}",
         f"|chi-1| band over the form-factor range: [{_sci(min(bound_band))}, {_sci(max(bound_band))}]",
         f"Signal radiative correction: {qed_fraction:.4f} fractional, residual {_sci(qed_residual)} eV",
@@ -180,7 +185,7 @@ def cmd_budget(args) -> int:
         "manifest": _manifest(
             "budget", {"chain": chain_path, "anchors": anchors_path}, None, {"anchors": anchors.name}
         ),
-        **dataclasses.asdict(budget),
+        **dataclasses.asdict(result),
         "chi_bound_nominal": bound_nominal,
         "chi_bound_band": [min(bound_band), max(bound_band)],
         "signal_band_eV": [[f, s] for f, s in band],
@@ -194,20 +199,22 @@ def cmd_budget(args) -> int:
 # ---------------------------------------------------------------------------
 # solvability
 
-def _topology_row(top: Topology, nbkg: int) -> dict:
-    """One topology's counts, counting solvability and verdict as a report row."""
-    ok, n_eq, n_unk = solvable(top, nbkg)
-    return {
-        **dataclasses.asdict(top),
-        "solvable": ok,
-        "n_equations": n_eq,
-        "n_unknowns": n_unk,
-        "verdict": solvability_verdict(top, nbkg),
-    }
-
-
 def cmd_solvability(args) -> int:
-    chain, chain_path = _chain_from_args(args)
+    from . import nucdata, topology
+
+    def row(top: topology.Topology) -> dict:
+        """One topology's counts, counting solvability and verdict as a report row."""
+        ok, n_eq, n_unk = topology.solvable(top, args.nbkg)
+        return {
+            **dataclasses.asdict(top),
+            "solvable": ok,
+            "n_equations": n_eq,
+            "n_unknowns": n_unk,
+            "verdict": topology.solvability_verdict(top, args.nbkg),
+        }
+
+    chain_path = resource_path(args.chain or "mo-chain-v1")
+    chain = nucdata.load_chain(chain_path)
     counted = {r.A for r in chain.records}
     for A in args.add_isotope:
         if A < chain.Z:
@@ -220,19 +227,19 @@ def cmd_solvability(args) -> int:
             counted.add(A)
             continue
         raise ValidationError(f"--add-isotope {A}: A={A} {why}")
-    even_even, odd = partition(chain)
+    even_even, odd = nucdata.partition(chain)
     n_ee = len(even_even) - (1 if any(r.A == chain.reference_A for r in even_even) else 0)
     n_odd_stable = sum(r.stable for r in odd)
 
+    Topology = topology.Topology
     enumeration = [
         ("Stable, 1 trans.", Topology(n_ee, n_odd_stable, 1)),
         ("+ FRIB 91Mo", Topology(n_ee, n_odd_stable + 1, 1)),
         ("Stable, 2 trans.", Topology(n_ee, n_odd_stable, 2)),
         ("+ FRIB + 2 trans.", Topology(n_ee, n_odd_stable + 1, 2)),
     ]
-    rows = [{"label": label, **_topology_row(top, args.nbkg)} for label, top in enumeration]
-    top = Topology(n_ee, len(odd) + len(args.add_isotope), args.transitions)
-    selected = dict(_topology_row(top, args.nbkg), N_bkg=args.nbkg)
+    rows = [{"label": label, **row(top)} for label, top in enumeration]
+    selected = dict(row(Topology(n_ee, len(odd) + len(args.add_isotope), args.transitions)), N_bkg=args.nbkg)
 
     lines = [
         "Experimental topologies for the rank-2 extraction",
@@ -283,19 +290,19 @@ def cmd_condition(args) -> int:
     """Condition numbers of the sampled three-isotope design: the summary
     as json or a table. The κ histogram is the csv output and is written
     to --out beside the json report; it is built only for those two."""
-    from .gkp import load_coefficients
-    from .montecarlo import kappa_draws, load_sampling_spec, summarize_kappa
+    from . import gkp, montecarlo, nucdata
 
-    chain, chain_path = _chain_from_args(args)
+    chain_path = resource_path(args.chain or "mo-chain-v1")
+    chain = nucdata.load_chain(chain_path)
     coeffs_path = resource_path(args.coeffs)
-    coeffs = load_coefficients(coeffs_path)
+    coeffs = gkp.load_coefficients(coeffs_path)
     spec_path = resource_path(args.spec)
-    spec = load_sampling_spec(spec_path)
+    spec = montecarlo.load_sampling_spec(spec_path)
     seed = args.seed if args.seed is not None else spec.seed
     samples = args.samples if args.samples is not None else spec.sample_count
 
-    kappas, excluded = kappa_draws(chain, coeffs, spec, sample_count=samples, seed=seed)
-    summary = summarize_kappa(kappas, excluded, seed)
+    kappas, excluded = montecarlo.kappa_draws(chain, coeffs, spec, sample_count=samples, seed=seed)
+    summary = montecarlo.summarize_kappa(kappas, excluded, seed)
     histogram = _histogram_csv(kappas) if args.format == "csv" or args.out else None
 
     lines = [
@@ -353,17 +360,18 @@ def _load_rhs_file(path: Path) -> dict[tuple[int, str], tuple[float, float]]:
 def cmd_extract(args) -> int:
     import numpy as np
 
-    from .gkp import build_design, extract, load_coefficients, precondition
+    from . import barriers, budget, gkp, nucdata
 
-    chain, chain_path = _chain_from_args(args, default="mo-chain-frib-synthetic-v1")
+    chain_path = resource_path(args.chain or "mo-chain-frib-synthetic-v1")
+    chain = nucdata.load_chain(chain_path)
     coeffs_path = resource_path(args.coeffs)
-    coeffs = load_coefficients(coeffs_path)
+    coeffs = gkp.load_coefficients(coeffs_path)
     anchors_path = resource_path(args.anchors)
-    anchors = load_anchors(anchors_path)
+    anchors = barriers.load_anchors(anchors_path)
     rhs_path = Path(args.rhs)
     rhs_rows = _load_rhs_file(rhs_path)
 
-    _, odd = partition(chain)
+    _, odd = nucdata.partition(chain)
     rhs_isotopes = sorted({A for A, _ in rhs_rows})
     rhs_transitions = sorted({transition for _, transition in rhs_rows})
     odd_used = [rec for rec in odd if rec.A in rhs_isotopes]
@@ -372,20 +380,20 @@ def cmd_extract(args) -> int:
         raise ValidationError(f"rhs references isotopes absent from the chain's odd subset: {sorted(missing)}")
     coeffs_used = coeffs.subset(rhs_transitions)
 
-    design = build_design(odd_used, coeffs_used)
+    design = gkp.build_design(odd_used, coeffs_used)
     missing_rows = [key for key in design.rows if key not in rhs_rows]
     if missing_rows:
         raise ValidationError(f"rhs file lacks entries for design rows: {missing_rows}")
     rhs, sigma = np.array([rhs_rows[key] for key in design.rows]).T
 
-    pre = precondition(design.with_rhs(rhs, sigma))
-    result = extract(pre)
+    pre = gkp.precondition(design.with_rhs(rhs, sigma))
+    result = gkp.extract(pre)
     # after the solve, so that an underdetermined design (no rhs edit cures
     # it) is refused first; leftover rows are of transitions blind to rank 2
     unused_rows = sorted(set(rhs_rows).difference(design.rows))
     if unused_rows:
         raise ValidationError(f"rhs file has entries that no design row uses: {unused_rows}")
-    bound = chi_bound_from_extraction(result, anchors.signal_anchor_eV)
+    bound = budget.chi_bound_from_extraction(result, anchors.signal_anchor_eV)
     result = result.with_chi_bound(bound)
 
     n_eq, n_unk = design.shape
@@ -423,8 +431,10 @@ def cmd_extract(args) -> int:
 # milestones / ramsey
 
 def cmd_milestones(args) -> int:
+    from . import budget
+
     ladder_path = resource_path(args.ladder)
-    ladder = load_milestones(ladder_path)
+    ladder = budget.load_milestones(ladder_path)
     lines = [
         "Sensitivity milestones",
         "",
@@ -438,7 +448,7 @@ def cmd_milestones(args) -> int:
         "era_boundary_eV": ladder.era_boundary_eV,
     }
     if args.target is not None:
-        row = milestone_lookup(args.target, ladder)
+        row = budget.milestone_lookup(args.target, ladder)
         lines += [
             "",
             f"Target {_sci(args.target)} eV -> dominant barrier: {row.dominant_barrier}; "
@@ -450,7 +460,9 @@ def cmd_milestones(args) -> int:
 
 
 def cmd_ramsey(args) -> int:
-    plan = ramsey_plan(args.half_life, args.tr, args.reps)
+    from . import budget
+
+    plan = budget.ramsey_plan(args.half_life, args.tr, args.reps)
     lines = ["Ramsey interrogation plan", ""]
     if plan.half_life_s is None:
         lines.append("species: stable")

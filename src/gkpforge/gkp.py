@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .angular import RANK2_MIN_J
 from .errors import (
     ConfigurationError,
     NumericalError,
@@ -78,7 +79,8 @@ class TransitionCoefficients:
     upper_j: Fraction = Fraction(3, 2)
 
     def rank2_sensitive(self) -> bool:
-        return self.upper_j >= Fraction(3, 2)
+        """Barrier (i) on the upper state alone: the coefficients file carries no channel."""
+        return self.upper_j >= RANK2_MIN_J
 
     def __post_init__(self):
         for name in ("H_eV_per_b", "P_eV_per_wu", "G_eV_per_lever"):

@@ -30,7 +30,6 @@ import os
 import sys
 from collections import OrderedDict
 from collections.abc import Mapping
-from importlib import resources as _importlib_resources
 from math import isfinite
 from pathlib import Path
 from types import MappingProxyType
@@ -52,9 +51,10 @@ RESOURCE_FILES = {
 
 @functools.cache
 def _bundled_data_dir() -> Path:
-    """The package's data directory; the install does not move while the
-    process runs, so it is resolved once."""
-    return Path(str(_importlib_resources.files("gkpforge") / "data"))
+    """The package's data directory, beside this module (gkpforge is a
+    regular package, so this is the path importlib.resources would give);
+    the install does not move while the process runs, so it is resolved once."""
+    return Path(__file__).parent / "data"
 
 
 def resource_path(name: str) -> Path:

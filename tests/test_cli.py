@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gkpforge import __version__, cli
 from gkpforge.cli import main
+from gkpforge.errors import NumericalError
 from gkpforge.nucdata import chain_to_csv, load_bundled_chain
 from gkpforge.resources import resource_path, schema_path
 
@@ -720,6 +722,24 @@ def test_overflowing_report_exit3(capsys, tmp_path):
         assert code == 3
         assert out == ""
         assert "non-finite number" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+def test_non_finite_report_names_its_key_and_writes_nothing(capsys, tmp_path, fmt):
+    chain = _frib_chain_with(tmp_path, lambda isotopes: isotopes[3]["Qs"].__setitem__("value", -1e308))
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, "budget", "--chain", chain, "--format", fmt, "--out", str(out_dir))
+    assert code == 3
+    assert out == ""
+    assert "non-finite number in 'entries'" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")], ids=repr)
+def test_finiteness_walk_looks_through_nested_containers(bad):
+    cli._refuse_non_finite({"a": [1, "x", None, (2.0, {"b": 3.5})], "c": True})
+    with pytest.raises(NumericalError, match="non-finite number in 'c'"):
+        cli._refuse_non_finite({"a": [1.0], "c": {"d": [(0.0, bad)]}})
 
 
 def test_empty_milestone_ladder_exit2(capsys, tmp_path):

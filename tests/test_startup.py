@@ -1,7 +1,8 @@
-"""Start-up boundaries: the closed-form commands run without numpy, and
-the numerical layers load lazily but behave as before.
+"""Start-up boundaries: each command loads only the layers it runs, the
+closed-form commands run without numpy, and the lazily loaded layers
+behave as before.
 
-Whether numpy is loaded can only be seen in a fresh interpreter, so each
+Which modules are loaded can only be seen in a fresh interpreter, so each
 case runs in its own child process.
 """
 
@@ -25,6 +26,19 @@ code = cli.main(sys.argv[1:])
 print(code, "numpy" in sys.modules)
 """
 
+# the gkpforge submodules loaded in the child, as a sorted list
+LOADED = "sorted(name.split('.', 1)[1] for name in sys.modules if name.startswith('gkpforge.'))"
+
+RUN_MAIN_QUIET = f"""
+import contextlib, io, sys
+from gkpforge import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *{LOADED})
+"""
+
+UNUSED_BY_CLOSED_FORM_PLANS = {"nucdata", "angular", "barriers", "topology", "gkp", "montecarlo"}
+
 
 def _child(code: str, *argv: str) -> str:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
@@ -37,6 +51,28 @@ def _child(code: str, *argv: str) -> str:
 @pytest.mark.parametrize("module", ["gkpforge", "gkpforge.cli"])
 def test_import_leaves_numpy_unloaded(module):
     assert _child(f"import sys, {module}; print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("gkpforge", ["errors"]),
+    ("gkpforge.cli", ["cli", "errors", "resources"]),
+], ids=["gkpforge", "gkpforge.cli"])
+def test_import_loads_no_layer(module, loaded):
+    assert _child(f"import sys, {module}; print({LOADED})") == str(loaded)
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["ramsey", "--half-life", "15.5", "--tr", "1"], UNUSED_BY_CLOSED_FORM_PLANS),
+    (["milestones", "--target", "1e-17"], UNUSED_BY_CLOSED_FORM_PLANS),
+    (["solvability", "--transitions", "2"], {"barriers", "budget", "gkp", "montecarlo"}),
+    (["budget"], {"topology", "gkp", "montecarlo"}),
+    (["condition", "--samples", "16"], {"barriers"}),
+    (["extract", "--rhs", str(resource_path("synthetic-rhs-noiseless-v1"))], {"montecarlo"}),
+], ids=["ramsey", "milestones", "solvability", "budget", "condition", "extract"])
+def test_commands_load_only_the_layers_they_run(argv, unused):
+    code, *loaded = _child(RUN_MAIN_QUIET, *argv, "--format", "json").split()
+    assert code == "0"
+    assert unused.isdisjoint(loaded), sorted(unused.intersection(loaded))
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -64,11 +100,12 @@ def test_solving_commands_load_numpy(argv):
 def test_lazy_submodules_resolve_after_bare_import():
     code = (
         "import gkpforge\n"
-        "gkp, montecarlo = gkpforge.gkp, gkpforge.montecarlo\n"
+        "names = [getattr(gkpforge, name).__name__ for name in gkpforge._LAZY_SUBMODULES]\n"
         "from gkpforge import topology\n"
-        "print(gkp.__name__, montecarlo.__name__, gkp.solvable is topology.solvable)"
+        "print(*names, gkpforge.gkp.solvable is topology.solvable)"
     )
-    assert _child(code) == "gkpforge.gkp gkpforge.montecarlo True"
+    assert _child(code) == ("gkpforge.angular gkpforge.barriers gkpforge.budget gkpforge.gkp "
+                            "gkpforge.montecarlo gkpforge.nucdata True")
 
 
 def test_package_namespace_unchanged():
