@@ -31,6 +31,7 @@ __all__ = [
     "gkp",
     "montecarlo",
     "nucdata",
+    "topology",
     "GkpforgeError",
     "ValidationError",
     "ConfigurationError",
@@ -42,7 +43,7 @@ __all__ = [
 
 # every layer loads on first use, so that a command loads only the layers
 # it runs (and the closed-form commands start without numpy)
-_LAZY_SUBMODULES = ("angular", "barriers", "budget", "gkp", "montecarlo", "nucdata")
+_LAZY_SUBMODULES = ("angular", "barriers", "budget", "gkp", "montecarlo", "nucdata", "topology")
 
 
 def __getattr__(name: str):

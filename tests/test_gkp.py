@@ -360,7 +360,11 @@ def test_closed_form_matches_the_expression_oracle_on_shipped_draws(mo_chain, co
         assert np.array_equal(kappa, reference_kappa) and np.array_equal(trusted, reference_trusted)
 
 
-@pytest.mark.parametrize("samples", [1, 1023, 1025, 4096, 4097, 10_000])
+_BATCH = montecarlo.KAPPA_BATCH
+
+
+@pytest.mark.parametrize("samples", [1, 1023, 1025, 4096, 4097, 10_000,
+                                     _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + montecarlo.BLOCK_SIZE + 1])
 def test_kappa_draws_equal_the_kappa_of_each_draw_alone(mo_chain, coeffs, monkeypatch, samples):
     batches, kappas = _shipped_blocks(mo_chain, coeffs, monkeypatch, samples)
     starts = range(0, samples, montecarlo.KAPPA_BATCH)

@@ -21,6 +21,7 @@ from gkpforge.gkp import (
 )
 from gkpforge.montecarlo import (
     BLOCK_SIZE,
+    MAX_REJECTION_ROUNDS,
     ParameterSpec,
     SamplingSpec,
     _block_rng,
@@ -95,6 +96,72 @@ def test_unguarded_draw_is_the_first_draw(distribution, bounds):
     values, rejected = _draw_guarded(param, _block_rng(7, 3), 1000)
     assert rejected == 0
     assert np.array_equal(values, param.draw(_block_rng(7, 3), 1000))
+
+
+class _RecordingRng:
+    """Generator wrapper that records the size of every draw it is asked for."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.sizes = []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def record(*args):
+            self.sizes.append(args[-1])
+            return method(*args)
+        return record
+
+
+def _draw_guarded_full_rescan(param, rng, size):
+    """Reference guarded draw that re-tests every value in every round."""
+    values = param.draw(rng, size)
+    rejected = 0
+    for _ in range(MAX_REJECTION_ROUNDS):
+        bad = np.abs(values) < param.exclude_abs_below
+        count = int(bad.sum())
+        if not count:
+            return values, rejected
+        rejected += count
+        values[bad] = param.draw(rng, count)
+    raise AssertionError("the reference draw ran out of rounds")
+
+
+# each band rejects half of its distribution's support
+@pytest.mark.parametrize("distribution, bounds, band", [
+    ("uniform", {"low": -1.0, "high": 1.0}, 0.5),
+    ("log-uniform", {"low": 1e-3, "high": 1e3}, 1.0),
+    ("gaussian", {"mean": 0.0, "sigma": 1.0}, 0.6744897501960817),
+])
+@pytest.mark.parametrize("size", [1, 1024, 5000])
+def test_guarded_draw_equals_the_full_rescan(distribution, bounds, band, size):
+    param = ParameterSpec(name="x", distribution=distribution, exclude_abs_below=band, **bounds)
+    rng, reference_rng = _RecordingRng(_block_rng(7, size)), _RecordingRng(_block_rng(7, size))
+    values, rejected = _draw_guarded(param, rng, size)
+    expected, expected_rejected = _draw_guarded_full_rescan(param, reference_rng, size)
+    assert values.tobytes() == expected.tobytes() and rejected == expected_rejected
+    assert rng.sizes == reference_rng.sizes  # the same draws, of the same sizes, in the same order
+    assert len(rng.sizes) >= 5 or size == 1  # several rejection rounds ran
+    assert rng.rng.random(8).tobytes() == reference_rng.rng.random(8).tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 1_000, 1_001, 20_000, 20_001])
+@pytest.mark.parametrize("rounded", [False, True], ids=["distinct", "ties"])
+def test_summary_statistics_equal_numpy_on_unsorted_draws(size, rounded):
+    rng = np.random.default_rng(size)
+    kappas = 1.0 + rng.lognormal(2.0, 1.0, size)
+    if rounded:
+        kappas = np.round(kappas, 1)
+    if size > 1:  # rank-deficient and failed draws, kept out of every statistic
+        kappas[::7] = np.inf
+        kappas[3::11] = np.nan
+    finite = kappas[np.isfinite(kappas)]  # unsorted, in draw order
+    summary = summarize_kappa(kappas, 0.0, 1)
+    p5, p95 = np.percentile(finite, [5, 95])
+    assert (summary.mean, summary.median, summary.p5, summary.p95) == (
+        float(finite.mean()), float(np.median(finite)), float(p5), float(p95))
+    assert summary.std == (float(finite.std(ddof=1)) if finite.size > 1 else 0.0)
 
 
 def test_summary_leaves_its_input_untouched(mo_chain, coeffs, sampling_spec):

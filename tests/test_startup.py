@@ -105,12 +105,17 @@ def test_lazy_submodules_resolve_after_bare_import():
         "print(*names, gkpforge.gkp.solvable is topology.solvable)"
     )
     assert _child(code) == ("gkpforge.angular gkpforge.barriers gkpforge.budget gkpforge.gkp "
-                            "gkpforge.montecarlo gkpforge.nucdata True")
+                            "gkpforge.montecarlo gkpforge.nucdata gkpforge.topology True")
+
+
+def test_bare_import_reads_topology_alone():
+    code = f"import sys, gkpforge; top = gkpforge.topology; print(top.__name__, 'numpy' in sys.modules, *{LOADED})"
+    assert _child(code) == "gkpforge.topology False errors topology"
 
 
 def test_package_namespace_unchanged():
     assert gkpforge.__all__ == [
-        "__version__", "angular", "barriers", "budget", "gkp", "montecarlo", "nucdata",
+        "__version__", "angular", "barriers", "budget", "gkp", "montecarlo", "nucdata", "topology",
         "GkpforgeError", "ValidationError", "ConfigurationError", "RefusalError",
         "UnderdeterminedError", "RankDeficiencyError", "NumericalError",
     ]
