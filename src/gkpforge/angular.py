@@ -46,9 +46,11 @@ __all__ = [
     "default_channels",
 ]
 
-# bounds of the two memos, in distinct 6j classes and distinct (2I, 2j)
+# bounds of the memos, in distinct 6j classes, distinct (2I, 2j) and
+# distinct 2p fine-structure gaps
 SIXJ_MEMO_SIZE = 1024
 LADDER_MEMO_SIZE = 256
+CHANNELS_MEMO_SIZE = 32
 
 # barrier (i), Wigner-Eckart: only a state with j >= 3/2 has a diagonal
 # rank-2 matrix element; every rank-2-sensitivity test reads this
@@ -270,11 +272,13 @@ def centroid(levels: Sequence[HyperfineLevel]) -> float:
     return sum(w * lvl.shift_eV for w, lvl in zip(weights, levels)) / sum(weights)
 
 
+@functools.lru_cache(maxsize=CHANNELS_MEMO_SIZE, typed=True)
 def default_channels(fs_gap_2p_eV: float = 150.0) -> tuple[ElectronicChannel, ...]:
     """The hydrogen-like channel set used by the bundled Mo analyses.
 
     The 3d gap is a Dirac-scaling estimate from the 2p interval; only the
-    2p gap enters any bundled computation.
+    2p gap enters any bundled computation. The channels are frozen, so each
+    gap's set is validated once and shared; a refused gap is not kept.
     """
     return (
         ElectronicChannel(n=1, l=0, j=Fraction(1, 2), label="1s1/2"),

@@ -27,7 +27,7 @@ import math
 import sys
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .angular import ElectronicChannel
@@ -60,7 +60,6 @@ class AnchorSet:
     name: str
     Z: int
     probe_A: int
-    R_N_fm: float
     signal_anchor_eV: float
     f_tilde_nominal: float
     f_tilde_band: tuple[float, float]
@@ -129,7 +128,6 @@ def _anchors_from_json(obj: dict, path: Path) -> AnchorSet:
         name=json_field(obj, "name", "string", where),
         Z=json_field(obj, "Z", "integer", where),
         probe_A=json_field(obj, "probe_A", "integer", where),
-        R_N_fm=json_field(obj, "R_N_fm", "number", where),
         signal_anchor_eV=json_field(signal, "anchor_output_eV", "number", f"{where}: signal_anchor"),
         f_tilde_nominal=json_field(f_tilde, "nominal_raw", "number", f"{where}: f_tilde"),
         f_tilde_band=tuple(json_field({"band_raw": edge}, "band_raw", "number", f"{where}: f_tilde")
@@ -199,25 +197,28 @@ def gravitomagnetic_shift(model: SignalModel, rec: IsotopeRecord) -> float:
     chi * (f_tilde / nominal) * (I^2/M) / (I_ref^2/M_ref) * baseline.
     Even-even isotopes (I = 0) give exactly zero.
     """
+    return _shifts(model, rec, (model.f_tilde,))[0]
+
+
+def _shifts(model: SignalModel, rec: IsotopeRecord, f_tildes) -> list[float]:
+    """gravitomagnetic_shift of rec at each form factor, in one product order."""
     if not model.calibrated:
         raise ConfigurationError("signal model is not calibrated (baseline_shift_eV <= 0)")
     lever_ratio = spin_mass_lever(rec) / model.reference_spin_sq_over_mass
-    return model.chi * (model.f_tilde / model.f_tilde_nominal) * lever_ratio * model.baseline_shift_eV
+    return [model.chi * (f / model.f_tilde_nominal) * lever_ratio * model.baseline_shift_eV for f in f_tildes]
 
 
 def signal_band(model: SignalModel, rec: IsotopeRecord, points: int = 9) -> list[tuple[float, float]]:
     """(f_tilde, shift) pairs over the form-factor band, log-spaced.
 
-    With the nominal calibration the reference isotope spans about
-    [1e-22, 1e-20] eV across the two-decade band.
+    The first and last form factors are the band's edges exactly, and none
+    lies outside them. With the nominal calibration the reference isotope
+    spans about [1e-22, 1e-20] eV across the two-decade band.
     """
     lo, hi = model.f_tilde_band
-    out = []
-    for k in range(points):
-        f = lo * (hi / lo) ** (k / (points - 1)) if points > 1 else lo
-        swept = replace(model, f_tilde=f)
-        out.append((f, gravitomagnetic_shift(swept, rec)))
-    return out
+    inside = [min(lo * (hi / lo) ** (k / (points - 1)), hi) for k in range(1, points - 1)]
+    f_tildes = [lo, *inside, hi][:max(points, 0)]
+    return list(zip(f_tildes, _shifts(model, rec, f_tildes)))
 
 
 def qed_correction(model: SignalModel, beta2_variation: float) -> tuple[float, float]:

@@ -164,8 +164,11 @@ def spin_mass_lever(rec: IsotopeRecord) -> float:
 
     This is the per-isotope factor multiplying the gravitomagnetic
     coupling in the rank-2 decomposition; even-even isotopes give zero.
+    With I = p/q, int true division of p*p by q*q*A is correctly rounded:
+    the float of the exact rational, without building a Fraction.
     """
-    return float(Fraction(rec.spin**2, 1) / rec.A)
+    p, q = rec.spin.numerator, rec.spin.denominator
+    return p * p / (q * q * rec.A)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 
 from gkpforge import angular
 from gkpforge.angular import (
+    CHANNELS_MEMO_SIZE,
     LADDER_MEMO_SIZE,
     SIXJ_MEMO_SIZE,
     ElectronicChannel,
@@ -196,6 +197,15 @@ def test_hfs_e2_levels_identical_to_fraction_ladder(B):
 def test_memos_are_bounded_by_their_module_constants():
     assert angular._racah.cache_parameters()["maxsize"] == SIXJ_MEMO_SIZE == 1024
     assert angular._ladder.cache_parameters()["maxsize"] == LADDER_MEMO_SIZE == 256
+
+
+def test_default_channels_are_built_once_per_gap_and_a_refused_gap_every_time():
+    assert default_channels.cache_parameters()["maxsize"] == CHANNELS_MEMO_SIZE == 32
+    assert default_channels(150.0) is default_channels(150.0)
+    assert default_channels(150.0) == default_channels.__wrapped__(150.0)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="fine-structure gap must be positive"):
+            default_channels(-1.0)
 
 
 def test_a_refused_argument_raises_on_every_call():

@@ -4,8 +4,11 @@ import dataclasses
 import json
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -714,6 +717,33 @@ def test_anchor_band_edge_beyond_float_range_exit2(capsys, tmp_path):
     assert "expected a number" in err
 
 
+# 0.3 * (7.1 / 0.3) ** 1.0 is 7.1000000000000005, and across a band one ulp
+# wide the fourth of five log-spaced points rounds one ulp past the upper edge
+@pytest.mark.parametrize("lo, hi, nominal", [(0.3, 7.1, 1.0),
+                                             (0.9476572718746066, 0.9476572718746067, 0.9476572718746066)],
+                         ids=["last-point", "inner-point"])
+def test_budget_band_that_the_log_sweep_rounds_past_exits_0(capsys, tmp_path, lo, hi, nominal):
+    def band(obj):
+        obj["f_tilde"]["band_raw"] = [lo, hi]
+        obj["f_tilde"]["nominal_raw"] = nominal
+
+    anchors = _edited_resource(tmp_path, "mo41-anchors-v1", band)
+    code, out, err = _run(capsys, "budget", "--anchors", anchors, "--format", "json")
+    assert (code, err) == (0, "")
+    f_tildes = [f for f, _ in json.loads(out)["signal_band_eV"]]
+    assert f_tildes[0] == lo and f_tildes[-1] == hi
+    assert f_tildes == sorted(f_tildes)
+
+
+def test_anchor_file_without_R_N_fm_runs(capsys, tmp_path):
+    anchors = _edited_resource(tmp_path, "mo41-anchors-v1", lambda obj: obj.pop("R_N_fm"))
+    code, report = _run_json(capsys, "budget", "--anchors", anchors)
+    assert code == 0
+    _, shipped = _run_json(capsys, "budget")
+    assert {k: v for k, v in report.items() if k != "manifest"} == {
+        k: v for k, v in shipped.items() if k != "manifest"}
+
+
 def test_overflowing_report_exit3(capsys, tmp_path):
     # a finite Qs whose square overflows the second-order hyperfine residual
     chain = _frib_chain_with(tmp_path, lambda isotopes: isotopes[3]["Qs"].__setitem__("value", -1e308))
@@ -737,9 +767,77 @@ def test_non_finite_report_names_its_key_and_writes_nothing(capsys, tmp_path, fm
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")], ids=repr)
 def test_finiteness_walk_looks_through_nested_containers(bad):
-    cli._refuse_non_finite({"a": [1, "x", None, (2.0, {"b": 3.5})], "c": True})
+    cli._json_text({"a": [1, "x", None, (2.0, {"b": 3.5})], "c": True})
     with pytest.raises(NumericalError, match="non-finite number in 'c'"):
-        cli._refuse_non_finite({"a": [1.0], "c": {"d": [(0.0, bad)]}})
+        cli._json_text({"a": [1.0], "c": {"d": [(0.0, bad)]}})
+
+
+_ODD_STRINGS = ("", "plain", "\u00e9t\u00e9 \u00fc \u03c7\u2212 1", "\x00\x1f\x7f\"\\/\n\r\t\b\f",
+                "\U0001f600 \ud800", "\u2028\u2029")
+_ODD_LEAVES = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               2.2250738585072014e-308, 1e16, 1e-7, 0.1, np.float64(0.1), np.float64(-2.5e-300),
+               np.float64(-0.0), 0, -1, 2 ** 63, -(10 ** 40), 10 ** 300, True, False, None, *_ODD_STRINGS)
+
+
+def _random_json_value(rng, depth=0):
+    roll = rng.random()
+    if depth < 4 and roll < 0.25:
+        keys = [rng.choice(_ODD_STRINGS) + str(rng.randrange(50)) for _ in range(rng.randrange(5))]
+        return {key: _random_json_value(rng, depth + 1) for key in keys}
+    if depth < 4 and roll < 0.5:
+        items = [_random_json_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+        return tuple(items) if rng.random() < 0.3 else items
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice(_ODD_LEAVES)
+    if kind == 1:  # any finite double, subnormals included
+        value = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        return value if math.isfinite(value) else rng.uniform(-1e3, 1e3)
+    if kind == 2:
+        return rng.randint(-(2 ** 80), 2 ** 80)
+    return "".join(chr(rng.choice((rng.randrange(0x20), rng.randrange(0x20, 0x7f), rng.randrange(0x80, 0xd800),
+                                   rng.randrange(0xe000, 0x110000)))) for _ in range(rng.randrange(8)))
+
+
+def test_json_writer_gives_the_bytes_of_json_dumps():
+    rng = random.Random(20250809)
+    for _ in range(400):
+        report = {rng.choice(_ODD_STRINGS) + str(k): _random_json_value(rng) for k in range(rng.randrange(1, 6))}
+        assert cli._json_text(report) == json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    for empty in ({}, {"a": {}, "b": [], "c": ()}):
+        assert cli._json_text(empty) == json.dumps(empty, indent=2, sort_keys=True, allow_nan=False)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), {1, 2}, Fraction(1, 2), b"bytes", [[np.int32(0)]]],
+                         ids=["int64", "set", "Fraction", "bytes", "nested-int32"])
+def test_json_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps({"a": value}, indent=2, sort_keys=True, allow_nan=False)
+    with pytest.raises(TypeError):
+        cli._json_text({"a": value})
+
+
+def test_json_writer_refuses_non_str_keys_which_json_would_convert():
+    # a narrowing: json.dumps writes {1: 2} as {"1": 2}; no report has such a key
+    assert json.dumps({"a": {1: 2}}, sort_keys=True) == '{"a": {"1": 2}}'
+    with pytest.raises(TypeError, match="keys must be str"):
+        cli._json_text({"a": {1: 2}})
+
+
+def test_json_writer_does_not_look_for_a_container_that_holds_itself():
+    # a narrowing: json.dumps names the cycle; no report holds one
+    looped = []
+    looped.append(looped)
+    with pytest.raises(ValueError, match="Circular reference"):
+        json.dumps({"a": looped}, indent=2, sort_keys=True, allow_nan=False)
+    with pytest.raises(RecursionError):
+        cli._json_text({"a": looped})
+
+
+def test_json_writer_names_the_first_non_finite_key_in_report_order():
+    # sorted, 'a' is written first; in report order 'b' holds the first NaN
+    with pytest.raises(NumericalError, match="non-finite number in 'b'"):
+        cli._json_text({"b": {"x": [0.0, math.nan]}, "a": math.inf})
 
 
 def test_empty_milestone_ladder_exit2(capsys, tmp_path):

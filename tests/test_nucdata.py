@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -174,6 +175,13 @@ def test_spin_mass_lever(mo_chain):
     rec91 = IsotopeRecord(A=91, Z=42, spin=Fraction(9, 2), parity=+1,
                           r_ch=Measured(4.308), Qs=Measured(0.5), half_life_s=930.0)
     assert spin_mass_lever(rec91) == pytest.approx(20.25 / 91, rel=1e-15)
+
+
+def test_spin_mass_lever_is_the_float_of_the_exact_rational():
+    for twice_spin in range(42):
+        for A in range(1, 300):
+            rec = SimpleNamespace(spin=Fraction(twice_spin, 2), A=A)
+            assert spin_mass_lever(rec) == float(Fraction(twice_spin * twice_spin, 4 * A))
 
 
 def test_qs_on_spinless_isotope_rejected():
