@@ -46,11 +46,9 @@ __all__ = [
     "default_channels",
 ]
 
-# bounds of the memos, in distinct 6j classes, distinct (2I, 2j) and
-# distinct 2p fine-structure gaps
+# bounds of the memos, in distinct 6j classes and distinct (2I, 2j)
 SIXJ_MEMO_SIZE = 1024
 LADDER_MEMO_SIZE = 256
-CHANNELS_MEMO_SIZE = 32
 
 # barrier (i), Wigner-Eckart: only a state with j >= 3/2 has a diagonal
 # rank-2 matrix element; every rank-2-sensitivity test reads this
@@ -164,17 +162,12 @@ def _racah(alphas: tuple[int, ...], betas: tuple[int, ...]) -> float:
 
 @dataclass(frozen=True)
 class ElectronicChannel:
-    """One atomic state/transition channel of a hydrogen-like ion.
-
-    fs_gap_eV is the interval to the fine-structure partner level; it is
-    None for s states, which have no partner.
-    """
+    """One atomic state/transition channel of a hydrogen-like ion."""
 
     n: int
     l: int
     j: Fraction
     label: str
-    fs_gap_eV: float | None = None
 
     def __post_init__(self):
         j = parse_half_integer(self.j, "j")
@@ -183,8 +176,6 @@ class ElectronicChannel:
             raise ValidationError(f"channel {self.label!r}: requires n > l >= 0")
         if abs(Fraction(self.l) - Fraction(1, 2)) > j or j > self.l + Fraction(1, 2):
             raise ValidationError(f"channel {self.label!r}: j={j} incompatible with l={self.l}")
-        if self.fs_gap_eV is not None and self.fs_gap_eV <= 0:
-            raise ValidationError(f"channel {self.label!r}: fine-structure gap must be positive")
 
     def rank2_sensitive(self) -> bool:
         """A diagonal rank-2 matrix element needs j >= RANK2_MIN_J."""
@@ -272,18 +263,14 @@ def centroid(levels: Sequence[HyperfineLevel]) -> float:
     return sum(w * lvl.shift_eV for w, lvl in zip(weights, levels)) / sum(weights)
 
 
-@functools.lru_cache(maxsize=CHANNELS_MEMO_SIZE, typed=True)
-def default_channels(fs_gap_2p_eV: float = 150.0) -> tuple[ElectronicChannel, ...]:
-    """The hydrogen-like channel set used by the bundled Mo analyses.
-
-    The 3d gap is a Dirac-scaling estimate from the 2p interval; only the
-    2p gap enters any bundled computation. The channels are frozen, so each
-    gap's set is validated once and shared; a refused gap is not kept.
-    """
+@functools.cache
+def default_channels() -> tuple[ElectronicChannel, ...]:
+    """The hydrogen-like channel set used by the bundled Mo analyses. The
+    channels are frozen, so the set is validated once and shared."""
     return (
         ElectronicChannel(n=1, l=0, j=Fraction(1, 2), label="1s1/2"),
         ElectronicChannel(n=2, l=0, j=Fraction(1, 2), label="2s1/2"),
-        ElectronicChannel(n=2, l=1, j=Fraction(1, 2), label="2p1/2", fs_gap_eV=fs_gap_2p_eV),
-        ElectronicChannel(n=2, l=1, j=Fraction(3, 2), label="2p3/2", fs_gap_eV=fs_gap_2p_eV),
-        ElectronicChannel(n=3, l=2, j=Fraction(5, 2), label="3d5/2", fs_gap_eV=14.8),
+        ElectronicChannel(n=2, l=1, j=Fraction(1, 2), label="2p1/2"),
+        ElectronicChannel(n=2, l=1, j=Fraction(3, 2), label="2p3/2"),
+        ElectronicChannel(n=3, l=2, j=Fraction(5, 2), label="3d5/2"),
     )

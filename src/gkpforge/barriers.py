@@ -78,10 +78,11 @@ class AnchorSet:
         if not 1 <= self.Z < 1 / FINE_STRUCTURE_ALPHA:
             raise ValidationError(f"anchor set {self.name!r}: Z = {self.Z} is outside [1, 1/alpha)")
         # the anchors that divide: a zero or subnormal one overflows the ratio
-        for name in ("signal_anchor_eV", "hfs_e2_anchor_Qs_b", "tnp_anchor_BE2_wu",
-                     "fs_gap_eV", "f_tilde_nominal"):
+        for name in ("signal_anchor_eV", "hfs_e2_anchor_Qs_b", "tnp_anchor_BE2_wu", "f_tilde_nominal"):
             if not abs(getattr(self, name)) >= sys.float_info.min:
                 raise ValidationError(f"anchor set {self.name!r}: {name} must be nonzero and not subnormal")
+        if not self.fs_gap_eV >= sys.float_info.min:
+            raise ValidationError(f"anchor set {self.name!r}: fs_gap_eV must be positive and not subnormal")
         band_lo, band_hi = self.f_tilde_band
         if not 0 < band_lo <= self.f_tilde_nominal <= band_hi < math.inf:
             raise ValidationError(
@@ -348,13 +349,12 @@ def build_budget(chain: IsotopeChain, channels, anchors: AnchorSet,
     if not rank2_channels:
         raise ConfigurationError("no rank-2-sensitive channel (j >= 3/2) available for the budget")
     channel = rank2_channels[0]
-    fs_gap = channel.fs_gap_eV if channel.fs_gap_eV is not None else anchors.fs_gap_eV
 
     hfs1_raw = abs(hfs_e2_first_order(probe, channel, (anchors.hfs_e2_anchor_Qs_b, anchors.hfs_e2_anchor_eV)))
     tnp_calib = anchors.tnp_anchor_BE2_wu, anchors.tnp_anchor_eV
     current, projected = anchors.scenario("current"), anchors.scenario("projected")
-    hfs2_raw, hfs2_current = hfs_second_order(hfs1_raw, fs_gap, current["hfs2_theory_fraction"])
-    _, hfs2_projected = hfs_second_order(hfs1_raw, fs_gap, projected["hfs2_theory_fraction"])
+    hfs2_raw, hfs2_current = hfs_second_order(hfs1_raw, anchors.fs_gap_eV, current["hfs2_theory_fraction"])
+    _, hfs2_projected = hfs_second_order(hfs1_raw, anchors.fs_gap_eV, projected["hfs2_theory_fraction"])
     tnp_raw, tnp_current = tnp_shift(probe, tnp_calib, current["tnp_knowledge_fraction"])
     _, tnp_projected = tnp_shift(probe, tnp_calib, projected["tnp_knowledge_fraction"])
 

@@ -70,7 +70,11 @@ def _timestamp() -> str:
         return pinned
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch:
-        return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+        try:
+            return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+        except (ValueError, OverflowError, OSError):
+            raise ValidationError(f"SOURCE_DATE_EPOCH={epoch!r} must be a whole number of seconds "
+                                  "since the Unix epoch, within the range of a date") from None
     return datetime.now(tz=timezone.utc).isoformat()
 
 
@@ -207,12 +211,11 @@ def _emit(report: dict, table: str, args, csv_text: str | None = None) -> None:
 def cmd_budget(args) -> int:
     from . import angular, barriers, budget, nucdata
 
-    chain_path = resource_path(args.chain or "mo-chain-v1")
+    chain_path = resource_path(args.chain)
     chain = nucdata.load_chain(chain_path)
     anchors_path = resource_path(args.anchors)
     anchors = barriers.load_anchors(anchors_path)
-    channels = angular.default_channels(anchors.fs_gap_eV)
-    result = barriers.build_budget(chain, channels, anchors, scenario=args.scenario, probe_A=args.probe)
+    result = barriers.build_budget(chain, angular.default_channels(), anchors, scenario=args.scenario, probe_A=args.probe)
 
     model = barriers.SignalModel.from_anchors(anchors, chain)
     probe = chain.isotope(result.probe_A)
@@ -273,7 +276,7 @@ def cmd_solvability(args) -> int:
             "verdict": topology.solvability_verdict(top, args.nbkg),
         }
 
-    chain_path = resource_path(args.chain or "mo-chain-v1")
+    chain_path = resource_path(args.chain)
     chain = nucdata.load_chain(chain_path)
     counted = {r.A for r in chain.records}
     for A in args.add_isotope:
@@ -352,7 +355,7 @@ def cmd_condition(args) -> int:
     to --out beside the json report; it is built only for those two."""
     from . import gkp, montecarlo, nucdata
 
-    chain_path = resource_path(args.chain or "mo-chain-v1")
+    chain_path = resource_path(args.chain)
     chain = nucdata.load_chain(chain_path)
     coeffs_path = resource_path(args.coeffs)
     coeffs = gkp.load_coefficients(coeffs_path)
@@ -422,7 +425,7 @@ def cmd_extract(args) -> int:
 
     from . import barriers, budget, gkp, nucdata
 
-    chain_path = resource_path(args.chain or "mo-chain-frib-synthetic-v1")
+    chain_path = resource_path(args.chain)
     chain = nucdata.load_chain(chain_path)
     coeffs_path = resource_path(args.coeffs)
     coeffs = gkp.load_coefficients(coeffs_path)
@@ -454,7 +457,6 @@ def cmd_extract(args) -> int:
     if unused_rows:
         raise ValidationError(f"rhs file has entries that no design row uses: {unused_rows}")
     bound = budget.chi_bound_from_extraction(result, anchors.signal_anchor_eV)
-    result = result.with_chi_bound(bound)
 
     n_eq, n_unk = design.shape
     lines = [
@@ -480,6 +482,7 @@ def cmd_extract(args) -> int:
         "rows": [list(key) for key in design.rows],
         "design": pre.to_json_dict(),
         **result.to_json_dict(),
+        "chi_bound": bound,
         "signal_at_chi1_eV": anchors.signal_anchor_eV,
         "alpha_t_convention": coeffs.alpha_t_convention,
     }
@@ -585,11 +588,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--chain", default=None, metavar="PATH",
-                        help="chain file or bundled resource name (default: bundled Mo chain)")
     common.add_argument("--out", default=None, metavar="DIR", help="directory for JSON/CSV artifacts")
     common.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    common.add_argument("--seed", type=_int_at_least(0), default=None, metavar="U64")
+    chain_help = "chain file or bundled resource name (default: %(default)s)"
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -597,6 +598,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchors", default="mo41-anchors-v1", metavar="PATH")
     p.add_argument("--scenario", choices=["current", "projected"], default="current")
     p.add_argument("--probe", type=int, default=None, metavar="A")
+    p.add_argument("--chain", default="mo-chain-v1", metavar="PATH", help=chain_help)
     p.set_defaults(handler=cmd_budget)
 
     p = sub.add_parser("solvability", parents=[common], help="topology counting for the rank-2 extraction")
@@ -604,18 +606,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nbkg", type=int, default=2, metavar="K")
     p.add_argument("--add-isotope", type=int, action="append", default=[], metavar="A",
                    help="count an additional odd isotope (topology counting only)")
+    p.add_argument("--chain", default="mo-chain-v1", metavar="PATH", help=chain_help)
     p.set_defaults(handler=cmd_solvability)
 
     p = sub.add_parser("condition", parents=[common], help="Monte Carlo conditioning of the design matrix")
     p.add_argument("--spec", default="mo91-sampling-v1", metavar="PATH")
     p.add_argument("--coeffs", default="mo41-coeffs-v1", metavar="PATH")
     p.add_argument("--samples", type=_int_at_least(1), default=None, metavar="N")
+    p.add_argument("--seed", type=_int_at_least(0), default=None, metavar="U64")
+    p.add_argument("--chain", default="mo-chain-v1", metavar="PATH", help=chain_help)
     p.set_defaults(handler=cmd_condition)
 
     p = sub.add_parser("extract", parents=[common], help="weighted rank-2 extraction from an rhs file")
     p.add_argument("--coeffs", default="mo41-coeffs-v1", metavar="PATH")
     p.add_argument("--anchors", default="mo41-anchors-v1", metavar="PATH")
     p.add_argument("--rhs", required=True, metavar="PATH")
+    p.add_argument("--chain", default="mo-chain-frib-synthetic-v1", metavar="PATH", help=chain_help)
     p.set_defaults(handler=cmd_extract)
 
     p = sub.add_parser("milestones", parents=[common], help="sensitivity milestone ladder and lookup")

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .angular import RANK2_MIN_J
+from .angular import RANK2_MIN_J, ElectronicChannel
 from .errors import (
     ConfigurationError,
     NumericalError,
@@ -136,12 +136,22 @@ def _coefficients_from_json(obj: dict, path: Path) -> ElectronicCoefficients:
         context = f"{where}: transition {k}"
         if type(t) is not dict:
             raise ValidationError(f"{context} is not an object")
+        label = json_field(t, "label", "string", context)
+        upper = json_field(t, "upper", "object", context)
+        upper_context = f"{context} upper"
+        n = json_field(upper, "n", "integer", upper_context)
+        l = json_field(upper, "l", "integer", upper_context)
+        j = json_spin(upper, "j", upper_context)
+        try:
+            ElectronicChannel(n=n, l=l, j=j, label=label)
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: upper state of {exc}") from None
         transitions.append(TransitionCoefficients(
-            label=json_field(t, "label", "string", context),
+            label=label,
             H_eV_per_b=json_field(t, "H_eV_per_b", "number", context),
             P_eV_per_wu=json_field(t, "P_eV_per_wu", "number", context),
             G_eV_per_lever=json_field(t, "G_eV_per_lever", "number", context),
-            upper_j=json_spin(json_field(t, "upper", "object", context), "j", f"{context} upper"),
+            upper_j=j,
         ))
     return ElectronicCoefficients(
         name=json_field(obj, "name", "string", where),
@@ -502,10 +512,6 @@ class ExtractionResult:
     background_estimates: tuple[tuple[str, float, float], ...]
     condition_number: float
     residual_norm_eV: float
-    chi_bound: float | None = None
-
-    def with_chi_bound(self, bound: float) -> "ExtractionResult":
-        return replace(self, chi_bound=bound)
 
     def to_json_dict(self) -> dict:
         return {
@@ -517,7 +523,6 @@ class ExtractionResult:
             ],
             "condition_number": self.condition_number,
             "residual_norm_eV": self.residual_norm_eV,
-            "chi_bound": self.chi_bound,
         }
 
 

@@ -216,7 +216,10 @@ def kappa_draws(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: Sampl
     fixed = build_design((chain.isotope(95), chain.isotope(97)), coeffs.subset([transition.label]))
     lever91 = float(Fraction(81, 4) / 91)
 
-    kappas = np.empty(n)
+    try:
+        kappas = np.empty(n)
+    except (ValueError, MemoryError):  # numpy refuses the size, or it cannot be allocated
+        raise ValidationError(f"sample_count {n} is too large: its kappa array cannot be allocated") from None
     rejected_total = 0
     for batch_start in range(0, n, KAPPA_BATCH):
         batch_len = min(KAPPA_BATCH, n - batch_start)

@@ -128,7 +128,6 @@ class IsotopeRecord:
     BE2_up: Measured | None = None
     delta_r2: Measured | None = None
     half_life_s: float | None = None
-    beta4: Measured | None = None
 
     def __post_init__(self):
         tag = f"isotope A={self.A}"
@@ -267,7 +266,6 @@ def _record_from_csv_row(row: dict, lineno: int) -> IsotopeRecord:
         half_life_s = float(half_life) if half_life else None
     except ValueError:
         raise ValidationError(f"{ctx} field half_life_s: {half_life!r} is not a number") from None
-    beta4 = row.get("beta4", "")
     return IsotopeRecord(
         A=A,
         Z=Z,
@@ -279,7 +277,6 @@ def _record_from_csv_row(row: dict, lineno: int) -> IsotopeRecord:
         BE2_up=_measured_or_none(row.get("BE2_up", ""), f"{ctx} field BE2_up"),
         delta_r2=_measured_or_none(row.get("delta_r2", ""), f"{ctx} field delta_r2"),
         half_life_s=half_life_s,
-        beta4=_measured_or_none(beta4, f"{ctx} field beta4") if beta4 is not None else None,
     )
 
 
@@ -343,7 +340,6 @@ def _chain_from_json_obj(obj: dict) -> IsotopeChain:
                 BE2_up=_measured_from_json(iso, "BE2_up", ctx),
                 delta_r2=_measured_from_json(iso, "delta_r2", ctx),
                 half_life_s=json_field(iso, "half_life_s", "number", ctx, required=False),
-                beta4=_measured_from_json(iso, "beta4", ctx),
             )
         )
     return IsotopeChain(
@@ -401,9 +397,8 @@ def _measured_to_json(m: Measured | None):
 
 
 def chain_to_json(chain: IsotopeChain) -> str:
-    isotopes = []
-    for r in chain.records:
-        iso = {
+    isotopes = [
+        {
             "A": r.A,
             "Z": r.Z,
             "I": str(r.spin),
@@ -415,9 +410,8 @@ def chain_to_json(chain: IsotopeChain) -> str:
             "delta_r2": _measured_to_json(r.delta_r2),
             "half_life_s": r.half_life_s,
         }
-        if r.beta4 is not None:
-            iso["beta4"] = _measured_to_json(r.beta4)
-        isotopes.append(iso)
+        for r in chain.records
+    ]
     return json.dumps(
         {
             "element": chain.element,
@@ -431,12 +425,11 @@ def chain_to_json(chain: IsotopeChain) -> str:
 
 
 def chain_to_csv(chain: IsotopeChain) -> str:
-    with_beta4 = any(r.beta4 is not None for r in chain.records)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS + (["beta4"] if with_beta4 else []))
+    writer.writerow(_CSV_COLUMNS)
     for r in chain.records:
-        row = [
+        writer.writerow([
             r.A,
             r.Z,
             str(r.spin),
@@ -447,8 +440,5 @@ def chain_to_csv(chain: IsotopeChain) -> str:
             format_measured(r.BE2_up) if r.BE2_up is not None else "",
             format_measured(r.delta_r2) if r.delta_r2 is not None else "",
             repr(r.half_life_s) if r.half_life_s is not None else "",
-        ]
-        if with_beta4:
-            row.append(format_measured(r.beta4) if r.beta4 is not None else "")
-        writer.writerow(row)
+        ])
     return buf.getvalue()

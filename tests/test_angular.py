@@ -9,7 +9,6 @@ import pytest
 
 from gkpforge import angular
 from gkpforge.angular import (
-    CHANNELS_MEMO_SIZE,
     LADDER_MEMO_SIZE,
     SIXJ_MEMO_SIZE,
     ElectronicChannel,
@@ -199,13 +198,9 @@ def test_memos_are_bounded_by_their_module_constants():
     assert angular._ladder.cache_parameters()["maxsize"] == LADDER_MEMO_SIZE == 256
 
 
-def test_default_channels_are_built_once_per_gap_and_a_refused_gap_every_time():
-    assert default_channels.cache_parameters()["maxsize"] == CHANNELS_MEMO_SIZE == 32
-    assert default_channels(150.0) is default_channels(150.0)
-    assert default_channels(150.0) == default_channels.__wrapped__(150.0)
-    for _ in range(2):
-        with pytest.raises(ValidationError, match="fine-structure gap must be positive"):
-            default_channels(-1.0)
+def test_default_channels_are_built_once():
+    assert default_channels() is default_channels()
+    assert default_channels() == default_channels.__wrapped__()
 
 
 def test_a_refused_argument_raises_on_every_call():
@@ -251,8 +246,8 @@ def test_twice_refuses_non_half_integers_and_negatives():
 
 
 def test_rank2_allowed():
-    p12 = ElectronicChannel(n=2, l=1, j=HALF, label="2p1/2", fs_gap_eV=150.0)
-    p32 = ElectronicChannel(n=2, l=1, j=Fraction(3, 2), label="2p3/2", fs_gap_eV=150.0)
+    p12 = ElectronicChannel(n=2, l=1, j=HALF, label="2p1/2")
+    p32 = ElectronicChannel(n=2, l=1, j=Fraction(3, 2), label="2p3/2")
     assert p12.rank2_sensitive() is False
     assert p32.rank2_sensitive() is True
 
@@ -268,8 +263,6 @@ def test_channel_validation():
         ElectronicChannel(n=2, l=1, j=Fraction(5, 2), label="bad")
     with pytest.raises(ValidationError):
         ElectronicChannel(n=1, l=1, j=HALF, label="bad")
-    with pytest.raises(ValidationError):
-        ElectronicChannel(n=2, l=1, j=HALF, label="bad", fs_gap_eV=-1.0)
 
 
 def test_hfs_e2_ladder_structure():

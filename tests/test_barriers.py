@@ -19,8 +19,8 @@ from gkpforge.barriers import (
 )
 from gkpforge.errors import ConfigurationError, ValidationError
 
-P32 = ElectronicChannel(n=2, l=1, j=Fraction(3, 2), label="2p3/2", fs_gap_eV=150.0)
-P12 = ElectronicChannel(n=2, l=1, j=Fraction(1, 2), label="2p1/2", fs_gap_eV=150.0)
+P32 = ElectronicChannel(n=2, l=1, j=Fraction(3, 2), label="2p3/2")
+P12 = ElectronicChannel(n=2, l=1, j=Fraction(1, 2), label="2p1/2")
 
 
 def test_gravitomagnetic_shift_anchor(mo_chain, anchors):

@@ -224,6 +224,15 @@ def test_condition_rejects_out_of_range_flags(capsys, flag, value):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+def test_condition_refuses_a_sample_count_too_large_to_allocate(capsys, tmp_path):
+    # numpy refuses 2**62 float64s before it allocates anything
+    spec = _edited_resource(tmp_path, "mo91-sampling-v1", lambda obj: obj.__setitem__("sample_count", 2**62))
+    for argv in (["--samples", str(2**62)], ["--spec", spec]):
+        code, out, err = _run(capsys, "condition", *argv, "--format", "json")
+        assert (code, out) == (2, "")
+        assert f"sample_count {2**62} is too large" in err
+
+
 def test_condition_csv_out_refuses_a_non_finite_summary(capsys, tmp_path, monkeypatch):
     import gkpforge.montecarlo as montecarlo
 
@@ -317,6 +326,19 @@ def test_extract_chi_bound_scale(capsys, tmp_path):
     assert report["chi_bound"] == pytest.approx(report["alpha_manko_se"], rel=1e-9)
 
 
+@pytest.mark.parametrize("upper, message", [
+    ({"n": 1, "l": 0, "j": "5/2"}, "upper state of channel '1s-2p3/2': j=5/2 incompatible with l=0"),
+    ({"n": 1, "l": 1, "j": "3/2"}, "upper state of channel '1s-2p3/2': requires n > l >= 0"),
+    ({"j": "3/2"}, "transition 0 upper is missing the 'n' key"),
+    ({"n": 2, "j": "3/2"}, "transition 0 upper is missing the 'l' key"),
+])
+def test_extract_refuses_an_upper_state_that_cannot_be(capsys, tmp_path, upper, message):
+    coeffs = _edited_resource(tmp_path, "mo41-coeffs-v1", lambda obj: obj["transitions"][0].__setitem__("upper", upper))
+    code, out, err = _run(capsys, "extract", "--rhs", RHS_FIXTURE, "--coeffs", coeffs, "--format", "json")
+    assert (code, out) == (2, "")
+    assert f"coefficients file {coeffs}: {message}" in err
+
+
 def test_extract_missing_rhs_file(capsys):
     code, _, err = _run(capsys, "extract", "--rhs", "nowhere.json")
     assert code == 2
@@ -399,7 +421,7 @@ def test_extract_manifest_hashes_anchors(capsys, tmp_path):
     manifests, signals = [], []
     for extra in ((), ("--anchors", str(edited))):
         code, report = _run_json(capsys, "extract", "--chain", "mo-chain-frib-synthetic-v1",
-                                 "--rhs", RHS_FIXTURE, "--seed", "7", *extra)
+                                 "--rhs", RHS_FIXTURE, *extra)
         assert code == 0
         _validate(report, "extract_report")
         manifests.append(report["manifest"])
@@ -409,7 +431,7 @@ def test_extract_manifest_hashes_anchors(capsys, tmp_path):
     assert changed["path"] == str(edited)
     assert default["sha256"] != changed["sha256"]
     assert signals == [2e-21, 4e-21]
-    # extract draws nothing at random, so no seed is recorded even when given
+    # extract draws nothing at random, so no seed is recorded
     assert [m["seed"] for m in manifests] == [None, None]
 
 
@@ -667,6 +689,15 @@ def test_chain_overflowing_spin_exit2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "isotope A=94: spin must be a non-negative half-integer no larger than A" in err
+
+
+@pytest.mark.parametrize("gap", [0.0, -150.0, 1e-320])
+@pytest.mark.parametrize("argv", [["budget"], ["extract", "--rhs", RHS_FIXTURE]], ids=["budget", "extract"])
+def test_anchor_fine_structure_gap_must_be_positive(capsys, tmp_path, argv, gap):
+    anchors = _edited_resource(tmp_path, "mo41-anchors-v1", lambda obj: obj.__setitem__("fs_gap_eV", gap))
+    code, out, err = _run(capsys, *argv, "--anchors", anchors, "--format", "json")
+    assert (code, out) == (2, "")
+    assert "fs_gap_eV must be positive and not subnormal" in err
 
 
 def test_anchor_subnormal_signal_exit2(capsys, tmp_path):
@@ -960,3 +991,53 @@ def test_version_exits_zero_twice(capsys, fresh_parser):
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out == f"gkpforge {__version__}\n"
+
+
+# ---------------------------------------------------------------------------
+# each flag only where it is read; the timestamp's environment
+
+@pytest.mark.parametrize("argv", [
+    ["budget", "--seed", "5"],
+    ["solvability", "--seed", "5"],
+    ["extract", "--rhs", RHS_FIXTURE, "--seed", "7"],
+    ["milestones", "--seed", "5"],
+    ["milestones", "--chain", "mo-chain-v1"],
+    ["ramsey", "--tr", "1", "--seed", "5"],
+    ["ramsey", "--tr", "1", "--chain", "/nonexistent.json"],
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_a_flag_the_command_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in captured.err
+
+
+@pytest.mark.parametrize("command, chain", [("budget", "mo-chain-v1"), ("solvability", "mo-chain-v1"),
+                                            ("condition", "mo-chain-v1"), ("extract", "mo-chain-frib-synthetic-v1")])
+def test_help_gives_the_default_chain(capsys, monkeypatch, command, chain):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help text at hyphens
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"(default: {chain})" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("epoch", ["abc", "1e9", "99999999999999999999"])
+@pytest.mark.parametrize("argv", [["ramsey", "--tr", "1"], ["budget"]], ids=["ramsey", "budget"])
+def test_malformed_source_date_epoch_exit2(capsys, monkeypatch, argv, epoch):
+    monkeypatch.delenv("GKPFORGE_TIMESTAMP")
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    code, out, err = _run(capsys, *argv, "--format", "json")
+    assert (code, out) == (2, "")
+    assert f"SOURCE_DATE_EPOCH={epoch!r} must be a whole number of seconds" in err
+
+
+def test_source_date_epoch_dates_the_report_unless_the_timestamp_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    _, report = _run_json(capsys, "ramsey", "--tr", "1")
+    assert report["manifest"]["timestamp"] == "2026-08-09T00:00:00+00:00"
+    monkeypatch.delenv("GKPFORGE_TIMESTAMP")
+    _, report = _run_json(capsys, "ramsey", "--tr", "1")
+    assert report["manifest"]["timestamp"] == "2023-11-14T22:13:20+00:00"

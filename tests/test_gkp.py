@@ -369,8 +369,18 @@ def test_kappa_draws_equal_the_kappa_of_each_draw_alone(mo_chain, coeffs, monkey
     batches, kappas = _shipped_blocks(mo_chain, coeffs, monkeypatch, samples)
     starts = range(0, samples, montecarlo.KAPPA_BATCH)
     assert [len(b) for b in batches] == [min(montecarlo.KAPPA_BATCH, samples - s) for s in starts]
-    alone = [condition_numbers(draw[None]) for batch in batches for draw in batch]
-    assert np.array_equal(kappas, np.concatenate(alone))
+    draws = np.concatenate(batches)
+    # the same draws in stacks composed otherwise: reversed, and interleaved
+    # with a fixed matrix, each in a length and layout no batch has
+    assert np.array_equal(kappas, condition_numbers(draws[::-1])[::-1])
+    interleaved = np.empty((2 * samples, 3, 3))
+    interleaved[0::2] = draws
+    interleaved[1::2] = np.random.default_rng(3).normal(size=(3, 3))
+    assert np.array_equal(kappas, condition_numbers(interleaved)[0::2])
+    # a draw that leaves the closed form's trusted region is conditioned alone
+    _, trusted = _closed_form_condition_numbers(draws)
+    for k in np.flatnonzero(~trusted):
+        assert np.array_equal(kappas[k:k + 1], condition_numbers(draws[k:k + 1]))
 
 
 def test_single_matrices_and_other_shapes_take_the_svd():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -125,22 +126,17 @@ def test_round_trip_json_and_csv(mo_chain, tmp_path):
     assert chain_to_csv(via_csv) == chain_to_csv(mo_chain)
 
 
-def test_beta4_column_round_trips(mo_chain, tmp_path):
-    records = tuple(
-        IsotopeRecord(
-            A=r.A, Z=r.Z, spin=r.spin, parity=r.parity, r_ch=r.r_ch, beta2=r.beta2,
-            Qs=r.Qs, BE2_up=r.BE2_up, delta_r2=r.delta_r2, half_life_s=r.half_life_s,
-            beta4=Measured(-0.01) if r.A == 100 else None,
-        )
-        for r in mo_chain.records
-    )
-    chain = IsotopeChain(element="Mo", reference_A=92, records=records)
-    for serializer, suffix in ((chain_to_csv, "csv"), (chain_to_json, "json")):
+def test_a_beta4_key_or_column_is_ignored(mo_chain, tmp_path):
+    # nothing reads beta4, so the loaders skip it like any other unread field
+    obj = json.loads(chain_to_json(mo_chain))
+    obj["isotopes"][4]["beta4"] = {"value": -0.01}
+    lines = chain_to_csv(mo_chain).splitlines()
+    cells = ["beta4", "-0.01"] + [""] * (len(lines) - 2)
+    csv_text = "".join(f"{line},{cell}\n" for line, cell in zip(lines, cells))
+    for suffix, text in (("json", json.dumps(obj)), ("csv", csv_text)):
         path = tmp_path / f"chain.{suffix}"
-        path.write_text(serializer(chain), encoding="utf-8")
-        back = load_chain(path)
-        assert back.isotope(100).beta4 == Measured(-0.01)
-        assert back.isotope(92).beta4 is None
+        path.write_text(text, encoding="utf-8")
+        assert load_chain(path).records == mo_chain.records
 
 
 def test_partition_counts(mo_chain):
