@@ -526,19 +526,10 @@ class ExtractionResult:
         }
 
 
-def solve_many(m: DesignMatrix, rhs_stack, sigma):
-    """Weighted least squares of one design against a (trials, rows) rhs
-    stack sharing the per-row one-sigma sigma (unit weights when None).
-
-    One SVD of the row-whitened preconditioned system solves every trial;
-    estimates and covariance are scaled back through the column norms.
-    Refuses underdetermined systems and numerically rank-deficient ones:
-    the rank test runs on the preconditioned design, whose kappa is
-    returned, and on the singular values of the row-whitened system that
-    is solved. Raises NumericalError when the whitened solve overflows.
-    Returns (estimates (trials, cols), standard errors (cols,), kappa,
-    residual norms (trials,) in eV).
-    """
+def _solve(m: DesignMatrix, rhs_stack, sigma):
+    """The weighted solve behind solve_many and extract; returns the
+    preconditioned design, the solutions y of the preconditioned system
+    (trials, cols), and solve_many's three values."""
     sigma = np.ones(len(m.rows)) if sigma is None else np.asarray(sigma, dtype=float)
     if sigma.shape != (len(m.rows),) or np.any(sigma <= 0):
         raise ValidationError("rhs_sigma must provide one positive uncertainty per row")
@@ -553,8 +544,9 @@ def solve_many(m: DesignMatrix, rhs_stack, sigma):
         )
 
     norms = np.asarray(pre.column_norms)
-    # overflow is reported below as a NumericalError, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow, and s*s underflowing to zero, are reported below as a
+    # NumericalError, not as warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         whitened = pre.entries / sigma[:, None]
         if not np.isfinite(whitened).all():  # LAPACK's SVD may never return on an inf entry
             raise NumericalError("the row-whitened design matrix overflowed; check the rhs uncertainties")
@@ -569,23 +561,50 @@ def solve_many(m: DesignMatrix, rhs_stack, sigma):
         cov_y = (vt.T / s2) @ vt
         estimates = y / norms
         errors = np.sqrt(np.diag(cov_y / np.outer(norms, norms)))
-        residuals = np.linalg.norm(rhs_stack - y @ pre.entries.T, axis=-1)
-    # an overflowing s*s turns the standard errors into 0.0, not into inf
-    if not (np.isfinite(s2).all() and np.isfinite(errors).all()
-            and np.isfinite(estimates).all() and np.isfinite(residuals).all()):
+    # an overflowing s*s turns the standard errors into 0.0, and one that
+    # underflows to zero turns them into inf
+    if not (np.isfinite(s2).all() and np.isfinite(errors).all() and np.isfinite(estimates).all()):
         raise NumericalError(
-            "the weighted solve overflowed: estimates, standard errors or residual norms "
-            "are not finite; check the scale of the rhs values and uncertainties"
+            "the weighted solve left the floating-point range: the squared whitened singular "
+            "values overflowed or underflowed, or the estimates are not finite; check the "
+            "scale of the rhs values and uncertainties"
         )
-    return estimates, errors, kappa, residuals
+    return pre, y, estimates, errors, kappa
+
+
+def solve_many(m: DesignMatrix, rhs_stack, sigma):
+    """Weighted least squares of one design against a (trials, rows) rhs
+    stack sharing the per-row one-sigma sigma (unit weights when None).
+
+    One SVD of the row-whitened preconditioned system solves every trial;
+    estimates and covariance are scaled back through the column norms.
+    Refuses underdetermined systems and numerically rank-deficient ones:
+    the rank test runs on the preconditioned design, whose kappa is
+    returned, and on the singular values of the row-whitened system that
+    is solved. Raises NumericalError when the whitened design overflows,
+    when its squared singular values overflow or underflow to zero, or
+    when an estimate is not finite. Returns (estimates (trials, cols),
+    standard errors (cols,), kappa); residual norms are left to extract,
+    the one caller that reports them.
+    """
+    return _solve(m, rhs_stack, sigma)[2:]
 
 
 def extract(m: DesignMatrix) -> ExtractionResult:
     """Weighted least-squares extraction of the attached right-hand side
-    with its attached uncertainties; see solve_many."""
+    with its attached uncertainties; see solve_many. Adds the residual
+    norm in eV, |rhs - A_pre y| over the preconditioned design and its
+    solution, and raises NumericalError when it is not finite."""
     if m.rhs is None:
         raise ValidationError("design matrix has no right-hand side attached")
-    estimates, errors, kappa, residuals = solve_many(m, m.rhs[None, :], m.rhs_sigma)
+    rhs_stack = m.rhs[None, :]
+    pre, y, estimates, errors, kappa = _solve(m, rhs_stack, m.rhs_sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm(rhs_stack - y @ pre.entries.T, axis=-1)[0])
+    if not math.isfinite(residual):
+        raise NumericalError(
+            "the residual norm is not finite; check the scale of the rhs values and uncertainties"
+        )
     backgrounds = tuple(
         (name, float(estimates[0, k]), float(errors[k]))
         for k, name in enumerate(m.columns[:-1])
@@ -595,5 +614,5 @@ def extract(m: DesignMatrix) -> ExtractionResult:
         alpha_manko_se=float(errors[-1]),
         background_estimates=backgrounds,
         condition_number=kappa,
-        residual_norm_eV=float(residuals[0]),
+        residual_norm_eV=residual,
     )

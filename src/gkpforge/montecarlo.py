@@ -8,7 +8,9 @@ Both are random-number plumbing around gkp, which builds, normalizes and
 solves: kappa comes from one condition_numbers call per batch of
 KAPPA_BATCH draws, held draws-last (each matrix entry's draws contiguous
 in memory), and an injection campaign is one solve_many call over all
-its trials.
+its trials, whose noise is drawn in place into one (trials, rows) array
+and which computes no residual norms, since no campaign statistic reads
+them.
 
 The random stream is partitioned into fixed-size blocks of BLOCK_SIZE
 draws, block b seeded with (seed, b). Results are therefore bit-identical
@@ -19,6 +21,7 @@ per-worker summaries merge by plain index-ordered concatenation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -154,6 +157,20 @@ def _sampling_spec_from_json(obj: dict, path: Path) -> SamplingSpec:
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng([seed, block])
+
+
+def _block_noise(seed: int, trials: int, rows: int, scale: float) -> np.ndarray:
+    """A (trials, rows) array of normal(0.0, scale) draws, block b of
+    BLOCK_SIZE trials from _block_rng(seed, b): the bits of the
+    concatenated rng.normal(0.0, scale, (block trials, rows)) blocks, drawn
+    in place. normal() returns 0.0 + scale * z, so the 0.0 is added after
+    scaling: +0.0 where z * 0.0 is -0.0."""
+    noise = np.empty((trials, rows))
+    for block, start in enumerate(range(0, trials, BLOCK_SIZE)):
+        _block_rng(seed, block).standard_normal(out=noise[start:start + BLOCK_SIZE])
+    noise *= scale
+    noise += 0.0
+    return noise
 
 
 def _draw_guarded(param: ParameterSpec, rng: np.random.Generator, size: int) -> tuple[np.ndarray, int]:
@@ -305,22 +322,24 @@ def injection_recovery(chain: IsotopeChain, coeffs: ElectronicCoefficients,
     truth holds "backgrounds" (pair of amplitudes) and "alpha_manko". The
     trials share one design and one sigma, hence one standard error of
     the gravitomagnetic amplitude and one derived coupling bound: the
-    recovered one-sigma energy residual over the nominal signal.
+    recovered one-sigma energy residual over the nominal signal. A trial
+    count that is not an integer (a bool included) or a noise that is not
+    finite and non-negative is refused with a ValidationError.
     """
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+        raise ValidationError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValidationError("trials must be at least 1")
-    if noise_eV < 0:
-        raise ValidationError("noise must be non-negative")
+    if not (math.isfinite(noise_eV) and noise_eV >= 0):
+        raise ValidationError(f"noise must be finite and non-negative, got {noise_eV!r}")
     design = build_design(partition(chain)[1], coeffs)
     x_true = np.array([*truth["backgrounds"], truth["alpha_manko"]], dtype=float)
     n_rows = len(design.rows)
 
-    noise = np.concatenate([
-        _block_rng(seed, block).normal(0.0, noise_eV, (min(BLOCK_SIZE, trials - start), n_rows))
-        for block, start in enumerate(range(0, trials, BLOCK_SIZE))
-    ])
+    rhs = _block_noise(seed, trials, n_rows, noise_eV)
+    rhs += design.entries @ x_true
     sigma = np.full(n_rows, noise_eV if noise_eV > 0 else 1.0)
-    estimates, errors, kappa, _ = solve_many(design, design.entries @ x_true + noise, sigma)
+    estimates, errors, kappa = solve_many(design, rhs, sigma)
     alpha_hats = estimates[:, -1]
     alpha_ses = np.full(trials, errors[-1])
 

@@ -304,9 +304,15 @@ def _chain_from_csv_text(text: str) -> IsotopeChain:
 
 
 def json_spin(obj: dict, key: str, context: str) -> Fraction:
-    """A spin field of a JSON data file: a string such as "5/2", or a number."""
+    """A spin field of a JSON data file: a string such as "5/2", or a number.
+    A value that is not a half-integer is refused naming the context and
+    the key."""
     kind = "number" if type(obj.get(key)) in (int, float) else "string"
-    return parse_spin(json_field(obj, key, kind, context))
+    value = json_field(obj, key, kind, context)
+    try:
+        return parse_spin(value)
+    except ValidationError as exc:
+        raise ValidationError(f"{context} field {key}: {exc}") from None
 
 
 def _measured_from_json(iso: dict, key: str, ctx: str, required: bool = False) -> Measured | None:

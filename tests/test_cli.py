@@ -339,6 +339,17 @@ def test_extract_refuses_an_upper_state_that_cannot_be(capsys, tmp_path, upper, 
     assert f"coefficients file {coeffs}: {message}" in err
 
 
+@pytest.mark.parametrize("j, message", [
+    ("abc", "cannot parse spin 'abc' as a half-integer"),
+    ("7/4", "spin 7/4 is not a half-integer"),
+])
+def test_extract_refuses_an_upper_spin_naming_file_and_transition(capsys, tmp_path, j, message):
+    coeffs = _edited_resource(tmp_path, "mo41-coeffs-v1", lambda obj: obj["transitions"][0]["upper"].__setitem__("j", j))
+    code, out, err = _run(capsys, "extract", "--rhs", RHS_FIXTURE, "--coeffs", coeffs, "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: coefficients file {coeffs}: transition 0 upper field j: {message}\n"
+
+
 def test_extract_missing_rhs_file(capsys):
     code, _, err = _run(capsys, "extract", "--rhs", "nowhere.json")
     assert code == 2
@@ -892,6 +903,24 @@ def test_extract_subnormal_sigma_exit3_without_hanging(tmp_path):
     assert child.returncode == 3
     assert child.stdout == ""
     assert "row-whitened design matrix overflowed" in child.stderr
+
+
+def test_extract_underflowing_weights_exit3_with_the_refusal_alone(tmp_path):
+    """Every sigma at 1e300 squares the whitened singular values to zero:
+    the refusal is the only line on stderr, with no numpy warning before it."""
+    fixture = json.loads(Path(RHS_FIXTURE).read_text(encoding="utf-8"))
+    for row in fixture["rows"]:
+        row["sigma_eV"] = 1e300
+    rhs_file = tmp_path / "huge_sigma.json"
+    rhs_file.write_text(json.dumps(fixture), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p), "PYTHONWARNINGS": "default"}
+    child = subprocess.run([sys.executable, "-m", "gkpforge.cli", "extract", "--rhs", str(rhs_file),
+                            "--format", "json"], env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 3
+    assert child.stdout == ""
+    assert child.stderr.startswith("numerical failure: ")
+    assert "underflowed" in child.stderr
+    assert child.stderr.count("\n") == 1
 
 
 def _golden_rhs_with_last_sigma(tmp_path, sigma: float) -> str:

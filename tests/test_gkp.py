@@ -521,6 +521,27 @@ def test_extract_refuses_overflowing_weights(frib_chain, coeffs):
         extract(design.with_rhs(rhs, np.full(len(design.rows), 1e-300)))
 
 
+def test_extract_refuses_an_overflowing_residual_norm():
+    # finite estimates, but a residual of 1e200 outside the column space
+    # overflows when squared in its norm
+    entries = np.vstack([np.eye(3), np.zeros(3)])
+    m = DesignMatrix(rows=tuple((k, "t") for k in range(4)), columns=COLUMN_NAMES,
+                     entries=entries, rhs=np.array([1.0, 2.0, 3.0, 1e200]), rhs_sigma=np.ones(4))
+    with pytest.raises(NumericalError, match="residual norm is not finite"):
+        extract(m)
+    estimates, errors, kappa = gkp.solve_many(m, m.rhs[None, :], m.rhs_sigma)
+    assert estimates.tolist() == [[1.0, 2.0, 3.0]] and kappa == 1.0
+
+
+def test_extract_refuses_underflowing_weights(frib_chain, coeffs):
+    # the whitened singular values underflow to zero when squared, which
+    # would report an infinite standard error
+    design = build_design(partition(frib_chain)[1], coeffs)
+    rhs = design.entries @ TRUTH
+    with pytest.raises(NumericalError, match="overflowed or underflowed"):
+        extract(design.with_rhs(rhs, np.full(len(design.rows), 1e300)))
+
+
 def test_extract_refuses_degenerate_directions():
     entries = np.column_stack([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 0.0]])
     m = DesignMatrix(rows=((1, "t"), (2, "t"), (3, "t")), columns=COLUMN_NAMES,

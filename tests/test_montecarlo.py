@@ -24,6 +24,8 @@ from gkpforge.montecarlo import (
     MAX_REJECTION_ROUNDS,
     ParameterSpec,
     SamplingSpec,
+    RecoveryStats,
+    _block_noise,
     _block_rng,
     _draw_guarded,
     injection_recovery,
@@ -31,6 +33,7 @@ from gkpforge.montecarlo import (
     sample_kappa,
     summarize_kappa,
 )
+from gkpforge.budget import chi_bound
 from gkpforge.nucdata import partition, spin_mass_lever
 
 
@@ -363,9 +366,67 @@ def test_batched_campaign_matches_per_trial_extract(frib_chain, coeffs, labels):
     assert stats.bias_alpha_manko == pytest.approx(hats.mean() - truth["alpha_manko"],
                                                    abs=1e-12 * truth["alpha_manko"])
 
-    estimates, errors, _, _ = solve_many(design, rhs, np.full(len(design.rows), noise_eV))
+    estimates, errors, _ = solve_many(design, rhs, np.full(len(design.rows), noise_eV))
     np.testing.assert_allclose(estimates[:, -1], hats, rtol=1e-12, atol=0.0)
     assert np.all(errors[-1] == ses)
+
+
+@pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 2000])
+@pytest.mark.parametrize("scale", [1e-13, 0.0])
+def test_block_noise_is_the_concatenated_normal_blocks(trials, scale):
+    for seed in (0, 7, 20250809):
+        reference = np.concatenate([
+            _block_rng(seed, block).normal(0.0, scale, (min(BLOCK_SIZE, trials - start), 3))
+            for block, start in enumerate(range(0, trials, BLOCK_SIZE))
+        ])
+        noise = _block_noise(seed, trials, 3, scale)
+        assert noise.shape == reference.shape
+        assert np.array_equal(noise, reference)
+        assert np.array_equal(np.signbit(noise), np.signbit(reference))  # -0.0 == 0.0 above
+    if scale == 0.0:
+        assert not np.signbit(noise).any()
+
+
+def _reference_recovery(chain, coeffs, truth, noise_eV, trials, seed, signal_at_chi1_eV=2e-21):
+    """injection_recovery as it was first written: the noise blocks drawn
+    by rng.normal and concatenated, then added to the truth."""
+    design = build_design(partition(chain)[1], coeffs)
+    x_true = np.array([*truth["backgrounds"], truth["alpha_manko"]], dtype=float)
+    n_rows = len(design.rows)
+    noise = np.concatenate([
+        _block_rng(seed, block).normal(0.0, noise_eV, (min(BLOCK_SIZE, trials - start), n_rows))
+        for block, start in enumerate(range(0, trials, BLOCK_SIZE))
+    ])
+    sigma = np.full(n_rows, noise_eV if noise_eV > 0 else 1.0)
+    estimates, errors, kappa = solve_many(design, design.entries @ x_true + noise, sigma)
+    alpha_hats = estimates[:, -1]
+    alpha_ses = np.full(trials, errors[-1])
+    truth_alpha = float(truth["alpha_manko"])
+    err = np.abs(alpha_hats - truth_alpha)
+    if noise_eV > 0:
+        cover1 = float(np.mean(err <= alpha_ses))
+        cover2 = float(np.mean(err <= 2 * alpha_ses))
+        bound = chi_bound(errors[-1] * signal_at_chi1_eV, signal_at_chi1_eV)
+    else:
+        cover1 = cover2 = 1.0
+        bound = 0.0
+    return RecoveryStats(
+        trials=trials, seed=seed, noise_eV=noise_eV, truth_alpha_manko=truth_alpha,
+        bias_alpha_manko=float(alpha_hats.mean() - truth_alpha),
+        mean_se_alpha_manko=float(alpha_ses.mean()), coverage_1sigma=cover1, coverage_2sigma=cover2,
+        chi_bound_median=bound, condition_number=kappa, rows=n_rows,
+    )
+
+
+@pytest.mark.parametrize("noise_eV", [1e-13, 0.0])
+@pytest.mark.parametrize("labels", [["1s-2p3/2"], None], ids=["3-row", "6-row"])
+def test_campaign_is_bit_identical_to_the_concatenated_noise(frib_chain, coeffs, labels, noise_eV):
+    used = coeffs if labels is None else coeffs.subset(labels)
+    for truth in (TRUTH_NULL, {"backgrounds": (1e-7, 2.0), "alpha_manko": 1e9}):
+        for seed, trials in ((3, 1), (11, 1025), (4242, 2000)):
+            want = _reference_recovery(frib_chain, used, truth, noise_eV, trials, seed)
+            got = injection_recovery(frib_chain, used, truth, noise_eV, trials=trials, seed=seed)
+            assert repr(got) == repr(want)
 
 
 def test_injection_recovery_deterministic(frib_chain, coeffs):
@@ -387,3 +448,20 @@ def test_injection_recovery_rejects_bad_inputs(frib_chain, coeffs):
         injection_recovery(frib_chain, coeffs, TRUTH_NULL, -1.0, trials=10, seed=2)
     with pytest.raises(ValidationError):
         injection_recovery(frib_chain, coeffs, TRUTH_NULL, 1e-13, trials=0, seed=2)
+
+
+@pytest.mark.parametrize("noise_eV", [math.nan, math.inf, -math.inf])
+def test_injection_recovery_refuses_non_finite_noise(frib_chain, coeffs, noise_eV):
+    with pytest.raises(ValidationError, match="noise must be finite and non-negative"):
+        injection_recovery(frib_chain, coeffs, TRUTH_NULL, noise_eV, trials=10, seed=2)
+
+
+@pytest.mark.parametrize("trials", [2.5, 10.0, True, "10", None])
+def test_injection_recovery_refuses_a_non_integer_trial_count(frib_chain, coeffs, trials):
+    with pytest.raises(ValidationError, match="trials must be an integer"):
+        injection_recovery(frib_chain, coeffs, TRUTH_NULL, 1e-13, trials=trials, seed=2)
+
+
+def test_injection_recovery_takes_a_numpy_integer_trial_count(frib_chain, coeffs):
+    got = injection_recovery(frib_chain, coeffs, TRUTH_NULL, 1e-13, trials=np.int64(300), seed=6)
+    assert got == injection_recovery(frib_chain, coeffs, TRUTH_NULL, 1e-13, trials=300, seed=6)
