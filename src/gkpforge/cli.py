@@ -10,7 +10,10 @@ failure.
 Each handler imports the layers it runs, so that a command loads only
 those: budget, solvability, milestones and ramsey are closed-form and
 start without numpy; condition and extract load the numerical layers
-(`gkp`, `montecarlo`, numpy).
+(`gkp`, `montecarlo`, numpy). A handler loads each input that a flag
+names through `_load`, builds its report from dataclass fields and hands
+it to `_emit`, which adds the manifest from the inputs `_load` recorded,
+writes --out and prints.
 
 One writer, `_json_text`, turns every report into JSON, whatever the
 format: its text is the json output and the --out file, and writing it is
@@ -78,22 +81,22 @@ def _timestamp() -> str:
     return datetime.now(tz=timezone.utc).isoformat()
 
 
-def _manifest(command: str, inputs: dict[str, Path], seed: int | None, versions: dict[str, str]) -> dict:
-    return {
-        "command": command,
-        "inputs": {
-            role: {"path": str(path), "sha256": sha256_of(path)} for role, path in inputs.items()
-        },
-        "seed": seed,
-        "config_versions": versions,
-        "tool_version": __version__,
-        "timestamp": _timestamp(),
-    }
+def _load(args, flag: str, load):
+    """load(path) of the input that --flag names, a resource name or a file
+    path resolved by resource_path; the path is recorded under the flag's
+    name for the manifest that _emit writes, which hashes the bytes loaded."""
+    path = args.inputs[flag] = resource_path(getattr(args, flag))
+    return load(path)
+
+
+def _scalar(value) -> bool:
+    return isinstance(value, (str, int, float, bool)) or value is None
 
 
 def _flatten_csv(report: dict) -> str:
     """Generic key,value CSV of the report's scalar payload; list- or
-    tuple-of-object fields become their own row groups."""
+    tuple-of-object fields become their own row groups, and an object of
+    scalars a one-row group."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "value"])
@@ -103,7 +106,9 @@ def _flatten_csv(report: dict) -> str:
             continue
         if isinstance(value, (list, tuple)) and value and all(isinstance(v, dict) for v in value):
             tables[key] = value
-        elif isinstance(value, (str, int, float, bool)) or value is None:
+        elif isinstance(value, dict) and value and all(_scalar(v) for v in value.values()):
+            tables[key] = [value]
+        elif _scalar(value):
             writer.writerow([key, "" if value is None else value])
     for key, rows in tables.items():
         writer.writerow([])
@@ -187,22 +192,43 @@ def _fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
-def _emit(report: dict, table: str, args, csv_text: str | None = None) -> None:
-    """Print the report as json, csv (csv_text, or the flattened report) or
-    table and write it to --out. The JSON text is written for every format,
-    so a report holding NaN or Infinity is refused as a numerical failure
-    before anything is printed or written."""
+def _emit(args, report: dict, table: str, *, seed: int | None = None,
+          versions: dict[str, str] | None = None, histogram: str | None = None) -> None:
+    """Prepend the manifest of the inputs _load recorded, write --out
+    (<command>.json, and a histogram as <command>_histogram.csv), then
+    print json, csv (the histogram if given) or table. A report holding
+    NaN or Infinity (exit 3) and an --out that cannot be written (exit 2,
+    naming the path) are refused before anything is printed."""
+    report = {
+        "manifest": {
+            "command": args.command,
+            "inputs": {role: {"path": str(path), "sha256": sha256_of(path)}
+                       for role, path in args.inputs.items()},
+            "seed": seed,
+            "config_versions": versions or {},
+            "tool_version": __version__,
+            "timestamp": _timestamp(),
+        },
+        **report,
+    }
     text = _json_text(report)
+    if args.out:
+        files = {f"{args.command}.json": text + "\n", f"{args.command}_histogram.csv": histogram}
+        path = out_dir = Path(args.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name, content in files.items():
+                if content is not None:
+                    path = out_dir / name
+                    path.write_text(content, encoding="utf-8")
+        except OSError as exc:
+            raise ValidationError(f"--out cannot write {str(path)!r}: {exc.strerror or exc}") from None
     if args.format == "json":
         print(text)
     elif args.format == "csv":
-        print(_flatten_csv(report) if csv_text is None else csv_text, end="")
+        print(_flatten_csv(report) if histogram is None else histogram, end="")
     else:
         print(table)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{report['manifest']['command']}.json").write_text(text + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +237,8 @@ def _emit(report: dict, table: str, args, csv_text: str | None = None) -> None:
 def cmd_budget(args) -> int:
     from . import angular, barriers, budget, nucdata
 
-    chain_path = resource_path(args.chain)
-    chain = nucdata.load_chain(chain_path)
-    anchors_path = resource_path(args.anchors)
-    anchors = barriers.load_anchors(anchors_path)
+    chain = _load(args, "chain", nucdata.load_chain)
+    anchors = _load(args, "anchors", barriers.load_anchors)
     result = barriers.build_budget(chain, angular.default_channels(), anchors, scenario=args.scenario, probe_A=args.probe)
 
     model = barriers.SignalModel.from_anchors(anchors, chain)
@@ -244,9 +268,6 @@ def cmd_budget(args) -> int:
     ]
 
     report = {
-        "manifest": _manifest(
-            "budget", {"chain": chain_path, "anchors": anchors_path}, None, {"anchors": anchors.name}
-        ),
         **_fields(result),
         "entries": [_fields(e) for e in result.entries],  # keeps the position the spread gave it
         "chi_bound_nominal": bound_nominal,
@@ -255,7 +276,7 @@ def cmd_budget(args) -> int:
         "qed_fractional_correction": qed_fraction,
         "qed_residual_eV": qed_residual,
     }
-    _emit(report, "\n".join(lines), args)
+    _emit(args, report, "\n".join(lines), versions={"anchors": anchors.name})
     return EXIT_OK
 
 
@@ -276,8 +297,7 @@ def cmd_solvability(args) -> int:
             "verdict": topology.solvability_verdict(top, args.nbkg),
         }
 
-    chain_path = resource_path(args.chain)
-    chain = nucdata.load_chain(chain_path)
+    chain = _load(args, "chain", nucdata.load_chain)
     counted = {r.A for r in chain.records}
     for A in args.add_isotope:
         if A < chain.Z:
@@ -313,12 +333,7 @@ def cmd_solvability(args) -> int:
         f"Selected configuration: N_odd={selected['N_odd']}, N_trans={selected['N_trans_rank2']}, "
         f"N_bkg={args.nbkg} -> {selected['verdict']}",
     ]
-    report = {
-        "manifest": _manifest("solvability", {"chain": chain_path}, None, {}),
-        "topologies": rows,
-        "selected": selected,
-    }
-    _emit(report, "\n".join(lines), args)
+    _emit(args, {"topologies": rows, "selected": selected}, "\n".join(lines))
     return EXIT_OK
 
 
@@ -355,12 +370,9 @@ def cmd_condition(args) -> int:
     to --out beside the json report; it is built only for those two."""
     from . import gkp, montecarlo, nucdata
 
-    chain_path = resource_path(args.chain)
-    chain = nucdata.load_chain(chain_path)
-    coeffs_path = resource_path(args.coeffs)
-    coeffs = gkp.load_coefficients(coeffs_path)
-    spec_path = resource_path(args.spec)
-    spec = montecarlo.load_sampling_spec(spec_path)
+    chain = _load(args, "chain", nucdata.load_chain)
+    coeffs = _load(args, "coeffs", gkp.load_coefficients)
+    spec = _load(args, "spec", montecarlo.load_sampling_spec)
     seed = args.seed if args.seed is not None else spec.seed
     samples = args.samples if args.samples is not None else spec.sample_count
 
@@ -379,18 +391,8 @@ def cmd_condition(args) -> int:
         f"rank-deficient fraction {_sci(summary.rank_deficient_fraction)}",
         f"guard-band excluded fraction {_sci(summary.excluded_fraction)}",
     ]
-    report = {
-        "manifest": _manifest(
-            "condition",
-            {"chain": chain_path, "coeffs": coeffs_path, "spec": spec_path},
-            seed,
-            {"coeffs": coeffs.name, "spec": spec.name},
-        ),
-        "summary": _fields(summary),
-    }
-    _emit(report, "\n".join(lines), args, csv_text=histogram)
-    if args.out:  # _emit has created the directory
-        (Path(args.out) / "condition_histogram.csv").write_text(histogram, encoding="utf-8")
+    _emit(args, {"summary": _fields(summary)}, "\n".join(lines), seed=seed,
+          versions={"coeffs": coeffs.name, "spec": spec.name}, histogram=histogram)
     return EXIT_OK
 
 
@@ -425,14 +427,10 @@ def cmd_extract(args) -> int:
 
     from . import barriers, budget, gkp, nucdata
 
-    chain_path = resource_path(args.chain)
-    chain = nucdata.load_chain(chain_path)
-    coeffs_path = resource_path(args.coeffs)
-    coeffs = gkp.load_coefficients(coeffs_path)
-    anchors_path = resource_path(args.anchors)
-    anchors = barriers.load_anchors(anchors_path)
-    rhs_path = Path(args.rhs)
-    rhs_rows = _load_rhs_file(rhs_path)
+    chain = _load(args, "chain", nucdata.load_chain)
+    coeffs = _load(args, "coeffs", gkp.load_coefficients)
+    anchors = _load(args, "anchors", barriers.load_anchors)
+    rhs_rows = _load(args, "rhs", _load_rhs_file)
 
     _, odd = nucdata.partition(chain)
     rhs_isotopes = sorted({A for A, _ in rhs_rows})
@@ -449,8 +447,8 @@ def cmd_extract(args) -> int:
         raise ValidationError(f"rhs file lacks entries for design rows: {missing_rows}")
     rhs, sigma = np.array([rhs_rows[key] for key in design.rows]).T
 
-    pre = gkp.precondition(design.with_rhs(rhs, sigma))
-    result = gkp.extract(pre)
+    pre = gkp.precondition(design)
+    result = gkp.extract(pre, rhs, sigma)
     # after the solve, so that an underdetermined design (no rhs edit cures
     # it) is refused first; leftover rows are of transitions blind to rank 2
     unused_rows = sorted(set(rhs_rows).difference(design.rows))
@@ -473,20 +471,16 @@ def cmd_extract(args) -> int:
         f"|chi-1| bound from the amplitude standard error: {_sci(bound)}",
     ]
     report = {
-        "manifest": _manifest(
-            "extract",
-            {"chain": chain_path, "coeffs": coeffs_path, "anchors": anchors_path, "rhs": rhs_path},
-            None,
-            {"coeffs": coeffs.name, "anchors": anchors.name},
-        ),
-        "rows": [list(key) for key in design.rows],
-        "design": pre.to_json_dict(),
-        **result.to_json_dict(),
+        "rows": design.rows,
+        "design": {**_fields(pre), "entries": pre.entries.tolist(),
+                   "rhs": rhs.tolist(), "rhs_sigma": sigma.tolist()},
+        **_fields(result),
+        "background_estimates": [e._asdict() for e in result.background_estimates],
         "chi_bound": bound,
         "signal_at_chi1_eV": anchors.signal_anchor_eV,
         "alpha_t_convention": coeffs.alpha_t_convention,
     }
-    _emit(report, "\n".join(lines), args)
+    _emit(args, report, "\n".join(lines), versions={"coeffs": coeffs.name, "anchors": anchors.name})
     return EXIT_OK
 
 
@@ -496,8 +490,7 @@ def cmd_extract(args) -> int:
 def cmd_milestones(args) -> int:
     from . import budget
 
-    ladder_path = resource_path(args.ladder)
-    ladder = budget.load_milestones(ladder_path)
+    ladder = _load(args, "ladder", budget.load_milestones)
     lines = [
         "Sensitivity milestones",
         "",
@@ -506,7 +499,6 @@ def cmd_milestones(args) -> int:
           for r in ladder.rows),
     ]
     report = {
-        "manifest": _manifest("milestones", {"ladder": ladder_path}, None, {"ladder": ladder.name}),
         "rows": [_fields(r) for r in ladder.rows],
         "era_boundary_eV": ladder.era_boundary_eV,
     }
@@ -518,7 +510,7 @@ def cmd_milestones(args) -> int:
             f"required advance: {row.required_advance}; era: {row.era}",
         ]
         report["target"] = dict(_fields(row), sensitivity_eV=args.target)
-    _emit(report, "\n".join(lines), args)
+    _emit(args, report, "\n".join(lines), versions={"ladder": ladder.name})
     return EXIT_OK
 
 
@@ -543,11 +535,7 @@ def cmd_ramsey(args) -> int:
         lines.append(f"decay penalty at requested T_R: {_sci(plan.decay_penalty_at_request)}")
     if plan.warning:
         lines.append(f"WARNING: {plan.warning}")
-    report = {
-        "manifest": _manifest("ramsey", {}, None, {}),
-        **_fields(plan),
-    }
-    _emit(report, "\n".join(lines), args)
+    _emit(args, _fields(plan), "\n".join(lines))
     return EXIT_OK
 
 
@@ -648,7 +636,7 @@ def _numerical_errors() -> tuple[type[Exception], ...]:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv, argparse.Namespace(inputs={}))  # inputs: filled by _load
     try:
         return args.handler(args)
     except RefusalError as exc:

@@ -20,10 +20,10 @@ mode this analysis exists to prevent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,6 +55,7 @@ __all__ = [
     "precondition",
     "condition_numbers",
     "condition_number",
+    "Estimate",
     "ExtractionResult",
     "solve_many",
     "extract",
@@ -204,7 +205,7 @@ def alpha_t_uncertainty(rec: IsotopeRecord, factorization_rel: float = FACTORIZA
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Rank-2 design matrix with optional right-hand side.
+    """Rank-2 design matrix; the right-hand side is passed to the solve.
 
     rows: (mass number, transition label) per equation. entries are in eV
     per unknown-unit. When preconditioned is True every stored column has
@@ -214,10 +215,8 @@ class DesignMatrix:
     rows: tuple[tuple[int, str], ...]
     columns: tuple[str, ...]
     entries: np.ndarray
-    rhs: np.ndarray | None = None
-    rhs_sigma: np.ndarray | None = None
     preconditioned: bool = False
-    column_norms: tuple[float, ...] = field(default_factory=tuple)
+    column_norms: tuple[float, ...] = ()
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=float)
@@ -228,32 +227,10 @@ class DesignMatrix:
             )
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        for name, vec in (("rhs", self.rhs), ("rhs_sigma", self.rhs_sigma)):
-            if vec is not None:
-                arr = np.array(vec, dtype=float)
-                if arr.shape != (len(self.rows),):
-                    raise ValidationError(f"{name} length {arr.shape} does not match row count {len(self.rows)}")
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
-
-    def with_rhs(self, rhs, rhs_sigma=None) -> "DesignMatrix":
-        return replace(self, rhs=np.asarray(rhs, dtype=float),
-                       rhs_sigma=None if rhs_sigma is None else np.asarray(rhs_sigma, dtype=float))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": [[A, label] for A, label in self.rows],
-            "columns": list(self.columns),
-            "entries": self.entries.tolist(),
-            "rhs": None if self.rhs is None else self.rhs.tolist(),
-            "rhs_sigma": None if self.rhs_sigma is None else self.rhs_sigma.tolist(),
-            "preconditioned": self.preconditioned,
-            "column_norms": list(self.column_norms),
-        }
 
 
 def build_design(odd_isotopes: Sequence[IsotopeRecord], coeffs: ElectronicCoefficients) -> DesignMatrix:
@@ -261,7 +238,7 @@ def build_design(odd_isotopes: Sequence[IsotopeRecord], coeffs: ElectronicCoeffi
 
     The polarizability follows the proportional-to-B(E2) convention. Each
     row holds the three per-unknown sensitivities of that (isotope,
-    transition) pair; the right-hand side is attached separately.
+    transition) pair; the right-hand side is passed to the solve.
     """
     if not odd_isotopes:
         raise ValidationError("no odd isotopes supplied")
@@ -302,8 +279,8 @@ def precondition(m: DesignMatrix) -> DesignMatrix:
     """Scale every column to unit Euclidean norm, keeping the originals.
 
     Normalization separates the geometric independence of the isotope
-    parameter vectors from raw unit amplification; the right-hand side is
-    untouched. Already-preconditioned input passes through unchanged.
+    parameter vectors from raw unit amplification. Already-preconditioned
+    input passes through unchanged.
     """
     if m.preconditioned:
         return m
@@ -503,36 +480,39 @@ def condition_number(m: DesignMatrix) -> float:
     return float(condition_numbers(precondition(m).entries))
 
 
+class Estimate(NamedTuple):
+    """One background amplitude and its standard error."""
+
+    name: str
+    value: float
+    se: float
+
+
 @dataclass(frozen=True)
 class ExtractionResult:
     """Weighted least-squares extraction of the rank-2 amplitudes."""
 
     alpha_manko_hat: float
     alpha_manko_se: float
-    background_estimates: tuple[tuple[str, float, float], ...]
+    background_estimates: tuple[Estimate, ...]
     condition_number: float
     residual_norm_eV: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha_manko_hat": self.alpha_manko_hat,
-            "alpha_manko_se": self.alpha_manko_se,
-            "background_estimates": [
-                {"name": name, "value": value, "se": se}
-                for name, value, se in self.background_estimates
-            ],
-            "condition_number": self.condition_number,
-            "residual_norm_eV": self.residual_norm_eV,
-        }
-
 
 def _solve(m: DesignMatrix, rhs_stack, sigma):
-    """The weighted solve behind solve_many and extract; returns the
-    preconditioned design, the solutions y of the preconditioned system
-    (trials, cols), and solve_many's three values."""
+    """The weighted solve behind solve_many and extract, and the one owner
+    of their input checks; returns the preconditioned design, the
+    solutions y of the preconditioned system (trials, cols), and
+    solve_many's three values."""
+    rhs_stack = np.asarray(rhs_stack, dtype=float)
+    if rhs_stack.ndim != 2 or rhs_stack.shape[1] != len(m.rows):
+        raise ValidationError(
+            f"the rhs stack has shape {rhs_stack.shape}; expected (trials, {len(m.rows)}), "
+            "one value per design row in each trial"
+        )
     sigma = np.ones(len(m.rows)) if sigma is None else np.asarray(sigma, dtype=float)
     if sigma.shape != (len(m.rows),) or np.any(sigma <= 0):
-        raise ValidationError("rhs_sigma must provide one positive uncertainty per row")
+        raise ValidationError("sigma must provide one positive uncertainty per row")
 
     _refuse_underdetermined(m)
     pre = precondition(m)
@@ -574,7 +554,8 @@ def _solve(m: DesignMatrix, rhs_stack, sigma):
 
 def solve_many(m: DesignMatrix, rhs_stack, sigma):
     """Weighted least squares of one design against a (trials, rows) rhs
-    stack sharing the per-row one-sigma sigma (unit weights when None).
+    stack sharing the per-row one-sigma sigma (unit weights when None);
+    any other rhs shape is refused with a ValidationError.
 
     One SVD of the row-whitened preconditioned system solves every trial;
     estimates and covariance are scaled back through the column norms.
@@ -590,15 +571,14 @@ def solve_many(m: DesignMatrix, rhs_stack, sigma):
     return _solve(m, rhs_stack, sigma)[2:]
 
 
-def extract(m: DesignMatrix) -> ExtractionResult:
-    """Weighted least-squares extraction of the attached right-hand side
-    with its attached uncertainties; see solve_many. Adds the residual
-    norm in eV, |rhs - A_pre y| over the preconditioned design and its
-    solution, and raises NumericalError when it is not finite."""
-    if m.rhs is None:
-        raise ValidationError("design matrix has no right-hand side attached")
-    rhs_stack = m.rhs[None, :]
-    pre, y, estimates, errors, kappa = _solve(m, rhs_stack, m.rhs_sigma)
+def extract(m: DesignMatrix, rhs, sigma) -> ExtractionResult:
+    """Weighted least-squares extraction of one right-hand side, one value
+    per design row, with its per-row one-sigma sigma; see solve_many. Adds
+    the residual norm in eV, |rhs - A_pre y| over the preconditioned
+    design and its solution, and raises NumericalError when it is not
+    finite."""
+    rhs_stack = np.asarray(rhs, dtype=float)[None]
+    pre, y, estimates, errors, kappa = _solve(m, rhs_stack, sigma)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.linalg.norm(rhs_stack - y @ pre.entries.T, axis=-1)[0])
     if not math.isfinite(residual):
@@ -606,7 +586,7 @@ def extract(m: DesignMatrix) -> ExtractionResult:
             "the residual norm is not finite; check the scale of the rhs values and uncertainties"
         )
     backgrounds = tuple(
-        (name, float(estimates[0, k]), float(errors[k]))
+        Estimate(name, float(estimates[0, k]), float(errors[k]))
         for k, name in enumerate(m.columns[:-1])
     )
     return ExtractionResult(

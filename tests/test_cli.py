@@ -117,6 +117,18 @@ def test_solvability_selected_variants(capsys):
     assert report["selected"]["verdict"] == "Yes (6 ≫ 3)"
 
 
+@pytest.mark.parametrize("argv, row", [
+    (["--transitions", "3"], ",4,2,3,True,6,3,Yes (6 ≫ 3),2"),
+    (["--add-isotope", "91"], ",4,3,1,True,3,3,Yes (3 = 3),2"),
+    (["--transitions", "5", "--add-isotope", "93"], ",4,3,5,True,15,3,Yes (15 ≫ 3),2"),
+])
+def test_solvability_csv_writes_the_selected_topology(capsys, argv, row):
+    # the golden solvability csv pins the group's header and the default row
+    code, out, _ = _run(capsys, "solvability", *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[-1] == row
+
+
 def test_solvability_enumeration_labels(capsys):
     code, report = _run_json(capsys, "solvability")
     labels = [row["label"] for row in report["topologies"]]
@@ -245,6 +257,19 @@ def test_condition_csv_out_refuses_a_non_finite_summary(capsys, tmp_path, monkey
     assert out == ""
     assert "numerical failure:" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [["ramsey", "--tr", "1"], ["condition", "--samples", "16"]])
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize("below", ["", "sub"], ids=["existing-file", "below-a-file"])
+def test_an_out_that_cannot_be_written_exits_2_naming_it(capsys, tmp_path, argv, fmt, below):
+    existing = tmp_path / "report"
+    existing.write_text("kept", encoding="utf-8")
+    out_dir = existing / below if below else existing
+    code, out, err = _run(capsys, *argv, "--format", fmt, "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: --out cannot write") and str(out_dir) in err
+    assert existing.read_text(encoding="utf-8") == "kept"
 
 
 # ---------------------------------------------------------------------------

@@ -416,7 +416,7 @@ def test_condition_number_underdetermined_rejected():
         condition_number(m)
     # extract refuses on the shape too, before the zero column is looked at
     with pytest.raises(UnderdeterminedError, match="N_odd >= 3"):
-        extract(m.with_rhs(np.ones(2)))
+        extract(m, np.ones(2), None)
 
 
 def test_condition_number_against_jacobi_oracle():
@@ -463,7 +463,7 @@ def _noiseless_result(odd, coeffs_used):
     design = build_design(odd, coeffs_used)
     rhs = design.entries @ TRUTH
     sigma = np.full(len(design.rows), 1e-22)
-    return extract(precondition(design.with_rhs(rhs, sigma)))
+    return extract(precondition(design), rhs, sigma)
 
 
 def test_noiseless_recovery_all_topologies(mo_chain, frib_chain, coeffs):
@@ -486,7 +486,7 @@ def test_underdetermined_stable_pair_refused(mo_chain, coeffs):
     design = build_design(odd, coeffs.subset(["1s-2p3/2"]))
     rhs = design.entries @ TRUTH
     with pytest.raises(UnderdeterminedError):
-        extract(design.with_rhs(rhs, np.full(2, 1e-22)))
+        extract(design, rhs, np.full(2, 1e-22))
 
 
 def test_solve_many_preconditions_once(frib_chain, coeffs, monkeypatch):
@@ -497,10 +497,25 @@ def test_solve_many_preconditions_once(frib_chain, coeffs, monkeypatch):
     assert len(calls) == 1
 
 
-def test_extract_requires_rhs(frib_chain, coeffs):
-    _, odd = partition(frib_chain)
-    with pytest.raises(ValidationError, match="right-hand side"):
-        extract(build_design(odd, coeffs))
+def test_solve_many_refuses_an_rhs_stack_of_the_wrong_row_count(frib_chain, coeffs):
+    design = build_design(partition(frib_chain)[1], coeffs)
+    assert len(design.rows) == 6
+    with pytest.raises(ValidationError, match=r"shape \(4, 5\); expected \(trials, 6\)"):
+        gkp.solve_many(design, np.ones((4, 5)), None)
+
+
+def test_solve_many_refuses_a_one_dimensional_rhs(frib_chain, coeffs):
+    design = build_design(partition(frib_chain)[1], coeffs)
+    with pytest.raises(ValidationError, match=r"shape \(6,\); expected \(trials, 6\)"):
+        gkp.solve_many(design, design.entries @ TRUTH, None)
+
+
+def test_extract_refuses_an_rhs_that_is_not_one_value_per_row(frib_chain, coeffs):
+    design = build_design(partition(frib_chain)[1], coeffs)
+    rhs = design.entries @ TRUTH
+    for bad in (rhs[:5], rhs[None, :], np.float64(1.0)):
+        with pytest.raises(ValidationError, match=r"expected \(trials, 6\)"):
+            extract(design, bad, None)
 
 
 def test_extract_rejects_bad_sigma(frib_chain, coeffs):
@@ -508,7 +523,7 @@ def test_extract_rejects_bad_sigma(frib_chain, coeffs):
     design = build_design(odd, coeffs)
     rhs = design.entries @ TRUTH
     with pytest.raises(ValidationError):
-        extract(design.with_rhs(rhs, np.zeros(len(design.rows))))
+        extract(design, rhs, np.zeros(len(design.rows)))
 
 
 def test_extract_refuses_overflowing_weights(frib_chain, coeffs):
@@ -518,18 +533,18 @@ def test_extract_refuses_overflowing_weights(frib_chain, coeffs):
     design = build_design(odd, coeffs)
     rhs = design.entries @ TRUTH
     with pytest.raises(NumericalError):
-        extract(design.with_rhs(rhs, np.full(len(design.rows), 1e-300)))
+        extract(design, rhs, np.full(len(design.rows), 1e-300))
 
 
 def test_extract_refuses_an_overflowing_residual_norm():
     # finite estimates, but a residual of 1e200 outside the column space
     # overflows when squared in its norm
     entries = np.vstack([np.eye(3), np.zeros(3)])
-    m = DesignMatrix(rows=tuple((k, "t") for k in range(4)), columns=COLUMN_NAMES,
-                     entries=entries, rhs=np.array([1.0, 2.0, 3.0, 1e200]), rhs_sigma=np.ones(4))
+    m = DesignMatrix(rows=tuple((k, "t") for k in range(4)), columns=COLUMN_NAMES, entries=entries)
+    rhs = np.array([1.0, 2.0, 3.0, 1e200])
     with pytest.raises(NumericalError, match="residual norm is not finite"):
-        extract(m)
-    estimates, errors, kappa = gkp.solve_many(m, m.rhs[None, :], m.rhs_sigma)
+        extract(m, rhs, np.ones(4))
+    estimates, errors, kappa = gkp.solve_many(m, rhs[None, :], np.ones(4))
     assert estimates.tolist() == [[1.0, 2.0, 3.0]] and kappa == 1.0
 
 
@@ -539,15 +554,14 @@ def test_extract_refuses_underflowing_weights(frib_chain, coeffs):
     design = build_design(partition(frib_chain)[1], coeffs)
     rhs = design.entries @ TRUTH
     with pytest.raises(NumericalError, match="overflowed or underflowed"):
-        extract(design.with_rhs(rhs, np.full(len(design.rows), 1e300)))
+        extract(design, rhs, np.full(len(design.rows), 1e300))
 
 
 def test_extract_refuses_degenerate_directions():
     entries = np.column_stack([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 0.0]])
-    m = DesignMatrix(rows=((1, "t"), (2, "t"), (3, "t")), columns=COLUMN_NAMES,
-                     entries=entries, rhs=np.ones(3), rhs_sigma=np.ones(3))
+    m = DesignMatrix(rows=((1, "t"), (2, "t"), (3, "t")), columns=COLUMN_NAMES, entries=entries)
     with pytest.raises(RankDeficiencyError):
-        extract(m)
+        extract(m, np.ones(3), np.ones(3))
 
 
 def test_extract_scaling_invariance(frib_chain, coeffs):
@@ -555,12 +569,12 @@ def test_extract_scaling_invariance(frib_chain, coeffs):
     design = build_design(odd, coeffs.subset(["1s-2p3/2"]))
     rhs = design.entries @ TRUTH
     sigma = np.full(3, 1e-22)
-    base = extract(precondition(design.with_rhs(rhs, sigma)))
+    base = extract(precondition(design), rhs, sigma)
 
     scale = np.array([3.7e4, 1.0, 2.2e-6])
     scaled_design = DesignMatrix(rows=design.rows, columns=design.columns,
                                  entries=design.entries * scale)
-    scaled = extract(precondition(scaled_design.with_rhs(rhs, sigma)))
+    scaled = extract(precondition(scaled_design), rhs, sigma)
     # physical estimates compensate the column scaling; kappa unchanged
     assert scaled.condition_number == pytest.approx(base.condition_number, rel=1e-10)
     assert scaled.alpha_manko_hat * scale[2] == pytest.approx(base.alpha_manko_hat, rel=1e-10)
@@ -574,8 +588,8 @@ def test_extract_covariance_tracks_noise_scale(frib_chain, coeffs):
     _, odd = partition(frib_chain)
     design = build_design(odd, coeffs.subset(["1s-2p3/2"]))
     rhs = design.entries @ TRUTH
-    small = extract(precondition(design.with_rhs(rhs, np.full(3, 1e-13))))
-    large = extract(precondition(design.with_rhs(rhs, np.full(3, 2e-13))))
+    small = extract(precondition(design), rhs, np.full(3, 1e-13))
+    large = extract(precondition(design), rhs, np.full(3, 2e-13))
     assert large.alpha_manko_se == pytest.approx(2 * small.alpha_manko_se, rel=1e-10)
 
 
@@ -619,17 +633,3 @@ def test_alpha_t_uncertainty_quadrature(mo_chain):
     exact = IsotopeRecord(A=99, Z=42, spin=Fraction(5, 2), parity=+1,
                           r_ch=Measured(4.34), Qs=Measured(0.2), BE2_up=Measured(9.0))
     assert alpha_t_uncertainty(exact) == pytest.approx(1e-6, rel=1e-12)
-
-
-def test_serializers_round_json(frib_chain, coeffs):
-    import json
-
-    _, odd = partition(frib_chain)
-    design = precondition(build_design(odd, coeffs.subset(["1s-2p3/2"])))
-    rhs = design.entries @ np.array([1.0, 1.0, 1.0])
-    result = extract(design.with_rhs(rhs, np.full(3, 1e-13)))
-    payload = json.dumps({"design": design.to_json_dict(), "result": result.to_json_dict()})
-    back = json.loads(payload)
-    assert back["design"]["columns"] == list(COLUMN_NAMES)
-    assert back["design"]["preconditioned"] is True
-    assert back["result"]["alpha_manko_se"] == result.alpha_manko_se

@@ -163,9 +163,8 @@ def test_each_input_is_resolved_once_per_request(capsys, monkeypatch, argv):
         patched.setattr(os, "stat", counting_stat)
         assert main(argv) == 0
     inputs = json.loads(capsys.readouterr().out)["manifest"]["inputs"]
-    named = [role for role in inputs if role != "rhs"]  # the rhs path is read as given
-    assert len(resolved) == len(named)
-    assert sorted(stats) == sorted(inputs[role]["path"] for role in named)
+    assert len(resolved) == len(inputs)
+    assert sorted(stats) == sorted(entry["path"] for entry in inputs.values())
 
 
 def test_the_manifest_hashes_the_bytes_parsed_not_a_later_write(capsys, tmp_path, monkeypatch):

@@ -327,7 +327,7 @@ def test_null_injection_three_sigma_consistency(frib_chain, coeffs):
         rng = np.random.default_rng([31415, block // 500])
         noise = rng.normal(0.0, sigma, (min(500, trials - block), len(design.rows)))
         for eps in noise:
-            res = extract(design.with_rhs(rhs_true + eps, np.full(len(design.rows), sigma)))
+            res = extract(design, rhs_true + eps, np.full(len(design.rows), sigma))
             if abs(res.alpha_manko_hat) <= 3 * res.alpha_manko_se:
                 consistent += 1
     assert consistent / trials >= 0.99
@@ -342,7 +342,7 @@ def _reference_campaign(design, truth, noise_eV, trials, seed):
         rhs_true + _block_rng(seed, block).normal(0.0, noise_eV, (min(BLOCK_SIZE, trials - start), n_rows))
         for block, start in enumerate(range(0, trials, BLOCK_SIZE))
     ])
-    results = [extract(design.with_rhs(row, np.full(n_rows, noise_eV))) for row in rhs]
+    results = [extract(design, row, np.full(n_rows, noise_eV)) for row in rhs]
     return (rhs, np.array([r.alpha_manko_hat for r in results]),
             np.array([r.alpha_manko_se for r in results]))
 
