@@ -158,12 +158,15 @@ def decay_penalty(T_R_s: float, half_life_s: float) -> float:
     The per-shot frequency error scales as exp(T/(2 T_opt)) / sqrt(T) with
     T_opt = half_life / (2 ln 2): longer interrogation narrows the line
     but exponentially depletes the survivors. The factor is 1 at T_opt and
-    greater than 1 on both sides.
+    greater than 1 on both sides, and inf where the exponential overflows.
     """
     if T_R_s <= 0 or half_life_s <= 0:
         raise ValidationError("interrogation time and half-life must be positive")
     T_opt = half_life_s / (2.0 * math.log(2.0))
-    value = math.exp(T_R_s / (2.0 * T_opt)) / math.sqrt(T_R_s)
+    try:
+        value = math.exp(T_R_s / (2.0 * T_opt)) / math.sqrt(T_R_s)
+    except OverflowError:
+        return math.inf
     minimum = math.exp(0.5) / math.sqrt(T_opt)
     return value / minimum
 

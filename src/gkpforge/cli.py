@@ -15,6 +15,15 @@ names through `_load`, builds its report from dataclass fields and hands
 it to `_emit`, which adds the manifest from the inputs `_load` recorded,
 writes --out and prints.
 
+Table, csv and json are three views of one report. json prints all of
+it; csv and table print the rows of `_groups`: a row [key, *values] for
+each top-level scalar or list of scalars, then a group for each list of
+objects or object of scalars, a header [key, *columns] over one row per
+object. The manifest and nested values (extract's rows and design,
+budget's signal_band_eV) are json-only. The table pads each block's
+columns and prints floats to six significant digits under a line naming
+the command; condition's csv is its κ histogram instead.
+
 One writer, `_json_text`, turns every report into JSON, whatever the
 format: its text is the json output and the --out file, and writing it is
 the one gate for NaN and Infinity, for csv and table too. It gives the
@@ -34,6 +43,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import math
 import os
 import sys
@@ -60,10 +70,6 @@ ENV_TIMESTAMP = "GKPFORGE_TIMESTAMP"
 
 def _sci(x: float) -> str:
     """Scientific notation with 6 significant digits, locale-independent."""
-    if x is None:
-        return ""
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
     return f"{x:.5e}"
 
 
@@ -93,30 +99,51 @@ def _scalar(value) -> bool:
     return isinstance(value, (str, int, float, bool)) or value is None
 
 
-def _flatten_csv(report: dict) -> str:
-    """Generic key,value CSV of the report's scalar payload; list- or
-    tuple-of-object fields become their own row groups, and an object of
-    scalars a one-row group."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    tables = {}
+def _cell(value):
+    return "" if value is None else value
+
+
+def _groups(report: dict) -> tuple[list[list], list[list[list]]]:
+    """The key rows and the groups, each a header over ["", *values] rows,
+    that csv and table print, by the rule in the module docstring."""
+    pairs, groups = [], []
     for key, value in report.items():
         if key == "manifest":
             continue
-        if isinstance(value, (list, tuple)) and value and all(isinstance(v, dict) for v in value):
-            tables[key] = value
-        elif isinstance(value, dict) and value and all(_scalar(v) for v in value.values()):
-            tables[key] = [value]
-        elif _scalar(value):
-            writer.writerow([key, "" if value is None else value])
-    for key, rows in tables.items():
+        if isinstance(value, dict) and value and all(map(_scalar, value.values())):
+            value = [value]
+        if _scalar(value):
+            pairs.append([key, _cell(value)])
+        elif isinstance(value, (list, tuple)) and all(map(_scalar, value)):
+            pairs.append([key, *map(_cell, value)])
+        elif isinstance(value, (list, tuple)) and value and all(isinstance(row, dict) for row in value):
+            header = list(value[0])
+            groups.append([[key, *header], *(["", *(_cell(row.get(col)) for col in header)] for row in value)])
+    return pairs, groups
+
+
+def _csv_text(report: dict) -> str:
+    pairs, groups = _groups(report)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["key", "value"])
+    writer.writerows(pairs)
+    for rows in groups:
         writer.writerow([])
-        header = list(rows[0])
-        writer.writerow([key] + header)
-        for row in rows:
-            writer.writerow([""] + ["" if row.get(col) is None else row.get(col) for col in header])
+        writer.writerows(rows)
     return buf.getvalue()
+
+
+def _table_text(report: dict) -> str:
+    """The csv rows under a line naming the command, each block's columns
+    padded to their widest cell and floats through _sci."""
+    pairs, groups = _groups(report)
+    blocks = [f"gkpforge {report['manifest']['command']}"]
+    for rows in filter(None, [pairs, *groups]):
+        cells = [[_sci(v) if isinstance(v, float) else str(v) for v in row] for row in rows]
+        widths = [max(map(len, column)) for column in itertools.zip_longest(*cells, fillvalue="")]
+        blocks.append("\n".join("  ".join(map(str.ljust, row, widths)).rstrip() for row in cells))
+    return "\n\n".join(blocks)
 
 
 class _NonFinite(Exception):
@@ -192,7 +219,7 @@ def _fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
-def _emit(args, report: dict, table: str, *, seed: int | None = None,
+def _emit(args, report: dict, *, seed: int | None = None,
           versions: dict[str, str] | None = None, histogram: str | None = None) -> None:
     """Prepend the manifest of the inputs _load recorded, write --out
     (<command>.json, and a histogram as <command>_histogram.csv), then
@@ -226,9 +253,9 @@ def _emit(args, report: dict, table: str, *, seed: int | None = None,
     if args.format == "json":
         print(text)
     elif args.format == "csv":
-        print(_flatten_csv(report) if histogram is None else histogram, end="")
+        print(_csv_text(report) if histogram is None else histogram, end="")
     else:
-        print(table)
+        print(_table_text(report))
 
 
 # ---------------------------------------------------------------------------
@@ -248,25 +275,6 @@ def cmd_budget(args) -> int:
     bound_nominal = budget.chi_bound(result.combined_eV, anchors.signal_anchor_eV)
     bound_band = [budget.chi_bound(result.combined_eV, s) for _, s in band]
 
-    lines = [
-        f"Electromagnetic barrier budget  (probe A={result.probe_A}, channel {result.channel}, scenario {result.scenario})",
-        "",
-        f"{'Barrier':<22}{'Scaling':<10}{'Raw (eV)':<14}{'Current (eV)':<15}{'Projected (eV)':<15}",
-    ]
-    for e in result.entries:
-        values = e.note if e.raw_eV is None else f"{_sci(e.raw_eV):<14}{_sci(e.current_eV):<15}{_sci(e.projected_eV):<15}"
-        lines.append(f"{e.name:<22}{e.scaling:<10}{values}")
-    lines += [
-        f"{'Combined (sum)':<32}{'':<14}{_sci(result.combined_current_eV):<15}{_sci(result.combined_projected_eV):<15}",
-        f"{'Combined (max)':<32}{'':<14}{_sci(result.max_current_eV):<15}{_sci(result.max_projected_eV):<15}",
-        f"{'Signal (nominal)':<32}{_sci(result.signal_nominal_eV)}",
-        "",
-        f"Scenario combined residual: {_sci(result.combined_eV)} eV, dominant barrier: {result.dominant}",
-        f"|chi-1| bound at nominal signal: {_sci(bound_nominal)}",
-        f"|chi-1| band over the form-factor range: [{_sci(min(bound_band))}, {_sci(max(bound_band))}]",
-        f"Signal radiative correction: {qed_fraction:.4f} fractional, residual {_sci(qed_residual)} eV",
-    ]
-
     report = {
         **_fields(result),
         "entries": [_fields(e) for e in result.entries],  # keeps the position the spread gave it
@@ -276,7 +284,7 @@ def cmd_budget(args) -> int:
         "qed_fractional_correction": qed_fraction,
         "qed_residual_eV": qed_residual,
     }
-    _emit(args, report, "\n".join(lines), versions={"anchors": anchors.name})
+    _emit(args, report, versions={"anchors": anchors.name})
     return EXIT_OK
 
 
@@ -324,16 +332,7 @@ def cmd_solvability(args) -> int:
     rows = [{"label": label, **row(top)} for label, top in enumeration]
     selected = dict(row(Topology(n_ee, len(odd) + len(args.add_isotope), args.transitions)), N_bkg=args.nbkg)
 
-    lines = [
-        "Experimental topologies for the rank-2 extraction",
-        "",
-        f"{'Topology':<20}{'N_ee':<6}{'N_odd':<7}{'N_trans':<9}{'Solvable?':<14}",
-        *(f"{r['label']:<20}{r['N_ee']:<6}{r['N_odd']:<7}{r['N_trans_rank2']:<9}{r['verdict']:<14}" for r in rows),
-        "",
-        f"Selected configuration: N_odd={selected['N_odd']}, N_trans={selected['N_trans_rank2']}, "
-        f"N_bkg={args.nbkg} -> {selected['verdict']}",
-    ]
-    _emit(args, {"topologies": rows, "selected": selected}, "\n".join(lines))
+    _emit(args, {"topologies": rows, "selected": selected})
     return EXIT_OK
 
 
@@ -380,18 +379,7 @@ def cmd_condition(args) -> int:
     summary = montecarlo.summarize_kappa(kappas, excluded, seed)
     histogram = _histogram_csv(kappas) if args.format == "csv" or args.out else None
 
-    lines = [
-        f"Conditioning study: {summary.sample_count} draws, seed {summary.seed}",
-        "",
-        f"kappa mean   {_sci(summary.mean)}",
-        f"kappa std    {_sci(summary.std)}",
-        f"kappa median {_sci(summary.median)}",
-        f"kappa p5     {_sci(summary.p5)}",
-        f"kappa p95    {_sci(summary.p95)}",
-        f"rank-deficient fraction {_sci(summary.rank_deficient_fraction)}",
-        f"guard-band excluded fraction {_sci(summary.excluded_fraction)}",
-    ]
-    _emit(args, {"summary": _fields(summary)}, "\n".join(lines), seed=seed,
+    _emit(args, {"summary": _fields(summary)}, seed=seed,
           versions={"coeffs": coeffs.name, "spec": spec.name}, histogram=histogram)
     return EXIT_OK
 
@@ -456,20 +444,6 @@ def cmd_extract(args) -> int:
         raise ValidationError(f"rhs file has entries that no design row uses: {unused_rows}")
     bound = budget.chi_bound_from_extraction(result, anchors.signal_anchor_eV)
 
-    n_eq, n_unk = design.shape
-    lines = [
-        f"Rank-2 extraction: {n_eq} equations, {n_unk} unknowns, kappa = {_sci(result.condition_number)}",
-        "",
-        f"{'unknown':<22}{'estimate':<16}{'std error':<16}",
-    ]
-    for name, value, err in result.background_estimates:
-        lines.append(f"{name:<22}{_sci(value):<16}{_sci(err):<16}")
-    lines += [
-        f"{'gravitomagnetic':<22}{_sci(result.alpha_manko_hat):<16}{_sci(result.alpha_manko_se):<16}",
-        "",
-        f"residual norm: {_sci(result.residual_norm_eV)} eV",
-        f"|chi-1| bound from the amplitude standard error: {_sci(bound)}",
-    ]
     report = {
         "rows": design.rows,
         "design": {**_fields(pre), "entries": pre.entries.tolist(),
@@ -480,7 +454,7 @@ def cmd_extract(args) -> int:
         "signal_at_chi1_eV": anchors.signal_anchor_eV,
         "alpha_t_convention": coeffs.alpha_t_convention,
     }
-    _emit(args, report, "\n".join(lines), versions={"coeffs": coeffs.name, "anchors": anchors.name})
+    _emit(args, report, versions={"coeffs": coeffs.name, "anchors": anchors.name})
     return EXIT_OK
 
 
@@ -491,26 +465,14 @@ def cmd_milestones(args) -> int:
     from . import budget
 
     ladder = _load(args, "ladder", budget.load_milestones)
-    lines = [
-        "Sensitivity milestones",
-        "",
-        f"{'Sensitivity (eV)':<18}{'Dominant barrier':<22}{'Required advance':<42}{'Era':<26}",
-        *(f"{_sci(r.sensitivity_eV):<18}{r.dominant_barrier:<22}{r.required_advance:<42}{r.era:<26}"
-          for r in ladder.rows),
-    ]
     report = {
         "rows": [_fields(r) for r in ladder.rows],
         "era_boundary_eV": ladder.era_boundary_eV,
     }
     if args.target is not None:
         row = budget.milestone_lookup(args.target, ladder)
-        lines += [
-            "",
-            f"Target {_sci(args.target)} eV -> dominant barrier: {row.dominant_barrier}; "
-            f"required advance: {row.required_advance}; era: {row.era}",
-        ]
         report["target"] = dict(_fields(row), sensitivity_eV=args.target)
-    _emit(args, report, "\n".join(lines), versions={"ladder": ladder.name})
+    _emit(args, report, versions={"ladder": ladder.name})
     return EXIT_OK
 
 
@@ -518,24 +480,7 @@ def cmd_ramsey(args) -> int:
     from . import budget
 
     plan = budget.ramsey_plan(args.half_life, args.tr, args.reps)
-    lines = ["Ramsey interrogation plan", ""]
-    if plan.half_life_s is None:
-        lines.append("species: stable")
-    else:
-        lines.append(f"species half-life: {_sci(plan.half_life_s)} s")
-        lines.append(f"decay-limited optimum T_R: {_sci(plan.T_R_opt_s)} s")
-    lines += [
-        f"requested T_R: {_sci(plan.T_R_requested_s)} s",
-        f"planned T_R:   {_sci(plan.T_R_s)} s",
-        f"per-shot linewidth: {_sci(plan.per_shot_linewidth_Hz)} Hz",
-        f"repetitions: {plan.repetitions}",
-        f"campaign sensitivity: {_sci(plan.campaign_sensitivity_Hz)} Hz = {_sci(plan.campaign_sensitivity_eV)} eV",
-    ]
-    if plan.decay_penalty_at_request is not None:
-        lines.append(f"decay penalty at requested T_R: {_sci(plan.decay_penalty_at_request)}")
-    if plan.warning:
-        lines.append(f"WARNING: {plan.warning}")
-    _emit(args, _fields(plan), "\n".join(lines))
+    _emit(args, _fields(plan))
     return EXIT_OK
 
 

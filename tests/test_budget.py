@@ -138,6 +138,11 @@ def test_decay_penalty_normalization_and_divergence():
         decay_penalty(10.0, 0.0)
 
 
+@pytest.mark.parametrize("T_R, half_life", [(1e300, 1.0), (1.0, 1e-300)])
+def test_decay_penalty_is_inf_where_the_exponential_overflows(T_R, half_life):
+    assert decay_penalty(T_R, half_life) == math.inf
+
+
 def test_decay_penalty_minimum_by_finite_difference():
     t_opt = HALF_LIFE_91 / (2 * math.log(2))
     h = 1e-3 * t_opt

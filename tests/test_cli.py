@@ -505,7 +505,7 @@ def test_ramsey_warns_beyond_optimum(capsys):
     assert report["warning"] is not None
     assert report["decay_penalty_at_request"] > 1.0
     code, out, _ = _run(capsys, "ramsey", "--half-life", "930", "--tr", "2000")
-    assert "WARNING" in out
+    assert report["warning"] in out
 
 
 def test_ramsey_stable(capsys):
@@ -525,6 +525,17 @@ def test_ramsey_reps_beyond_float_range_exit2(capsys):
     assert code == 2
     assert out == ""
     assert "repetitions must be at most 1.79769e+308" in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["ramsey", "--half-life", "1", "--tr", "1e300"], 3, "non-finite number in 'decay_penalty_at_request'"),
+    (["ramsey", "--half-life", "1e-300", "--tr", "1"], 3, "non-finite number in 'decay_penalty_at_request'"),
+])
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_exit_codes(capsys, argv, code, message, fmt):
+    exit_code, out, err = _run(capsys, *argv, "--format", fmt)
+    assert (exit_code, out) == (code, "")
+    assert message in err
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -13,8 +13,11 @@ After a deliberate change to report bytes, regenerate the files with
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
+import json
 import os
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -75,6 +78,45 @@ def test_golden_report(case, fmt, tmp_path):
     stdout, files = _run(CASES[case], fmt, tmp_path)
     assert stdout == expected_stdout
     assert files == expected_files
+
+
+def _is_scalar(value) -> bool:
+    return isinstance(value, (str, int, float, bool)) or value is None
+
+
+def _shown(value, fmt: str) -> list[str]:
+    """A scalar's cells in a table or csv row: floats in the table to six
+    significant digits, null as an empty csv cell and no table cell."""
+    if value is None:
+        return [""] if fmt == "csv" else []
+    return [f"{value:.5e}" if fmt == "table" and isinstance(value, float) else str(value)]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_table_and_csv_show_every_field_of_the_json_report(case):
+    """Table, csv and json are three views of one report: each top-level
+    scalar or list of scalars is a row [key, *values] of csv and table, and
+    each list of objects or object of scalars a group whose header row is
+    [key, *columns], the columns in any order (json sorts them).
+    condition's csv is its κ histogram instead."""
+    report = json.loads(_run(CASES[case], "json", None)[0])
+    del report["manifest"]
+    for fmt in ("table", "csv"):
+        if fmt == "csv" and CASES[case][0] == "condition":
+            continue
+        text = _run(CASES[case], fmt, None)[0]
+        rows = list(csv.reader(io.StringIO(text))) if fmt == "csv" else [
+            re.split(r" {2,}", line) for line in text.splitlines()]
+        by_key = {row[0]: row[1:] for row in rows if row and row[0]}
+        for key, value in report.items():
+            if isinstance(value, dict) and all(map(_is_scalar, value.values())):
+                value = [value]
+            if _is_scalar(value):
+                assert by_key.get(key) == _shown(value, fmt), f"{fmt} row {key}"
+            elif isinstance(value, list) and all(map(_is_scalar, value)):
+                assert by_key.get(key) == [cell for v in value for cell in _shown(v, fmt)], f"{fmt} row {key}"
+            elif isinstance(value, list) and all(isinstance(row, dict) for row in value):
+                assert sorted(by_key.get(key, [])) == sorted(value[0]), f"{fmt} group {key}"
 
 
 def regenerate() -> None:
