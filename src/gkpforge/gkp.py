@@ -1,13 +1,13 @@
 """Generalized King Plot rank-2 extraction.
 
-After the even-even hyperplane has been subtracted, the per-(isotope,
-transition) rank-2 anomaly decomposes into three terms: a static
-quadrupole background proportional to Qs, a dynamic polarizability
-background proportional to alpha_T (itself taken proportional to B(E2)),
-and the gravitomagnetic term proportional to the spin-mass lever I^2/M.
-The design matrix therefore has one row per (odd isotope, rank-2
-transition) and one column per unknown amplitude, ordered
-[qs_background, alpha_t_background, gravitomagnetic].
+The right-hand side must arrive already reduced: no code here subtracts
+the even-even hyperplane. Its per-(isotope, transition) rank-2 anomaly
+has three terms, each a nuclear factor of the isotope (nuclear_factors)
+times an electronic coefficient of the transition: H Qs (static
+quadrupole background), P B(E2) (dynamic polarizability, alpha_T taken
+proportional to B(E2)) and G I^2/M (gravitomagnetic). design_entries
+builds every design, one row per (odd isotope, rank-2 transition), with
+columns [qs_background, alpha_t_background, gravitomagnetic].
 
 Raw columns span many decades, so all solving happens on the
 column-normalized (preconditioned) matrix; estimates and covariances are
@@ -44,12 +44,13 @@ __all__ = [
     "TransitionCoefficients",
     "ElectronicCoefficients",
     "load_coefficients",
-    "alpha_t_from_be2",
     "alpha_t_uncertainty",
     "Topology",
     "solvable",
     "solvability_verdict",
     "DesignMatrix",
+    "nuclear_factors",
+    "design_entries",
     "build_design",
     "normalize_columns",
     "precondition",
@@ -162,17 +163,6 @@ def _coefficients_from_json(obj: dict, path: Path) -> ElectronicCoefficients:
     )
 
 
-def alpha_t_from_be2(records: Sequence[IsotopeRecord]) -> dict[int, float]:
-    """Per-isotope polarizability values under the proportional-to-B(E2)
-    convention (unit conversion absorbed into the P coefficient)."""
-    values = {}
-    for rec in records:
-        if rec.BE2_up is None:
-            raise ValidationError(f"isotope A={rec.A} has no B(E2) entry for the polarizability proxy")
-        values[rec.A] = rec.BE2_up.value
-    return values
-
-
 # fragmented odd-isotope strengths are summed multiplet values, known to
 # roughly this relative accuracy when no explicit sigma is given
 EFFECTIVE_BE2_DEFAULT_REL = 0.15
@@ -233,45 +223,54 @@ class DesignMatrix:
         return self.entries.shape
 
 
-def build_design(odd_isotopes: Sequence[IsotopeRecord], coeffs: ElectronicCoefficients) -> DesignMatrix:
-    """Assemble the design matrix over (odd isotope) x (rank-2 transition).
+def nuclear_factors(rec: IsotopeRecord) -> tuple[float, float, float]:
+    """(Qs, B(E2), I^2/M) of one odd isotope, the polarizability taken
+    proportional to B(E2); refuses an even-even isotope and a missing Qs
+    or B(E2)."""
+    if rec.spin == 0:
+        raise ValidationError(f"isotope A={rec.A} is even-even and carries no rank-2 observable")
+    if rec.Qs is None:
+        raise ValidationError(f"isotope A={rec.A} is missing its quadrupole moment")
+    if rec.BE2_up is None:
+        raise ValidationError(f"isotope A={rec.A} has no B(E2) entry for the polarizability proxy")
+    return rec.Qs.value, rec.BE2_up.value, spin_mass_lever(rec)
 
-    The polarizability follows the proportional-to-B(E2) convention. Each
-    row holds the three per-unknown sensitivities of that (isotope,
-    transition) pair; the right-hand side is passed to the solve.
-    """
+
+def design_entries(nuclear: np.ndarray, transitions: Sequence[TransitionCoefficients]) -> np.ndarray:
+    """(..., isotopes * transitions, 3) design entries, isotope-major, of a
+    (..., isotopes, 3) stack of nuclear factors: one broadcast product by
+    the transitions' (H, P, G), laid out like its input (a draws-last
+    stack gives a draws-last view). Overflow is left to normalize_columns."""
+    electronic = np.array([(t.H_eV_per_b, t.P_eV_per_wu, t.G_eV_per_lever) for t in transitions])
+    with np.errstate(over="ignore"):
+        return (nuclear[..., :, None, :] * electronic).reshape(*nuclear.shape[:-2], -1, 3)
+
+
+def build_design(odd_isotopes: Sequence[IsotopeRecord], coeffs: ElectronicCoefficients) -> DesignMatrix:
+    """The design over (odd isotope) x (rank-2 transition) from the
+    isotopes' nuclear factors; the right-hand side is passed to the solve."""
     if not odd_isotopes:
         raise ValidationError("no odd isotopes supplied")
     transitions = coeffs.rank2_transitions()
-    polarizability = alpha_t_from_be2(odd_isotopes)
-    rows = []
-    data = []
-    for rec in odd_isotopes:
-        if rec.spin == 0:
-            raise ValidationError(f"isotope A={rec.A} is even-even and carries no rank-2 observable")
-        if rec.Qs is None:
-            raise ValidationError(f"isotope A={rec.A} is missing its quadrupole moment")
-        lever = spin_mass_lever(rec)
-        for t in transitions:
-            rows.append((rec.A, t.label))
-            data.append(
-                [
-                    t.H_eV_per_b * rec.Qs.value,
-                    t.P_eV_per_wu * polarizability[rec.A],
-                    t.G_eV_per_lever * lever,
-                ]
-            )
-    return DesignMatrix(rows=tuple(rows), columns=COLUMN_NAMES, entries=np.array(data))
+    nuclear = np.array([nuclear_factors(rec) for rec in odd_isotopes])
+    rows = tuple((rec.A, t.label) for rec in odd_isotopes for t in transitions)
+    return DesignMatrix(rows=rows, columns=COLUMN_NAMES, entries=design_entries(nuclear, transitions))
 
 
 def normalize_columns(stack: np.ndarray, columns: Sequence[str]):
     """Scale every column of a (..., rows, cols) stack to unit Euclidean
-    norm, refusing a column that is zero in any matrix before dividing.
-    Returns the normalized stack and its (..., cols) column norms."""
-    norms = np.linalg.norm(stack, axis=-2)
-    zero = (norms == 0.0).reshape(-1, norms.shape[-1]).any(axis=0)
-    if zero.any():
-        raise RankDeficiencyError(f"column {columns[int(np.argmax(zero))]!r} is identically zero")
+    norm; returns the stack and its (..., cols) norms. A column whose norm
+    is zero or not finite in any matrix is refused before dividing: as a
+    rank deficiency where it is all zero there, else as a NumericalError."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(stack, axis=-2)
+    bad = ~((norms > 0.0) & (norms < np.inf))  # zero, inf or nan
+    if bad.any():
+        k = int(np.argmax(bad.reshape(-1, bad.shape[-1]).any(axis=0)))
+        if np.any(stack[..., k][bad[..., k]] != 0.0):
+            raise NumericalError(f"column {columns[k]!r} has a norm outside the floating-point range: "
+                                 "an entry or its square overflows, or the squares underflow")
+        raise RankDeficiencyError(f"column {columns[k]!r} is identically zero")
     return stack / norms[..., None, :], norms
 
 
@@ -302,7 +301,8 @@ CLOSED_FORM_MAX_KAPPA = 1e8
 
 def _svd_condition_numbers(stack: np.ndarray) -> np.ndarray:
     sv = np.linalg.svd(stack, compute_uv=False)
-    return np.where(sv[..., -1] < RANK_DEFICIENCY_RTOL * sv[..., 0], np.inf, sv[..., 0] / sv[..., -1])
+    deficient = sv[..., -1] < RANK_DEFICIENCY_RTOL * sv[..., 0]  # kappa inf, without dividing by zero
+    return np.divide(sv[..., 0], sv[..., -1], out=np.full(deficient.shape, np.inf), where=~deficient)
 
 
 def _dot3(x, y, out, tmp):

@@ -5,12 +5,14 @@ the unmeasured A=91 parameters sampled from declared brackets, and
 injection-recovery of the gravitomagnetic amplitude against per-row noise.
 
 Both are random-number plumbing around gkp, which builds, normalizes and
-solves: kappa comes from one condition_numbers call per batch of
-KAPPA_BATCH draws, held draws-last (each matrix entry's draws contiguous
-in memory), and an injection campaign is one solve_many call over all
-its trials, whose noise is drawn in place into one (trials, rows) array
-and which computes no residual norms, since no campaign statistic reads
-them.
+solves. Each conditioning draw's design is its nuclear factors (Qs,
+B(E2), I^2/M), the sampled A=91 ones among them, times the transition's
+electronic coefficients (H, P, G), built by gkp.design_entries; kappa
+comes from one condition_numbers call per batch of KAPPA_BATCH draws,
+held draws-last (each matrix entry's draws contiguous in memory). An
+injection campaign is one solve_many call over all its trials, whose
+noise is drawn in place into one (trials, rows) array and which computes
+no residual norms, since no campaign statistic reads them.
 
 The random stream is partitioned into fixed-size blocks of BLOCK_SIZE
 draws, block b seeded with (seed, b). Results are therefore bit-identical
@@ -23,14 +25,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .budget import chi_bound
 from .errors import ConfigurationError, ValidationError
-from .gkp import ElectronicCoefficients, build_design, condition_numbers, normalize_columns, solve_many
+from .gkp import (COLUMN_NAMES, ElectronicCoefficients, build_design, condition_numbers, design_entries,
+                  normalize_columns, nuclear_factors, solve_many)
 from .nucdata import IsotopeChain, partition
 from .resources import json_field, load_validated
 
@@ -84,8 +86,8 @@ class ParameterSpec:
         if self.distribution in ("uniform", "log-uniform"):
             if self.low is None or self.high is None:
                 raise ValidationError(f"parameter {self.name!r}: bounds required")
-            if not (math.isfinite(self.low) and math.isfinite(self.high)) or self.low >= self.high:
-                raise ValidationError(f"parameter {self.name!r}: bounds must be finite and ordered")
+            if not math.isfinite(self.high - self.low) or self.low >= self.high:  # inf or nan if either bound is
+                raise ValidationError(f"parameter {self.name!r}: bounds must be ordered with a finite high - low")
             if self.distribution == "log-uniform" and self.low <= 0:
                 raise ValidationError(f"parameter {self.name!r}: log-uniform needs positive bounds")
             if -self.exclude_abs_below <= self.low and self.high <= self.exclude_abs_below:
@@ -218,20 +220,18 @@ def kappa_draws(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: Sampl
                 sample_count: int | None = None, seed: int | None = None) -> tuple[np.ndarray, float]:
     """Per-draw condition numbers of the three-odd-isotope design matrix.
 
-    Each draw stacks the sampled synthetic A=91 row (I = 9/2) under the
-    measured A=95 and A=97 rows of the first rank-2 transition. Returns
+    Each draw stacks the sampled A=91 nuclear factors (I = 9/2) under the
+    measured A=95 and A=97 ones, over the first rank-2 transition. Returns
     (kappas, guard-band excluded fraction of proposals).
     """
     n = spec.sample_count if sample_count is None else int(sample_count)
     if n < 1:
         raise ValidationError("sample_count must be at least 1")
     seed = spec.seed if seed is None else int(seed)
-    qs_spec = spec.parameter("Qs_91")
-    be2_spec = spec.parameter("BE2_91")
-
-    transition = coeffs.rank2_transitions()[0]
-    fixed = build_design((chain.isotope(95), chain.isotope(97)), coeffs.subset([transition.label]))
-    lever91 = float(Fraction(81, 4) / 91)
+    sampled = (spec.parameter("Qs_91"), spec.parameter("BE2_91"))  # nuclear factor columns 0 and 1
+    nuclear = np.empty((3, 3, min(n, KAPPA_BATCH))).transpose(2, 0, 1)  # draws last in memory; every batch reuses it
+    nuclear[:, :2] = [nuclear_factors(chain.isotope(A)) for A in (95, 97)]
+    nuclear[:, 2, 2] = 81 / (4 * 91)  # I^2/M of A = 91, I = 9/2, as spin_mass_lever rounds it
 
     try:
         kappas = np.empty(n)
@@ -239,21 +239,16 @@ def kappa_draws(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: Sampl
         raise ValidationError(f"sample_count {n} is too large: its kappa array cannot be allocated") from None
     rejected_total = 0
     for batch_start in range(0, n, KAPPA_BATCH):
-        batch_len = min(KAPPA_BATCH, n - batch_start)
-        stacked = np.empty((3, 3, batch_len)).transpose(2, 0, 1)  # draws last in memory
-        stacked[:, :2] = fixed.entries
-        stacked[:, 2, 2] = transition.G_eV_per_lever * lever91
-        for block_start in range(batch_start, batch_start + batch_len, BLOCK_SIZE):
+        batch = nuclear[:n - batch_start]  # the last batch may be shorter
+        for block_start in range(batch_start, batch_start + len(batch), BLOCK_SIZE):
             block_len = min(BLOCK_SIZE, n - block_start)
             rng = _block_rng(seed, block_start // BLOCK_SIZE)
-            qs, rejected = _draw_guarded(qs_spec, rng, block_len)
-            be2, rejected2 = _draw_guarded(be2_spec, rng, block_len)
-            rejected_total += rejected + rejected2
             rows = slice(block_start - batch_start, block_start - batch_start + block_len)
-            stacked[rows, 2, 0] = transition.H_eV_per_b * qs
-            stacked[rows, 2, 1] = transition.P_eV_per_wu * be2
-        normalized, _ = normalize_columns(stacked, fixed.columns)
-        kappas[batch_start:batch_start + batch_len] = condition_numbers(normalized)
+            for column, param in enumerate(sampled):
+                batch[rows, 2, column], rejected = _draw_guarded(param, rng, block_len)
+                rejected_total += rejected
+        normalized, _ = normalize_columns(design_entries(batch, coeffs.rank2_transitions()[:1]), COLUMN_NAMES)
+        kappas[batch_start:batch_start + len(batch)] = condition_numbers(normalized)
 
     proposals = n + rejected_total
     excluded_fraction = rejected_total / proposals if proposals else 0.0

@@ -8,6 +8,7 @@ import random
 import struct
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -527,15 +528,43 @@ def test_ramsey_reps_beyond_float_range_exit2(capsys):
     assert "repetitions must be at most 1.79769e+308" in err
 
 
+def _set_h_of_2p32(value):
+    def edit(obj):
+        next(t for t in obj["transitions"] if t["label"] == "1s-2p3/2")["H_eV_per_b"] = value
+    return "mo41-coeffs-v1", edit
+
+
+def _widen_qs_91(obj):
+    next(p for p in obj["parameters"] if p["name"] == "Qs_91").update(low=-1.5e308, high=1.5e308)
+
+
+# argv placeholders for edited copies of bundled inputs, written into tmp_path by the test
+EDITED_INPUTS = {
+    "<coeffs, H = 1e308>": _set_h_of_2p32(1e308),
+    "<coeffs, H = 1e-310>": _set_h_of_2p32(1e-310),
+    "<spec, Qs_91 over +-1.5e308>": ("mo91-sampling-v1", _widen_qs_91),
+}
+NORM_OUT_OF_RANGE = "column 'qs_background' has a norm outside the floating-point range"
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["ramsey", "--half-life", "1", "--tr", "1e300"], 3, "non-finite number in 'decay_penalty_at_request'"),
     (["ramsey", "--half-life", "1e-300", "--tr", "1"], 3, "non-finite number in 'decay_penalty_at_request'"),
+    (["extract", "--rhs", "synthetic-rhs-noiseless-v1", "--coeffs", "<coeffs, H = 1e308>"], 3, NORM_OUT_OF_RANGE),
+    (["condition", "--samples", "64", "--coeffs", "<coeffs, H = 1e308>"], 3, NORM_OUT_OF_RANGE),
+    (["condition", "--samples", "64", "--coeffs", "<coeffs, H = 1e-310>"], 3, NORM_OUT_OF_RANGE),
+    (["condition", "--spec", "<spec, Qs_91 over +-1.5e308>"], 2,
+     "parameter 'Qs_91': bounds must be ordered with a finite high - low"),
 ])
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
-def test_exit_codes(capsys, argv, code, message, fmt):
-    exit_code, out, err = _run(capsys, *argv, "--format", fmt)
+def test_exit_codes(capsys, tmp_path, argv, code, message, fmt):
+    argv = [_edited_resource(tmp_path, *EDITED_INPUTS[a]) if a in EDITED_INPUTS else a for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exit_code, out, err = _run(capsys, *argv, "--format", fmt)
     assert (exit_code, out) == (code, "")
     assert message in err
+    assert "RuntimeWarning" not in err and not [w for w in caught if w.category is RuntimeWarning]
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,17 +24,18 @@ from gkpforge.gkp import (
     DesignMatrix,
     Topology,
     _closed_form_condition_numbers,
-    alpha_t_from_be2,
     build_design,
     condition_number,
     condition_numbers,
+    design_entries,
     extract,
     normalize_columns,
+    nuclear_factors,
     precondition,
     solvability_verdict,
     solvable,
 )
-from gkpforge.nucdata import partition
+from gkpforge.nucdata import partition, spin_mass_lever
 from kappa_oracle import reference_closed_form
 
 
@@ -133,11 +137,67 @@ def test_build_design_missing_parameter_names_isotope(mo_chain, coeffs):
 
 def test_alpha_t_proxy(mo_chain):
     _, odd = partition(mo_chain)
-    assert alpha_t_from_be2(odd) == {95: 8.0, 97: 12.0}
+    assert {rec.A: nuclear_factors(rec)[1] for rec in odd} == {95: 8.0, 97: 12.0}
+
+
+def test_nuclear_factors_are_qs_be2_and_the_lever(mo_chain):
+    rec = mo_chain.isotope(95)
+    assert nuclear_factors(rec) == (rec.Qs.value, rec.BE2_up.value, spin_mass_lever(rec))
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"spin": Fraction(0), "Qs": None}, "A=95 is even-even and carries no rank-2 observable"),
+    ({"spin": Fraction(1, 2), "Qs": None}, "A=95 is missing its quadrupole moment"),
+    ({"BE2_up": None}, "A=95 has no B(E2) entry for the polarizability proxy"),
+])
+def test_nuclear_factors_refusals(mo_chain, edit, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        nuclear_factors(dataclasses.replace(mo_chain.isotope(95), **edit))
+
+
+def test_design_entries_are_isotope_major_products(frib_chain, coeffs):
+    _, odd = partition(frib_chain)
+    transitions = coeffs.rank2_transitions()
+    entries = design_entries(np.array([nuclear_factors(rec) for rec in odd]), transitions)
+    assert entries.shape == (len(odd) * len(transitions), 3)
+    for k, (rec, t) in enumerate((rec, t) for rec in odd for t in transitions):
+        qs, be2, lever = nuclear_factors(rec)
+        assert entries[k].tolist() == [t.H_eV_per_b * qs, t.P_eV_per_wu * be2, t.G_eV_per_lever * lever]
+
+
+def test_design_entries_keep_a_draws_last_stack_draws_last(frib_chain, coeffs):
+    _, odd = partition(frib_chain)
+    nuclear = np.empty((3, 3, 5)).transpose(2, 0, 1)
+    nuclear[:] = [nuclear_factors(rec) for rec in odd]
+    entries = design_entries(nuclear, coeffs.rank2_transitions()[:1])
+    assert entries.shape == (5, 3, 3)
+    assert entries.transpose(1, 2, 0).flags.c_contiguous
+    single = build_design(odd, coeffs.subset(["1s-2p3/2"])).entries
+    assert all(np.array_equal(m, single) for m in entries)
 
 
 # ---------------------------------------------------------------------------
 # preconditioning and conditioning
+
+@pytest.mark.parametrize("value", [1e200, 1e-170, np.inf])
+@pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3)])
+def test_normalize_columns_refuses_a_norm_outside_the_float_range(value, shape):
+    stack = np.ones(shape)
+    stack.reshape(-1, 3, 3)[-1, :, 1] = value  # in the last matrix: its square overflows, underflows, or it is inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="column 'alpha_t_background' has a norm outside"):
+            normalize_columns(stack, COLUMN_NAMES)
+        with pytest.raises(RankDeficiencyError, match="column 'gravitomagnetic' is identically zero"):
+            normalize_columns(np.where(np.arange(3) == 2, 0.0, np.ones(shape)), COLUMN_NAMES)
+
+
+def test_normalize_columns_keeps_a_subnormal_square_finite():
+    stack = np.ones((3, 3))
+    stack[:, 0] = 1e-160  # squares are subnormal, not zero: the norm is finite and is kept
+    normalized, norms = normalize_columns(stack, COLUMN_NAMES)
+    assert 0.0 < norms[0] < np.inf and np.isfinite(normalized).all()
+
 
 def test_precondition_unit_norms(frib_chain, coeffs):
     _, odd = partition(frib_chain)

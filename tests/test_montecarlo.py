@@ -15,6 +15,7 @@ from gkpforge.gkp import (
     ElectronicCoefficients,
     build_design,
     condition_number,
+    condition_numbers,
     extract,
     precondition,
     solve_many,
@@ -34,7 +35,7 @@ from gkpforge.montecarlo import (
     summarize_kappa,
 )
 from gkpforge.budget import chi_bound
-from gkpforge.nucdata import partition, spin_mass_lever
+from gkpforge.nucdata import Measured, partition, spin_mass_lever
 
 
 def _spec(sample_count=2000, seed=77, qs_low=-0.25, qs_high=1.0, be2_low=4.0, be2_high=20.0,
@@ -60,6 +61,9 @@ def test_parameter_spec_validation():
         ParameterSpec(name="x", distribution="log-uniform", low=-1.0, high=1.0)
     with pytest.raises(ValidationError):
         ParameterSpec(name="x", distribution="gaussian", mean=0.0, sigma=0.0)
+    # rng.uniform would overflow computing high - low
+    with pytest.raises(ValidationError, match="parameter 'x': bounds must be ordered with a finite high - low"):
+        ParameterSpec(name="x", distribution="uniform", low=-1.5e308, high=1.5e308)
     # a guard band covering the whole support would reject every proposal
     with pytest.raises(ValidationError, match="guard band"):
         ParameterSpec(name="x", distribution="uniform", low=-0.1, high=0.1, exclude_abs_below=0.2)
@@ -215,6 +219,23 @@ def test_single_draw_matches_condition_number(mo_chain, coeffs):
     m = DesignMatrix(rows=((95, t.label), (97, t.label), (91, t.label)),
                      columns=COLUMN_NAMES, entries=entries)
     assert kappas[0] == pytest.approx(condition_number(precondition(m)), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [123, 20250809])
+def test_each_draw_is_the_condition_number_of_its_build_design(mo_chain, frib_chain, coeffs, seed):
+    spec = _spec(sample_count=64, seed=seed)
+    kappas, _ = kappa_draws(mo_chain, coeffs, spec)
+    rng = _block_rng(seed, 0)
+    qs, _ = _draw_guarded(spec.parameter("Qs_91"), rng, 64)
+    be2, _ = _draw_guarded(spec.parameter("BE2_91"), rng, 64)
+    first = coeffs.subset([coeffs.rank2_transitions()[0].label])
+    designs = [
+        build_design((mo_chain.isotope(95), mo_chain.isotope(97),
+                      dataclasses.replace(frib_chain.isotope(91), Qs=Measured(q), BE2_up=Measured(b))), first)
+        for q, b in zip(qs.tolist(), be2.tolist())
+    ]
+    expected = condition_numbers(np.stack([precondition(d).entries for d in designs]))
+    assert kappas.tobytes() == expected.tobytes()
 
 
 def test_reproducibility_bit_identical(mo_chain, coeffs):
