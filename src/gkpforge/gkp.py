@@ -11,7 +11,11 @@ columns [qs_background, alpha_t_background, gravitomagnetic].
 
 Raw columns span many decades, so all solving happens on the
 column-normalized (preconditioned) matrix; estimates and covariances are
-scaled back through the stored column norms. Underdetermined or
+scaled back through the stored column norms. Right-hand sides are
+solved rows-first: the (trials, rows) stack that solve_many takes is read
+as one C-contiguous (rows, trials) array, without a copy when it is the
+.T view of such storage, so every division and product over the rows
+runs over contiguous trials. Underdetermined or
 numerically rank-deficient systems are refused rather than regularized:
 silently pseudo-inverting a degenerate extraction is exactly the failure
 mode this analysis exists to prevent.
@@ -301,7 +305,8 @@ CLOSED_FORM_MAX_KAPPA = 1e8
 
 def _svd_condition_numbers(stack: np.ndarray) -> np.ndarray:
     sv = np.linalg.svd(stack, compute_uv=False)
-    deficient = sv[..., -1] < RANK_DEFICIENCY_RTOL * sv[..., 0]  # kappa inf, without dividing by zero
+    # kappa inf, without dividing by zero; an all-zero matrix has sigma_max 0
+    deficient = (sv[..., -1] < RANK_DEFICIENCY_RTOL * sv[..., 0]) | (sv[..., 0] == 0.0)
     return np.divide(sv[..., 0], sv[..., -1], out=np.full(deficient.shape, np.inf), where=~deficient)
 
 
@@ -421,7 +426,7 @@ def _closed_form_condition_numbers(stack: np.ndarray) -> tuple[np.ndarray, np.nd
 def condition_numbers(stack: np.ndarray) -> np.ndarray:
     """sigma_max / sigma_min of every matrix in a (..., rows, cols) stack
     of preconditioned matrices; +inf where sigma_min falls below the
-    rank-deficiency threshold.
+    rank-deficiency threshold, an all-zero matrix included.
 
     (n, 3, 3) stacks take a closed form:
     kappa = sqrt(l1 / l3) from the eigenvalues of G = A^T A, with l1 the
@@ -502,8 +507,11 @@ class ExtractionResult:
 def _solve(m: DesignMatrix, rhs_stack, sigma):
     """The weighted solve behind solve_many and extract, and the one owner
     of their input checks; returns the preconditioned design, the
-    solutions y of the preconditioned system (trials, cols), and
-    solve_many's three values."""
+    solutions y of the preconditioned system and solve_many's three
+    values, y and the estimates as (trials, cols) views of (cols, trials)
+    storage. Division is correctly rounded and each product sums over the
+    rows in the same order, so the rows-first solve keeps the bits of the
+    trials-first expression (((rhs / sigma) @ u) / s) @ vt / norms."""
     rhs_stack = np.asarray(rhs_stack, dtype=float)
     if rhs_stack.ndim != 2 or rhs_stack.shape[1] != len(m.rows):
         raise ValidationError(
@@ -511,8 +519,8 @@ def _solve(m: DesignMatrix, rhs_stack, sigma):
             "one value per design row in each trial"
         )
     sigma = np.ones(len(m.rows)) if sigma is None else np.asarray(sigma, dtype=float)
-    if sigma.shape != (len(m.rows),) or np.any(sigma <= 0):
-        raise ValidationError("sigma must provide one positive uncertainty per row")
+    if sigma.shape != (len(m.rows),) or not (np.isfinite(sigma) & (sigma > 0)).all():
+        raise ValidationError("sigma must provide one positive, finite uncertainty per row")
 
     _refuse_underdetermined(m)
     pre = precondition(m)
@@ -524,6 +532,7 @@ def _solve(m: DesignMatrix, rhs_stack, sigma):
         )
 
     norms = np.asarray(pre.column_norms)
+    rhs_rows = np.ascontiguousarray(rhs_stack.T)
     # overflow, and s*s underflowing to zero, are reported below as a
     # NumericalError, not as warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -536,10 +545,10 @@ def _solve(m: DesignMatrix, rhs_stack, sigma):
                 "the row-whitened design matrix is numerically rank deficient; "
                 "check the spread of the rhs uncertainties"
             )
-        y = (((rhs_stack / sigma) @ u) / s) @ vt
+        y = vt.T @ ((u.T @ (rhs_rows / sigma[:, None])) / s[:, None])
         s2 = s * s
         cov_y = (vt.T / s2) @ vt
-        estimates = y / norms
+        estimates = y / norms[:, None]
         errors = np.sqrt(np.diag(cov_y / np.outer(norms, norms)))
     # an overflowing s*s turns the standard errors into 0.0, and one that
     # underflows to zero turns them into inf
@@ -549,7 +558,7 @@ def _solve(m: DesignMatrix, rhs_stack, sigma):
             "values overflowed or underflowed, or the estimates are not finite; check the "
             "scale of the rhs values and uncertainties"
         )
-    return pre, y, estimates, errors, kappa
+    return pre, y.T, estimates.T, errors, kappa
 
 
 def solve_many(m: DesignMatrix, rhs_stack, sigma):
@@ -562,11 +571,17 @@ def solve_many(m: DesignMatrix, rhs_stack, sigma):
     Refuses underdetermined systems and numerically rank-deficient ones:
     the rank test runs on the preconditioned design, whose kappa is
     returned, and on the singular values of the row-whitened system that
-    is solved. Raises NumericalError when the whitened design overflows,
-    when its squared singular values overflow or underflow to zero, or
-    when an estimate is not finite. Returns (estimates (trials, cols),
-    standard errors (cols,), kappa); residual norms are left to extract,
-    the one caller that reports them.
+    is solved. sigma must be positive and finite in every row. Raises
+    NumericalError when the whitened design overflows, when its squared
+    singular values overflow or underflow to zero, or when an estimate is
+    not finite. Returns (estimates (trials, cols), standard errors
+    (cols,), kappa); residual norms are left to extract, the one caller
+    that reports them.
+
+    The stack is solved rows-first from np.ascontiguousarray(rhs_stack.T),
+    which copies nothing when rhs_stack is the .T view of C-contiguous
+    (rows, trials) storage, and the estimates are a (trials, cols) view of
+    (cols, trials) storage, so estimates[:, k] is one contiguous row.
     """
     return _solve(m, rhs_stack, sigma)[2:]
 

@@ -465,6 +465,22 @@ def test_non_finite_entries_take_the_svd():
     assert np.isfinite(np.delete(kappa, 3)).all()
 
 
+def test_an_all_zero_matrix_is_rank_deficient_without_warning():
+    rng = np.random.default_rng(13)
+    stack = rng.normal(size=(64, 3, 3))
+    stack[[5, 40]] = 0.0  # through the closed form, then the SVD fallback
+    nonzero = rng.normal(size=(4, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert condition_numbers(np.zeros((3, 3))) == np.inf
+        assert condition_numbers(np.zeros((4, 3))) == np.inf
+        kappa = condition_numbers(stack)
+        assert np.array_equal(kappa[[5, 40]], [np.inf, np.inf])
+        assert np.isfinite(np.delete(kappa, [5, 40])).all()
+        sv = np.linalg.svd(nonzero, compute_uv=False)
+        assert condition_numbers(nonzero) == sv[0] / sv[-1]
+
+
 def test_condition_number_underdetermined_rejected():
     m = DesignMatrix(
         rows=((1, "t"), (2, "t")),
@@ -568,6 +584,58 @@ def test_solve_many_refuses_a_one_dimensional_rhs(frib_chain, coeffs):
     design = build_design(partition(frib_chain)[1], coeffs)
     with pytest.raises(ValidationError, match=r"shape \(6,\); expected \(trials, 6\)"):
         gkp.solve_many(design, design.entries @ TRUTH, None)
+
+
+def _trials_first_solve(design, rhs_stack, sigma):
+    """The solve as first written, over a (trials, rows) stack: y,
+    estimates, errors and the residual norms."""
+    pre = precondition(design)
+    norms = np.asarray(pre.column_norms)
+    u, s, vt = np.linalg.svd(pre.entries / sigma[:, None], full_matrices=False)
+    y = (((rhs_stack / sigma) @ u) / s) @ vt
+    errors = np.sqrt(np.diag(((vt.T / (s * s)) @ vt) / np.outer(norms, norms)))
+    residuals = np.linalg.norm(rhs_stack - y @ pre.entries.T, axis=-1)
+    return y / norms, errors, residuals
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("labels", [["1s-2p3/2"], None], ids=["3-row", "6-row"])
+def test_solve_many_keeps_the_bits_of_the_trials_first_solve(frib_chain, coeffs, labels):
+    used = coeffs if labels is None else coeffs.subset(labels)
+    design = build_design(partition(frib_chain)[1], used)
+    n_rows = len(design.rows)
+    rng = np.random.default_rng(23)
+    for sigma in (np.full(n_rows, 1e-13), 10.0 ** rng.uniform(-15.0, -12.0, n_rows)):
+        for trials in (1, 1023, 1024, 1025, 2000):
+            rhs = design.entries @ TRUTH + sigma * rng.normal(size=(trials, n_rows))
+            want_estimates, want_errors, _ = _trials_first_solve(design, rhs, sigma)
+            # a (trials, rows) stack, and the .T view of rows-first storage
+            for stack in (rhs, np.ascontiguousarray(rhs.T).T):
+                estimates, errors, _ = gkp.solve_many(design, stack, sigma)
+                assert estimates.shape == (trials, 3)
+                assert _same_bits(estimates, want_estimates) and _same_bits(errors, want_errors)
+        # one rhs: numpy takes a matrix-vector product, whose bits can differ from a stack's
+        want_estimates, want_errors, want_residuals = _trials_first_solve(design, rhs[:1], sigma)
+        result = extract(design, rhs[0], sigma)
+        assert result.residual_norm_eV == want_residuals[0]
+        assert _same_bits(np.array([*(e.value for e in result.background_estimates), result.alpha_manko_hat]),
+                          want_estimates[0])
+        assert _same_bits(np.array([*(e.se for e in result.background_estimates), result.alpha_manko_se]),
+                          want_errors)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-13])
+def test_a_non_finite_or_non_positive_sigma_is_refused(frib_chain, coeffs, bad):
+    design = build_design(partition(frib_chain)[1], coeffs.subset(["1s-2p3/2"]))
+    rhs = design.entries @ TRUTH
+    sigma = np.array([bad, 1.0, 1.0])
+    with pytest.raises(ValidationError, match="one positive, finite uncertainty per row"):
+        gkp.solve_many(design, rhs[None, :], sigma)
+    with pytest.raises(ValidationError, match="one positive, finite uncertainty per row"):
+        extract(design, rhs, sigma)
 
 
 def test_extract_refuses_an_rhs_that_is_not_one_value_per_row(frib_chain, coeffs):
