@@ -11,11 +11,7 @@ columns [qs_background, alpha_t_background, gravitomagnetic].
 
 Raw columns span many decades, so all solving happens on the
 column-normalized (preconditioned) matrix; estimates and covariances are
-scaled back through the stored column norms. Right-hand sides are
-solved rows-first: the (trials, rows) stack that solve_many takes is read
-as one C-contiguous (rows, trials) array, without a copy when it is the
-.T view of such storage, so every division and product over the rows
-runs over contiguous trials. Underdetermined or
+scaled back through the stored column norms. Underdetermined or
 numerically rank-deficient systems are refused rather than regularized:
 silently pseudo-inverting a degenerate extraction is exactly the failure
 mode this analysis exists to prevent.
@@ -507,18 +503,17 @@ class ExtractionResult:
 def _solve(m: DesignMatrix, rhs_stack, sigma):
     """The weighted solve behind solve_many and extract, and the one owner
     of their input checks; returns the preconditioned design, the
-    solutions y of the preconditioned system and solve_many's three
-    values, y and the estimates as (trials, cols) views of (cols, trials)
-    storage. Division is correctly rounded and each product sums over the
-    rows in the same order, so the rows-first solve keeps the bits of the
-    trials-first expression (((rhs / sigma) @ u) / s) @ vt / norms."""
-    rhs_stack = np.asarray(rhs_stack, dtype=float)
-    if rhs_stack.ndim != 2 or rhs_stack.shape[1] != len(m.rows):
+    (cols, trials) solutions y of the preconditioned system and
+    solve_many's three values. Division is correctly rounded and each
+    product sums over the rows in the same order, so the solve keeps the
+    bits of the trials-first expression (((rhs / sigma) @ u) / s) @ vt / norms."""
+    rhs_stack = np.ascontiguousarray(rhs_stack, dtype=float)
+    if rhs_stack.ndim != 2 or rhs_stack.shape[0] != len(m.rows):
         raise ValidationError(
-            f"the rhs stack has shape {rhs_stack.shape}; expected (trials, {len(m.rows)}), "
+            f"the rhs stack has shape {rhs_stack.shape}; expected ({len(m.rows)}, trials), "
             "one value per design row in each trial"
         )
-    sigma = np.ones(len(m.rows)) if sigma is None else np.asarray(sigma, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (len(m.rows),) or not (np.isfinite(sigma) & (sigma > 0)).all():
         raise ValidationError("sigma must provide one positive, finite uncertainty per row")
 
@@ -532,7 +527,6 @@ def _solve(m: DesignMatrix, rhs_stack, sigma):
         )
 
     norms = np.asarray(pre.column_norms)
-    rhs_rows = np.ascontiguousarray(rhs_stack.T)
     # overflow, and s*s underflowing to zero, are reported below as a
     # NumericalError, not as warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -545,7 +539,7 @@ def _solve(m: DesignMatrix, rhs_stack, sigma):
                 "the row-whitened design matrix is numerically rank deficient; "
                 "check the spread of the rhs uncertainties"
             )
-        y = vt.T @ ((u.T @ (rhs_rows / sigma[:, None])) / s[:, None])
+        y = vt.T @ ((u.T @ (rhs_stack / sigma[:, None])) / s[:, None])
         s2 = s * s
         cov_y = (vt.T / s2) @ vt
         estimates = y / norms[:, None]
@@ -558,13 +552,13 @@ def _solve(m: DesignMatrix, rhs_stack, sigma):
             "values overflowed or underflowed, or the estimates are not finite; check the "
             "scale of the rhs values and uncertainties"
         )
-    return pre, y.T, estimates.T, errors, kappa
+    return pre, y, estimates, errors, kappa
 
 
 def solve_many(m: DesignMatrix, rhs_stack, sigma):
-    """Weighted least squares of one design against a (trials, rows) rhs
-    stack sharing the per-row one-sigma sigma (unit weights when None);
-    any other rhs shape is refused with a ValidationError.
+    """Weighted least squares of one design against a (rows, trials) rhs
+    stack, one column per trial, sharing the per-row one-sigma sigma; any
+    other rhs shape is refused with a ValidationError.
 
     One SVD of the row-whitened preconditioned system solves every trial;
     estimates and covariance are scaled back through the column norms.
@@ -574,14 +568,9 @@ def solve_many(m: DesignMatrix, rhs_stack, sigma):
     is solved. sigma must be positive and finite in every row. Raises
     NumericalError when the whitened design overflows, when its squared
     singular values overflow or underflow to zero, or when an estimate is
-    not finite. Returns (estimates (trials, cols), standard errors
+    not finite. Returns (estimates (cols, trials), standard errors
     (cols,), kappa); residual norms are left to extract, the one caller
     that reports them.
-
-    The stack is solved rows-first from np.ascontiguousarray(rhs_stack.T),
-    which copies nothing when rhs_stack is the .T view of C-contiguous
-    (rows, trials) storage, and the estimates are a (trials, cols) view of
-    (cols, trials) storage, so estimates[:, k] is one contiguous row.
     """
     return _solve(m, rhs_stack, sigma)[2:]
 
@@ -591,21 +580,23 @@ def extract(m: DesignMatrix, rhs, sigma) -> ExtractionResult:
     per design row, with its per-row one-sigma sigma; see solve_many. Adds
     the residual norm in eV, |rhs - A_pre y| over the preconditioned
     design and its solution, and raises NumericalError when it is not
-    finite."""
-    rhs_stack = np.asarray(rhs, dtype=float)[None]
+    finite. A lone rhs takes numpy's matrix-vector product, so its
+    estimates can differ in the last bits from the same rhs solved inside
+    a stack of two or more, which all agree with each other."""
+    rhs_stack = np.asarray(rhs, dtype=float)[..., None]
     pre, y, estimates, errors, kappa = _solve(m, rhs_stack, sigma)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(np.linalg.norm(rhs_stack - y @ pre.entries.T, axis=-1)[0])
+        residual = float(np.linalg.norm(rhs_stack.T - y.T @ pre.entries.T, axis=-1)[0])
     if not math.isfinite(residual):
         raise NumericalError(
             "the residual norm is not finite; check the scale of the rhs values and uncertainties"
         )
     backgrounds = tuple(
-        Estimate(name, float(estimates[0, k]), float(errors[k]))
+        Estimate(name, float(estimates[k, 0]), float(errors[k]))
         for k, name in enumerate(m.columns[:-1])
     )
     return ExtractionResult(
-        alpha_manko_hat=float(estimates[0, -1]),
+        alpha_manko_hat=float(estimates[-1, 0]),
         alpha_manko_se=float(errors[-1]),
         background_estimates=backgrounds,
         condition_number=kappa,

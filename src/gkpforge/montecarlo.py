@@ -11,11 +11,7 @@ electronic coefficients (H, P, G), built by gkp.design_entries; kappa
 comes from one condition_numbers call per batch of KAPPA_BATCH draws,
 held draws-last (each matrix entry's draws contiguous in memory). An
 injection campaign is one solve_many call over all its trials, which
-computes no residual norms, since no campaign statistic reads them. Its
-noise is drawn in place into one (trials, rows) array, then held
-rows-first: one (rows, trials) copy, whose .T view solve_many reads
-without a copy, so every elementwise pass of the campaign runs over
-contiguous trials.
+computes no residual norms, since no campaign statistic reads them.
 
 The random stream is partitioned into fixed-size blocks of BLOCK_SIZE
 draws, block b seeded with (seed, b). Results are therefore bit-identical
@@ -165,21 +161,19 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _block_noise(seed: int, trials: int, rows: int, scale: float) -> np.ndarray:
-    """A (trials, rows) array of normal(0.0, scale) draws, block b of
-    BLOCK_SIZE trials from _block_rng(seed, b): the bits of the
-    concatenated rng.normal(0.0, scale, (block trials, rows)) blocks. The
-    draws fill a C-contiguous (trials, rows) array in place, the layout
-    whose order the bits depend on; one transposed copy holds them
-    rows-first, and the scaling runs on that copy, whose .T view is
-    returned. normal() returns 0.0 + scale * z, so the 0.0 is added after
-    scaling: +0.0 where z * 0.0 is -0.0."""
+    """A C-contiguous (rows, trials) array of normal(0.0, scale) draws,
+    block b of BLOCK_SIZE trials from _block_rng(seed, b): the transposed
+    bits of the concatenated rng.normal(0.0, scale, (block trials, rows))
+    blocks, whose draws fill a (trials, rows) array in place before one
+    transposed copy is scaled. normal() returns 0.0 + scale * z, so the
+    0.0 is added after scaling: +0.0 where z * 0.0 is -0.0."""
     z = np.empty((trials, rows))
     for block, start in enumerate(range(0, trials, BLOCK_SIZE)):
         _block_rng(seed, block).standard_normal(out=z[start:start + BLOCK_SIZE])
     noise = z.T.copy()
     noise *= scale
     noise += 0.0
-    return noise.T
+    return noise
 
 
 def _draw_guarded(param: ParameterSpec, rng: np.random.Generator, size: int) -> tuple[np.ndarray, int]:
@@ -338,11 +332,11 @@ def injection_recovery(chain: IsotopeChain, coeffs: ElectronicCoefficients,
     x_true = np.array([*truth["backgrounds"], truth["alpha_manko"]], dtype=float)
     n_rows = len(design.rows)
 
-    rhs = _block_noise(seed, trials, n_rows, noise_eV).T  # rows-first, read by solve_many without a copy
+    rhs = _block_noise(seed, trials, n_rows, noise_eV)
     rhs += (design.entries @ x_true)[:, None]
     sigma = np.full(n_rows, noise_eV if noise_eV > 0 else 1.0)
-    estimates, errors, kappa = solve_many(design, rhs.T, sigma)
-    alpha_hats = estimates[:, -1]  # one contiguous row of the (cols, trials) storage
+    estimates, errors, kappa = solve_many(design, rhs, sigma)
+    alpha_hats = estimates[-1]
     se = errors[-1]
 
     truth_alpha = float(truth["alpha_manko"])

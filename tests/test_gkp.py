@@ -492,7 +492,7 @@ def test_condition_number_underdetermined_rejected():
         condition_number(m)
     # extract refuses on the shape too, before the zero column is looked at
     with pytest.raises(UnderdeterminedError, match="N_odd >= 3"):
-        extract(m, np.ones(2), None)
+        extract(m, np.ones(2), np.ones(2))
 
 
 def test_condition_number_against_jacobi_oracle():
@@ -569,21 +569,21 @@ def test_solve_many_preconditions_once(frib_chain, coeffs, monkeypatch):
     calls = []
     monkeypatch.setattr(gkp, "precondition", lambda m: calls.append(m) or precondition(m))
     design = build_design(partition(frib_chain)[1], coeffs)
-    gkp.solve_many(design, (design.entries @ TRUTH)[None, :], None)
+    gkp.solve_many(design, (design.entries @ TRUTH)[:, None], np.ones(6))
     assert len(calls) == 1
 
 
 def test_solve_many_refuses_an_rhs_stack_of_the_wrong_row_count(frib_chain, coeffs):
     design = build_design(partition(frib_chain)[1], coeffs)
     assert len(design.rows) == 6
-    with pytest.raises(ValidationError, match=r"shape \(4, 5\); expected \(trials, 6\)"):
-        gkp.solve_many(design, np.ones((4, 5)), None)
+    with pytest.raises(ValidationError, match=r"shape \(4, 5\); expected \(6, trials\)"):
+        gkp.solve_many(design, np.ones((4, 5)), np.ones(6))
 
 
 def test_solve_many_refuses_a_one_dimensional_rhs(frib_chain, coeffs):
     design = build_design(partition(frib_chain)[1], coeffs)
-    with pytest.raises(ValidationError, match=r"shape \(6,\); expected \(trials, 6\)"):
-        gkp.solve_many(design, design.entries @ TRUTH, None)
+    with pytest.raises(ValidationError, match=r"shape \(6,\); expected \(6, trials\)"):
+        gkp.solve_many(design, design.entries @ TRUTH, np.ones(6))
 
 
 def _trials_first_solve(design, rhs_stack, sigma):
@@ -612,11 +612,11 @@ def test_solve_many_keeps_the_bits_of_the_trials_first_solve(frib_chain, coeffs,
         for trials in (1, 1023, 1024, 1025, 2000):
             rhs = design.entries @ TRUTH + sigma * rng.normal(size=(trials, n_rows))
             want_estimates, want_errors, _ = _trials_first_solve(design, rhs, sigma)
-            # a (trials, rows) stack, and the .T view of rows-first storage
-            for stack in (rhs, np.ascontiguousarray(rhs.T).T):
+            # a C-contiguous (rows, trials) stack, and the .T view of trials-first storage
+            for stack in (np.ascontiguousarray(rhs.T), rhs.T):
                 estimates, errors, _ = gkp.solve_many(design, stack, sigma)
-                assert estimates.shape == (trials, 3)
-                assert _same_bits(estimates, want_estimates) and _same_bits(errors, want_errors)
+                assert estimates.shape == (3, trials)
+                assert _same_bits(estimates, want_estimates.T) and _same_bits(errors, want_errors)
         # one rhs: numpy takes a matrix-vector product, whose bits can differ from a stack's
         want_estimates, want_errors, want_residuals = _trials_first_solve(design, rhs[:1], sigma)
         result = extract(design, rhs[0], sigma)
@@ -627,13 +627,31 @@ def test_solve_many_keeps_the_bits_of_the_trials_first_solve(frib_chain, coeffs,
                           want_errors)
 
 
+@pytest.mark.parametrize("labels", [["1s-2p3/2"], None], ids=["3-row", "6-row"])
+def test_a_trial_keeps_its_bits_in_every_stack_of_two_or_more(frib_chain, coeffs, labels):
+    # a lone rhs takes numpy's matrix-vector product and is left out: its
+    # last bits can differ (extract's docstring)
+    used = coeffs if labels is None else coeffs.subset(labels)
+    design = build_design(partition(frib_chain)[1], used)
+    n_rows = len(design.rows)
+    rng = np.random.default_rng(29)
+    for sigma in (np.full(n_rows, 1e-13), 10.0 ** rng.uniform(-15.0, -12.0, n_rows)):
+        rhs = (design.entries @ TRUTH)[:, None] + sigma[:, None] * rng.normal(size=(n_rows, 2000))
+        full_estimates, full_errors, _ = gkp.solve_many(design, rhs, sigma)
+        for trials in (2, 3, 1024, 2000):
+            for start in (0, (2000 - trials) // 2, 2000 - trials):
+                estimates, errors, _ = gkp.solve_many(design, rhs[:, start:start + trials], sigma)
+                assert _same_bits(estimates, full_estimates[:, start:start + trials])
+                assert _same_bits(errors, full_errors)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-13])
 def test_a_non_finite_or_non_positive_sigma_is_refused(frib_chain, coeffs, bad):
     design = build_design(partition(frib_chain)[1], coeffs.subset(["1s-2p3/2"]))
     rhs = design.entries @ TRUTH
     sigma = np.array([bad, 1.0, 1.0])
     with pytest.raises(ValidationError, match="one positive, finite uncertainty per row"):
-        gkp.solve_many(design, rhs[None, :], sigma)
+        gkp.solve_many(design, rhs[:, None], sigma)
     with pytest.raises(ValidationError, match="one positive, finite uncertainty per row"):
         extract(design, rhs, sigma)
 
@@ -642,8 +660,8 @@ def test_extract_refuses_an_rhs_that_is_not_one_value_per_row(frib_chain, coeffs
     design = build_design(partition(frib_chain)[1], coeffs)
     rhs = design.entries @ TRUTH
     for bad in (rhs[:5], rhs[None, :], np.float64(1.0)):
-        with pytest.raises(ValidationError, match=r"expected \(trials, 6\)"):
-            extract(design, bad, None)
+        with pytest.raises(ValidationError, match=r"expected \(6, trials\)"):
+            extract(design, bad, np.ones(6))
 
 
 def test_extract_rejects_bad_sigma(frib_chain, coeffs):
@@ -672,8 +690,8 @@ def test_extract_refuses_an_overflowing_residual_norm():
     rhs = np.array([1.0, 2.0, 3.0, 1e200])
     with pytest.raises(NumericalError, match="residual norm is not finite"):
         extract(m, rhs, np.ones(4))
-    estimates, errors, kappa = gkp.solve_many(m, rhs[None, :], np.ones(4))
-    assert estimates.tolist() == [[1.0, 2.0, 3.0]] and kappa == 1.0
+    estimates, errors, kappa = gkp.solve_many(m, rhs[:, None], np.ones(4))
+    assert estimates.tolist() == [[1.0], [2.0], [3.0]] and kappa == 1.0
 
 
 def test_extract_refuses_underflowing_weights(frib_chain, coeffs):

@@ -387,8 +387,8 @@ def test_batched_campaign_matches_per_trial_extract(frib_chain, coeffs, labels):
     assert stats.bias_alpha_manko == pytest.approx(hats.mean() - truth["alpha_manko"],
                                                    abs=1e-12 * truth["alpha_manko"])
 
-    estimates, errors, _ = solve_many(design, rhs, np.full(len(design.rows), noise_eV))
-    np.testing.assert_allclose(estimates[:, -1], hats, rtol=1e-12, atol=0.0)
+    estimates, errors, _ = solve_many(design, rhs.T, np.full(len(design.rows), noise_eV))
+    np.testing.assert_allclose(estimates[-1], hats, rtol=1e-12, atol=0.0)
     assert np.all(errors[-1] == ses)
 
 
@@ -399,7 +399,7 @@ def test_block_noise_is_the_concatenated_normal_blocks(trials, scale):
         reference = np.concatenate([
             _block_rng(seed, block).normal(0.0, scale, (min(BLOCK_SIZE, trials - start), 3))
             for block, start in enumerate(range(0, trials, BLOCK_SIZE))
-        ])
+        ]).T
         noise = _block_noise(seed, trials, 3, scale)
         assert noise.shape == reference.shape
         assert np.array_equal(noise, reference)
@@ -419,8 +419,8 @@ def _reference_recovery(chain, coeffs, truth, noise_eV, trials, seed, signal_at_
         for block, start in enumerate(range(0, trials, BLOCK_SIZE))
     ])
     sigma = np.full(n_rows, noise_eV if noise_eV > 0 else 1.0)
-    estimates, errors, kappa = solve_many(design, design.entries @ x_true + noise, sigma)
-    alpha_hats = estimates[:, -1]
+    estimates, errors, kappa = solve_many(design, (design.entries @ x_true + noise).T, sigma)
+    alpha_hats = estimates[-1]
     alpha_ses = np.full(trials, errors[-1])
     truth_alpha = float(truth["alpha_manko"])
     err = np.abs(alpha_hats - truth_alpha)
