@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 import importlib
 
 from .errors import (
-    ConfigurationError,
     GkpforgeError,
     NumericalError,
     RankDeficiencyError,
@@ -34,7 +33,6 @@ __all__ = [
     "topology",
     "GkpforgeError",
     "ValidationError",
-    "ConfigurationError",
     "RefusalError",
     "UnderdeterminedError",
     "RankDeficiencyError",

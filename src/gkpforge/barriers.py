@@ -27,12 +27,12 @@ import math
 import sys
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .angular import ElectronicChannel
 from .constants import FINE_STRUCTURE_ALPHA, z_alpha_squared
-from .errors import ConfigurationError, ValidationError
+from .errors import ValidationError
 from .nucdata import IsotopeChain, IsotopeRecord, spin_mass_lever
 from .resources import freeze, json_field, load_validated
 
@@ -40,7 +40,6 @@ __all__ = [
     "SignalModel",
     "AnchorSet",
     "load_anchors",
-    "gravitomagnetic_shift",
     "signal_band",
     "qed_correction",
     "hfs_e2_first_order",
@@ -54,8 +53,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Calibration anchors read from a configuration file; scenarios and
-    provenance are kept as read-only mappings."""
+    """Calibration anchors read from a configuration file; scenarios are
+    kept as a read-only mapping."""
 
     name: str
     Z: int
@@ -70,17 +69,19 @@ class AnchorSet:
     fs_gap_eV: float
     scenarios: Mapping
     metrological_floor_eV: float
-    provenance: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "scenarios", freeze(self.scenarios))
-        object.__setattr__(self, "provenance", freeze(self.provenance))
         if not 1 <= self.Z < 1 / FINE_STRUCTURE_ALPHA:
             raise ValidationError(f"anchor set {self.name!r}: Z = {self.Z} is outside [1, 1/alpha)")
-        # the anchors that divide: a zero or subnormal one overflows the ratio
+        # the anchors that divide: a zero or subnormal one overflows the ratio;
+        # a signal and a B(E2) are magnitudes, while a quadrupole moment has a sign
         for name in ("signal_anchor_eV", "hfs_e2_anchor_Qs_b", "tnp_anchor_BE2_wu", "f_tilde_nominal"):
-            if not abs(getattr(self, name)) >= sys.float_info.min:
+            value = getattr(self, name)
+            if not abs(value) >= sys.float_info.min:
                 raise ValidationError(f"anchor set {self.name!r}: {name} must be nonzero and not subnormal")
+            if value < 0 and name in ("signal_anchor_eV", "tnp_anchor_BE2_wu"):
+                raise ValidationError(f"anchor set {self.name!r}: {name} must be positive, got {value!r}")
         if not self.fs_gap_eV >= sys.float_info.min:
             raise ValidationError(f"anchor set {self.name!r}: fs_gap_eV must be positive and not subnormal")
         band_lo, band_hi = self.f_tilde_band
@@ -92,7 +93,7 @@ class AnchorSet:
 
     def scenario(self, name: str) -> Mapping:
         if name not in self.scenarios:
-            raise ConfigurationError(
+            raise ValidationError(
                 f"anchor set {self.name!r} has no scenario {name!r} (known: {sorted(self.scenarios)})"
             )
         return self.scenarios[name]
@@ -140,50 +141,34 @@ def _anchors_from_json(obj: dict, path: Path) -> AnchorSet:
         fs_gap_eV=json_field(obj, "fs_gap_eV", "number", where),
         scenarios=scenarios,
         metrological_floor_eV=json_field(obj, "metrological_floor_eV", "number", where),
-        provenance={
-            k: v.get("provenance", "")
-            for k, v in obj.items()
-            if type(v) is dict and "provenance" in v
-        },
     )
 
 @dataclass(frozen=True)
 class SignalModel:
-    """Gravitomagnetic signal scaling model, anchored at one reference
-    isotope.
+    """Gravitomagnetic signal scaling model at chi = 1, anchored at one
+    reference isotope.
 
     The full prefactor (contact density, R_N^(2 gamma' - 1) power law with
     gamma' = sqrt(4 - (Z alpha)^2), rank-2 projection sqrt(5/7),
     gravitational constants) is absorbed into baseline_shift_eV, which is
-    the shift of the reference isotope at chi = 1 and nominal form factor.
-    f_tilde is carried on the raw plausibility scale; the nominal value
-    maps to the baseline.
+    the shift of the reference isotope at the nominal form factor. Form
+    factors are on the raw plausibility scale; signal_band scales the
+    baseline by f / f_tilde_nominal across f_tilde_band.
     """
 
-    chi: float = 1.0
-    f_tilde: float = 20.0
     f_tilde_nominal: float = 20.0
     f_tilde_band: tuple[float, float] = (1.0, 100.0)
     baseline_shift_eV: float = 2e-21
     Z: int = 42
     reference_spin_sq_over_mass: float = 6.25 / 95.0
 
-    def __post_init__(self):
-        band_lo, band_hi = self.f_tilde_band
-        if not (band_lo <= self.f_tilde <= band_hi):
-            raise ValidationError(
-                f"form factor {self.f_tilde} outside its plausibility band [{band_lo}, {band_hi}]"
-            )
-
     @property
     def calibrated(self) -> bool:
         return self.baseline_shift_eV > 0
 
     @classmethod
-    def from_anchors(cls, anchors: AnchorSet, chain: IsotopeChain, chi: float = 1.0) -> "SignalModel":
+    def from_anchors(cls, anchors: AnchorSet, chain: IsotopeChain) -> "SignalModel":
         return cls(
-            chi=chi,
-            f_tilde=anchors.f_tilde_nominal,
             f_tilde_nominal=anchors.f_tilde_nominal,
             f_tilde_band=anchors.f_tilde_band,
             baseline_shift_eV=anchors.signal_anchor_eV,
@@ -192,34 +177,23 @@ class SignalModel:
         )
 
 
-def gravitomagnetic_shift(model: SignalModel, rec: IsotopeRecord) -> float:
-    """Spin-quadrupole level shift of one isotope, in eV.
-
-    chi * (f_tilde / nominal) * (I^2/M) / (I_ref^2/M_ref) * baseline.
-    Even-even isotopes (I = 0) give exactly zero.
-    """
-    return _shifts(model, rec, (model.f_tilde,))[0]
-
-
-def _shifts(model: SignalModel, rec: IsotopeRecord, f_tildes) -> list[float]:
-    """gravitomagnetic_shift of rec at each form factor, in one product order."""
-    if not model.calibrated:
-        raise ConfigurationError("signal model is not calibrated (baseline_shift_eV <= 0)")
-    lever_ratio = spin_mass_lever(rec) / model.reference_spin_sq_over_mass
-    return [model.chi * (f / model.f_tilde_nominal) * lever_ratio * model.baseline_shift_eV for f in f_tildes]
-
-
 def signal_band(model: SignalModel, rec: IsotopeRecord, points: int = 9) -> list[tuple[float, float]]:
-    """(f_tilde, shift) pairs over the form-factor band, log-spaced.
+    """(f_tilde, shift) pairs over the form-factor band, log-spaced, where
+    the spin-quadrupole level shift of rec in eV is
+    (f_tilde / nominal) * (I^2/M) / (I_ref^2/M_ref) * baseline, exactly zero
+    for an even-even isotope (I = 0).
 
     The first and last form factors are the band's edges exactly, and none
     lies outside them. With the nominal calibration the reference isotope
     spans about [1e-22, 1e-20] eV across the two-decade band.
     """
+    if not model.calibrated:
+        raise ValidationError("signal model is not calibrated (baseline_shift_eV <= 0)")
     lo, hi = model.f_tilde_band
     inside = [min(lo * (hi / lo) ** (k / (points - 1)), hi) for k in range(1, points - 1)]
     f_tildes = [lo, *inside, hi][:max(points, 0)]
-    return list(zip(f_tildes, _shifts(model, rec, f_tildes)))
+    lever_ratio = spin_mass_lever(rec) / model.reference_spin_sq_over_mass
+    return [(f, (f / model.f_tilde_nominal) * lever_ratio * model.baseline_shift_eV) for f in f_tildes]
 
 
 def qed_correction(model: SignalModel, beta2_variation: float) -> tuple[float, float]:
@@ -249,7 +223,7 @@ def hfs_e2_first_order(rec: IsotopeRecord, channel: ElectronicChannel,
     """
     q_ref, e_ref = calib
     if q_ref == 0:
-        raise ConfigurationError("HFS-E2 anchor quadrupole moment must be nonzero")
+        raise ValidationError("HFS-E2 anchor quadrupole moment must be nonzero")
     if not channel.rank2_sensitive():
         warnings.warn(
             f"channel {channel.label!r} is rank-2 blind (j = {channel.j}); first-order "
@@ -289,7 +263,7 @@ def tnp_shift(rec: IsotopeRecord, calib: tuple[float, float],
     """
     be2_ref, e_ref = calib
     if be2_ref <= 0:
-        raise ConfigurationError("TNP anchor B(E2) must be positive")
+        raise ValidationError("TNP anchor B(E2) must be positive")
     if rec.BE2_up is None:
         raise ValidationError(f"isotope A={rec.A} has no B(E2) entry; cannot evaluate the TNP shift")
     if not 0.0 <= knowledge_fraction <= 1.0:
@@ -340,14 +314,14 @@ def build_budget(chain: IsotopeChain, channels, anchors: AnchorSet,
     evaluated per scenario and combined by plain summation.
     """
     if scenario not in ("current", "projected"):
-        raise ConfigurationError(f"scenario must be 'current' or 'projected', got {scenario!r}")
+        raise ValidationError(f"scenario must be 'current' or 'projected', got {scenario!r}")
     probe_A = anchors.probe_A if probe_A is None else probe_A
     probe = chain.isotope(probe_A)
     if probe.spin == 0:
         raise ValidationError(f"probe A={probe_A} is even-even (I = 0) and carries no rank-2 signal")
     rank2_channels = [c for c in channels if c.rank2_sensitive()]
     if not rank2_channels:
-        raise ConfigurationError("no rank-2-sensitive channel (j >= 3/2) available for the budget")
+        raise ValidationError("no rank-2-sensitive channel (j >= 3/2) available for the budget")
     channel = rank2_channels[0]
 
     hfs1_raw = abs(hfs_e2_first_order(probe, channel, (anchors.hfs_e2_anchor_Qs_b, anchors.hfs_e2_anchor_eV)))

@@ -52,12 +52,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    ConfigurationError,
-    NumericalError,
-    RefusalError,
-    ValidationError,
-)
+from .errors import NumericalError, RefusalError, ValidationError
 from .resources import json_field, load_json, resource_path, sha256_of
 
 EXIT_OK = 0
@@ -587,7 +582,7 @@ def main(argv=None) -> int:
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (ValidationError, ConfigurationError) as exc:
+    except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except _numerical_errors() as exc:

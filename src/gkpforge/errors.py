@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
-The CLI maps these onto exit codes: validation/configuration problems are
-exit 2, physics refusals (underdetermined or rank-deficient systems) are
-exit 1, and internal numerical failures are exit 3.
+The CLI maps these onto exit codes: invalid input is exit 2, whether a
+file, a field, a flag or a resource name is at fault; physics refusals
+(underdetermined or rank-deficient systems) are exit 1; and internal
+numerical failures are exit 3.
 """
 
 
@@ -11,11 +12,8 @@ class GkpforgeError(Exception):
 
 
 class ValidationError(GkpforgeError):
-    """Input data violates its schema or a dataset invariant."""
-
-
-class ConfigurationError(GkpforgeError):
-    """A required calibration anchor or configuration entry is missing."""
+    """Input violates its schema or a dataset invariant, or names a file,
+    resource, anchor or parameter that does not exist."""
 
 
 class RefusalError(GkpforgeError):

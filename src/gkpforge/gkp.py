@@ -29,7 +29,6 @@ import numpy as np
 
 from .angular import RANK2_MIN_J, ElectronicChannel
 from .errors import (
-    ConfigurationError,
     NumericalError,
     RankDeficiencyError,
     UnderdeterminedError,
@@ -101,7 +100,6 @@ class TransitionCoefficients:
 class ElectronicCoefficients:
     name: str
     transitions: tuple[TransitionCoefficients, ...]
-    provenance: str = ""
     alpha_t_convention: str = ""
 
     def __post_init__(self):
@@ -115,11 +113,10 @@ class ElectronicCoefficients:
         known = {t.label: t for t in self.transitions}
         missing = [lab for lab in labels if lab not in known]
         if missing:
-            raise ConfigurationError(f"unknown transition labels {missing} (known: {sorted(known)})")
+            raise ValidationError(f"unknown transition labels {missing} (known: {sorted(known)})")
         return ElectronicCoefficients(
             name=self.name,
             transitions=tuple(known[lab] for lab in labels),
-            provenance=self.provenance,
             alpha_t_convention=self.alpha_t_convention,
         )
 
@@ -133,12 +130,15 @@ def load_coefficients(source: str | Path = "mo41-coeffs-v1") -> ElectronicCoeffi
 
 def _coefficients_from_json(obj: dict, path: Path) -> ElectronicCoefficients:
     where = f"coefficients file {path}"
-    transitions = []
+    transitions, index_of = [], {}
     for k, t in enumerate(json_field(obj, "transitions", "list", where)):
         context = f"{where}: transition {k}"
         if type(t) is not dict:
             raise ValidationError(f"{context} is not an object")
         label = json_field(t, "label", "string", context)
+        if label in index_of:
+            raise ValidationError(f"{context} repeats transition {index_of[label]}: label {label!r}")
+        index_of[label] = k
         upper = json_field(t, "upper", "object", context)
         upper_context = f"{context} upper"
         n = json_field(upper, "n", "integer", upper_context)
@@ -158,7 +158,6 @@ def _coefficients_from_json(obj: dict, path: Path) -> ElectronicCoefficients:
     return ElectronicCoefficients(
         name=json_field(obj, "name", "string", where),
         transitions=tuple(transitions),
-        provenance=json_field(obj, "provenance", "string", where, required=False) or "",
         alpha_t_convention=json_field(obj, "alpha_t_convention", "string", where, required=False) or "",
     )
 

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .budget import chi_bound
-from .errors import ConfigurationError, ValidationError
+from .errors import ValidationError
 from .gkp import (COLUMN_NAMES, ElectronicCoefficients, build_design, condition_numbers, design_entries,
                   normalize_columns, nuclear_factors, solve_many)
 from .nucdata import IsotopeChain, partition
@@ -122,7 +122,7 @@ class SamplingSpec:
         for p in self.parameters:
             if p.name == name:
                 return p
-        raise ConfigurationError(f"sampling spec is missing the parameter {name!r}")
+        raise ValidationError(f"sampling spec is missing the parameter {name!r}")
 
 
 def load_sampling_spec(source: str | Path = "mo91-sampling-v1") -> SamplingSpec:
@@ -133,13 +133,17 @@ def load_sampling_spec(source: str | Path = "mo91-sampling-v1") -> SamplingSpec:
 
 def _sampling_spec_from_json(obj: dict, path: Path) -> SamplingSpec:
     where = f"sampling spec {path}"
-    params = []
+    params, index_of = [], {}
     for k, p in enumerate(json_field(obj, "parameters", "list", where)):
         context = f"{where}: parameter {k}"
         if type(p) is not dict:
             raise ValidationError(f"{context} is not an object")
+        name = json_field(p, "name", "string", context)
+        if name in index_of:
+            raise ValidationError(f"{context} repeats parameter {index_of[name]}: name {name!r}")
+        index_of[name] = k
         params.append(ParameterSpec(
-            name=json_field(p, "name", "string", context),
+            name=name,
             distribution=json_field(p, "distribution", "string", context),
             low=json_field(p, "low", "number", context, required=False),
             high=json_field(p, "high", "number", context, required=False),

@@ -34,7 +34,7 @@ from math import isfinite
 from pathlib import Path
 from types import MappingProxyType
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ValidationError
 
 ENV_DATA_DIR = "GKPFORGE_DATA_DIR"
 
@@ -68,11 +68,11 @@ def resource_path(name: str) -> Path:
                 return candidate
         path = _bundled_data_dir() / basename
         if not path.exists():
-            raise ConfigurationError(f"bundled resource {name!r} is missing its data file {basename!r}")
+            raise ValidationError(f"bundled resource {name!r} is missing its data file {basename!r}")
         return path
     path = Path(name)
     if not path.exists():
-        raise ConfigurationError(
+        raise ValidationError(
             f"{name!r} is neither a known resource name ({', '.join(sorted(RESOURCE_FILES))}) nor an existing file"
         )
     return path

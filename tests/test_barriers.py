@@ -9,7 +9,6 @@ from gkpforge.angular import ElectronicChannel, default_channels
 from gkpforge.barriers import (
     SignalModel,
     build_budget,
-    gravitomagnetic_shift,
     hfs_e2_first_order,
     hfs_second_order,
     load_anchors,
@@ -17,22 +16,30 @@ from gkpforge.barriers import (
     signal_band,
     tnp_shift,
 )
-from gkpforge.errors import ConfigurationError, ValidationError
+from gkpforge.errors import ValidationError
 
 P32 = ElectronicChannel(n=2, l=1, j=Fraction(3, 2), label="2p3/2")
 P12 = ElectronicChannel(n=2, l=1, j=Fraction(1, 2), label="2p1/2")
 
 
+def _at_nominal(model, rec) -> float:
+    """The shift of rec at the nominal form factor: signal_band over a band
+    of that one point."""
+    nominal = model.f_tilde_nominal
+    [(_, shift)] = signal_band(dataclasses.replace(model, f_tilde_band=(nominal, nominal)), rec, points=1)
+    return shift
+
+
 def test_gravitomagnetic_shift_anchor(mo_chain, anchors):
     model = SignalModel.from_anchors(anchors, mo_chain)
-    assert gravitomagnetic_shift(model, mo_chain.isotope(95)) == pytest.approx(2e-21, rel=1e-12)
-    assert gravitomagnetic_shift(model, mo_chain.isotope(92)) == 0.0
+    assert _at_nominal(model, mo_chain.isotope(95)) == pytest.approx(2e-21, rel=1e-12)
+    assert _at_nominal(model, mo_chain.isotope(92)) == 0.0
 
 
-def test_gravitomagnetic_shift_scales_with_chi_and_lever(mo_chain, anchors):
-    model = SignalModel.from_anchors(anchors, mo_chain, chi=3.0)
-    expected = 3.0 * (6.25 / 97) / (6.25 / 95) * 2e-21
-    assert gravitomagnetic_shift(model, mo_chain.isotope(97)) == pytest.approx(expected, rel=1e-12)
+def test_gravitomagnetic_shift_scales_with_lever(mo_chain, anchors):
+    model = SignalModel.from_anchors(anchors, mo_chain)
+    expected = (6.25 / 97) / (6.25 / 95) * 2e-21
+    assert _at_nominal(model, mo_chain.isotope(97)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_signal_band_spans_two_decades(mo_chain, anchors):
@@ -44,17 +51,16 @@ def test_signal_band_spans_two_decades(mo_chain, anchors):
     assert all(1e-22 * (1 - 1e-9) <= s <= 1e-20 * (1 + 1e-9) for s in shifts)
 
 
-def test_form_factor_band_enforced():
-    with pytest.raises(ValidationError):
-        SignalModel(f_tilde=500.0)
-    with pytest.raises(ValidationError):
-        SignalModel(f_tilde=0.5)
+def test_form_factor_band_enforced(anchors):
+    for nominal in (500.0, 0.5):
+        with pytest.raises(ValidationError, match="must be positive, finite and contain the nominal"):
+            dataclasses.replace(anchors, f_tilde_nominal=nominal)
 
 
 def test_uncalibrated_model_refused(mo_chain):
     model = SignalModel(baseline_shift_eV=0.0)
-    with pytest.raises(ConfigurationError):
-        gravitomagnetic_shift(model, mo_chain.isotope(95))
+    with pytest.raises(ValidationError):
+        signal_band(model, mo_chain.isotope(95))
 
 
 def test_qed_correction():
@@ -210,15 +216,15 @@ def test_budget_refuses_even_even_probe(mo_chain, anchors):
 
 
 def test_budget_rejects_unknown_scenario(mo_chain, anchors):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError):
         build_budget(mo_chain, default_channels(), anchors, scenario="fantasy")
 
 
 def test_budget_requires_rank2_channel(mo_chain, anchors):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError):
         build_budget(mo_chain, [P12], anchors)
 
 
 def test_anchor_loading_missing_file():
-    with pytest.raises(ConfigurationError, match="no-such-anchors"):
+    with pytest.raises(ValidationError, match="no-such-anchors"):
         load_anchors("no-such-anchors.json")

@@ -785,6 +785,35 @@ def test_anchor_subnormal_signal_exit2(capsys, tmp_path):
     assert "signal_anchor_eV must be nonzero and not subnormal" in err
 
 
+@pytest.mark.parametrize("block, key", [("signal_anchor", "anchor_output_eV"), ("tnp_anchor", "anchor_input_BE2_wu")])
+@pytest.mark.parametrize("argv", [["budget"], ["extract", "--rhs", RHS_FIXTURE]], ids=["budget", "extract"])
+def test_anchor_negative_magnitude_exit2(capsys, tmp_path, argv, block, key):
+    anchors = _edited_resource(tmp_path, "mo41-anchors-v1", lambda obj: obj[block].__setitem__(key, -2.0))
+    code, out, err = _run(capsys, *argv, "--anchors", anchors, "--format", "json")
+    assert (code, out) == (2, "")
+    field = {"signal_anchor": "signal_anchor_eV", "tnp_anchor": "tnp_anchor_BE2_wu"}[block]
+    assert f"anchor set 'mo41-anchors-v1': {field} must be positive, got -2.0" in err
+
+
+def _repeat_first(key: str, **changes):
+    return lambda obj: obj[key].append(dict(obj[key][0], **changes))
+
+
+@pytest.mark.parametrize("flag, name, edit, argv, refusal", [
+    ("--coeffs", "mo41-coeffs-v1", _repeat_first("transitions", G_eV_per_lever=9.12e-20),
+     ["extract", "--rhs", RHS_FIXTURE], "coefficients file {}: transition 2 repeats transition 0: label '1s-2p3/2'"),
+    ("--coeffs", "mo41-coeffs-v1", _repeat_first("transitions", G_eV_per_lever=9.12e-20),
+     ["condition", "--samples", "64"], "coefficients file {}: transition 2 repeats transition 0: label '1s-2p3/2'"),
+    ("--spec", "mo91-sampling-v1", _repeat_first("parameters", low=0.5),
+     ["condition", "--samples", "64"], "sampling spec {}: parameter 2 repeats parameter 0: name 'Qs_91'"),
+], ids=["coeffs-extract", "coeffs-condition", "spec-condition"])
+def test_repeated_name_in_a_data_file_exit2(capsys, tmp_path, flag, name, edit, argv, refusal):
+    path = _edited_resource(tmp_path, name, edit)
+    code, out, err = _run(capsys, *argv, flag, path, "--format", "json")
+    assert (code, out) == (2, "")
+    assert refusal.format(path) in err
+
+
 def test_budget_of_vanishing_residuals_is_a_float(capsys, tmp_path):
     def zero_outputs(obj):
         obj["hfs_e2_anchor"]["anchor_output_eV"] = 0.0

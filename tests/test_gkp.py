@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from gkpforge.errors import (
-    ConfigurationError,
     NumericalError,
     RankDeficiencyError,
     UnderdeterminedError,
@@ -752,7 +751,7 @@ def test_coefficients_reject_rank2_blind_nonzero():
 
 
 def test_coefficients_subset_unknown_label(coeffs):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError):
         coeffs.subset(["no-such-transition"])
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gkpforge.errors import ConfigurationError, ValidationError
+from gkpforge.errors import ValidationError
 from gkpforge.gkp import (
     COLUMN_NAMES,
     DesignMatrix,
@@ -189,7 +189,7 @@ def test_spec_missing_parameter_rejected(mo_chain, coeffs):
         sample_count=10,
         seed=1,
     )
-    with pytest.raises(ConfigurationError, match="BE2_91"):
+    with pytest.raises(ValidationError, match="BE2_91"):
         sample_kappa(mo_chain, coeffs, spec)
 
 

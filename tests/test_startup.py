@@ -116,7 +116,7 @@ def test_bare_import_reads_topology_alone():
 def test_package_namespace_unchanged():
     assert gkpforge.__all__ == [
         "__version__", "angular", "barriers", "budget", "gkp", "montecarlo", "nucdata", "topology",
-        "GkpforgeError", "ValidationError", "ConfigurationError", "RefusalError",
+        "GkpforgeError", "ValidationError", "RefusalError",
         "UnderdeterminedError", "RankDeficiencyError", "NumericalError",
     ]
     assert all(hasattr(gkpforge, name) for name in gkpforge.__all__)
