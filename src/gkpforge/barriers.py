@@ -192,8 +192,14 @@ def signal_band(model: SignalModel, rec: IsotopeRecord, points: int = 9) -> list
     lo, hi = model.f_tilde_band
     inside = [min(lo * (hi / lo) ** (k / (points - 1)), hi) for k in range(1, points - 1)]
     f_tildes = [lo, *inside, hi][:max(points, 0)]
+    return [(f, signal_shift(model, rec, f)) for f in f_tildes]
+
+
+def signal_shift(model: SignalModel, rec: IsotopeRecord, f_tilde: float) -> float:
+    """The spin-quadrupole level shift of rec in eV at one form factor:
+    (f_tilde / nominal) * (I^2/M) / (I_ref^2/M_ref) * baseline."""
     lever_ratio = spin_mass_lever(rec) / model.reference_spin_sq_over_mass
-    return [(f, (f / model.f_tilde_nominal) * lever_ratio * model.baseline_shift_eV) for f in f_tildes]
+    return (f_tilde / model.f_tilde_nominal) * lever_ratio * model.baseline_shift_eV
 
 
 def qed_correction(model: SignalModel, beta2_variation: float) -> tuple[float, float]:
@@ -288,7 +294,8 @@ class BarrierBudget:
 
     The fields, in order, are the budget report's block; combined_eV and
     dominant are the combined residual and dominant barrier of the
-    budget's own scenario.
+    budget's own scenario, and signal_nominal_eV is the probe's own
+    signal at the nominal form factor.
     """
 
     scenario: str
@@ -392,5 +399,5 @@ def build_budget(chain: IsotopeChain, channels, anchors: AnchorSet,
         max_projected_eV=max_projected,
         combined_eV=combined,
         dominant=dominant,
-        signal_nominal_eV=anchors.signal_anchor_eV,
+        signal_nominal_eV=signal_shift(SignalModel.from_anchors(anchors, chain), probe, anchors.f_tilde_nominal),
     )

@@ -5,7 +5,10 @@ Every report embeds a run manifest (inputs with content hashes, seed,
 configuration versions, tool version, timestamp) and is deterministic
 given (inputs, flags, seed). Exit codes: 0 success, 1 computation refused
 on physics grounds, 2 input validation error, 3 internal numerical
-failure.
+failure, 141 stdout closed before the report was written (a reader such
+as `head` stopped early; 141 is what a shell reports for a process ended
+by SIGPIPE). A closed stdout prints nothing and no traceback; --out
+files are written before stdout and are complete.
 
 Each handler imports the layers it runs, so that a command loads only
 those: budget, solvability, milestones and ramsey are closed-form and
@@ -59,6 +62,7 @@ EXIT_OK = 0
 EXIT_REFUSED = 1
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
+EXIT_CLOSED_OUTPUT = 141
 
 ENV_TIMESTAMP = "GKPFORGE_TIMESTAMP"
 
@@ -267,7 +271,7 @@ def cmd_budget(args) -> int:
     probe = chain.isotope(result.probe_A)
     band = barriers.signal_band(model, probe, points=5)
     qed_fraction, qed_residual = barriers.qed_correction(model, beta2_variation=0.5)
-    bound_nominal = budget.chi_bound(result.combined_eV, anchors.signal_anchor_eV)
+    bound_nominal = budget.chi_bound(result.combined_eV, result.signal_nominal_eV)
     bound_band = [budget.chi_bound(result.combined_eV, s) for _, s in band]
 
     report = {
@@ -578,7 +582,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv, argparse.Namespace(inputs={}))  # inputs: filled by _load
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # send what is still buffered, and the flush at exit, nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_OUTPUT
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED

@@ -15,6 +15,14 @@ scaled back through the stored column norms. Underdetermined or
 numerically rank-deficient systems are refused rather than regularized:
 silently pseudo-inverting a degenerate extraction is exactly the failure
 mode this analysis exists to prevent.
+
+condition_numbers takes raw designs and returns the kappa of each one's
+column-normalized matrix A. For 3x3 stacks A is never built: its Gram
+matrix has a unit diagonal, so a closed form reads kappa off the raw Gram
+entries and one raw triple product, within a few eps * kappa * sigma1 /
+sigma2 in its trusted region (condition_numbers gives the algebra and the
+bound). Everything else, and every single design, is normalized and
+takes the SVD.
 """
 
 from __future__ import annotations
@@ -239,7 +247,7 @@ def design_entries(nuclear: np.ndarray, transitions: Sequence[TransitionCoeffici
     """(..., isotopes * transitions, 3) design entries, isotope-major, of a
     (..., isotopes, 3) stack of nuclear factors: one broadcast product by
     the transitions' (H, P, G), laid out like its input (a draws-last
-    stack gives a draws-last view). Overflow is left to normalize_columns."""
+    stack gives a draws-last view); the column-norm check refuses overflow."""
     electronic = np.array([(t.H_eV_per_b, t.P_eV_per_wu, t.G_eV_per_lever) for t in transitions])
     with np.errstate(over="ignore"):
         return (nuclear[..., :, None, :] * electronic).reshape(*nuclear.shape[:-2], -1, 3)
@@ -258,18 +266,21 @@ def build_design(odd_isotopes: Sequence[IsotopeRecord], coeffs: ElectronicCoeffi
 
 def normalize_columns(stack: np.ndarray, columns: Sequence[str]):
     """Scale every column of a (..., rows, cols) stack to unit Euclidean
-    norm; returns the stack and its (..., cols) norms. A column whose norm
-    is zero or not finite in any matrix is refused before dividing: as a
-    rank deficiency where it is all zero there, else as a NumericalError."""
+    norm; returns the stack and its (..., cols) norms (np.linalg.norm's
+    bits). A column whose squared norm, the sum the closed form of
+    condition_numbers also takes, is zero or not finite in any matrix is
+    refused before dividing: as a rank deficiency where it is all zero
+    there, else as a NumericalError."""
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(stack, axis=-2)
-    bad = ~((norms > 0.0) & (norms < np.inf))  # zero, inf or nan
+        squared = np.add.reduce(stack * stack, axis=-2)
+    bad = ~((squared > 0.0) & (squared < np.inf))  # zero, inf or nan
     if bad.any():
         k = int(np.argmax(bad.reshape(-1, bad.shape[-1]).any(axis=0)))
         if np.any(stack[..., k][bad[..., k]] != 0.0):
             raise NumericalError(f"column {columns[k]!r} has a norm outside the floating-point range: "
                                  "an entry or its square overflows, or the squares underflow")
         raise RankDeficiencyError(f"column {columns[k]!r} is identically zero")
+    norms = np.sqrt(squared)
     return stack / norms[..., None, :], norms
 
 
@@ -287,21 +298,24 @@ def precondition(m: DesignMatrix) -> DesignMatrix:
                    column_norms=tuple(float(n) for n in norms))
 
 
-# the closed form is trusted only where the Gram eigenvalues l1 > l2 > l3
-# are at least this far apart relative to l1 ...
+# the closed form is trusted only where the eigenvalues l1 > l2 > l3 of
+# the normalized Gram matrix are at least this far apart relative to l1 ...
 CLOSED_FORM_GAP_RTOL = 1e-4
-# ... l2 is at least this fraction of l1 (det(A) from cofactors has an
-# absolute error of ~eps * sigma1^3, so kappa's relative error grows as
-# eps * kappa * sigma1 / sigma2; here sigma2 >= 0.1 sigma1) ...
+# ... l2 is at least this fraction of l1 (det(A) has an absolute error of
+# ~eps * sigma1^3, so kappa's relative error grows as eps * kappa *
+# sigma1 / sigma2; here sigma2 >= 0.1 sigma1) ...
 CLOSED_FORM_MIN_L2_RTOL = 1e-2
-# ... and kappa stays below this, far from the rank-deficiency threshold
+# ... kappa stays below this, far from the rank-deficiency threshold ...
 CLOSED_FORM_MAX_KAPPA = 1e8
+# ... and every squared raw column norm lies in this range (~1e-181 to
+# 1e181): no raw product overflows or loses bits that kappa reads to underflow
+CLOSED_FORM_SQUARED_NORM_RANGE = (2.0 ** -600, 2.0 ** 600)
 
 
-def _svd_condition_numbers(stack: np.ndarray) -> np.ndarray:
-    sv = np.linalg.svd(stack, compute_uv=False)
-    # kappa inf, without dividing by zero; an all-zero matrix has sigma_max 0
-    deficient = (sv[..., -1] < RANK_DEFICIENCY_RTOL * sv[..., 0]) | (sv[..., 0] == 0.0)
+def _svd_condition_numbers(normalized: np.ndarray) -> np.ndarray:
+    """kappa of column-normalized matrices (sigma_max >= 1); +inf if rank deficient."""
+    sv = np.linalg.svd(normalized, compute_uv=False)
+    deficient = sv[..., -1] < RANK_DEFICIENCY_RTOL * sv[..., 0]
     return np.divide(sv[..., 0], sv[..., -1], out=np.full(deficient.shape, np.inf), where=~deficient)
 
 
@@ -324,74 +338,56 @@ def _cross(x, y, out, tmp):
 
 
 def _closed_form_condition_numbers(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """kappa = sqrt(l1 / l3) of an (n, 3, 3) stack from the eigenvalues
-    l1 >= l2 >= l3 of G = A^T A, and the mask of matrices inside the
-    trusted region. NaN fails every comparison, so non-finite matrices
-    fall outside it.
-
-    Every quantity is updated in place in arrays of its own, never in the
-    input, and every sum keeps the association of the plain expression
-    (x0 y0 + x1 y1) + x2 y2, so kappa is bit-identical to evaluating the
-    formulas one numpy expression at a time."""
+    """kappa of the column-normalized matrix of every raw matrix in an
+    (n, 3, 3) stack by condition_numbers' closed form, and the mask of its
+    trusted region, which NaN fails; a zero or non-finite column norm is
+    refused as normalize_columns refuses it. Each quantity is updated in
+    place in an array of its own, never in the input, keeping the plain
+    expressions' association, so kappa has the bits of evaluating them one
+    numpy expression at a time."""
     a = np.ascontiguousarray(stack.transpose(1, 2, 0))  # a[row, col] holds n draws; read only
     cols = a.transpose(1, 0, 2)  # cols[col, row]
     n = a.shape[-1]
     t, u = np.empty(n), np.empty(n)  # scratch
     with np.errstate(all="ignore"):
-        g = np.empty((6, n))
-        for out, (i, j) in zip(g, ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))):
+        norms = np.empty((3, n))  # s_k, the raw Gram diagonal, until rooted
+        for k in range(3):
+            _dot3(cols[k], cols[k], norms[k], t)
+        low, high = CLOSED_FORM_SQUARED_NORM_RANGE
+        in_range = None  # every draw, as two reductions find in the common case
+        if not (low <= norms.min(initial=high) and norms.max(initial=low) <= high):  # an empty stack passes
+            normalize_columns(stack, COLUMN_NAMES)  # refuses a zero or non-finite norm
+            in_range = ((low <= norms) & (norms <= high)).all(axis=0)
+        np.sqrt(norms, out=norms)
+        g = np.empty((3, n))  # g_ij = R_ij / (n_i n_j)
+        for out, (i, j) in zip(g, ((0, 1), (0, 2), (1, 2))):
             _dot3(cols[i], cols[j], out, t)
-        # l1: largest root of the characteristic cubic by the trigonometric
-        # form, written on the deviator B = G - m I (the cubic's own
-        # coefficients would cancel when the spectrum is clustered)
-        m = np.add(g[0], g[1])
-        m += g[2]
-        m /= 3.0
-        g[:3] -= m
-        b00, b11, b22, g01, g02, g12 = g
-        p = np.multiply(b00, b00)
-        p += np.multiply(b11, b11, out=t)
-        p += np.multiply(b22, b22, out=t)
-        np.multiply(g01, g01, out=u)
-        u += np.multiply(g02, g02, out=t)
-        u += np.multiply(g12, g12, out=t)
-        u *= 2.0
-        p += u
-        p /= 6.0
+            out /= np.multiply(norms[i], norms[j], out=t)
+        g01, g02, g12 = g
+        # l1 by the trigonometric form on B = G - I
+        q = np.multiply(g01, g01)
+        q += np.multiply(g02, g02, out=t)
+        q += np.multiply(g12, g12, out=t)
+        p = np.divide(q, 3.0)
         np.sqrt(p, out=p)
-        # det(B) = b00 (b11 b22 - g12^2) - g01 (g01 b22 - g12 g02) + g02 (g01 g12 - b11 g02)
-        det_b = np.multiply(b11, b22)
-        det_b -= np.multiply(g12, g12, out=t)
-        det_b *= b00
-        np.multiply(g01, b22, out=u)
-        u -= np.multiply(g12, g02, out=t)
-        u *= g01
-        det_b -= u
-        np.multiply(g01, g12, out=u)
-        u -= np.multiply(b11, g02, out=t)
-        u *= g02
-        det_b += u
         # phi = arccos(clip(det(B) / (2 p^3), -1, 1)) / 3
-        phi = det_b
-        phi /= np.multiply(np.power(p, 3, out=t), 2.0, out=t)
+        phi = np.multiply(g01, g02)
+        phi *= g12
+        phi /= np.power(p, 3, out=t)
         np.clip(phi, -1.0, 1.0, out=phi)
         np.arccos(phi, out=phi)
         phi /= 3.0
-        # l1 = m + (2 p) cos(phi)
-        l1 = m
-        l1 += np.multiply(np.cos(phi, out=t), np.multiply(p, 2.0, out=u), out=t)
-        # l2 l3 = det(A)^2 / l1 and l2 + l3 = (c - l2 l3) / l1, with c the
-        # sum of the squared 2x2 minors of A (Cauchy-Binet): sums of
-        # non-negative terms, so the small eigenvalues keep SVD's resolution
-        minors = np.empty((3, 3, n))
-        for out, (i, j) in zip(minors, ((0, 1), (0, 2), (1, 2))):
-            _cross(a[i], a[j], out, t)
-        prod23 = _dot3(minors[0], a[2], np.empty(n), t)  # det(A)
+        # l1 = 1 + (2 p) cos(phi)
+        l1 = np.cos(phi)
+        l1 *= np.multiply(p, 2.0, out=t)
+        l1 += 1.0
+        # l2 l3 = det(A)^2 / l1 and l2 + l3 = (c - l2 l3) / l1
+        minor = _cross(a[0], a[1], g, t)  # g is spent
+        prod23 = _dot3(minor, a[2], np.empty(n), t)  # det(D)
+        prod23 /= np.multiply(np.multiply(norms[0], norms[1], out=t), norms[2], out=t)  # det(A)
         prod23 *= prod23
         prod23 /= l1
-        sum23 = _dot3(minors[0], minors[0], np.empty(n), t)  # c
-        sum23 += _dot3(minors[1], minors[1], u, t)
-        sum23 += _dot3(minors[2], minors[2], u, t)
+        sum23 = np.subtract(3.0, q, out=q)  # c
         sum23 -= prod23
         sum23 /= l1
         # l2 - l3 from the quadratic's discriminant, except where the
@@ -415,46 +411,50 @@ def _closed_form_condition_numbers(stack: np.ndarray) -> tuple[np.ndarray, np.nd
         trusted &= np.subtract(l1, l2, out=u) >= margin
         trusted &= np.subtract(l2, l3, out=u) >= margin
         trusted &= kappa < CLOSED_FORM_MAX_KAPPA
+        if in_range is not None:
+            trusted &= in_range
     return kappa, trusted
 
 
 def condition_numbers(stack: np.ndarray) -> np.ndarray:
-    """sigma_max / sigma_min of every matrix in a (..., rows, cols) stack
-    of preconditioned matrices; +inf where sigma_min falls below the
-    rank-deficiency threshold, an all-zero matrix included.
+    """sigma_max / sigma_min of the column-normalized matrix A of every raw
+    matrix D in a (..., rows, cols) stack; +inf where sigma_min falls below
+    the rank-deficiency threshold. A column whose norm is zero or not
+    finite in any matrix is refused as normalize_columns refuses it.
 
-    (n, 3, 3) stacks take a closed form:
-    kappa = sqrt(l1 / l3) from the eigenvalues of G = A^T A, with l1 the
-    largest root of the characteristic cubic (trigonometric form) and
-    l2, l3 from l2 l3 = det(A)^2 / l1 and the Cauchy-Binet sum of squared
-    2x2 minors, so sigma_min keeps the SVD's absolute resolution instead
-    of the squared kappa of an eigensolver on G. Matrices outside the
-    trusted region (eigenvalue gaps below CLOSED_FORM_GAP_RTOL * l1, l2
-    below CLOSED_FORM_MIN_L2_RTOL * l1, kappa >= CLOSED_FORM_MAX_KAPPA, or
-    anything non-finite) take the SVD, so every rank-deficiency verdict
-    comes from it. Single matrices, non-square designs and other stack
-    shapes take the SVD throughout.
+    (n, 3, 3) stacks never build A. D's Gram matrix R gives the squared
+    column norms s_k = R_kk and A's Gram entries g_ij = R_ij / sqrt(s_i
+    s_j), whose diagonal is exactly 1. So the eigenvalues l1 >= l2 >= l3
+    of A^T A follow from q = g01^2 + g02^2 + g12^2: l1 by the cubic's
+    trigonometric form with mean 1, spread p = sqrt(q / 3) and det(G - I)
+    = 2 g01 g02 g12; l2 l3 = det(A)^2 / l1 with det(A) = det(D) / sqrt(s0
+    s1 s2); and l2 + l3 = (c - l2 l3) / l1 with c = 3 - q, the
+    Cauchy-Binet sum of A's squared 2x2 minors. Then kappa = sqrt(l1 / l3).
 
-    The closed form works on draws-last storage: a stack that is the
-    (n, 3, 3) view of a C-contiguous (3, 3, n) array (each entry's n
-    values contiguous) is read without a copy, and any other stack is
-    copied into that layout once; the input is never written. The
-    formulas are evaluated in place, each quantity updated in an array of
-    its own, and every dot product, Gram entry and squared minor is a
-    fixed-order three-term sum, (x0 y0 + x1 y1) + x2 y2, of elementwise
-    products. The sin of the trigonometric l2 - l3 is taken only where the
-    spectrum is clustered. einsum is avoided because its summation
-    order depends on the strides and length of its operands (a one-matrix
-    stack sums differently from a long one), and so a matrix's kappa
-    depends on that matrix alone, bit for bit, not on the stack around it
-    or on its layout.
+    In the trusted region (eigenvalue gaps >= CLOSED_FORM_GAP_RTOL * l1,
+    l2 >= CLOSED_FORM_MIN_L2_RTOL * l1, kappa < CLOSED_FORM_MAX_KAPPA, every
+    s_k in CLOSED_FORM_SQUARED_NORM_RANGE) kappa's relative error is, to
+    first order, det(A)'s few eps * kappa * sigma1 / sigma2 with sigma2 >=
+    0.1 sigma1, plus the few eps / l2 that c's absolute error gives l2.
+    Against 40-digit SVDs the adversarial families of tests/test_gkp.py
+    stay within 4 eps * kappa (held to 16), and the shipped draws within
+    2.1e-13 of LAPACK. Other matrices, other shapes and single matrices
+    are normalized and take the SVD, so every rank-deficiency verdict
+    comes from it.
+
+    The closed form reads the (n, 3, 3) view of a C-contiguous (3, 3, n)
+    array without a copy and copies any other stack once; it never writes
+    its input. Every dot product is a fixed-order sum (x0 y0 + x1 y1) + x2
+    y2 of elementwise products, never einsum, whose order depends on its
+    operands' strides and length, so a matrix's kappa depends on that
+    matrix alone, bit for bit, not on its stack or layout.
     """
     stack = np.asarray(stack)
     if stack.ndim != 3 or stack.shape[1:] != (3, 3):
-        return _svd_condition_numbers(stack)
+        return _svd_condition_numbers(normalize_columns(stack, COLUMN_NAMES)[0])
     kappa, trusted = _closed_form_condition_numbers(stack)
     if not trusted.all():
-        kappa[~trusted] = _svd_condition_numbers(stack[~trusted])
+        kappa[~trusted] = _svd_condition_numbers(normalize_columns(stack[~trusted], COLUMN_NAMES)[0])
     return kappa
 
 
@@ -477,7 +477,7 @@ def condition_number(m: DesignMatrix) -> float:
     Underdetermined matrices are rejected; check solvability first.
     """
     _refuse_underdetermined(m)
-    return float(condition_numbers(precondition(m).entries))
+    return float(_svd_condition_numbers(precondition(m).entries))
 
 
 class Estimate(NamedTuple):
@@ -518,7 +518,7 @@ def _solve(m: DesignMatrix, rhs_stack, sigma):
 
     _refuse_underdetermined(m)
     pre = precondition(m)
-    kappa = float(condition_numbers(pre.entries))
+    kappa = float(_svd_condition_numbers(pre.entries))
     if math.isinf(kappa):
         raise RankDeficiencyError(
             "design matrix is numerically rank deficient; the isotope parameter "

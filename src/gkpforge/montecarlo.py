@@ -30,8 +30,8 @@ import numpy as np
 
 from .budget import chi_bound
 from .errors import ValidationError
-from .gkp import (COLUMN_NAMES, ElectronicCoefficients, build_design, condition_numbers, design_entries,
-                  normalize_columns, nuclear_factors, solve_many)
+from .gkp import (ElectronicCoefficients, build_design, condition_numbers, design_entries, nuclear_factors,
+                  solve_many)
 from .nucdata import IsotopeChain, partition
 from .resources import json_field, load_validated
 
@@ -52,9 +52,9 @@ __all__ = [
 BLOCK_SIZE = 1024
 # kappa_draws conditions this many draws per condition_numbers call; each
 # draw's kappa depends on that draw alone, so the size moves only numpy's
-# per-call overhead. On a 2-core x86-64 host with one BLAS thread, eight
-# RNG blocks took a 1e5-draw condition command's kernel from 14.4 to
-# 12.1 ms for +1.3 MB peak RSS; sixteen took 13.8 ms for +4.4 MB
+# per-call overhead. On a 2-core x86-64 host with one BLAS thread, eight RNG
+# blocks took a 1e5-draw condition command's kernel from 15.0 to 9.6 ms for
+# +1.6 MB peak RSS; sixteen took 14.0 ms for +3.6 MB (medians of six rounds)
 KAPPA_BATCH = 8 * BLOCK_SIZE
 
 # a guarded draw gives up after this many rejection rounds: a band that
@@ -252,8 +252,8 @@ def kappa_draws(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: Sampl
             for column, param in enumerate(sampled):
                 batch[rows, 2, column], rejected = _draw_guarded(param, rng, block_len)
                 rejected_total += rejected
-        normalized, _ = normalize_columns(design_entries(batch, coeffs.rank2_transitions()[:1]), COLUMN_NAMES)
-        kappas[batch_start:batch_start + len(batch)] = condition_numbers(normalized)
+        kappas[batch_start:batch_start + len(batch)] = condition_numbers(
+            design_entries(batch, coeffs.rank2_transitions()[:1]))
 
     proposals = n + rejected_total
     excluded_fraction = rejected_total / proposals if proposals else 0.0

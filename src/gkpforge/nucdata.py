@@ -287,7 +287,13 @@ def _chain_from_csv_text(text: str) -> IsotopeChain:
     missing = [c for c in _CSV_COLUMNS if c not in reader.fieldnames]
     if missing:
         raise ValidationError(f"CSV chain header is missing columns {missing}")
-    records = [_record_from_csv_row(row, lineno) for lineno, row in enumerate(reader, start=2)]
+    records, line_of = [], {}
+    for lineno, row in enumerate(reader, start=2):
+        record = _record_from_csv_row(row, lineno)
+        if record.A in line_of:
+            raise ValidationError(f"row {lineno} repeats row {line_of[record.A]}: mass number A={record.A}")
+        line_of[record.A] = lineno
+        records.append(record)
     if not records:
         raise ValidationError("CSV chain file has a header but no rows")
     reference = [r.A for r in records if r.delta_r2 is not None and r.delta_r2.value == 0.0]
@@ -328,11 +334,14 @@ def _measured_from_json(iso: dict, key: str, ctx: str, required: bool = False) -
 
 
 def _chain_from_json_obj(obj: dict) -> IsotopeChain:
-    records = []
+    records, index_of = [], {}
     for k, iso in enumerate(json_field(obj, "isotopes", "list", "JSON chain")):
         if type(iso) is not dict:
             raise ValidationError(f"JSON chain isotope record {k} is not an object")
         A = json_field(iso, "A", "integer", f"JSON chain isotope record {k}")
+        if A in index_of:
+            raise ValidationError(f"JSON chain isotope record {k} repeats record {index_of[A]}: mass number A={A}")
+        index_of[A] = k
         ctx = f"isotope A={A}"
         records.append(
             IsotopeRecord(

@@ -273,6 +273,22 @@ def test_an_out_that_cannot_be_written_exits_2_naming_it(capsys, tmp_path, argv,
     assert existing.read_text(encoding="utf-8") == "kept"
 
 
+@pytest.mark.parametrize("argv", [["budget"], ["condition", "--samples", "64"]])
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_a_closed_stdout_exits_141_without_a_traceback(tmp_path, argv, fmt):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the report is printed
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    out_dir = tmp_path / "out"
+    try:
+        child = subprocess.run([sys.executable, "-m", "gkpforge.cli", *argv, "--format", fmt, "--out", str(out_dir)],
+                               stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (cli.EXIT_CLOSED_OUTPUT, "")
+    assert json.loads((out_dir / f"{argv[0]}.json").read_text(encoding="utf-8"))["manifest"]  # --out came first
+
+
 # ---------------------------------------------------------------------------
 # extract
 

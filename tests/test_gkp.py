@@ -257,22 +257,23 @@ def test_condition_numbers_stack_matches_per_matrix():
     rng = np.random.default_rng(23)
     entries = rng.normal(size=(40, 4, 3)) * 10.0 ** rng.integers(-6, 6, size=(40, 1, 3))
     entries[7, :, 1] = entries[7, :, 0]  # exactly degenerate: the +inf sentinel
-    matrices = [precondition(DesignMatrix(rows=tuple((k, "t") for k in range(4)),
-                                          columns=COLUMN_NAMES, entries=e)) for e in entries]
-    stacked = condition_numbers(np.stack([m.entries for m in matrices]))
+    matrices = [DesignMatrix(rows=tuple((k, "t") for k in range(4)), columns=COLUMN_NAMES, entries=e)
+                for e in entries]
+    stacked = condition_numbers(entries)  # raw: each matrix normalized as precondition normalizes it
     per_matrix = np.array([condition_number(m) for m in matrices])
     assert math.isinf(per_matrix[7])
     assert np.array_equal(stacked, per_matrix)
 
 
 def _svd_kappa(stack):
-    """The LAPACK reference: sigma_max / sigma_min with the +inf sentinel."""
-    sv = np.linalg.svd(stack, compute_uv=False)
+    """The LAPACK reference on the column-normalized stack: sigma_max /
+    sigma_min with the +inf sentinel."""
+    sv = np.linalg.svd(normalize_columns(stack, COLUMN_NAMES)[0], compute_uv=False)
     return np.where(sv[..., -1] < RANK_DEFICIENCY_RTOL * sv[..., 0], np.inf, sv[..., 0] / sv[..., -1])
 
 
 def _shipped_blocks(chain, coeffs, monkeypatch, sample_count=None):
-    """The normalized (batch, 3, 3) stacks of the shipped conditioning spec,
+    """The raw (batch, 3, 3) design stacks of the shipped conditioning spec,
     as kappa_draws passes them to condition_numbers, and its kappas."""
     blocks = []
 
@@ -298,14 +299,21 @@ def test_closed_form_kappa_matches_svd_on_shipped_draws(mo_chain, coeffs, monkey
 
 
 def _mpmath_kappa(matrix, mpmath):
+    """kappa of the column-normalized matrix, normalized and decomposed at 40 digits."""
     with mpmath.workdps(40):
-        sv = sorted(mpmath.svd_r(mpmath.matrix(matrix.tolist()), compute_uv=False), reverse=True)
+        m = mpmath.matrix(matrix.tolist())
+        for k in range(m.cols):
+            norm = mpmath.sqrt(sum(m[r, k] ** 2 for r in range(m.rows)))
+            for r in range(m.rows):
+                m[r, k] /= norm
+        sv = sorted(mpmath.svd_r(m, compute_uv=False), reverse=True)
         return math.inf if sv[2] == 0 else float(sv[0] / sv[2])
 
 
 def _adversarial_family(name, rng, n=128):
-    """(n, 3, 3) column-normalized stacks: U diag(s) V^T with the singular
-    values of the family, or exactly repeated columns."""
+    """(n, 3, 3) raw stacks: the column-normalized U diag(s) V^T with the
+    singular values of the family, or exactly repeated columns, times
+    column scales from 1e-8 to 1e8."""
     def from_singular_values(s2, s3):
         u = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
         v = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
@@ -325,7 +333,7 @@ def _adversarial_family(name, rng, n=128):
         stack = rng.normal(size=(n, 3, 3))
         stack[:, :, 2] = stack[:, :, 0]
         stack[::2, :, 1] = stack[::2, :, 0]
-    return normalize_columns(stack, COLUMN_NAMES)[0]
+    return normalize_columns(stack, COLUMN_NAMES)[0] * 10.0 ** rng.uniform(-8, 8, (n, 1, 3))
 
 
 FAMILIES = ["random", "near_rank2", "small_sigma2", "near_rank1", "near_orthogonal", "rank_deficient"]
@@ -378,12 +386,17 @@ def test_kappa_of_a_matrix_does_not_depend_on_its_layout(family):
 
 
 def _oracle_family(name, rng, n):
-    """(n, 3, 3) stacks that reach each branch of the closed form."""
-    if name == "nan_rows":
+    """Raw (n, 3, 3) stacks that reach each branch of the closed form."""
+    if name == "nan_rows":  # refused, as normalize_columns refuses them
         stack = rng.normal(size=(n, 3, 3))
         stack[::3, rng.integers(0, 3)] = np.nan
         return stack
-    if name == "wide":  # raw, unnormalized columns from 1e-8 to 1e8
+    if name == "out_of_range":  # squared column norms from ~1e-300 to ~1e300, every third
+        # matrix with orthogonal columns (p = 0): the formulas leave the floating-point range
+        stack = rng.normal(size=(n, 3, 3))
+        stack[::3] = np.eye(3)[rng.permutation(3)]
+        return stack * 10.0 ** rng.uniform(-150, 150, (n, 1, 3))
+    if name == "wide":  # columns from 1e-8 to 1e8
         return rng.normal(size=(n, 3, 3)) * 10.0 ** rng.uniform(-8, 8, (n, 1, 3))
     if name == "clustered":  # spread p below l2 + l3: l2 - l3 from the sin form
         stack = np.eye(3) + 10.0 ** rng.uniform(-6, -0.5, (n, 1, 1)) * rng.normal(size=(n, 3, 3))
@@ -394,16 +407,23 @@ def _oracle_family(name, rng, n):
     else:  # near rank deficient, outside the trusted region: the SVD decides
         stack = rng.normal(size=(n, 3, 3))
         stack[:, :, 2] = stack[:, :, 0] + 10.0 ** rng.uniform(-16, -9, (n, 1)) * rng.normal(size=(n, 3))
-    return normalize_columns(stack, COLUMN_NAMES)[0]
+    return stack
 
 
 @pytest.mark.parametrize("n", [1, 5, 4096, 5000])
-@pytest.mark.parametrize("family", ["clustered", "discriminant", "near_rank_deficient", "nan_rows", "wide"])
+@pytest.mark.parametrize("family", ["clustered", "discriminant", "near_rank_deficient", "nan_rows",
+                                    "out_of_range", "wide"])
 def test_closed_form_matches_the_expression_oracle_bit_for_bit(family, n):
     rng = np.random.default_rng([41, n])
     stack = _oracle_family(family, rng, n)
     for layout in (stack, _draws_last(stack)):
         before = layout.copy()
+        if family == "nan_rows":
+            for kernel in (_closed_form_condition_numbers, reference_closed_form):
+                with pytest.raises(NumericalError, match="has a norm outside the floating-point range"):
+                    kernel(layout)
+            assert np.array_equal(layout, before, equal_nan=True)
+            continue
         kappa, trusted = _closed_form_condition_numbers(layout)
         reference_kappa, reference_trusted = reference_closed_form(layout)
         assert np.array_equal(kappa, reference_kappa, equal_nan=True)
@@ -447,36 +467,36 @@ def test_single_matrices_and_other_shapes_take_the_svd():
     for shape in [(3, 3), (200, 4, 3), (2, 64, 3, 3)]:
         stack = rng.normal(size=shape)
         assert np.array_equal(condition_numbers(stack), _svd_kappa(stack))
-    m = precondition(DesignMatrix(rows=tuple((k, "t") for k in range(3)), columns=COLUMN_NAMES,
-                                  entries=rng.normal(size=(3, 3))))
-    assert condition_number(m) == float(_svd_kappa(m.entries))
+    m = DesignMatrix(rows=tuple((k, "t") for k in range(3)), columns=COLUMN_NAMES,
+                     entries=rng.normal(size=(3, 3)))
+    assert condition_number(m) == condition_number(precondition(m)) == float(_svd_kappa(m.entries))
 
 
-def test_non_finite_entries_take_the_svd():
-    stack = np.random.default_rng(8).normal(size=(64, 3, 3))
-    stack[3, 1, 1] = np.nan
-    for kernel in (condition_numbers, _svd_kappa):
-        with pytest.raises(np.linalg.LinAlgError):
-            kernel(stack)
-    stack[3, 1, 1] = np.inf
-    kappa = condition_numbers(stack)
-    assert np.isnan(kappa[3]) and np.isnan(_svd_kappa(stack)[3])
-    assert np.isfinite(np.delete(kappa, 3)).all()
+def test_non_finite_entries_are_refused_like_normalize_columns():
+    for shape in [(64, 3, 3), (64, 4, 3)]:  # the closed form, and the SVD
+        for value in (np.nan, np.inf):
+            stack = np.random.default_rng(8).normal(size=shape)
+            stack[3, 1, 1] = value
+            for kernel in (condition_numbers, lambda s: normalize_columns(s, COLUMN_NAMES)):
+                with pytest.raises(NumericalError, match="column 'alpha_t_background' has a norm outside"):
+                    kernel(stack)
 
 
 def test_an_all_zero_matrix_is_rank_deficient_without_warning():
     rng = np.random.default_rng(13)
     stack = rng.normal(size=(64, 3, 3))
-    stack[[5, 40]] = 0.0  # through the closed form, then the SVD fallback
+    stack[[5, 40]] = 0.0
     nonzero = rng.normal(size=(4, 3))
+    repeated = nonzero.copy()
+    repeated[:, 2] = repeated[:, 0]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert condition_numbers(np.zeros((3, 3))) == np.inf
-        assert condition_numbers(np.zeros((4, 3))) == np.inf
-        kappa = condition_numbers(stack)
-        assert np.array_equal(kappa[[5, 40]], [np.inf, np.inf])
-        assert np.isfinite(np.delete(kappa, [5, 40])).all()
-        sv = np.linalg.svd(nonzero, compute_uv=False)
+        for zero in (np.zeros((3, 3)), np.zeros((4, 3)), stack):
+            with pytest.raises(RankDeficiencyError, match="column 'qs_background' is identically zero"):
+                condition_numbers(zero)
+        assert np.isfinite(condition_numbers(np.delete(stack, [5, 40], axis=0))).all()
+        assert condition_numbers(repeated) == np.inf  # sigma_min of the normalized matrix may be 0
+        sv = np.linalg.svd(normalize_columns(nonzero, COLUMN_NAMES)[0], compute_uv=False)
         assert condition_numbers(nonzero) == sv[0] / sv[-1]
 
 

@@ -234,7 +234,7 @@ def test_each_draw_is_the_condition_number_of_its_build_design(mo_chain, frib_ch
                       dataclasses.replace(frib_chain.isotope(91), Qs=Measured(q), BE2_up=Measured(b))), first)
         for q, b in zip(qs.tolist(), be2.tolist())
     ]
-    expected = condition_numbers(np.stack([precondition(d).entries for d in designs]))
+    expected = condition_numbers(np.stack([d.entries for d in designs]))
     assert kappas.tobytes() == expected.tobytes()
 
 

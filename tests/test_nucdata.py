@@ -199,6 +199,21 @@ def test_duplicate_mass_number_rejected(mo_chain):
         )
 
 
+def test_a_repeated_mass_number_names_both_records(mo_chain, tmp_path):
+    obj = json.loads(chain_to_json(mo_chain))
+    obj["isotopes"].append(obj["isotopes"][1])
+    lines = chain_to_csv(mo_chain).splitlines()
+    csv_text = "\n".join([*lines, lines[2]]) + "\n"  # line 3 holds the second isotope
+    for suffix, text, message in (
+        ("json", json.dumps(obj), f"JSON chain isotope record {len(mo_chain.records)} repeats record 1: "),
+        ("csv", csv_text, f"row {len(lines) + 1} repeats row 3: "),
+    ):
+        path = tmp_path / f"chain.{suffix}"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"^chain file .*: {message}mass number A=94$"):
+            load_chain(path)
+
+
 def test_reference_must_be_unique_zero(mo_chain):
     records = tuple(
         IsotopeRecord(
