@@ -17,12 +17,12 @@ silently pseudo-inverting a degenerate extraction is exactly the failure
 mode this analysis exists to prevent.
 
 condition_numbers takes raw designs and returns the kappa of each one's
-column-normalized matrix A. For 3x3 stacks A is never built: its Gram
+column-normalized matrix A. For 3x3 designs A is never built: its Gram
 matrix has a unit diagonal, so a closed form reads kappa off the raw Gram
 entries and one raw triple product, within a few eps * kappa * sigma1 /
 sigma2 in its trusted region (condition_numbers gives the algebra and the
-bound). Everything else, and every single design, is normalized and
-takes the SVD.
+bound), taking a grid's shared entries as floats, once per call. Everything
+else, and every single design, is normalized and takes the SVD.
 """
 
 from __future__ import annotations
@@ -243,13 +243,15 @@ def nuclear_factors(rec: IsotopeRecord) -> tuple[float, float, float]:
     return rec.Qs.value, rec.BE2_up.value, spin_mass_lever(rec)
 
 
-def design_entries(nuclear: np.ndarray, transitions: Sequence[TransitionCoefficients]) -> np.ndarray:
-    """(..., isotopes * transitions, 3) design entries, isotope-major, of a
-    (..., isotopes, 3) stack of nuclear factors: one broadcast product by
-    the transitions' (H, P, G), laid out like its input (a draws-last
-    stack gives a draws-last view); the column-norm check refuses overflow."""
+def design_entries(nuclear, transitions: Sequence[TransitionCoefficients]):
+    """Design entries, isotope-major, of a (..., isotopes, 3) stack of
+    nuclear factors, laid out like it (a draws-last stack gives a
+    draws-last view), or of a grid of them (condition_numbers): one product
+    by the transitions' (H, P, G); the column-norm check refuses overflow."""
     electronic = np.array([(t.H_eV_per_b, t.P_eV_per_wu, t.G_eV_per_lever) for t in transitions])
     with np.errstate(over="ignore"):
+        if isinstance(nuclear, (list, tuple)):
+            return [[factor * e for factor, e in zip(row, hpg)] for row in nuclear for hpg in electronic]
         return (nuclear[..., :, None, :] * electronic).reshape(*nuclear.shape[:-2], -1, 3)
 
 
@@ -319,50 +321,55 @@ def _svd_condition_numbers(normalized: np.ndarray) -> np.ndarray:
     return np.divide(sv[..., 0], sv[..., -1], out=np.full(deficient.shape, np.inf), where=~deficient)
 
 
+def _designs(designs, draws: np.ndarray) -> np.ndarray:
+    """The (len(draws), 3, 3) designs at the indices draws of a stack or a grid."""
+    if not isinstance(designs, (list, tuple)):
+        return designs[draws]
+    entries = [np.asarray(e)[draws] if np.ndim(e) else np.full(len(draws), e) for row in designs for e in row]
+    return np.stack(entries, axis=-1).reshape(-1, 3, 3)
+
+
+def _op(ufunc, x, y, out):
+    """ufunc(x, y) of two grid entries: into out if either is per draw, else one float."""
+    return ufunc(x, y, out=out) if x.ndim or y.ndim else ufunc(x, y)
+
+
 def _dot3(x, y, out, tmp):
-    """out = x[0] y[0] + x[1] y[1] + x[2] y[2], elementwise, summed in this
-    fixed order; tmp is scratch."""
-    np.multiply(x[0], y[0], out=out)
-    out += np.multiply(x[1], y[1], out=tmp)
-    out += np.multiply(x[2], y[2], out=tmp)
-    return out
+    """x[0] y[0] + x[1] y[1] + x[2] y[2] of two length-3 sequences of grid entries, summed in
+    this fixed order into out, what shared entries alone give as one float; tmp is scratch."""
+    head = _op(np.add, _op(np.multiply, x[0], y[0], out), _op(np.multiply, x[1], y[1], tmp), out)
+    return _op(np.add, head, _op(np.multiply, x[2], y[2], tmp), out)
 
 
 def _cross(x, y, out, tmp):
-    """out = the cross product x × y of two length-3 sequences of arrays;
-    tmp is scratch."""
-    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.multiply(x[i], y[j], out=out[k])
-        out[k] -= np.multiply(x[j], y[i], out=tmp)
-    return out
+    """The cross product x × y of two length-3 sequences of grid entries into the rows of out."""
+    return [_op(np.subtract, _op(np.multiply, x[i], y[j], row), _op(np.multiply, x[j], y[i], tmp), row)
+            for row, (i, j) in zip(out, ((1, 2), (2, 0), (0, 1)))]
 
 
-def _closed_form_condition_numbers(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """kappa of the column-normalized matrix of every raw matrix in an
-    (n, 3, 3) stack by condition_numbers' closed form, and the mask of its
-    trusted region, which NaN fails; a zero or non-finite column norm is
-    refused as normalize_columns refuses it. Each quantity is updated in
-    place in an array of its own, never in the input, keeping the plain
-    expressions' association, so kappa has the bits of evaluating them one
-    numpy expression at a time."""
-    a = np.ascontiguousarray(stack.transpose(1, 2, 0))  # a[row, col] holds n draws; read only
-    cols = a.transpose(1, 0, 2)  # cols[col, row]
-    n = a.shape[-1]
+def _closed_form_condition_numbers(designs) -> tuple[np.ndarray, np.ndarray]:
+    """kappa of the column-normalized matrix of every design of an (n, 3, 3)
+    stack or a grid by condition_numbers' closed form, and the mask of its
+    trusted region, which NaN fails; a zero or non-finite column norm of a
+    draw out of range is refused as normalize_columns refuses it. In-place
+    updates keep the plain expressions' association, so kappa has their bits."""
+    if not isinstance(designs, (list, tuple)):  # an (n, 3, 3) stack: its draws-last (3, 3, n) grid
+        designs = np.ascontiguousarray(np.transpose(designs, (1, 2, 0)), dtype=float)
+    a = [[np.asarray(entry, dtype=float) for entry in row] for row in designs]  # a[row][col]; read only
+    cols = list(zip(*a))  # cols[col][row]
+    n, = np.broadcast_shapes(*(entry.shape for row in a for entry in row))
     t, u = np.empty(n), np.empty(n)  # scratch
     with np.errstate(all="ignore"):
-        norms = np.empty((3, n))  # s_k, the raw Gram diagonal, until rooted
-        for k in range(3):
-            _dot3(cols[k], cols[k], norms[k], t)
+        s = [_dot3(col, col, out, t) for col, out in zip(cols, np.empty((3, n)))]  # s_k = R_kk
         low, high = CLOSED_FORM_SQUARED_NORM_RANGE
-        in_range = None  # every draw, as two reductions find in the common case
-        if not (low <= norms.min(initial=high) and norms.max(initial=low) <= high):  # an empty stack passes
-            normalize_columns(stack, COLUMN_NAMES)  # refuses a zero or non-finite norm
-            in_range = ((low <= norms) & (norms <= high)).all(axis=0)
-        np.sqrt(norms, out=norms)
+        in_range = True  # every draw, as two reductions per column find in the common case
+        if not all(low <= x.min(initial=high) and x.max(initial=low) <= high for x in s):  # an empty stack passes
+            in_range = np.logical_and.reduce(np.broadcast_arrays(*((low <= x) & (x <= high) for x in s)))
+            normalize_columns(_designs(a, np.flatnonzero(~in_range)), COLUMN_NAMES)  # refuses a zero or non-finite norm
+        norms = [np.sqrt(x, out=x) if x.ndim else np.sqrt(x) for x in s]
         g = np.empty((3, n))  # g_ij = R_ij / (n_i n_j)
         for out, (i, j) in zip(g, ((0, 1), (0, 2), (1, 2))):
-            _dot3(cols[i], cols[j], out, t)
-            out /= np.multiply(norms[i], norms[j], out=t)
+            np.divide(_dot3(cols[i], cols[j], out, t), _op(np.multiply, norms[i], norms[j], t), out=out)
         g01, g02, g12 = g
         # l1 by the trigonometric form on B = G - I
         q = np.multiply(g01, g01)
@@ -382,9 +389,8 @@ def _closed_form_condition_numbers(stack: np.ndarray) -> tuple[np.ndarray, np.nd
         l1 *= np.multiply(p, 2.0, out=t)
         l1 += 1.0
         # l2 l3 = det(A)^2 / l1 and l2 + l3 = (c - l2 l3) / l1
-        minor = _cross(a[0], a[1], g, t)  # g is spent
-        prod23 = _dot3(minor, a[2], np.empty(n), t)  # det(D)
-        prod23 /= np.multiply(np.multiply(norms[0], norms[1], out=t), norms[2], out=t)  # det(A)
+        prod23 = _dot3(_cross(a[0], a[1], g, t), a[2], np.empty(n), t)  # det(D); g is spent
+        prod23 /= _op(np.multiply, _op(np.multiply, norms[0], norms[1], t), norms[2], t)  # det(A)
         prod23 *= prod23
         prod23 /= l1
         sum23 = np.subtract(3.0, q, out=q)  # c
@@ -411,21 +417,20 @@ def _closed_form_condition_numbers(stack: np.ndarray) -> tuple[np.ndarray, np.nd
         trusted &= np.subtract(l1, l2, out=u) >= margin
         trusted &= np.subtract(l2, l3, out=u) >= margin
         trusted &= kappa < CLOSED_FORM_MAX_KAPPA
-        if in_range is not None:
-            trusted &= in_range
+        trusted &= in_range
     return kappa, trusted
 
 
-def condition_numbers(stack: np.ndarray) -> np.ndarray:
+def condition_numbers(designs) -> np.ndarray:
     """sigma_max / sigma_min of the column-normalized matrix A of every raw
-    matrix D in a (..., rows, cols) stack; +inf where sigma_min falls below
-    the rank-deficiency threshold. A column whose norm is zero or not
-    finite in any matrix is refused as normalize_columns refuses it.
+    design D of a (..., rows, cols) stack or a grid; +inf where sigma_min
+    falls below the rank-deficiency threshold. A column whose norm is zero
+    or not finite in any design is refused as normalize_columns refuses it.
 
-    (n, 3, 3) stacks never build A. D's Gram matrix R gives the squared
-    column norms s_k = R_kk and A's Gram entries g_ij = R_ij / sqrt(s_i
-    s_j), whose diagonal is exactly 1. So the eigenvalues l1 >= l2 >= l3
-    of A^T A follow from q = g01^2 + g02^2 + g12^2: l1 by the cubic's
+    3x3 designs never build A. D's Gram matrix R gives the squared column
+    norms s_k = R_kk and A's Gram entries g_ij = R_ij / sqrt(s_i s_j),
+    whose diagonal is exactly 1. So the eigenvalues l1 >= l2 >= l3 of A^T
+    A follow from q = g01^2 + g02^2 + g12^2: l1 by the cubic's
     trigonometric form with mean 1, spread p = sqrt(q / 3) and det(G - I)
     = 2 g01 g02 g12; l2 l3 = det(A)^2 / l1 with det(A) = det(D) / sqrt(s0
     s1 s2); and l2 + l3 = (c - l2 l3) / l1 with c = 3 - q, the
@@ -438,23 +443,28 @@ def condition_numbers(stack: np.ndarray) -> np.ndarray:
     0.1 sigma1, plus the few eps / l2 that c's absolute error gives l2.
     Against 40-digit SVDs the adversarial families of tests/test_gkp.py
     stay within 4 eps * kappa (held to 16), and the shipped draws within
-    2.1e-13 of LAPACK. Other matrices, other shapes and single matrices
-    are normalized and take the SVD, so every rank-deficiency verdict
-    comes from it.
+    2.1e-13 of LAPACK. The full designs of the draws outside it, other
+    shapes and single matrices are normalized and take the SVD, so every
+    rank-deficiency verdict comes from it.
 
-    The closed form reads the (n, 3, 3) view of a C-contiguous (3, 3, n)
-    array without a copy and copies any other stack once; it never writes
-    its input. Every dot product is a fixed-order sum (x0 y0 + x1 y1) + x2
-    y2 of elementwise products, never einsum, whose order depends on its
-    operands' strides and length, so a matrix's kappa depends on that
-    matrix alone, bit for bit, not on its stack or layout.
+    A grid is a list or tuple of three rows of three entries [row][col],
+    each a float that every draw shares or an (n,) array, one at least; an
+    (n, 3, 3) stack enters as its draws-last (3, 3, n) array, read without
+    a copy if C-contiguous. No input is written. Every dot product is a
+    fixed-order sum (x0 y0 + x1 y1) + x2 y2, never einsum, whose order
+    depends on its operands' strides and length; what shared entries alone
+    give, as the measured part of a Gram entry, is one float per call. So a
+    design's kappa depends on it alone, bit for bit, not on its stack,
+    layout or shared entries.
     """
-    stack = np.asarray(stack)
-    if stack.ndim != 3 or stack.shape[1:] != (3, 3):
-        return _svd_condition_numbers(normalize_columns(stack, COLUMN_NAMES)[0])
-    kappa, trusted = _closed_form_condition_numbers(stack)
+    if not isinstance(designs, (list, tuple)):
+        designs = np.asarray(designs)
+        if designs.ndim != 3 or designs.shape[1:] != (3, 3):
+            return _svd_condition_numbers(normalize_columns(designs, COLUMN_NAMES)[0])
+    kappa, trusted = _closed_form_condition_numbers(designs)
     if not trusted.all():
-        kappa[~trusted] = _svd_condition_numbers(normalize_columns(stack[~trusted], COLUMN_NAMES)[0])
+        untrusted = np.flatnonzero(~trusted)
+        kappa[untrusted] = _svd_condition_numbers(normalize_columns(_designs(designs, untrusted), COLUMN_NAMES)[0])
     return kappa
 
 

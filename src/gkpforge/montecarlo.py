@@ -9,7 +9,7 @@ solves. Each conditioning draw's design is its nuclear factors (Qs,
 B(E2), I^2/M), the sampled A=91 ones among them, times the transition's
 electronic coefficients (H, P, G), built by gkp.design_entries; kappa
 comes from one condition_numbers call per batch of KAPPA_BATCH draws,
-held draws-last (each matrix entry's draws contiguous in memory). An
+a grid of floats but for the arrays of the sampled H Qs_91 and P B(E2)_91. An
 injection campaign is one solve_many call over all its trials, which
 computes no residual norms, since no campaign statistic reads them.
 
@@ -52,9 +52,9 @@ __all__ = [
 BLOCK_SIZE = 1024
 # kappa_draws conditions this many draws per condition_numbers call; each
 # draw's kappa depends on that draw alone, so the size moves only numpy's
-# per-call overhead. On a 2-core x86-64 host with one BLAS thread, eight RNG
-# blocks took a 1e5-draw condition command's kernel from 15.0 to 9.6 ms for
-# +1.6 MB peak RSS; sixteen took 14.0 ms for +3.6 MB (medians of six rounds)
+# per-call overhead. On a 2-core x86-64 host with one BLAS thread, 1e5 draws
+# took 25.2, 19.9, 17.5 and 21.3 ms at 2, 4, 8 and 16 RNG blocks per call, for
+# +0.9, +1.0, +1.6 and +2.9 MB peak RSS (medians of 40 interleaved rounds)
 KAPPA_BATCH = 8 * BLOCK_SIZE
 
 # a guarded draw gives up after this many rejection rounds: a band that
@@ -234,9 +234,9 @@ def kappa_draws(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: Sampl
         raise ValidationError("sample_count must be at least 1")
     seed = spec.seed if seed is None else int(seed)
     sampled = (spec.parameter("Qs_91"), spec.parameter("BE2_91"))  # nuclear factor columns 0 and 1
-    nuclear = np.empty((3, 3, min(n, KAPPA_BATCH))).transpose(2, 0, 1)  # draws last in memory; every batch reuses it
-    nuclear[:, :2] = [nuclear_factors(chain.isotope(A)) for A in (95, 97)]
-    nuclear[:, 2, 2] = 81 / (4 * 91)  # I^2/M of A = 91, I = 9/2, as spin_mass_lever rounds it
+    transitions = coeffs.rank2_transitions()[:1]
+    measured = design_entries([nuclear_factors(chain.isotope(A)) for A in (95, 97)], transitions)  # floats
+    draws = np.empty((2, min(n, KAPPA_BATCH)))  # the sampled factors; every batch reuses it
 
     try:
         kappas = np.empty(n)
@@ -244,16 +244,16 @@ def kappa_draws(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: Sampl
         raise ValidationError(f"sample_count {n} is too large: its kappa array cannot be allocated") from None
     rejected_total = 0
     for batch_start in range(0, n, KAPPA_BATCH):
-        batch = nuclear[:n - batch_start]  # the last batch may be shorter
-        for block_start in range(batch_start, batch_start + len(batch), BLOCK_SIZE):
+        batch = draws[:, :n - batch_start]  # the last batch may be shorter
+        for block_start in range(batch_start, batch_start + batch.shape[1], BLOCK_SIZE):
             block_len = min(BLOCK_SIZE, n - block_start)
             rng = _block_rng(seed, block_start // BLOCK_SIZE)
-            rows = slice(block_start - batch_start, block_start - batch_start + block_len)
+            block = slice(block_start - batch_start, block_start - batch_start + block_len)
             for column, param in enumerate(sampled):
-                batch[rows, 2, column], rejected = _draw_guarded(param, rng, block_len)
+                batch[column, block], rejected = _draw_guarded(param, rng, block_len)
                 rejected_total += rejected
-        kappas[batch_start:batch_start + len(batch)] = condition_numbers(
-            design_entries(batch, coeffs.rank2_transitions()[:1]))
+        sampled_row = design_entries([(*batch, 81 / (4 * 91))], transitions)  # I = 9/2, as spin_mass_lever rounds
+        kappas[batch_start:batch_start + batch.shape[1]] = condition_numbers(measured + sampled_row)
 
     proposals = n + rejected_total
     excluded_fraction = rejected_total / proposals if proposals else 0.0

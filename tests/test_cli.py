@@ -544,9 +544,9 @@ def test_ramsey_reps_beyond_float_range_exit2(capsys):
     assert "repetitions must be at most 1.79769e+308" in err
 
 
-def _set_h_of_2p32(value):
+def _set_of_2p32(key, value):
     def edit(obj):
-        next(t for t in obj["transitions"] if t["label"] == "1s-2p3/2")["H_eV_per_b"] = value
+        next(t for t in obj["transitions"] if t["label"] == "1s-2p3/2")[key] = value
     return "mo41-coeffs-v1", edit
 
 
@@ -556,8 +556,9 @@ def _widen_qs_91(obj):
 
 # argv placeholders for edited copies of bundled inputs, written into tmp_path by the test
 EDITED_INPUTS = {
-    "<coeffs, H = 1e308>": _set_h_of_2p32(1e308),
-    "<coeffs, H = 1e-310>": _set_h_of_2p32(1e-310),
+    "<coeffs, H = 1e308>": _set_of_2p32("H_eV_per_b", 1e308),
+    "<coeffs, H = 1e-310>": _set_of_2p32("H_eV_per_b", 1e-310),
+    "<coeffs, G = 0>": _set_of_2p32("G_eV_per_lever", 0.0),
     "<spec, Qs_91 over +-1.5e308>": ("mo91-sampling-v1", _widen_qs_91),
 }
 NORM_OUT_OF_RANGE = "column 'qs_background' has a norm outside the floating-point range"
@@ -571,6 +572,8 @@ NORM_OUT_OF_RANGE = "column 'qs_background' has a norm outside the floating-poin
     (["condition", "--samples", "64", "--coeffs", "<coeffs, H = 1e-310>"], 3, NORM_OUT_OF_RANGE),
     (["condition", "--spec", "<spec, Qs_91 over +-1.5e308>"], 2,
      "parameter 'Qs_91': bounds must be ordered with a finite high - low"),
+    # every draw shares the zero column: a float in the grid that condition_numbers reads
+    (["condition", "--samples", "64", "--coeffs", "<coeffs, G = 0>"], 1, "column 'gravitomagnetic' is identically zero"),
 ])
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 def test_exit_codes(capsys, tmp_path, argv, code, message, fmt):

@@ -272,23 +272,8 @@ def _svd_kappa(stack):
     return np.where(sv[..., -1] < RANK_DEFICIENCY_RTOL * sv[..., 0], np.inf, sv[..., 0] / sv[..., -1])
 
 
-def _shipped_blocks(chain, coeffs, monkeypatch, sample_count=None):
-    """The raw (batch, 3, 3) design stacks of the shipped conditioning spec,
-    as kappa_draws passes them to condition_numbers, and its kappas."""
-    blocks = []
-
-    def record(stack):
-        blocks.append(stack.copy())
-        return condition_numbers(stack)
-
-    monkeypatch.setattr(montecarlo, "condition_numbers", record)
-    spec = montecarlo.load_sampling_spec("mo91-sampling-v1")
-    kappas, _ = montecarlo.kappa_draws(chain, coeffs, spec, sample_count)
-    return blocks, kappas
-
-
-def test_closed_form_kappa_matches_svd_on_shipped_draws(mo_chain, coeffs, monkeypatch):
-    blocks, _ = _shipped_blocks(mo_chain, coeffs, monkeypatch)
+def test_closed_form_kappa_matches_svd_on_shipped_draws(mo_chain, coeffs, shipped_designs):
+    blocks, _ = shipped_designs(mo_chain, coeffs)
     assert sum(len(b) for b in blocks) == 100_000
     for stack in blocks:
         _, trusted = _closed_form_condition_numbers(stack)
@@ -410,6 +395,25 @@ def _oracle_family(name, rng, n):
     return stack
 
 
+# entries of a grid that every draw shares, given as floats; kappa_draws
+# shares rows 0 and 1 and entry (2, 2), so its column 2 is all floats
+SHARED = {"row 0": [(0, c) for c in range(3)], "rows 0 and 1": [(r, c) for r in (0, 1) for c in range(3)],
+          "entry (2, 1)": [(2, 1)], "column 2": [(r, 2) for r in range(3)],
+          "as kappa_draws": [(r, c) for r in (0, 1) for c in range(3)] + [(2, 2)]}
+
+
+def _shared(stack, entries):
+    """stack with the given [row][col] entries of its first design repeated
+    in every design, and the same designs as a grid, those entries floats
+    and the others (n,) arrays."""
+    full = stack.copy()
+    for r, c in entries:
+        full[:, r, c] = stack[0, r, c]
+    grid = [[float(full[0, r, c]) if (r, c) in entries else full[:, r, c].copy() for c in range(3)]
+            for r in range(3)]
+    return full, grid
+
+
 @pytest.mark.parametrize("n", [1, 5, 4096, 5000])
 @pytest.mark.parametrize("family", ["clustered", "discriminant", "near_rank_deficient", "nan_rows",
                                     "out_of_range", "wide"])
@@ -429,10 +433,44 @@ def test_closed_form_matches_the_expression_oracle_bit_for_bit(family, n):
         assert np.array_equal(kappa, reference_kappa, equal_nan=True)
         assert np.array_equal(trusted, reference_trusted)
         assert np.array_equal(layout, before, equal_nan=True)  # the input is never written
+    # the same designs as grids with shared entries: the full stack's bits, and the oracle's
+    for name, entries in SHARED.items():
+        full, grid = _shared(stack, entries)
+        before = [[np.copy(entry) for entry in row] for row in grid]
+        if family == "nan_rows":
+            refusals = set()
+            for kernel, designs in [(_closed_form_condition_numbers, grid), (_closed_form_condition_numbers, full),
+                                    (reference_closed_form, full), (condition_numbers, grid), (condition_numbers, full)]:
+                with pytest.raises(NumericalError, match="has a norm outside the floating-point range") as refusal:
+                    kernel(designs)
+                refusals.add(str(refusal.value))
+            assert len(refusals) == 1, name
+        else:
+            kappa, trusted = _closed_form_condition_numbers(grid)
+            for reference_kappa, reference_trusted in (_closed_form_condition_numbers(full), reference_closed_form(full)):
+                assert np.array_equal(kappa, reference_kappa, equal_nan=True), name
+                assert np.array_equal(trusted, reference_trusted), name
+            assert np.array_equal(condition_numbers(grid), condition_numbers(full)), name
+        assert all(np.array_equal(entry, kept, equal_nan=True)  # the grid is never written
+                   for row, kept_row in zip(grid, before) for entry, kept in zip(row, kept_row)), name
 
 
-def test_closed_form_matches_the_expression_oracle_on_shipped_draws(mo_chain, coeffs, monkeypatch):
-    blocks, _ = _shipped_blocks(mo_chain, coeffs, monkeypatch, 3 * montecarlo.KAPPA_BATCH)
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_a_shared_column_outside_the_closed_form_range_sends_every_draw_to_the_svd(scale):
+    # its squared norm, one float, lies outside CLOSED_FORM_SQUARED_NORM_RANGE
+    # but inside the floating-point range: nothing is refused and no draw is trusted
+    full, grid = _shared(_oracle_family("wide", np.random.default_rng(43), 64), SHARED["column 2"])
+    full[:, :, 2] *= scale
+    grid = [[entry * scale if c == 2 else entry for c, entry in enumerate(row)] for row in grid]
+    kappa, trusted = _closed_form_condition_numbers(grid)
+    reference_kappa, reference_trusted = reference_closed_form(full)
+    assert not trusted.any() and not reference_trusted.any()
+    assert np.array_equal(kappa, reference_kappa, equal_nan=True)
+    assert np.array_equal(condition_numbers(grid), _svd_kappa(full))
+
+
+def test_closed_form_matches_the_expression_oracle_on_shipped_draws(mo_chain, coeffs, shipped_designs):
+    blocks, _ = shipped_designs(mo_chain, coeffs, 3 * montecarlo.KAPPA_BATCH)
     for stack in blocks:
         kappa, trusted = _closed_form_condition_numbers(stack)
         reference_kappa, reference_trusted = reference_closed_form(stack)
@@ -444,8 +482,8 @@ _BATCH = montecarlo.KAPPA_BATCH
 
 @pytest.mark.parametrize("samples", [1, 1023, 1025, 4096, 4097, 10_000,
                                      _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + montecarlo.BLOCK_SIZE + 1])
-def test_kappa_draws_equal_the_kappa_of_each_draw_alone(mo_chain, coeffs, monkeypatch, samples):
-    batches, kappas = _shipped_blocks(mo_chain, coeffs, monkeypatch, samples)
+def test_kappa_draws_equal_the_kappa_of_each_draw_alone(mo_chain, coeffs, shipped_designs, samples):
+    batches, kappas = shipped_designs(mo_chain, coeffs, samples)
     starts = range(0, samples, montecarlo.KAPPA_BATCH)
     assert [len(b) for b in batches] == [min(montecarlo.KAPPA_BATCH, samples - s) for s in starts]
     draws = np.concatenate(batches)

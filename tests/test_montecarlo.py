@@ -20,8 +20,10 @@ from gkpforge.gkp import (
     precondition,
     solve_many,
 )
+import gkpforge.montecarlo as montecarlo
 from gkpforge.montecarlo import (
     BLOCK_SIZE,
+    KAPPA_BATCH,
     MAX_REJECTION_ROUNDS,
     ParameterSpec,
     SamplingSpec,
@@ -236,6 +238,15 @@ def test_each_draw_is_the_condition_number_of_its_build_design(mo_chain, frib_ch
     ]
     expected = condition_numbers(np.stack([d.entries for d in designs]))
     assert kappas.tobytes() == expected.tobytes()
+
+
+def test_kappa_draws_conditions_only_the_sampled_entries_per_draw(mo_chain, coeffs, sampling_spec, monkeypatch):
+    grids = []
+    monkeypatch.setattr(montecarlo, "condition_numbers", lambda grid: (grids.append(grid), condition_numbers(grid))[1])
+    kappa_draws(mo_chain, coeffs, sampling_spec, sample_count=KAPPA_BATCH + 1)
+    # the A = 95 and 97 rows and the A = 91 G I^2/M are floats; H Qs_91 and P B(E2)_91 hold the batch's draws
+    for grid, draws in zip(grids, (KAPPA_BATCH, 1), strict=True):
+        assert [[np.shape(entry) for entry in row] for row in grid] == [[()] * 3, [()] * 3, [(draws,), (draws,), ()]]
 
 
 def test_reproducibility_bit_identical(mo_chain, coeffs):

@@ -5,7 +5,7 @@ A fixed matrix of gkpforge.cli.main calls runs in a fresh interpreter
 under sys.setprofile, which records the code object of every Python call
 made while a command runs. The matrix is every golden case of
 test_golden.py in json, csv and table with --out, a few more flag
-combinations, a CSV chain, and one refusal for each nonzero exit code.
+combinations, a CSV chain, and refusals of every nonzero exit code.
 The interpreter is fresh so that the functools caches and the loaders'
 memo of validated files start empty, and so that no call a test made
 counts as a command reaching a function.
@@ -122,6 +122,10 @@ def _matrix(tmp_path: Path, chain: IsotopeChain) -> tuple[list[list[str]], list[
     underdetermined.write_text(json.dumps({"rows": [
         row for row in noiseless["rows"] if row["transition"] == "1s-2p3/2" and row["A"] in (95, 97)]}),
         encoding="utf-8")
+    coeffs = json.loads(resource_path("mo41-coeffs-v1").read_text(encoding="utf-8"))
+    next(t for t in coeffs["transitions"] if t["label"] == "1s-2p3/2")["G_eV_per_lever"] = 0.0
+    zero_g = tmp_path / "coeffs_zero_g.json"
+    zero_g.write_text(json.dumps(coeffs), encoding="utf-8")
     nan_rhs = tmp_path / "rhs_nan.json"
     nan_rhs.write_text('{"rows": [{"A": 95, "transition": "1s-2p3/2", "delta_eV": NaN, "sigma_eV": 1e-13}]}',
                        encoding="utf-8")
@@ -130,6 +134,7 @@ def _matrix(tmp_path: Path, chain: IsotopeChain) -> tuple[list[list[str]], list[
         (["solvability", "--transitions", "2", "--add-isotope", "91"], 0),
         (["budget", "--chain", str(csv_chain)], 0),
         (["extract", "--rhs", str(underdetermined)], 1),
+        (["condition", "--samples", "64", "--coeffs", str(zero_g)], 1),  # a column no draw changes is zero
         (["budget", "--probe", "99"], 2),
         (["extract", "--rhs", str(nan_rhs)], 2),
         (["ramsey", "--tr", "1e-320"], 3),
