@@ -25,7 +25,10 @@ objects or object of scalars, a header [key, *columns] over one row per
 object. The manifest and nested values (extract's rows and design,
 budget's signal_band_eV) are json-only. The table pads each block's
 columns and prints floats to six significant digits under a line naming
-the command; condition's csv is its κ histogram instead.
+the command; condition's csv is its κ histogram instead: 48 log-spaced
+bins from 1 to 1000, half-open [left, right) but the last, which is
+closed, then the overflow and rank-deficient counts, all read by
+searchsorted from one sorted copy of the draws.
 
 One writer, `_json_text`, turns every report into JSON, whatever the
 format: its text is the json output and the --out file, and writing it is
@@ -346,19 +349,28 @@ def _histogram_edges():
 
 
 def _histogram_csv(kappas) -> str:
-    """Histogram of a κ array on log-spaced bins, plus the rank-deficient count."""
+    """Histogram of a κ array on log-spaced bins, plus the overflow and
+    rank-deficient counts, np.histogram's: bins are half-open [left, right)
+    but the last, which is closed, and a non-finite κ (+inf, or NaN from a
+    failed draw; -inf too) is counted as rank deficient. Every count is a
+    difference of two searchsorted positions in one sorted copy, where -inf
+    sorts first and +inf then NaN last."""
     import numpy as np
 
     edges = _histogram_edges()
-    finite = kappas[np.isfinite(kappas)]
-    counts, _ = np.histogram(finite, bins=edges)
+    ordered = np.sort(kappas)
+    # the draws below every edge but the last, then those up to the closed last edge
+    cumulative = np.append(np.searchsorted(ordered, edges[:-1], "left"),
+                           np.searchsorted(ordered, edges[-1], "right"))
+    neg_inf = int(np.searchsorted(ordered, -np.inf, "right"))
+    finite_end = int(np.searchsorted(ordered, np.inf, "left"))  # where +inf and NaN start
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["bin_left", "bin_right", "count"])
-    for left, right, count in zip(edges[:-1], edges[1:], counts):
-        writer.writerow([repr(float(left)), repr(float(right)), int(count)])
-    writer.writerow([repr(float(edges[-1])), "inf", int((finite > edges[-1]).sum())])
-    writer.writerow(["rank_deficient", "", int(np.sum(~np.isfinite(kappas)))])
+    for left, right, count in zip(edges[:-1].tolist(), edges[1:].tolist(), np.diff(cumulative).tolist()):
+        writer.writerow([repr(left), repr(right), count])
+    writer.writerow([repr(float(edges[-1])), "inf", finite_end - int(cumulative[-1])])
+    writer.writerow(["rank_deficient", "", ordered.size - finite_end + neg_inf])
     return buf.getvalue()
 
 

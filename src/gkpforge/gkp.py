@@ -329,6 +329,21 @@ def _designs(designs, draws: np.ndarray) -> np.ndarray:
     return np.stack(entries, axis=-1).reshape(-1, 3, 3)
 
 
+def _grid_entries(designs) -> tuple[list[list[np.ndarray]], int]:
+    """The entries a[row][col] of a grid as float arrays, and its draw count
+    n; anything else is refused with a ValidationError naming the contract."""
+    try:
+        a = [[np.asarray(entry, dtype=float) for entry in row] for row in designs]
+    except (TypeError, ValueError):  # a row that is not a sequence, an entry that is not a number
+        a = []
+    shapes = {entry.shape for row in a for entry in row} - {()}  # those of the per-draw entries
+    if [len(row) for row in a] != [3, 3, 3] or [len(shape) for shape in shapes] != [1]:
+        raise ValidationError("a design grid is 3 rows of 3 entries, each a float that every draw shares "
+                              "or an (n,) array, one at least, all arrays of the same n")
+    (n,), = shapes
+    return a, n
+
+
 def _op(ufunc, x, y, out):
     """ufunc(x, y) of two grid entries: into out if either is per draw, else one float."""
     return ufunc(x, y, out=out) if x.ndim or y.ndim else ufunc(x, y)
@@ -355,9 +370,8 @@ def _closed_form_condition_numbers(designs) -> tuple[np.ndarray, np.ndarray]:
     updates keep the plain expressions' association, so kappa has their bits."""
     if not isinstance(designs, (list, tuple)):  # an (n, 3, 3) stack: its draws-last (3, 3, n) grid
         designs = np.ascontiguousarray(np.transpose(designs, (1, 2, 0)), dtype=float)
-    a = [[np.asarray(entry, dtype=float) for entry in row] for row in designs]  # a[row][col]; read only
+    a, n = _grid_entries(designs)  # a[row][col]; read only
     cols = list(zip(*a))  # cols[col][row]
-    n, = np.broadcast_shapes(*(entry.shape for row in a for entry in row))
     t, u = np.empty(n), np.empty(n)  # scratch
     with np.errstate(all="ignore"):
         s = [_dot3(col, col, out, t) for col, out in zip(cols, np.empty((3, n)))]  # s_k = R_kk
@@ -448,9 +462,10 @@ def condition_numbers(designs) -> np.ndarray:
     rank-deficiency verdict comes from it.
 
     A grid is a list or tuple of three rows of three entries [row][col],
-    each a float that every draw shares or an (n,) array, one at least; an
-    (n, 3, 3) stack enters as its draws-last (3, 3, n) array, read without
-    a copy if C-contiguous. No input is written. Every dot product is a
+    each a float that every draw shares or an (n,) array, one at least; any
+    other list or tuple is refused with a ValidationError. An (n, 3, 3)
+    stack enters as its draws-last (3, 3, n) array, read without a copy if
+    C-contiguous. No input is written. Every dot product is a
     fixed-order sum (x0 y0 + x1 y1) + x2 y2, never einsum, whose order
     depends on its operands' strides and length; what shared entries alone
     give, as the measured part of a Gram entry, is one float per call. So a

@@ -9,9 +9,12 @@ solves. Each conditioning draw's design is its nuclear factors (Qs,
 B(E2), I^2/M), the sampled A=91 ones among them, times the transition's
 electronic coefficients (H, P, G), built by gkp.design_entries; kappa
 comes from one condition_numbers call per batch of KAPPA_BATCH draws,
-a grid of floats but for the arrays of the sampled H Qs_91 and P B(E2)_91. An
-injection campaign is one solve_many call over all its trials, which
-computes no residual norms, since no campaign statistic reads them.
+a grid of floats but for the arrays of the sampled H Qs_91 and P B(E2)_91.
+summarize_kappa sorts one copy of the finite kappas and reads p5, median
+and p95 from it by index, the percentiles by Hyndman & Fan's type-7 linear
+interpolation (numpy's default, with its bits). An injection campaign is
+one solve_many call over all its trials, which computes no residual
+norms, since no campaign statistic reads them.
 
 The random stream is partitioned into fixed-size blocks of BLOCK_SIZE
 draws, block b seeded with (seed, b). Results are therefore bit-identical
@@ -52,9 +55,12 @@ __all__ = [
 BLOCK_SIZE = 1024
 # kappa_draws conditions this many draws per condition_numbers call; each
 # draw's kappa depends on that draw alone, so the size moves only numpy's
-# per-call overhead. On a 2-core x86-64 host with one BLAS thread, 1e5 draws
-# took 25.2, 19.9, 17.5 and 21.3 ms at 2, 4, 8 and 16 RNG blocks per call, for
-# +0.9, +1.0, +1.6 and +2.9 MB peak RSS (medians of 40 interleaved rounds)
+# per-call overhead and the size of its scratch arrays. On a 2-core x86-64
+# host with one BLAS thread, pinned to one core, the whole in-process
+# condition command at the shipped 1e5 draws took 23.8, 19.2, 17.6, 16.9 and
+# 21.1 ms at 2, 4, 6, 8 and 16 RNG blocks per call (medians of 40
+# interleaved rounds), its peak RSS 4.8-5.1 MB over the import up to 8
+# blocks and 5.4 MB at 16
 KAPPA_BATCH = 8 * BLOCK_SIZE
 
 # a guarded draw gives up after this many rejection rounds: a band that
@@ -260,28 +266,46 @@ def kappa_draws(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: Sampl
     return kappas, excluded_fraction
 
 
+def _percentile(ordered: np.ndarray, pct: float) -> float:
+    """The pct-th percentile of an ascending array by Hyndman & Fan's type
+    7, numpy's "linear" rule, in numpy's own arithmetic: v = (n - 1) q, i =
+    floor(v), gamma = v - i; a + (b - a) gamma below gamma = 0.5 and b - (b
+    - a) (1 - gamma) from it, with (a, b) the values at i and i + 1, or the
+    last value where v >= n - 1."""
+    n = ordered.size
+    v = (n - 1) * (pct / 100)
+    if v >= n - 1:
+        return float(ordered[-1])
+    i = math.floor(v)
+    a, b = ordered[i:i + 2].tolist()
+    gamma = v - i
+    return a + (b - a) * gamma if gamma < 0.5 else b - (b - a) * (1 - gamma)
+
+
 def summarize_kappa(kappas: np.ndarray, excluded_fraction: float, seed: int) -> KappaSummary:
     """Summary of per-draw condition numbers; statistics run over the
     finite (full-rank) draws.
 
     kappas is never written: the finite draws are copied once, and mean
     and std are taken on that copy in draw order (their pairwise sums
-    depend on it). The summary sorts its one finite copy once, after mean
-    and std; percentiles and median read only order statistics, so they
-    come out the same from the sorted copy."""
+    depend on it). The copy is then sorted once and the order statistics
+    are read from it by index: p5 and p95 by type-7 linear interpolation
+    (_percentile), the median as the middle value or the mean (a + b) / 2
+    of the two middle values, each the bits of np.percentile and np.median."""
     finite = kappas[np.isfinite(kappas)]
     if finite.size == 0:
         raise ValidationError("every draw was rank deficient; check the sampling bounds")
     mean = float(finite.mean())
     std = float(finite.std(ddof=1)) if finite.size > 1 else 0.0
     finite.sort()
-    p5, p95 = np.percentile(finite, [5, 95], overwrite_input=True)
+    half = finite.size // 2
+    median = float(finite[half]) if finite.size % 2 else (float(finite[half - 1]) + float(finite[half])) / 2
     return KappaSummary(
         mean=mean,
         std=std,
-        median=float(np.median(finite, overwrite_input=True)),
-        p5=float(p5),
-        p95=float(p95),
+        median=median,
+        p5=_percentile(finite, 5),
+        p95=_percentile(finite, 95),
         rank_deficient_fraction=(kappas.size - finite.size) / kappas.size,
         excluded_fraction=float(excluded_fraction),
         seed=int(seed),

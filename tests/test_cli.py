@@ -213,6 +213,26 @@ def test_condition_histogram_schema(capsys, tmp_path):
     assert total == 500
 
 
+def test_histogram_csv_counts_are_numpys_histogram():
+    """Bins are half-open [left, right) but the last, closed at 1000.0;
+    above it is overflow, and a non-finite κ is rank deficient."""
+    edges = cli._histogram_edges()
+    special = [1000.0, np.nextafter(1000.0, np.inf), 1e6, 0.5, np.nextafter(1.0, 0.0),
+               np.inf, np.inf, np.nan, -np.inf]
+    rng = np.random.default_rng(28)
+    kappas = np.concatenate([edges, edges[::3], special, 10 ** rng.uniform(-0.5, 3.5, 500)])
+    rng.shuffle(kappas)
+    rows = [line.split(",") for line in cli._histogram_csv(kappas).splitlines()]
+    finite = kappas[np.isfinite(kappas)]
+    counts, _ = np.histogram(finite, bins=edges)
+    assert rows[1:-2] == [[repr(float(left)), repr(float(right)), str(count)]
+                          for left, right, count in zip(edges[:-1], edges[1:], counts)]
+    assert counts[-1] >= 3  # edges[-1] twice and the special 1000.0: the last bin is closed
+    overflow = int((finite > edges[-1]).sum())
+    assert overflow >= 2 and rows[-2] == ["1000.0", "inf", str(overflow)]
+    assert rows[-1] == ["rank_deficient", "", "4"]
+
+
 @pytest.mark.parametrize("argv, builds", [
     (["--format", "json"], 0),
     (["--format", "table"], 0),

@@ -469,6 +469,20 @@ def test_a_shared_column_outside_the_closed_form_range_sends_every_draw_to_the_s
     assert np.array_equal(condition_numbers(grid), _svd_kappa(full))
 
 
+@pytest.mark.parametrize("grid", [
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # no (n,) array entry
+    [[1.0, 0.0, np.ones(4)], [0.0, 1.0, 0.0]],  # two rows
+    [[1.0, 0.0, np.ones(4)], [0.0, 1.0], [0.0, 0.0, 1.0]],  # a row of two entries
+    [[1.0, 0.0, np.ones(4)], [0.0, np.ones(5), 0.0], [0.0, 0.0, 1.0]],  # arrays of two lengths
+    [[1.0, 0.0, np.ones((4, 1))], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # a 2-d entry
+    [1.0, 2.0, 3.0],  # rows that are not sequences
+], ids=["all floats", "two rows", "short row", "two lengths", "2-d entry", "flat"])
+def test_a_malformed_grid_is_refused_naming_the_grid_contract(grid):
+    for kernel in (condition_numbers, _closed_form_condition_numbers):
+        with pytest.raises(ValidationError, match=r"3 rows of 3 entries, each a float .* or an \(n,\) array"):
+            kernel(grid)
+
+
 def test_closed_form_matches_the_expression_oracle_on_shipped_draws(mo_chain, coeffs, shipped_designs):
     blocks, _ = shipped_designs(mo_chain, coeffs, 3 * montecarlo.KAPPA_BATCH)
     for stack in blocks:

@@ -36,6 +36,8 @@ CASES = {
     "solvability": ["solvability"],
     "condition": ["condition"],
     "condition-samples-1-seed-7": ["condition", "--samples", "1", "--seed", "7"],
+    "condition-samples-2-seed-3": ["condition", "--samples", "2", "--seed", "3"],
+    "condition-samples-21-seed-3": ["condition", "--samples", "21", "--seed", "3"],
     "condition-samples-2048-seed-5": ["condition", "--samples", "2048", "--seed", "5"],
     "condition-samples-5000-seed-7": ["condition", "--samples", "5000", "--seed", "7"],
     "extract": ["extract", "--rhs", "<data>/synthetic_rhs_noiseless_v1.json"],

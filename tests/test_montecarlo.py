@@ -155,9 +155,7 @@ def test_guarded_draw_equals_the_full_rescan(distribution, bounds, band, size):
     assert rng.rng.random(8).tobytes() == reference_rng.rng.random(8).tobytes()
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 1_000, 1_001, 20_000, 20_001])
-@pytest.mark.parametrize("rounded", [False, True], ids=["distinct", "ties"])
-def test_summary_statistics_equal_numpy_on_unsorted_draws(size, rounded):
+def _unsorted_draws(size: int, rounded: bool) -> np.ndarray:
     rng = np.random.default_rng(size)
     kappas = 1.0 + rng.lognormal(2.0, 1.0, size)
     if rounded:
@@ -165,6 +163,27 @@ def test_summary_statistics_equal_numpy_on_unsorted_draws(size, rounded):
     if size > 1:  # rank-deficient and failed draws, kept out of every statistic
         kappas[::7] = np.inf
         kappas[3::11] = np.nan
+    return kappas
+
+
+# every campaign size up to 300, then large ones
+SUMMARY_SIZES = [*range(1, 301), 1_000, 1_001, 20_000, 20_001]
+
+
+def test_summary_sizes_reach_every_branch_of_the_linear_rule():
+    """The finite counts of the sizes tested below reach the clamp to the
+    last value (v >= n - 1, at one finite draw), gamma below and from 0.5,
+    and odd and even medians."""
+    counts = {int(np.isfinite(_unsorted_draws(size, False)).sum()) for size in SUMMARY_SIZES}
+    gammas = {((n - 1) * (pct / 100)) % 1 for n in counts - {1} for pct in (5, 95)}
+    assert 1 in counts and min(gammas) < 0.5 <= max(gammas)
+    assert {n % 2 for n in counts} == {0, 1}
+
+
+@pytest.mark.parametrize("size", SUMMARY_SIZES)
+@pytest.mark.parametrize("rounded", [False, True], ids=["distinct", "ties"])
+def test_summary_statistics_equal_numpy_on_unsorted_draws(size, rounded):
+    kappas = _unsorted_draws(size, rounded)
     finite = kappas[np.isfinite(kappas)]  # unsorted, in draw order
     summary = summarize_kappa(kappas, 0.0, 1)
     p5, p95 = np.percentile(finite, [5, 95])
