@@ -557,7 +557,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", default="mo91-sampling-v1", metavar="PATH")
     p.add_argument("--coeffs", default="mo41-coeffs-v1", metavar="PATH")
     p.add_argument("--samples", type=_int_at_least(1), default=None, metavar="N")
-    p.add_argument("--seed", type=_int_at_least(0), default=None, metavar="U64")
+    p.add_argument("--seed", type=_int_at_least(0), default=None, metavar="SEED")
     p.add_argument("--chain", default="mo-chain-v1", metavar="PATH", help=chain_help)
     p.set_defaults(handler=cmd_condition)
 

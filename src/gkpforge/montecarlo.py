@@ -9,17 +9,22 @@ solves. Each conditioning draw's design is its nuclear factors (Qs,
 B(E2), I^2/M), the sampled A=91 ones among them, times the transition's
 electronic coefficients (H, P, G), built by gkp.design_entries; kappa
 comes from one condition_numbers call per batch of KAPPA_BATCH draws,
-a grid of floats but for the arrays of the sampled H Qs_91 and P B(E2)_91.
-summarize_kappa sorts one copy of the finite kappas and reads p5, median
-and p95 from it by index, the percentiles by Hyndman & Fan's type-7 linear
-interpolation (numpy's default, with its bits). An injection campaign is
-one solve_many call over all its trials, which computes no residual
-norms, since no campaign statistic reads them.
+a grid of floats but for the arrays of the sampled H Qs_91 and P B(E2)_91,
+whose draws each block writes straight into the batch's columns.
+summarize_kappa works in one scratch buffer: mean and std in draw order,
+then the finite kappas sorted there, with p5, median and p95 read by
+index, the percentiles by Hyndman & Fan's type-7 linear interpolation
+(numpy's default, with its bits). An injection campaign is one solve_many
+call over all its trials, which computes no residual norms, since no
+campaign statistic reads them.
 
 The random stream is partitioned into fixed-size blocks of BLOCK_SIZE
-draws, block b seeded with (seed, b). Results are therefore bit-identical
-for a given seed no matter how draws are batched or parallelized, and
-per-worker summaries merge by plain index-ordered concatenation.
+draws. Block b's generator is PCG64 seeded by the SeedSequence of the
+seed's little-endian 32-bit words followed by b, the same stream as
+np.random.default_rng([seed, b]); a seed is any non-negative integer.
+Results are therefore bit-identical for a given seed no matter how draws
+are batched or parallelized, and per-worker summaries merge by plain
+index-ordered concatenation.
 """
 
 from __future__ import annotations
@@ -57,10 +62,10 @@ BLOCK_SIZE = 1024
 # draw's kappa depends on that draw alone, so the size moves only numpy's
 # per-call overhead and the size of its scratch arrays. On a 2-core x86-64
 # host with one BLAS thread, pinned to one core, the whole in-process
-# condition command at the shipped 1e5 draws took 23.8, 19.2, 17.6, 16.9 and
-# 21.1 ms at 2, 4, 6, 8 and 16 RNG blocks per call (medians of 40
-# interleaved rounds), its peak RSS 4.8-5.1 MB over the import up to 8
-# blocks and 5.4 MB at 16
+# condition command at the shipped 1e5 draws took 26.3, 21.2, 18.2 and
+# 21.6 ms at 2, 4, 8 and 16 RNG blocks per call (medians of 40 interleaved
+# rounds), its peak RSS 4.3-4.5 MB over the import up to 8 blocks and
+# 5.6 MB at 16
 KAPPA_BATCH = 8 * BLOCK_SIZE
 
 # a guarded draw gives up after this many rejection rounds: a band that
@@ -101,14 +106,22 @@ class ParameterSpec:
             if self.mean is None or self.sigma is None or self.sigma <= 0:
                 raise ValidationError(f"parameter {self.name!r}: gaussian needs mean and sigma > 0")
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.distribution == "uniform":
-            values = rng.uniform(self.low, self.high, size)
-        elif self.distribution == "log-uniform":
-            values = np.exp(rng.uniform(math.log(self.low), math.log(self.high), size))
-        else:
-            values = rng.normal(self.mean, self.sigma, size)
-        return values
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill the contiguous float array out with draws and return it: the
+        bits of rng.uniform, np.exp(rng.uniform) of the log bounds or
+        rng.normal, in numpy's arithmetic low + (high - low) u and mean +
+        sigma z."""
+        if self.distribution == "gaussian":
+            rng.standard_normal(out=out)
+            out *= self.sigma
+            out += self.mean  # +0.0 where sigma z is -0.0 and the mean 0.0, as rng.normal gives
+            return out
+        log = self.distribution == "log-uniform"
+        low, high = (math.log(self.low), math.log(self.high)) if log else (self.low, self.high)
+        rng.random(out=out)
+        out *= high - low
+        out += low
+        return np.exp(out, out=out) if log else out
 
 
 @dataclass(frozen=True)
@@ -121,8 +134,7 @@ class SamplingSpec:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValidationError("sample_count must be at least 1")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {self.seed}")
+        _seed(self.seed)
 
     def parameter(self, name: str) -> ParameterSpec:
         for p in self.parameters:
@@ -166,8 +178,25 @@ def _sampling_spec_from_json(obj: dict, path: Path) -> SamplingSpec:
     )
 
 
+def _seed(seed) -> int:
+    """seed as an int; anything but a non-negative integer (a bool is not
+    one) is refused."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.default_rng([seed, block])
+    """A block's generator: PCG64 seeded by the SeedSequence of the seed's
+    little-endian 32-bit words followed by the block index, the words numpy
+    makes of [seed, block], so this is default_rng([seed, block]) without
+    coercing a list. seed must be a non-negative int (shifting a negative
+    one right never reaches 0) and block below 2**32."""
+    words = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        words.append(seed & 0xFFFFFFFF)
+    words.append(block)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
 
 
 def _block_noise(seed: int, trials: int, rows: int, scale: float) -> np.ndarray:
@@ -186,21 +215,22 @@ def _block_noise(seed: int, trials: int, rows: int, scale: float) -> np.ndarray:
     return noise
 
 
-def _draw_guarded(param: ParameterSpec, rng: np.random.Generator, size: int) -> tuple[np.ndarray, int]:
-    """Draw with rejection of the |value| < guard band; returns (values,
-    rejected proposal count). Without a band the first draw is returned."""
-    values = param.draw(rng, size)
+def _draw_guarded(param: ParameterSpec, rng: np.random.Generator, out: np.ndarray) -> int:
+    """Fill out with draws, redrawing each |value| < guard band in place;
+    returns the rejected proposal count. Without a band the first draw
+    stands."""
+    param.draw(rng, out)
     band = param.exclude_abs_below
     if band <= 0.0:  # |value| < 0 rejects nothing
-        return values, 0
-    bad = np.flatnonzero(np.abs(values) < band)
+        return 0
+    bad = (np.abs(out) < band).nonzero()[0]
     rejected = 0
     for _ in range(MAX_REJECTION_ROUNDS):
         if not bad.size:
-            return values, rejected
+            return rejected
         rejected += bad.size
-        redrawn = param.draw(rng, bad.size)
-        values[bad] = redrawn
+        redrawn = param.draw(rng, np.empty(bad.size))
+        out[bad] = redrawn
         bad = bad[np.abs(redrawn) < band]  # only the values just redrawn can be in the band
     raise ValidationError(f"parameter {param.name!r}: the guard band still rejected draws "
                           f"after {MAX_REJECTION_ROUNDS} rounds")
@@ -238,7 +268,7 @@ def kappa_draws(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: Sampl
     n = spec.sample_count if sample_count is None else int(sample_count)
     if n < 1:
         raise ValidationError("sample_count must be at least 1")
-    seed = spec.seed if seed is None else int(seed)
+    seed = _seed(spec.seed if seed is None else seed)
     sampled = (spec.parameter("Qs_91"), spec.parameter("BE2_91"))  # nuclear factor columns 0 and 1
     transitions = coeffs.rank2_transitions()[:1]
     measured = design_entries([nuclear_factors(chain.isotope(A)) for A in (95, 97)], transitions)  # floats
@@ -252,12 +282,10 @@ def kappa_draws(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: Sampl
     for batch_start in range(0, n, KAPPA_BATCH):
         batch = draws[:, :n - batch_start]  # the last batch may be shorter
         for block_start in range(batch_start, batch_start + batch.shape[1], BLOCK_SIZE):
-            block_len = min(BLOCK_SIZE, n - block_start)
             rng = _block_rng(seed, block_start // BLOCK_SIZE)
-            block = slice(block_start - batch_start, block_start - batch_start + block_len)
-            for column, param in enumerate(sampled):
-                batch[column, block], rejected = _draw_guarded(param, rng, block_len)
-                rejected_total += rejected
+            block = slice(block_start - batch_start, block_start - batch_start + BLOCK_SIZE)
+            for values, param in zip(batch, sampled):
+                rejected_total += _draw_guarded(param, rng, values[block])
         sampled_row = design_entries([(*batch, 81 / (4 * 91))], transitions)  # I = 9/2, as spin_mass_lever rounds
         kappas[batch_start:batch_start + batch.shape[1]] = condition_numbers(measured + sampled_row)
 
@@ -286,26 +314,37 @@ def summarize_kappa(kappas: np.ndarray, excluded_fraction: float, seed: int) -> 
     """Summary of per-draw condition numbers; statistics run over the
     finite (full-rank) draws.
 
-    kappas is never written: the finite draws are copied once, and mean
-    and std are taken on that copy in draw order (their pairwise sums
-    depend on it). The copy is then sorted once and the order statistics
-    are read from it by index: p5 and p95 by type-7 linear interpolation
+    kappas is never written. If its sum is finite, so is every draw, and
+    the statistics read kappas itself; else the finite draws are copied
+    once. One scratch buffer holds the deviations from the mean, squared
+    and summed in draw order as numpy's _var does (pairwise sums depend on
+    it), then the finite draws, sorted there; the order statistics are
+    read from it by index: p5 and p95 by type-7 linear interpolation
     (_percentile), the median as the middle value or the mean (a + b) / 2
-    of the two middle values, each the bits of np.percentile and np.median."""
-    finite = kappas[np.isfinite(kappas)]
+    of the two middle values. Each is the bits of np.mean, np.std(ddof=1),
+    np.percentile or np.median."""
+    finite, total = kappas, np.add.reduce(kappas)
+    if not math.isfinite(total):  # some draw is +inf (rank deficient) or nan
+        finite = kappas[np.isfinite(kappas)]
+        total = np.add.reduce(finite)
     if finite.size == 0:
         raise ValidationError("every draw was rank deficient; check the sampling bounds")
-    mean = float(finite.mean())
-    std = float(finite.std(ddof=1)) if finite.size > 1 else 0.0
-    finite.sort()
-    half = finite.size // 2
-    median = float(finite[half]) if finite.size % 2 else (float(finite[half - 1]) + float(finite[half])) / 2
+    mean = float(total / finite.size)
+    scratch = np.subtract(finite, mean)
+    std = 0.0
+    if finite.size > 1:
+        np.multiply(scratch, scratch, out=scratch)
+        std = math.sqrt(np.add.reduce(scratch) / (finite.size - 1))
+    np.copyto(scratch, finite)
+    scratch.sort()
+    half = scratch.size // 2
+    median = float(scratch[half]) if scratch.size % 2 else (float(scratch[half - 1]) + float(scratch[half])) / 2
     return KappaSummary(
         mean=mean,
         std=std,
         median=median,
-        p5=_percentile(finite, 5),
-        p95=_percentile(finite, 95),
+        p5=_percentile(scratch, 5),
+        p95=_percentile(scratch, 95),
         rank_deficient_fraction=(kappas.size - finite.size) / kappas.size,
         excluded_fraction=float(excluded_fraction),
         seed=int(seed),
@@ -347,9 +386,11 @@ def injection_recovery(chain: IsotopeChain, coeffs: ElectronicCoefficients,
     trials share one design and one sigma, hence one standard error of
     the gravitomagnetic amplitude and one derived coupling bound: the
     recovered one-sigma energy residual over the nominal signal. A trial
-    count that is not an integer (a bool included) or a noise that is not
-    finite and non-negative is refused with a ValidationError.
+    count or seed that is not an integer (a bool included), a negative
+    seed or a noise that is not finite and non-negative is refused with a
+    ValidationError.
     """
+    seed = _seed(seed)
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
         raise ValidationError(f"trials must be an integer, got {trials!r}")
     if trials < 1:

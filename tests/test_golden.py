@@ -40,6 +40,9 @@ CASES = {
     "condition-samples-21-seed-3": ["condition", "--samples", "21", "--seed", "3"],
     "condition-samples-2048-seed-5": ["condition", "--samples", "2048", "--seed", "5"],
     "condition-samples-5000-seed-7": ["condition", "--samples", "5000", "--seed", "7"],
+    "condition-samples-2048-seed-2p64p1": ["condition", "--samples", "2048", "--seed", "18446744073709551617"],
+    "condition-gaussian-loguniform": ["condition", "--spec", "<golden>/spec_mo91_gaussian_loguniform.json",
+                                      "--samples", "3000", "--seed", "11"],
     "extract": ["extract", "--rhs", "<data>/synthetic_rhs_noiseless_v1.json"],
     "extract-mo-chain-v1": ["extract", "--chain", "mo-chain-v1", "--rhs", "<golden>/rhs_mo_chain_v1.json"],
     "milestones": ["milestones"],

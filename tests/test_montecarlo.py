@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -82,17 +83,17 @@ class _CountingRng:
         self.limit = limit
         self._rng = np.random.default_rng(0)
 
-    def normal(self, *args):
+    def standard_normal(self, out):
         self.calls += 1
         assert self.calls <= self.limit, "rejection loop did not stop"
-        return self._rng.normal(*args)
+        return self._rng.standard_normal(out=out)
 
 
 def test_guarded_gaussian_draw_gives_up():
     param = ParameterSpec(name="x", distribution="gaussian", mean=0.0, sigma=1e-3,
                           exclude_abs_below=1.0)
     with pytest.raises(ValidationError, match="guard band"):
-        _draw_guarded(param, _CountingRng(limit=100_000), 8)
+        _draw_guarded(param, _CountingRng(limit=100_000), np.empty(8))
 
 
 @pytest.mark.parametrize("distribution, bounds", [
@@ -102,9 +103,10 @@ def test_guarded_gaussian_draw_gives_up():
 ])
 def test_unguarded_draw_is_the_first_draw(distribution, bounds):
     param = ParameterSpec(name="x", distribution=distribution, **bounds)
-    values, rejected = _draw_guarded(param, _block_rng(7, 3), 1000)
+    values = np.empty(1000)
+    rejected = _draw_guarded(param, _block_rng(7, 3), values)
     assert rejected == 0
-    assert np.array_equal(values, param.draw(_block_rng(7, 3), 1000))
+    assert np.array_equal(values, param.draw(_block_rng(7, 3), np.empty(1000)))
 
 
 class _RecordingRng:
@@ -117,15 +119,15 @@ class _RecordingRng:
     def __getattr__(self, name):
         method = getattr(self.rng, name)
 
-        def record(*args):
-            self.sizes.append(args[-1])
-            return method(*args)
+        def record(out):
+            self.sizes.append(out.size)
+            return method(out=out)
         return record
 
 
 def _draw_guarded_full_rescan(param, rng, size):
     """Reference guarded draw that re-tests every value in every round."""
-    values = param.draw(rng, size)
+    values = param.draw(rng, np.empty(size))
     rejected = 0
     for _ in range(MAX_REJECTION_ROUNDS):
         bad = np.abs(values) < param.exclude_abs_below
@@ -133,7 +135,7 @@ def _draw_guarded_full_rescan(param, rng, size):
         if not count:
             return values, rejected
         rejected += count
-        values[bad] = param.draw(rng, count)
+        values[bad] = param.draw(rng, np.empty(count))
     raise AssertionError("the reference draw ran out of rounds")
 
 
@@ -147,12 +149,91 @@ def _draw_guarded_full_rescan(param, rng, size):
 def test_guarded_draw_equals_the_full_rescan(distribution, bounds, band, size):
     param = ParameterSpec(name="x", distribution=distribution, exclude_abs_below=band, **bounds)
     rng, reference_rng = _RecordingRng(_block_rng(7, size)), _RecordingRng(_block_rng(7, size))
-    values, rejected = _draw_guarded(param, rng, size)
+    values = np.empty(size)
+    rejected = _draw_guarded(param, rng, values)
     expected, expected_rejected = _draw_guarded_full_rescan(param, reference_rng, size)
     assert values.tobytes() == expected.tobytes() and rejected == expected_rejected
     assert rng.sizes == reference_rng.sizes  # the same draws, of the same sizes, in the same order
     assert len(rng.sizes) >= 5 or size == 1  # several rejection rounds ran
     assert rng.rng.random(8).tobytes() == reference_rng.rng.random(8).tobytes()
+
+
+# the bit patterns of the seed's 32-bit words: one word (0, 1, 2**32 - 1),
+# two (2**32, 2**64 - 1), three (2**64 + 1) and five (2**130 + 77)
+BLOCK_RNG_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 1, 2**130 + 77, 20250809]
+
+
+@pytest.mark.parametrize("seed", BLOCK_RNG_SEEDS)
+@pytest.mark.parametrize("block", [0, 1, 97, 1023, 2**20])
+def test_block_rng_is_default_rng_of_seed_and_block(seed, block):
+    assert _block_rng(seed, block).bit_generator.state == np.random.default_rng([seed, block]).bit_generator.state
+
+
+def _allocating_draw(param, rng, size):
+    """A parameter's draws as numpy's allocating draws give them."""
+    if param.distribution == "uniform":
+        return rng.uniform(param.low, param.high, size)
+    if param.distribution == "log-uniform":
+        return np.exp(rng.uniform(math.log(param.low), math.log(param.high), size))
+    return rng.normal(param.mean, param.sigma, size)
+
+
+def _allocating_guarded_draw(param, rng, size):
+    """Guarded draw from allocating draws, every value re-tested each round."""
+    values = _allocating_draw(param, rng, size)
+    rejected = 0
+    while True:
+        bad = np.abs(values) < param.exclude_abs_below
+        count = int(bad.sum())
+        if not count:
+            return values, rejected
+        rejected += count
+        values[bad] = _allocating_draw(param, rng, count)
+
+
+# each band rejects part of its distribution's support; sigma = 5e-324
+# rounds every sigma z below one half in size to a signed zero, so the
+# zero-mean cases check the +0.0 that rng.normal's 0.0 + sigma z gives
+DRAWS = [
+    ("uniform", {"low": -0.25, "high": 1.0}, 0.1),
+    ("uniform", {"low": 4.0, "high": 20.0}, 5.0),
+    ("log-uniform", {"low": 1e-3, "high": 1e3}, 1.0),
+    ("log-uniform", {"low": 4.0, "high": 20.0}, 6.0),
+    ("gaussian", {"mean": 0.3, "sigma": 0.4}, 0.05),
+    ("gaussian", {"mean": 0.0, "sigma": 1.0}, 0.6744897501960817),
+    ("gaussian", {"mean": 0.0, "sigma": 5e-324}, 0.0),
+    ("gaussian", {"mean": -0.0, "sigma": 5e-324}, 0.0),
+]
+
+
+@pytest.mark.parametrize("distribution, bounds, band", DRAWS)
+@pytest.mark.parametrize("guarded", [False, True], ids=["unguarded", "guarded"])
+@pytest.mark.parametrize("size", [1, 1024, 5000])
+def test_draws_in_place_are_the_bits_of_numpys_allocating_draws(distribution, bounds, band, guarded, size):
+    param = ParameterSpec(name="x", distribution=distribution, exclude_abs_below=band if guarded else 0.0, **bounds)
+    rng, reference_rng = _block_rng(11, size), np.random.default_rng([11, size])
+    values = np.full(size, np.nan)
+    rejected = _draw_guarded(param, rng, values)
+    expected, expected_rejected = _allocating_guarded_draw(param, reference_rng, size)
+    assert values.tobytes() == expected.tobytes() and rejected == expected_rejected  # signed zeros included
+    if not guarded or band == 0.0:
+        assert rejected == 0
+    elif size > 1:
+        assert rejected > 0  # the redraws ran
+    assert rng.random(8).tobytes() == reference_rng.random(8).tobytes()
+    if bounds.get("sigma") == 5e-324 and math.copysign(1.0, bounds["mean"]) > 0 and size > 1:  # mean +0.0
+        zeros = values[values == 0.0]
+        assert zeros.size > size // 4 and not np.signbit(zeros).any()
+
+
+def test_draw_fills_the_array_it_is_given_and_returns_it():
+    param = ParameterSpec(name="x", distribution="log-uniform", low=4.0, high=20.0)
+    batch = np.zeros((2, 3))
+    row = batch[1]
+    assert param.draw(_block_rng(3, 0), row) is row
+    assert not batch[0].any()
+    expected = np.exp(np.random.default_rng([3, 0]).uniform(math.log(4.0), math.log(20.0), 3))
+    assert batch[1].tobytes() == expected.tobytes()
 
 
 def _unsorted_draws(size: int, rounded: bool) -> np.ndarray:
@@ -204,6 +285,48 @@ def test_summary_leaves_its_input_untouched(mo_chain, coeffs, sampling_spec):
     assert summary.rank_deficient_fraction == float(np.mean(np.isinf(kappas)))
 
 
+def _finite_draws(size: int, rounded: bool) -> np.ndarray:
+    rng = np.random.default_rng([size, 1])
+    kappas = 1.0 + rng.lognormal(2.0, 1.0, size)
+    return np.round(kappas, 1) if rounded else kappas
+
+
+def _assert_numpys_summary(kappas, summary):
+    finite = kappas[np.isfinite(kappas)]  # unsorted, in draw order
+    p5, p95 = np.percentile(finite, [5, 95])
+    assert (summary.mean, summary.median, summary.p5, summary.p95) == (
+        float(np.mean(finite)), float(np.median(finite)), float(p5), float(p95))
+    assert summary.std == (float(np.std(finite, ddof=1)) if finite.size > 1 else 0.0)
+
+
+@pytest.mark.parametrize("size", [*range(1, 301), 100_000])
+@pytest.mark.parametrize("rounded", [False, True], ids=["distinct", "ties"])
+def test_summary_of_finite_draws_equals_numpy_and_reads_them_in_place(size, rounded):
+    kappas = _finite_draws(size, rounded)
+    kappas.flags.writeable = False  # the summary reads the draws themselves; a write would raise
+    summary = summarize_kappa(kappas, 0.0, 1)
+    _assert_numpys_summary(kappas, summary)
+    assert summary.rank_deficient_fraction == 0.0
+
+
+@pytest.mark.parametrize("rounded", [False, True], ids=["distinct", "ties"])
+def test_summary_of_mixed_draws_equals_numpy_at_the_shipped_size(rounded):
+    kappas = _unsorted_draws(100_000, rounded)
+    kappas.flags.writeable = False
+    summary = summarize_kappa(kappas, 0.0, 1)
+    _assert_numpys_summary(kappas, summary)
+    assert summary.rank_deficient_fraction == np.count_nonzero(~np.isfinite(kappas)) / kappas.size
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+def test_one_non_finite_draw_is_left_out_of_the_summary(bad):
+    kappas = _finite_draws(1001, False)
+    kappas[500] = bad
+    summary = summarize_kappa(kappas, 0.0, 1)
+    _assert_numpys_summary(kappas, summary)
+    assert summary.rank_deficient_fraction == 1 / 1001
+
+
 def test_spec_missing_parameter_rejected(mo_chain, coeffs):
     spec = SamplingSpec(
         parameters=(ParameterSpec(name="Qs_91", distribution="uniform", low=0.0, high=1.0),),
@@ -225,8 +348,9 @@ def test_single_draw_matches_condition_number(mo_chain, coeffs):
     spec = _spec(sample_count=1, seed=123)
     kappas, _ = kappa_draws(mo_chain, coeffs, spec)
     rng = _block_rng(123, 0)
-    qs, _ = _draw_guarded(spec.parameter("Qs_91"), rng, 1)
-    be2, _ = _draw_guarded(spec.parameter("BE2_91"), rng, 1)
+    qs, be2 = np.empty(1), np.empty(1)
+    _draw_guarded(spec.parameter("Qs_91"), rng, qs)
+    _draw_guarded(spec.parameter("BE2_91"), rng, be2)
     t = coeffs.rank2_transitions()[0]
     rec95, rec97 = mo_chain.isotope(95), mo_chain.isotope(97)
     entries = np.array([
@@ -247,8 +371,9 @@ def test_each_draw_is_the_condition_number_of_its_build_design(mo_chain, frib_ch
     spec = _spec(sample_count=64, seed=seed)
     kappas, _ = kappa_draws(mo_chain, coeffs, spec)
     rng = _block_rng(seed, 0)
-    qs, _ = _draw_guarded(spec.parameter("Qs_91"), rng, 64)
-    be2, _ = _draw_guarded(spec.parameter("BE2_91"), rng, 64)
+    qs, be2 = np.empty(64), np.empty(64)
+    _draw_guarded(spec.parameter("Qs_91"), rng, qs)
+    _draw_guarded(spec.parameter("BE2_91"), rng, be2)
     first = coeffs.subset([coeffs.rank2_transitions()[0].label])
     designs = [
         build_design((mo_chain.isotope(95), mo_chain.isotope(97),
@@ -516,3 +641,53 @@ def test_injection_recovery_refuses_a_non_integer_trial_count(frib_chain, coeffs
 def test_injection_recovery_takes_a_numpy_integer_trial_count(frib_chain, coeffs):
     got = injection_recovery(frib_chain, coeffs, TRUTH_NULL, 1e-13, trials=np.int64(300), seed=6)
     assert got == injection_recovery(frib_chain, coeffs, TRUTH_NULL, 1e-13, trials=300, seed=6)
+
+
+# ---------------------------------------------------------------------------
+# seeds and the block stream
+
+NOT_A_SEED = [-1, -(2**70), np.int64(-2), 2.5, 1.0, np.float64(3.0), True, False, "3", None]
+
+
+@pytest.mark.parametrize("seed", NOT_A_SEED, ids=repr)
+def test_both_campaigns_refuse_a_seed_that_is_not_a_non_negative_integer(mo_chain, frib_chain, coeffs, seed):
+    message = f"seed must be a non-negative integer, got {seed!r}"
+    if seed is not None:  # kappa_draws reads None as the spec's seed
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            kappa_draws(mo_chain, coeffs, _spec(sample_count=10), seed=seed)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        sample_kappa(mo_chain, coeffs, _spec(sample_count=10, seed=seed))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        injection_recovery(frib_chain, coeffs, TRUTH_NULL, 1e-13, trials=10, seed=seed)
+
+
+def test_a_numpy_integer_seed_is_its_int(mo_chain, frib_chain, coeffs):
+    spec = _spec(sample_count=1500)
+    assert kappa_draws(mo_chain, coeffs, spec, seed=np.uint64(2**64 - 1))[0].tobytes() == \
+        kappa_draws(mo_chain, coeffs, spec, seed=2**64 - 1)[0].tobytes()
+    assert injection_recovery(frib_chain, coeffs, TRUTH_NULL, 1e-13, trials=50, seed=np.int32(6)) == \
+        injection_recovery(frib_chain, coeffs, TRUTH_NULL, 1e-13, trials=50, seed=6)
+
+
+@pytest.mark.parametrize("seed, n", [(1, 1), (3, 21), (5, 2048), (2**64 + 1, 2048), (2**130 + 77, 3000)])
+def test_kappa_draws_sample_the_default_rng_blocks_with_numpys_draws(mo_chain, coeffs, monkeypatch, seed, n):
+    """The A=91 factors each batch conditions are block b's draws of
+    default_rng([seed, b]) by rng.normal and np.exp(rng.uniform), guarded."""
+    spec = SamplingSpec(
+        parameters=(ParameterSpec(name="Qs_91", distribution="gaussian", mean=0.3, sigma=0.4, exclude_abs_below=0.05),
+                    ParameterSpec(name="BE2_91", distribution="log-uniform", low=4.0, high=20.0)),
+        sample_count=n, seed=seed)
+    grids = []
+    monkeypatch.setattr(montecarlo, "condition_numbers", lambda grid: (grids.append(grid), condition_numbers(grid))[1])
+    _, excluded = kappa_draws(mo_chain, coeffs, spec)
+    qs, be2, rejected = [], [], 0
+    for block, start in enumerate(range(0, n, BLOCK_SIZE)):
+        rng = np.random.default_rng([seed, block])
+        for param, values in zip(spec.parameters, (qs, be2)):
+            drawn, count = _allocating_guarded_draw(param, rng, min(BLOCK_SIZE, n - start))
+            values.append(drawn)
+            rejected += count
+    t = coeffs.rank2_transitions()[0]
+    assert np.concatenate([grid[2][0] for grid in grids]).tobytes() == (np.concatenate(qs) * t.H_eV_per_b).tobytes()
+    assert np.concatenate([grid[2][1] for grid in grids]).tobytes() == (np.concatenate(be2) * t.P_eV_per_wu).tobytes()
+    assert excluded == rejected / (n + rejected) and (rejected > 0 or n < 100)
