@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .angular import ElectronicChannel
+from .budget import chi_bound
 from .constants import FINE_STRUCTURE_ALPHA, z_alpha_squared
 from .errors import ValidationError
 from .nucdata import IsotopeChain, IsotopeRecord, spin_mass_lever
@@ -290,12 +291,12 @@ class BarrierEntry:
 
 @dataclass(frozen=True)
 class BarrierBudget:
-    """Per-barrier raw/current/projected residuals for one probe isotope.
-
-    The fields, in order, are the budget report's block; combined_eV and
-    dominant are the combined residual and dominant barrier of the
-    budget's own scenario, and signal_nominal_eV is the probe's own
-    signal at the nominal form factor.
+    """Per-barrier residuals for one probe isotope and the |chi - 1|
+    bounds they give. The fields, in order, are the budget report but its
+    manifest. combined_eV and dominant belong to the budget's own scenario;
+    signal_band_eV holds the probe's (f_tilde, signal) at five form
+    factors, chi_bound_band the (lowest, highest) bound over them, and the
+    QED fields the signal's radiative correction, half of it untracked.
     """
 
     scenario: str
@@ -309,11 +310,17 @@ class BarrierBudget:
     combined_eV: float
     dominant: str
     signal_nominal_eV: float
+    chi_bound_nominal: float
+    chi_bound_band: tuple[float, float]
+    signal_band_eV: tuple[tuple[float, float], ...]
+    qed_fractional_correction: float
+    qed_residual_eV: float
 
 
 def build_budget(chain: IsotopeChain, channels, anchors: AnchorSet,
                  scenario: str = "current", probe_A: int | None = None) -> BarrierBudget:
-    """Assemble the four-barrier budget for one probe isotope.
+    """Assemble the four-barrier budget for one probe isotope, its signal
+    figures and chi bounds from one SignalModel.
 
     The selection-rule barrier is informational (resolved by channel
     choice); the first-order quadrupole barrier is cancelled exactly by
@@ -333,45 +340,20 @@ def build_budget(chain: IsotopeChain, channels, anchors: AnchorSet,
 
     hfs1_raw = abs(hfs_e2_first_order(probe, channel, (anchors.hfs_e2_anchor_Qs_b, anchors.hfs_e2_anchor_eV)))
     tnp_calib = anchors.tnp_anchor_BE2_wu, anchors.tnp_anchor_eV
-    current, projected = anchors.scenario("current"), anchors.scenario("projected")
-    hfs2_raw, hfs2_current = hfs_second_order(hfs1_raw, anchors.fs_gap_eV, current["hfs2_theory_fraction"])
-    _, hfs2_projected = hfs_second_order(hfs1_raw, anchors.fs_gap_eV, projected["hfs2_theory_fraction"])
-    tnp_raw, tnp_current = tnp_shift(probe, tnp_calib, current["tnp_knowledge_fraction"])
-    _, tnp_projected = tnp_shift(probe, tnp_calib, projected["tnp_knowledge_fraction"])
+    hfs2, tnp = {}, {}  # each scenario's residual
+    for name in ("current", "projected"):
+        knobs = anchors.scenario(name)
+        hfs2_raw, hfs2[name] = hfs_second_order(hfs1_raw, anchors.fs_gap_eV, knobs["hfs2_theory_fraction"])
+        tnp_raw, tnp[name] = tnp_shift(probe, tnp_calib, knobs["tnp_knowledge_fraction"])
 
-    entries = (
-        BarrierEntry(
-            name="I. Selection rule",
-            scaling="",
-            raw_eV=None,
-            current_eV=None,
-            projected_eV=None,
-            note="Resolved: use j >= 3/2",
-        ),
-        BarrierEntry(
-            name="II. HFS-E2 (1st)",
-            scaling="Qs",
-            raw_eV=hfs1_raw,
-            current_eV=0.0,
-            projected_eV=0.0,
-            note="centroid extraction cancels the first order exactly",
-        ),
-        BarrierEntry(
-            name="III. HFS (2nd)",
-            scaling="Qs^2",
-            raw_eV=hfs2_raw,
-            current_eV=hfs2_current,
-            projected_eV=hfs2_projected,
-            note="theory subtraction residual",
-        ),
-        BarrierEntry(
-            name="IV. TNP",
-            scaling="B(E2)",
-            raw_eV=tnp_raw,
-            current_eV=tnp_current,
-            projected_eV=tnp_projected,
-            note="transition-strength knowledge residual",
-        ),
+    entries = (  # name, scaling, raw, current and projected residuals, note
+        BarrierEntry("I. Selection rule", "", None, None, None, "Resolved: use j >= 3/2"),
+        BarrierEntry("II. HFS-E2 (1st)", "Qs", hfs1_raw, 0.0, 0.0,
+                     "centroid extraction cancels the first order exactly"),
+        BarrierEntry("III. HFS (2nd)", "Qs^2", hfs2_raw, hfs2["current"], hfs2["projected"],
+                     "theory subtraction residual"),
+        BarrierEntry("IV. TNP", "B(E2)", tnp_raw, tnp["current"], tnp["projected"],
+                     "transition-strength knowledge residual"),
     )
 
     def _combine(column) -> tuple[float, float, str]:
@@ -381,23 +363,30 @@ def build_budget(chain: IsotopeChain, channels, anchors: AnchorSet,
         name, peak = max(live, key=lambda nv: nv[1], default=("none", 0.0))
         return sum((v for _, v in live), 0.0), peak, name.split(". ", 1)[-1]
 
-    combined_current, max_current, dominant_current = _combine(e.current_eV for e in entries)
-    combined_projected, max_projected, dominant_projected = _combine(e.projected_eV for e in entries)
-    if scenario == "current":
-        combined, dominant = combined_current, dominant_current
-    else:
-        combined, dominant = combined_projected, dominant_projected
+    # (sum, peak, dominant barrier) of each scenario
+    totals = {name: _combine(getattr(e, f"{name}_eV") for e in entries) for name in ("current", "projected")}
+    combined, _, dominant = totals[scenario]
 
+    model = SignalModel.from_anchors(anchors, chain)
+    signal_nominal = signal_shift(model, probe, anchors.f_tilde_nominal)
+    band = tuple(signal_band(model, probe, points=5))
+    band_bounds = [chi_bound(combined, s) for _, s in band]
+    qed_fraction, qed_residual = qed_correction(model, beta2_variation=0.5)
     return BarrierBudget(
         scenario=scenario,
         probe_A=probe_A,
         channel=channel.label,
         entries=entries,
-        combined_current_eV=combined_current,
-        combined_projected_eV=combined_projected,
-        max_current_eV=max_current,
-        max_projected_eV=max_projected,
+        combined_current_eV=totals["current"][0],
+        combined_projected_eV=totals["projected"][0],
+        max_current_eV=totals["current"][1],
+        max_projected_eV=totals["projected"][1],
         combined_eV=combined,
         dominant=dominant,
-        signal_nominal_eV=signal_shift(SignalModel.from_anchors(anchors, chain), probe, anchors.f_tilde_nominal),
+        signal_nominal_eV=signal_nominal,
+        chi_bound_nominal=chi_bound(combined, signal_nominal),
+        chi_bound_band=(min(band_bounds), max(band_bounds)),
+        signal_band_eV=band,
+        qed_fractional_correction=qed_fraction,
+        qed_residual_eV=qed_residual,
     )

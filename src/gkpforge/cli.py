@@ -264,29 +264,14 @@ def _emit(args, report: dict, *, seed: int | None = None,
 # budget
 
 def cmd_budget(args) -> int:
-    from . import angular, barriers, budget, nucdata
+    from . import angular, barriers, nucdata
 
     chain = _load(args, "chain", nucdata.load_chain)
     anchors = _load(args, "anchors", barriers.load_anchors)
     result = barriers.build_budget(chain, angular.default_channels(), anchors, scenario=args.scenario, probe_A=args.probe)
-
-    model = barriers.SignalModel.from_anchors(anchors, chain)
-    probe = chain.isotope(result.probe_A)
-    band = barriers.signal_band(model, probe, points=5)
-    qed_fraction, qed_residual = barriers.qed_correction(model, beta2_variation=0.5)
-    bound_nominal = budget.chi_bound(result.combined_eV, result.signal_nominal_eV)
-    bound_band = [budget.chi_bound(result.combined_eV, s) for _, s in band]
-
-    report = {
-        **_fields(result),
-        "entries": [_fields(e) for e in result.entries],  # keeps the position the spread gave it
-        "chi_bound_nominal": bound_nominal,
-        "chi_bound_band": [min(bound_band), max(bound_band)],
-        "signal_band_eV": [[f, s] for f, s in band],
-        "qed_fractional_correction": qed_fraction,
-        "qed_residual_eV": qed_residual,
-    }
-    _emit(args, report, versions={"anchors": anchors.name})
+    # the entries keep the position the spread gave them
+    _emit(args, {**_fields(result), "entries": [_fields(e) for e in result.entries]},
+          versions={"anchors": anchors.name})
     return EXIT_OK
 
 
@@ -382,15 +367,15 @@ def cmd_condition(args) -> int:
 
     chain = _load(args, "chain", nucdata.load_chain)
     coeffs = _load(args, "coeffs", gkp.load_coefficients)
-    spec = _load(args, "spec", montecarlo.load_sampling_spec)
-    seed = args.seed if args.seed is not None else spec.seed
-    samples = args.samples if args.samples is not None else spec.sample_count
+    given = {"sample_count": args.samples, "seed": args.seed}
+    spec = dataclasses.replace(_load(args, "spec", montecarlo.load_sampling_spec),
+                               **{field: value for field, value in given.items() if value is not None})
 
-    kappas, excluded = montecarlo.kappa_draws(chain, coeffs, spec, sample_count=samples, seed=seed)
-    summary = montecarlo.summarize_kappa(kappas, excluded, seed)
+    kappas, excluded = montecarlo.kappa_draws(chain, coeffs, spec)
+    summary = montecarlo.summarize_kappa(kappas, excluded, spec.seed)
     histogram = _histogram_csv(kappas) if args.format == "csv" or args.out else None
 
-    _emit(args, {"summary": _fields(summary)}, seed=seed,
+    _emit(args, {"summary": _fields(summary)}, seed=spec.seed,
           versions={"coeffs": coeffs.name, "spec": spec.name}, histogram=histogram)
     return EXIT_OK
 

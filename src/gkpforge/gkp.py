@@ -243,16 +243,14 @@ def nuclear_factors(rec: IsotopeRecord) -> tuple[float, float, float]:
     return rec.Qs.value, rec.BE2_up.value, spin_mass_lever(rec)
 
 
-def design_entries(nuclear, transitions: Sequence[TransitionCoefficients]):
-    """Design entries, isotope-major, of a (..., isotopes, 3) stack of
-    nuclear factors, laid out like it (a draws-last stack gives a
-    draws-last view), or of a grid of them (condition_numbers): one product
-    by the transitions' (H, P, G); the column-norm check refuses overflow."""
-    electronic = np.array([(t.H_eV_per_b, t.P_eV_per_wu, t.G_eV_per_lever) for t in transitions])
+def design_entries(nuclear, transitions: Sequence[TransitionCoefficients]) -> list[list]:
+    """The design grid, isotope-major, of a list of nuclear factor rows,
+    each factor a float or an (n,) array of draws, times the transitions'
+    (H, P, G) as floats: a float factor gives a float entry, as a
+    condition_numbers grid holds. The column-norm check refuses overflow."""
+    electronic = [(float(t.H_eV_per_b), float(t.P_eV_per_wu), float(t.G_eV_per_lever)) for t in transitions]
     with np.errstate(over="ignore"):
-        if isinstance(nuclear, (list, tuple)):
-            return [[factor * e for factor, e in zip(row, hpg)] for row in nuclear for hpg in electronic]
-        return (nuclear[..., :, None, :] * electronic).reshape(*nuclear.shape[:-2], -1, 3)
+        return [[factor * e for factor, e in zip(row, hpg)] for row in nuclear for hpg in electronic]
 
 
 def build_design(odd_isotopes: Sequence[IsotopeRecord], coeffs: ElectronicCoefficients) -> DesignMatrix:
@@ -261,9 +259,9 @@ def build_design(odd_isotopes: Sequence[IsotopeRecord], coeffs: ElectronicCoeffi
     if not odd_isotopes:
         raise ValidationError("no odd isotopes supplied")
     transitions = coeffs.rank2_transitions()
-    nuclear = np.array([nuclear_factors(rec) for rec in odd_isotopes])
+    entries = design_entries([nuclear_factors(rec) for rec in odd_isotopes], transitions)
     rows = tuple((rec.A, t.label) for rec in odd_isotopes for t in transitions)
-    return DesignMatrix(rows=rows, columns=COLUMN_NAMES, entries=design_entries(nuclear, transitions))
+    return DesignMatrix(rows=rows, columns=COLUMN_NAMES, entries=entries)
 
 
 def normalize_columns(stack: np.ndarray, columns: Sequence[str]):

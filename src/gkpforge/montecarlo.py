@@ -23,8 +23,7 @@ draws. Block b's generator is PCG64 seeded by the SeedSequence of the
 seed's little-endian 32-bit words followed by b, the same stream as
 np.random.default_rng([seed, b]); a seed is any non-negative integer.
 Results are therefore bit-identical for a given seed no matter how draws
-are batched or parallelized, and per-worker summaries merge by plain
-index-ordered concatenation.
+are batched.
 """
 
 from __future__ import annotations
@@ -126,15 +125,17 @@ class ParameterSpec:
 
 @dataclass(frozen=True)
 class SamplingSpec:
+    """A conditioning campaign: its sampled parameters, and its size and
+    seed, which it alone holds, as ints (dataclasses.replace changes them)."""
+
     parameters: tuple[ParameterSpec, ...]
     sample_count: int
     seed: int
     name: str = ""
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValidationError("sample_count must be at least 1")
-        _seed(self.seed)
+        object.__setattr__(self, "sample_count", _count(self.sample_count, "sample_count"))
+        object.__setattr__(self, "seed", _seed(self.seed))
 
     def parameter(self, name: str) -> ParameterSpec:
         for p in self.parameters:
@@ -186,6 +187,25 @@ def _seed(seed) -> int:
     return int(seed)
 
 
+def _count(count, what: str) -> int:
+    """A campaign's size as an int; anything but a positive integer (a bool
+    is not one) is refused, naming what it counts."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {count!r}")
+    if count < 1:
+        raise ValidationError(f"{what} must be at least 1")
+    return int(count)
+
+
+def _empty(shape, size: str) -> np.ndarray:
+    """np.empty(shape), or a ValidationError naming the size where numpy
+    refuses the shape or cannot allocate it."""
+    try:
+        return np.empty(shape)
+    except (ValueError, MemoryError):
+        raise ValidationError(f"{size} is too large: its array cannot be allocated") from None
+
+
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     """A block's generator: PCG64 seeded by the SeedSequence of the seed's
     little-endian 32-bit words followed by the block index, the words numpy
@@ -206,7 +226,7 @@ def _block_noise(seed: int, trials: int, rows: int, scale: float) -> np.ndarray:
     blocks, whose draws fill a (trials, rows) array in place before one
     transposed copy is scaled. normal() returns 0.0 + scale * z, so the
     0.0 is added after scaling: +0.0 where z * 0.0 is -0.0."""
-    z = np.empty((trials, rows))
+    z = _empty((trials, rows), f"trials {trials}")
     for block, start in enumerate(range(0, trials, BLOCK_SIZE)):
         _block_rng(seed, block).standard_normal(out=z[start:start + BLOCK_SIZE])
     noise = z.T.copy()
@@ -257,27 +277,21 @@ class KappaSummary:
             raise ValidationError("rank-deficient fraction outside [0, 1]")
 
 
-def kappa_draws(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: SamplingSpec,
-                sample_count: int | None = None, seed: int | None = None) -> tuple[np.ndarray, float]:
-    """Per-draw condition numbers of the three-odd-isotope design matrix.
+def kappa_draws(chain: IsotopeChain, coeffs: ElectronicCoefficients,
+                spec: SamplingSpec) -> tuple[np.ndarray, float]:
+    """Per-draw condition numbers of the three-odd-isotope design matrix:
+    spec.sample_count draws from the stream of spec.seed.
 
     Each draw stacks the sampled A=91 nuclear factors (I = 9/2) under the
     measured A=95 and A=97 ones, over the first rank-2 transition. Returns
     (kappas, guard-band excluded fraction of proposals).
     """
-    n = spec.sample_count if sample_count is None else int(sample_count)
-    if n < 1:
-        raise ValidationError("sample_count must be at least 1")
-    seed = _seed(spec.seed if seed is None else seed)
+    n, seed = spec.sample_count, spec.seed
     sampled = (spec.parameter("Qs_91"), spec.parameter("BE2_91"))  # nuclear factor columns 0 and 1
     transitions = coeffs.rank2_transitions()[:1]
     measured = design_entries([nuclear_factors(chain.isotope(A)) for A in (95, 97)], transitions)  # floats
     draws = np.empty((2, min(n, KAPPA_BATCH)))  # the sampled factors; every batch reuses it
-
-    try:
-        kappas = np.empty(n)
-    except (ValueError, MemoryError):  # numpy refuses the size, or it cannot be allocated
-        raise ValidationError(f"sample_count {n} is too large: its kappa array cannot be allocated") from None
+    kappas = _empty(n, f"sample_count {n}")
     rejected_total = 0
     for batch_start in range(0, n, KAPPA_BATCH):
         batch = draws[:, :n - batch_start]  # the last batch may be shorter
@@ -352,12 +366,11 @@ def summarize_kappa(kappas: np.ndarray, excluded_fraction: float, seed: int) -> 
     )
 
 
-def sample_kappa(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: SamplingSpec,
-                 sample_count: int | None = None, seed: int | None = None) -> KappaSummary:
+def sample_kappa(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: SamplingSpec) -> KappaSummary:
     """Condition-number distribution summary; identical seed gives a
     bit-identical summary."""
-    kappas, excluded_fraction = kappa_draws(chain, coeffs, spec, sample_count, seed)
-    return summarize_kappa(kappas, excluded_fraction, spec.seed if seed is None else seed)
+    kappas, excluded_fraction = kappa_draws(chain, coeffs, spec)
+    return summarize_kappa(kappas, excluded_fraction, spec.seed)
 
 
 @dataclass(frozen=True)
@@ -386,15 +399,12 @@ def injection_recovery(chain: IsotopeChain, coeffs: ElectronicCoefficients,
     trials share one design and one sigma, hence one standard error of
     the gravitomagnetic amplitude and one derived coupling bound: the
     recovered one-sigma energy residual over the nominal signal. A trial
-    count or seed that is not an integer (a bool included), a negative
-    seed or a noise that is not finite and non-negative is refused with a
-    ValidationError.
+    count or seed that is not an integer (a bool included), a trial count
+    below 1 or too large to allocate, a negative seed or a noise that is
+    not finite and non-negative is refused with a ValidationError.
     """
     seed = _seed(seed)
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
-        raise ValidationError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValidationError("trials must be at least 1")
+    trials = _count(trials, "trials")
     if not (math.isfinite(noise_eV) and noise_eV >= 0):
         raise ValidationError(f"noise must be finite and non-negative, got {noise_eV!r}")
     design = build_design(partition(chain)[1], coeffs)

@@ -380,10 +380,11 @@ _CHAIN_VALIDATORS = {"csv": _naming_the_file(_chain_from_csv_text),
                    "json": _naming_the_file(_chain_from_json_obj)}
 
 
-def load_chain(path: str | Path) -> IsotopeChain:
-    """Load and validate an isotope chain from a CSV or JSON file, as its
-    suffix says. The chain is shared with every load of the same bytes."""
-    p = Path(path)
+def load_chain(source: str | Path) -> IsotopeChain:
+    """Load and validate an isotope chain, CSV or JSON as the file's suffix
+    says, from a resource name or a file path (a Path is read as given).
+    The chain is shared with every load of the same bytes."""
+    p = resource_path(source) if isinstance(source, str) else source
     fmt = p.suffix.lstrip(".").lower()
     try:
         if fmt not in _CHAIN_VALIDATORS:
@@ -397,7 +398,7 @@ def load_chain(path: str | Path) -> IsotopeChain:
 
 def load_bundled_chain(name: str = "mo-chain-v1") -> IsotopeChain:
     """Load a named bundled chain (default: the reference Mo chain)."""
-    return load_chain(resource_path(name))
+    return load_chain(name)
 
 
 def _measured_to_json(m: Measured | None):

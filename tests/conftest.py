@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,9 @@ def shipped_designs():
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(montecarlo, "condition_numbers", record)
-            kappas, _ = montecarlo.kappa_draws(chain, coeffs, load_sampling_spec("mo91-sampling-v1"), sample_count)
+            spec = load_sampling_spec("mo91-sampling-v1")
+            if sample_count is not None:
+                spec = dataclasses.replace(spec, sample_count=sample_count)
+            kappas, _ = montecarlo.kappa_draws(chain, coeffs, spec)
         return blocks, kappas
     return run

@@ -77,6 +77,17 @@ def test_budget_table_output(capsys):
     assert "," not in out.replace(", ", " ")
 
 
+def test_a_budget_request_builds_one_signal_model_and_reports_build_budgets_fields(capsys, monkeypatch):
+    from gkpforge import barriers
+
+    built, from_anchors = [], barriers.SignalModel.from_anchors
+    monkeypatch.setattr(barriers.SignalModel, "from_anchors",
+                        staticmethod(lambda anchors, chain: built.append(1) or from_anchors(anchors, chain)))
+    code, report = _run_json(capsys, "budget")
+    assert (code, len(built)) == (0, 1)
+    assert set(report) - {"manifest"} == {f.name for f in dataclasses.fields(barriers.BarrierBudget)}
+
+
 def test_budget_missing_anchors_file_exit2(capsys):
     code, _, err = _run(capsys, "budget", "--anchors", "missing_anchors.json")
     assert code == 2

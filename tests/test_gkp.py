@@ -157,22 +157,11 @@ def test_nuclear_factors_refusals(mo_chain, edit, message):
 def test_design_entries_are_isotope_major_products(frib_chain, coeffs):
     _, odd = partition(frib_chain)
     transitions = coeffs.rank2_transitions()
-    entries = design_entries(np.array([nuclear_factors(rec) for rec in odd]), transitions)
+    entries = np.array(design_entries([nuclear_factors(rec) for rec in odd], transitions))
     assert entries.shape == (len(odd) * len(transitions), 3)
     for k, (rec, t) in enumerate((rec, t) for rec in odd for t in transitions):
         qs, be2, lever = nuclear_factors(rec)
         assert entries[k].tolist() == [t.H_eV_per_b * qs, t.P_eV_per_wu * be2, t.G_eV_per_lever * lever]
-
-
-def test_design_entries_keep_a_draws_last_stack_draws_last(frib_chain, coeffs):
-    _, odd = partition(frib_chain)
-    nuclear = np.empty((3, 3, 5)).transpose(2, 0, 1)
-    nuclear[:] = [nuclear_factors(rec) for rec in odd]
-    entries = design_entries(nuclear, coeffs.rank2_transitions()[:1])
-    assert entries.shape == (5, 3, 3)
-    assert entries.transpose(1, 2, 0).flags.c_contiguous
-    single = build_design(odd, coeffs.subset(["1s-2p3/2"])).entries
-    assert all(np.array_equal(m, single) for m in entries)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Golden reports: every command's stdout and --out files, byte for byte.
 
-Each case runs in json, csv and table format, once to stdout and once
-with --out, with the report timestamp pinned. Manifest paths into the
-bundled data directory and into tests/golden are written as <data> and
-<golden>, so the files do not depend on the checkout's location.
+Each case of golden_cases.py runs in json, csv and table format, once
+to stdout and once with --out, with the report timestamp pinned.
+Manifest paths into the bundled data directory and into tests/golden
+are written as <data> and <golden>, so the files do not depend on the
+checkout's location.
 
 After a deliberate change to report bytes, regenerate the files with
 
@@ -26,30 +27,11 @@ import pytest
 
 from gkpforge.cli import ENV_TIMESTAMP, main
 from gkpforge.resources import ENV_DATA_DIR, resource_path
+from golden_cases import CASES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TIMESTAMP = "2026-08-09T00:00:00+00:00"
 FORMATS = ("json", "csv", "table")
-
-CASES = {
-    "budget": ["budget"],
-    "solvability": ["solvability"],
-    "condition": ["condition"],
-    "condition-samples-1-seed-7": ["condition", "--samples", "1", "--seed", "7"],
-    "condition-samples-2-seed-3": ["condition", "--samples", "2", "--seed", "3"],
-    "condition-samples-21-seed-3": ["condition", "--samples", "21", "--seed", "3"],
-    "condition-samples-2048-seed-5": ["condition", "--samples", "2048", "--seed", "5"],
-    "condition-samples-5000-seed-7": ["condition", "--samples", "5000", "--seed", "7"],
-    "condition-samples-2048-seed-2p64p1": ["condition", "--samples", "2048", "--seed", "18446744073709551617"],
-    "condition-gaussian-loguniform": ["condition", "--spec", "<golden>/spec_mo91_gaussian_loguniform.json",
-                                      "--samples", "3000", "--seed", "11"],
-    "extract": ["extract", "--rhs", "<data>/synthetic_rhs_noiseless_v1.json"],
-    "extract-mo-chain-v1": ["extract", "--chain", "mo-chain-v1", "--rhs", "<golden>/rhs_mo_chain_v1.json"],
-    "milestones": ["milestones"],
-    "milestones-target": ["milestones", "--target", "1e-15"],
-    "ramsey-stable": ["ramsey", "--half-life", "stable", "--tr", "10", "--reps", "1000"],
-    "ramsey-decaying": ["ramsey", "--half-life", "930", "--tr", "2000", "--reps", "100"],
-}
 
 
 def _swap(text: str, pairs) -> str:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import resource
 from fractions import Fraction
 
 import numpy as np
@@ -274,7 +275,7 @@ def test_summary_statistics_equal_numpy_on_unsorted_draws(size, rounded):
 
 
 def test_summary_leaves_its_input_untouched(mo_chain, coeffs, sampling_spec):
-    kappas, excluded = kappa_draws(mo_chain, coeffs, sampling_spec, sample_count=3000, seed=5)
+    kappas, excluded = kappa_draws(mo_chain, coeffs, dataclasses.replace(sampling_spec, sample_count=3000, seed=5))
     kappas[::7] = np.inf
     before = kappas.tobytes()
     summary = summarize_kappa(kappas, excluded, 5)
@@ -341,7 +342,7 @@ def test_spec_missing_parameter_rejected(mo_chain, coeffs):
 def test_sample_count_must_be_positive(mo_chain, coeffs, count):
     for campaign in (kappa_draws, sample_kappa):
         with pytest.raises(ValidationError, match="sample_count must be at least 1"):
-            campaign(mo_chain, coeffs, _spec(), sample_count=count)
+            campaign(mo_chain, coeffs, dataclasses.replace(_spec(), sample_count=count))
 
 
 def test_single_draw_matches_condition_number(mo_chain, coeffs):
@@ -387,7 +388,7 @@ def test_each_draw_is_the_condition_number_of_its_build_design(mo_chain, frib_ch
 def test_kappa_draws_conditions_only_the_sampled_entries_per_draw(mo_chain, coeffs, sampling_spec, monkeypatch):
     grids = []
     monkeypatch.setattr(montecarlo, "condition_numbers", lambda grid: (grids.append(grid), condition_numbers(grid))[1])
-    kappa_draws(mo_chain, coeffs, sampling_spec, sample_count=KAPPA_BATCH + 1)
+    kappa_draws(mo_chain, coeffs, dataclasses.replace(sampling_spec, sample_count=KAPPA_BATCH + 1))
     # the A = 95 and 97 rows and the A = 91 G I^2/M are floats; H Qs_91 and P B(E2)_91 hold the batch's draws
     for grid, draws in zip(grids, (KAPPA_BATCH, 1), strict=True):
         assert [[np.shape(entry) for entry in row] for row in grid] == [[()] * 3, [()] * 3, [(draws,), (draws,), ()]]
@@ -452,7 +453,7 @@ def test_guard_band_exclusion_reported(mo_chain, coeffs):
 
 
 def test_summary_percentiles_ordered(mo_chain, coeffs, sampling_spec):
-    summary = sample_kappa(mo_chain, coeffs, sampling_spec, sample_count=5000)
+    summary = sample_kappa(mo_chain, coeffs, dataclasses.replace(sampling_spec, sample_count=5000))
     assert summary.p5 <= summary.median <= summary.p95
     assert summary.rank_deficient_fraction == 0.0
     assert summary.sample_count == 5000
@@ -643,6 +644,45 @@ def test_injection_recovery_takes_a_numpy_integer_trial_count(frib_chain, coeffs
     assert got == injection_recovery(frib_chain, coeffs, TRUTH_NULL, 1e-13, trials=300, seed=6)
 
 
+@pytest.mark.parametrize("trials", [2**62, 10**15])
+def test_injection_recovery_refuses_a_campaign_too_large_to_allocate(frib_chain, coeffs, trials):
+    # numpy refuses 2**62 rows of noise by their size and cannot allocate
+    # 10**15 (24 PB), so the refusal comes before any memory is touched: the
+    # page faults it takes are a few, not one per 4 KiB page of noise
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with pytest.raises(ValidationError, match=re.escape(f"trials {trials} is too large")):
+        injection_recovery(frib_chain, coeffs, TRUTH_NULL, 1e-13, trials=trials, seed=2)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults < 1000
+
+
+# ---------------------------------------------------------------------------
+# campaign sizes: one rule for a sampling spec's sample_count and a trial count
+
+@pytest.mark.parametrize("count, rule", [
+    (2.5, "must be an integer, got 2.5"),
+    (1.0, "must be an integer, got 1.0"),
+    (True, "must be an integer, got True"),
+    ("3", "must be an integer, got '3'"),
+    (0, "must be at least 1"),
+    (-3, "must be at least 1"),
+], ids=repr)
+def test_spec_and_injection_campaign_refuse_a_count_by_one_rule(frib_chain, coeffs, count, rule):
+    with pytest.raises(ValidationError, match=re.escape(f"sample_count {rule}")):
+        _spec(sample_count=count)
+    with pytest.raises(ValidationError, match=re.escape(f"sample_count {rule}")):
+        dataclasses.replace(_spec(), sample_count=count)
+    with pytest.raises(ValidationError, match=re.escape(f"trials {rule}")):
+        injection_recovery(frib_chain, coeffs, TRUTH_NULL, 1e-13, trials=count, seed=2)
+
+
+def test_a_numpy_integer_count_or_seed_is_kept_as_its_int(mo_chain, frib_chain, coeffs):
+    spec = _spec(sample_count=np.int64(5), seed=np.uint64(7))
+    assert (type(spec.sample_count), spec.sample_count, type(spec.seed), spec.seed) == (int, 5, int, 7)
+    assert kappa_draws(mo_chain, coeffs, spec)[0].size == 5
+    stats = injection_recovery(frib_chain, coeffs, TRUTH_NULL, 1e-13, trials=np.int64(5), seed=6)
+    assert (type(stats.trials), stats.trials) == (int, 5)
+
+
 # ---------------------------------------------------------------------------
 # seeds and the block stream
 
@@ -652,9 +692,8 @@ NOT_A_SEED = [-1, -(2**70), np.int64(-2), 2.5, 1.0, np.float64(3.0), True, False
 @pytest.mark.parametrize("seed", NOT_A_SEED, ids=repr)
 def test_both_campaigns_refuse_a_seed_that_is_not_a_non_negative_integer(mo_chain, frib_chain, coeffs, seed):
     message = f"seed must be a non-negative integer, got {seed!r}"
-    if seed is not None:  # kappa_draws reads None as the spec's seed
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            kappa_draws(mo_chain, coeffs, _spec(sample_count=10), seed=seed)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        kappa_draws(mo_chain, coeffs, dataclasses.replace(_spec(sample_count=10), seed=seed))
     with pytest.raises(ValidationError, match=re.escape(message)):
         sample_kappa(mo_chain, coeffs, _spec(sample_count=10, seed=seed))
     with pytest.raises(ValidationError, match=re.escape(message)):
@@ -663,8 +702,8 @@ def test_both_campaigns_refuse_a_seed_that_is_not_a_non_negative_integer(mo_chai
 
 def test_a_numpy_integer_seed_is_its_int(mo_chain, frib_chain, coeffs):
     spec = _spec(sample_count=1500)
-    assert kappa_draws(mo_chain, coeffs, spec, seed=np.uint64(2**64 - 1))[0].tobytes() == \
-        kappa_draws(mo_chain, coeffs, spec, seed=2**64 - 1)[0].tobytes()
+    assert kappa_draws(mo_chain, coeffs, dataclasses.replace(spec, seed=np.uint64(2**64 - 1)))[0].tobytes() == \
+        kappa_draws(mo_chain, coeffs, dataclasses.replace(spec, seed=2**64 - 1))[0].tobytes()
     assert injection_recovery(frib_chain, coeffs, TRUTH_NULL, 1e-13, trials=50, seed=np.int32(6)) == \
         injection_recovery(frib_chain, coeffs, TRUTH_NULL, 1e-13, trials=50, seed=6)
 

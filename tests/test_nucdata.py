@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +15,7 @@ from gkpforge.nucdata import (
     chain_to_csv,
     chain_to_json,
     format_measured,
+    load_bundled_chain,
     load_chain,
     parse_measured,
     parse_spin,
@@ -254,3 +256,9 @@ def test_csv_invariant_violation_spinless_qs(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ValidationError, match="does not exist"):
         load_chain(tmp_path / "nope.csv")
+
+
+def test_load_chain_resolves_a_resource_name_and_reads_a_path_as_given():
+    assert load_chain("mo-chain-v1") is load_bundled_chain("mo-chain-v1")
+    with pytest.raises(ValidationError, match="does not exist"):
+        load_chain(Path("mo-chain-v1"))

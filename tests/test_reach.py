@@ -4,7 +4,7 @@ command, or is kept in ALLOWED with the reason it stays.
 A fixed matrix of gkpforge.cli.main calls runs in a fresh interpreter
 under sys.setprofile, which records the code object of every Python call
 made while a command runs. The matrix is every golden case of
-test_golden.py in json, csv and table with --out, a few more flag
+golden_cases.py in json, csv and table with --out, a few more flag
 combinations, a CSV chain, and refusals of every nonzero exit code.
 The interpreter is fresh so that the functools caches and the loaders'
 memo of validated files start empty, and so that no call a test made
@@ -32,7 +32,8 @@ from pathlib import Path
 from gkpforge.cli import ENV_TIMESTAMP
 from gkpforge.nucdata import IsotopeChain, chain_to_csv
 from gkpforge.resources import ENV_DATA_DIR, resource_path
-from test_golden import CASES, FORMATS, GOLDEN, TIMESTAMP
+from golden_cases import CASES
+from test_golden import FORMATS, GOLDEN, TIMESTAMP
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gkpforge"
 
