@@ -27,8 +27,7 @@ budget's signal_band_eV) are json-only. The table pads each block's
 columns and prints floats to six significant digits under a line naming
 the command; condition's csv is its κ histogram instead: 48 log-spaced
 bins from 1 to 1000, half-open [left, right) but the last, which is
-closed, then the overflow and rank-deficient counts, all read by
-searchsorted from one sorted copy of the draws.
+closed, then the overflow and rank-deficient counts.
 
 One writer, `_json_text`, turns every report into JSON, whatever the
 format: its text is the json output and the --out file, and writing it is
@@ -326,36 +325,21 @@ def cmd_solvability(args) -> int:
 # ---------------------------------------------------------------------------
 # condition
 
-@functools.cache
-def _histogram_edges():
-    import numpy as np
-
-    return np.logspace(0.0, 3.0, 49)
-
-
 def _histogram_csv(kappas) -> str:
-    """Histogram of a κ array on log-spaced bins, plus the overflow and
-    rank-deficient counts, np.histogram's: bins are half-open [left, right)
-    but the last, which is closed, and a non-finite κ (+inf, or NaN from a
-    failed draw; -inf too) is counted as rank deficient. Every count is a
-    difference of two searchsorted positions in one sorted copy, where -inf
-    sorts first and +inf then NaN last."""
+    """np.histogram of the finite κ draws on 48 log-spaced bins from 1 to
+    1000, then the finite draws above 1000 (overflow) and the non-finite
+    ones (+inf, or NaN from a failed draw), counted as rank deficient."""
     import numpy as np
 
-    edges = _histogram_edges()
-    ordered = np.sort(kappas)
-    # the draws below every edge but the last, then those up to the closed last edge
-    cumulative = np.append(np.searchsorted(ordered, edges[:-1], "left"),
-                           np.searchsorted(ordered, edges[-1], "right"))
-    neg_inf = int(np.searchsorted(ordered, -np.inf, "right"))
-    finite_end = int(np.searchsorted(ordered, np.inf, "left"))  # where +inf and NaN start
+    finite = kappas[np.isfinite(kappas)]
+    counts, edges = np.histogram(finite, bins=np.logspace(0.0, 3.0, 49))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["bin_left", "bin_right", "count"])
-    for left, right, count in zip(edges[:-1].tolist(), edges[1:].tolist(), np.diff(cumulative).tolist()):
+    for left, right, count in zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()):
         writer.writerow([repr(left), repr(right), count])
-    writer.writerow([repr(float(edges[-1])), "inf", finite_end - int(cumulative[-1])])
-    writer.writerow(["rank_deficient", "", ordered.size - finite_end + neg_inf])
+    writer.writerow([repr(float(edges[-1])), "inf", int(np.count_nonzero(finite > edges[-1]))])
+    writer.writerow(["rank_deficient", "", kappas.size - finite.size])
     return buf.getvalue()
 
 
@@ -482,15 +466,6 @@ def cmd_ramsey(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer no smaller than minimum."""
-    def integer(text: str) -> int:
-        if int(text) < minimum:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
-        return int(text)
-    return integer
-
-
 def _finite_float(text: str) -> float:
     """argparse type: a finite real number."""
     try:
@@ -541,8 +516,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("condition", parents=[common], help="Monte Carlo conditioning of the design matrix")
     p.add_argument("--spec", default="mo91-sampling-v1", metavar="PATH")
     p.add_argument("--coeffs", default="mo41-coeffs-v1", metavar="PATH")
-    p.add_argument("--samples", type=_int_at_least(1), default=None, metavar="N")
-    p.add_argument("--seed", type=_int_at_least(0), default=None, metavar="SEED")
+    p.add_argument("--samples", type=int, default=None, metavar="N")
+    p.add_argument("--seed", type=int, default=None, metavar="SEED")
     p.add_argument("--chain", default="mo-chain-v1", metavar="PATH", help=chain_help)
     p.set_defaults(handler=cmd_condition)
 

@@ -10,7 +10,7 @@ B(E2), I^2/M), the sampled A=91 ones among them, times the transition's
 electronic coefficients (H, P, G), built by gkp.design_entries; kappa
 comes from one condition_numbers call per batch of KAPPA_BATCH draws,
 a grid of floats but for the arrays of the sampled H Qs_91 and P B(E2)_91,
-whose draws each block writes straight into the batch's columns.
+whose draws each block writes into the batch's columns.
 summarize_kappa works in one scratch buffer: mean and std in draw order,
 then the finite kappas sorted there, with p5, median and p95 read by
 index, the percentiles by Hyndman & Fan's type-7 linear interpolation
@@ -105,22 +105,14 @@ class ParameterSpec:
             if self.mean is None or self.sigma is None or self.sigma <= 0:
                 raise ValidationError(f"parameter {self.name!r}: gaussian needs mean and sigma > 0")
 
-    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """Fill the contiguous float array out with draws and return it: the
-        bits of rng.uniform, np.exp(rng.uniform) of the log bounds or
-        rng.normal, in numpy's arithmetic low + (high - low) u and mean +
-        sigma z."""
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size draws: rng.uniform, np.exp of rng.uniform on the log bounds,
+        or rng.normal."""
         if self.distribution == "gaussian":
-            rng.standard_normal(out=out)
-            out *= self.sigma
-            out += self.mean  # +0.0 where sigma z is -0.0 and the mean 0.0, as rng.normal gives
-            return out
-        log = self.distribution == "log-uniform"
-        low, high = (math.log(self.low), math.log(self.high)) if log else (self.low, self.high)
-        rng.random(out=out)
-        out *= high - low
-        out += low
-        return np.exp(out, out=out) if log else out
+            return rng.normal(self.mean, self.sigma, size)
+        if self.distribution == "log-uniform":
+            return np.exp(rng.uniform(math.log(self.low), math.log(self.high), size))
+        return rng.uniform(self.low, self.high, size)
 
 
 @dataclass(frozen=True)
@@ -236,10 +228,10 @@ def _block_noise(seed: int, trials: int, rows: int, scale: float) -> np.ndarray:
 
 
 def _draw_guarded(param: ParameterSpec, rng: np.random.Generator, out: np.ndarray) -> int:
-    """Fill out with draws, redrawing each |value| < guard band in place;
+    """Fill out with param's draws, redrawing each |value| < guard band;
     returns the rejected proposal count. Without a band the first draw
     stands."""
-    param.draw(rng, out)
+    out[...] = param.draw(rng, out.size)
     band = param.exclude_abs_below
     if band <= 0.0:  # |value| < 0 rejects nothing
         return 0
@@ -249,7 +241,7 @@ def _draw_guarded(param: ParameterSpec, rng: np.random.Generator, out: np.ndarra
         if not bad.size:
             return rejected
         rejected += bad.size
-        redrawn = param.draw(rng, np.empty(bad.size))
+        redrawn = param.draw(rng, bad.size)
         out[bad] = redrawn
         bad = bad[np.abs(redrawn) < band]  # only the values just redrawn can be in the band
     raise ValidationError(f"parameter {param.name!r}: the guard band still rejected draws "

@@ -227,7 +227,7 @@ def test_condition_histogram_schema(capsys, tmp_path):
 def test_histogram_csv_counts_are_numpys_histogram():
     """Bins are half-open [left, right) but the last, closed at 1000.0;
     above it is overflow, and a non-finite κ is rank deficient."""
-    edges = cli._histogram_edges()
+    edges = np.logspace(0.0, 3.0, 49)
     special = [1000.0, np.nextafter(1000.0, np.inf), 1e6, 0.5, np.nextafter(1.0, 0.0),
                np.inf, np.inf, np.nan, -np.inf]
     rng = np.random.default_rng(28)
@@ -260,12 +260,15 @@ def test_condition_builds_the_histogram_only_for_csv_and_out(capsys, tmp_path, m
     assert len(calls) == builds
 
 
-@pytest.mark.parametrize("flag, value", [("--samples", "-5"), ("--samples", "0"), ("--seed", "-1")])
-def test_condition_rejects_out_of_range_flags(capsys, flag, value):
-    with pytest.raises(SystemExit) as exc:
-        main(["condition", flag, value])
-    assert exc.value.code == 2
-    assert f"argument {flag}" in capsys.readouterr().err
+@pytest.mark.parametrize("flag, value, message", [
+    ("--samples", "-5", "sample_count must be at least 1"),
+    ("--samples", "0", "sample_count must be at least 1"),
+    ("--seed", "-1", "seed must be a non-negative integer, got -1"),
+])
+def test_condition_rejects_out_of_range_flags(capsys, flag, value, message):
+    code, out, err = _run(capsys, "condition", flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: {message}\n"
 
 
 def test_condition_refuses_a_sample_count_too_large_to_allocate(capsys, tmp_path):
