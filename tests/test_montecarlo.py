@@ -160,6 +160,25 @@ def test_guarded_draw_equals_the_full_rescan(distribution, bounds, band, size):
     assert rng.rng.random(8).tobytes() == reference_rng.rng.random(8).tobytes()
 
 
+@pytest.mark.parametrize("distribution, bounds, band", [
+    ("uniform", {"low": -1.0, "high": 1.0}, 0.5),
+    ("log-uniform", {"low": 1e-3, "high": 1e3}, 1.0),
+    ("gaussian", {"mean": 0.0, "sigma": 1.0}, 0.6744897501960817),
+])
+def test_guarded_draw_fills_only_the_block_it_is_given(distribution, bounds, band):
+    """kappa_draws hands each block a slice of one row of its batch: the
+    draws land in that slice and nowhere else, with the bits and rejected
+    count of the same draw into an array of its own."""
+    param = ParameterSpec(name="x", distribution=distribution, exclude_abs_below=band, **bounds)
+    batch = np.zeros((2, 3 * BLOCK_SIZE))
+    block = batch[1, BLOCK_SIZE:2 * BLOCK_SIZE]
+    rejected = _draw_guarded(param, _block_rng(5, 1), block)
+    expected = np.empty(BLOCK_SIZE)
+    assert rejected == _draw_guarded(param, _block_rng(5, 1), expected) > 0
+    assert block.tobytes() == expected.tobytes()
+    assert not batch[0].any() and not batch[1, :BLOCK_SIZE].any() and not batch[1, 2 * BLOCK_SIZE:].any()
+
+
 # the bit patterns of the seed's 32-bit words: one word (0, 1, 2**32 - 1),
 # two (2**32, 2**64 - 1), three (2**64 + 1) and five (2**130 + 77)
 BLOCK_RNG_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 1, 2**130 + 77, 20250809]
