@@ -7,17 +7,19 @@ the squared symbol becomes a float through a single correctly rounded
 int/int division before the square root. At desk scale (arguments up to
 99/2) results are correct to about one ulp.
 
-Every argument is validated on every call, and each exact value is then
-computed once per symmetry class. A 6j's doubled triad sums alpha (four)
-and column sums beta (three), each sorted, are invariant under all 144
-classical and Regge symmetries, and the Racah sum and the Delta product are
-exact integers that depend only on them; so the symbol is memoised on
-(sorted alpha, sorted beta), for at most SIXJ_MEMO_SIZE classes, and every
-member of a class gets the same float. A quadrupole ladder's F, K and
-exact coefficients do not depend on B and are memoised per (2I, 2j), for at
-most LADDER_MEMO_SIZE manifolds; each call multiplies B by the same float
-of each coefficient, so the shifts are the same bits as an unmemoised
-ladder's.
+Every argument is validated on every call (a bool is refused), and each
+exact value is then computed once per symmetry class. A 6j's doubled triad
+sums alpha (four) and column sums beta (three), each sorted, are invariant
+under all 144 classical and Regge symmetries, and the Racah sum and the
+Delta product are exact integers that depend only on them: the sum's range
+and its multinomial terms are read from the sorted sums themselves. So the
+symbol is memoised on (sorted alpha, sorted beta), for at most
+SIXJ_MEMO_SIZE classes, and every member of a class gets the same float. A
+quadrupole ladder's F, K and exact coefficients do not depend on B and are
+memoised per (2I, 2j), for at most LADDER_MEMO_SIZE manifolds; each call
+multiplies B by the same float of each coefficient, so the shifts are the
+same bits as an unmemoised ladder's, and each level is a named tuple built
+from its memo row.
 
 The module is also the one parser of half-integers (angular momenta and
 nuclear spins alike), and provides the electronic channels and the
@@ -30,7 +32,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -58,11 +60,13 @@ RANK2_MIN_J = Fraction(3, 2)
 def _twice(j, name: str = "argument") -> int:
     """Validate a half-integer and return it doubled as an exact int."""
     if isinstance(j, Fraction):
-        numerator, denominator = j.numerator, j.denominator
+        numerator, denominator = j.as_integer_ratio()
         if denominator > 2:
             raise ValidationError(f"{name} {j} is not a half-integer")
         tj = numerator if denominator == 2 else 2 * numerator
     elif isinstance(j, int):
+        if isinstance(j, bool):
+            raise ValidationError(f"{name} {j!r} is a bool, not a half-integer")
         tj = 2 * j
     else:
         twice = 2 * float(j)
@@ -110,48 +114,38 @@ def _racah(alphas: tuple[int, ...], betas: tuple[int, ...]) -> float:
     """The 6j symbol of the Regge class with sorted doubled triad sums
     alphas and column sums betas, whose triads close.
 
-    One member's doubled edges are rebuilt from the sorted sums; any member
-    serves, because the Racah sum S and the product D of the 1/Delta^2 are
-    exact integers fixed by the class. Everything before the last step is
-    an exact integer. Each triad (a, b, c) has 1/Delta^2 = (s+1)! /
-    ((s-2a)! (s-2b)! (s-2c)!) with s = a + b + c, which is s+1 times a
-    multinomial coefficient; each Racah term (z+1)! / (prod_f (z-f)! *
-    prod_c (c-z)!) is likewise z+1 times a multinomial coefficient, because
-    the seven factorial arguments add up to z. The symbol is
-    sign(S) * sqrt(S^2 / D), and S^2 / D is rounded to a float by one
+    Everything before the last step is an exact integer fixed by the class.
+    The triads' half-perimeters s_i are the halved alphas and the column
+    caps c_k the halved betas, so the Racah sum runs from z = s_4 to c_1.
+    Only each triad's 1/Delta^2 = (s+1)! / ((s-2a)! (s-2b)! (s-2c)!) =
+    (s+1) C(s, 2c) C(2c, s-2b) reads edges, those of one member rebuilt
+    from the sums. Each Racah term (z+1)! / (prod_i (z-s_i)! prod_k (c_k-z)!)
+    is z+1 times a multinomial coefficient, because the seven factorial
+    arguments add up to z. The symbol is sign(S) * sqrt(S^2 / D), S the sum
+    and D the product of the 1/Delta^2; S^2 / D is rounded to a float by one
     int/int division, which Python rounds correctly.
     """
     a1, a2, a3, a4 = alphas
     b1, b2, b3 = betas
-    t = (
-        (a1 + a2 - b2) // 2, (a1 + a3 - b3) // 2, (a1 + a4 - b1) // 2,
-        (a3 + a4 - b2) // 2, (a2 + a4 - b3) // 2, (a2 + a3 - b1) // 2,
-    )
-    triads = [(t[0], t[1], t[2]), (t[0], t[4], t[5]), (t[3], t[1], t[5]), (t[3], t[4], t[2])]
+    s1, s2, s3, z_min = a1 // 2, a2 // 2, a3 // 2, a4 // 2
+    c1, c2, c3 = b1 // 2, b2 // 2, b3 // 2
+    # the member's doubled j2, j3, j5 and j6; each triad is (s, 2b, 2c)
+    e2, e3 = (a1 + a3 - b3) // 2, (a1 + a4 - b1) // 2
+    e5, e6 = (a2 + a4 - b3) // 2, (a2 + a3 - b1) // 2
     comb = math.comb
     delta_inv_sq = 1
-    for ta, tb, tc in triads:
-        s, u, v = (ta + tb + tc) // 2, (ta + tb - tc) // 2, (ta - tb + tc) // 2
-        delta_inv_sq *= (s + 1) * comb(s, u) * comb(s - u, v)
-    floors = [(ta + tb + tc) // 2 for ta, tb, tc in triads]
-    caps = [
-        (t[0] + t[1] + t[3] + t[4]) // 2,
-        (t[1] + t[2] + t[4] + t[5]) // 2,
-        (t[2] + t[0] + t[5] + t[3]) // 2,
-    ]
-    z_min, z_max = max(floors), min(caps)
+    for s, tb, tc in ((s1, e2, e3), (s2, e5, e6), (s3, e2, e6), (z_min, e5, e3)):
+        delta_inv_sq *= (s + 1) * comb(s, tc) * comb(tc, s - tb)
     term, n = z_min + 1, 0
-    for k in [z_min - f for f in floors] + [c - z_min for c in caps]:
+    for k in (z_min - s1, z_min - s2, z_min - s3, c1 - z_min, c2 - z_min, c3 - z_min):
         n += k
         term *= comb(n, k)
-    # term(z+1) / term(z) = (z+2) prod_c (c-z) / prod_f (z+1-f), exact in integers
-    f1, f2, f3, f4 = floors
-    c1, c2, c3 = caps
+    # term(z+1) / term(z) = (z+2) prod_k (c_k-z) / prod_i (z+1-s_i), exact in integers
     total = 0
-    for z in range(z_min, z_max + 1):
+    for z in range(z_min, c1 + 1):
         total += -term if z % 2 else term
         term = term * (z + 2) * (c1 - z) * (c2 - z) * (c3 - z) // (
-            (z + 1 - f1) * (z + 1 - f2) * (z + 1 - f3) * (z + 1 - f4)
+            (z + 1 - s1) * (z + 1 - s2) * (z + 1 - s3) * (z + 1 - z_min)
         )
     if total == 0:
         return 0.0
@@ -187,15 +181,15 @@ def parse_half_integer(value, name: str) -> Fraction:
     a Fraction, an int or a float, read exactly (a huge float is a huge
     half-integer for the caller's range check); else a ValidationError."""
     try:
-        exact = Fraction(value)
+        exact = value if isinstance(value, int) else Fraction(value)  # a bool is refused by _twice
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise ValidationError(f"cannot parse {name} {value!r} as a half-integer") from None
     return Fraction(_twice(exact, name), 2)
 
 
-@dataclass(frozen=True)
-class HyperfineLevel:
-    """One hyperfine component F of an (I, j) manifold.
+class HyperfineLevel(NamedTuple):
+    """One hyperfine component F of an (I, j) manifold, an immutable tuple
+    of its four fields (equal to the plain tuple of them).
 
     K_casimir = F(F+1) - I(I+1) - j(j+1). The quadrupole coefficient is
     the exact rational multiplier of the electric-quadrupole constant; its
@@ -210,7 +204,8 @@ class HyperfineLevel:
 
     @property
     def weight(self) -> int:
-        return 2 * self.F.numerator // self.F.denominator + 1
+        numerator, denominator = self.F.as_integer_ratio()
+        return 2 * numerator // denominator + 1
 
 
 def hfs_e2_levels(I, j, B_const_eV: float) -> tuple[HyperfineLevel, ...]:
@@ -223,10 +218,9 @@ def hfs_e2_levels(I, j, B_const_eV: float) -> tuple[HyperfineLevel, ...]:
     shift is B times the float of its coefficient; the rest of the ladder
     does not depend on B and is memoised per (2I, 2j) by _ladder.
     """
-    return tuple(
-        HyperfineLevel(F, K, coefficient, B_const_eV * as_float)
-        for F, K, coefficient, as_float in _ladder(_twice(I, "I"), _twice(j, "j"))
-    )
+    make = HyperfineLevel._make
+    return tuple([make((F, K, coefficient, B_const_eV * as_float))
+                  for F, K, coefficient, as_float in _ladder(_twice(I, "I"), _twice(j, "j"))])
 
 
 @functools.lru_cache(maxsize=LADDER_MEMO_SIZE)
@@ -255,12 +249,17 @@ def centroid(levels: Sequence[HyperfineLevel]) -> float:
     For a pure first-order electric-quadrupole ladder this is zero: the
     rank-2 trace identity. A uniform scalar offset passes through
     unchanged, so centroid extraction cancels the first-order quadrupole
-    background while preserving scalar physics.
+    background while preserving scalar physics. The weighted shifts are
+    summed left to right, so every supported Python gives the same bits.
     """
     if not levels:
         raise ValidationError("cannot take the centroid of an empty ladder")
-    weights = [lvl.weight for lvl in levels]
-    return sum(w * lvl.shift_eV for w, lvl in zip(weights, levels)) / sum(weights)
+    total = weights = 0
+    for level in levels:  # left to right: Python 3.12's sum() of floats compensates
+        weight = level.weight
+        total += weight * level.shift_eV
+        weights += weight
+    return total / weights
 
 
 @functools.cache

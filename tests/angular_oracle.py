@@ -88,7 +88,7 @@ _CLASSICAL = (
 
 
 def main() -> int:
-    from gkpforge.angular import _twice, centroid, hfs_e2_levels, wigner_6j
+    from gkpforge.angular import _twice, centroid, hfs_e2_levels, parse_half_integer, wigner_6j
     from gkpforge.errors import ValidationError
 
     failures = []
@@ -99,16 +99,19 @@ def main() -> int:
             failures.append(f"6j{t}")
         if value != 0.0 and any(wigner_6j(*g(*j)) != value for g in (*_CLASSICAL, _regge)):
             failures.append(f"symmetry of 6j{t}")
-    rng = random.Random(99)
-    checked = 0
-    while checked < 500:
-        t = [rng.randint(0, 99) for _ in range(6)]
-        value = _reference_6j(*t)
-        if value == 0.0 or max(t) <= 49:
-            continue
-        if not _same_float(wigner_6j(*(Fraction(x, 2) for x in t)), value):
-            failures.append(f"6j{t}")
-        checked += 1
+    # 500 nonzero symbols in each of the benchmark's size buckets of the
+    # largest doubled argument
+    for low, high in ((0, 9), (10, 21), (22, 49), (50, 99)):
+        rng = random.Random(99)
+        checked = 0
+        while checked < 500:
+            t = [rng.randint(0, high) for _ in range(6)]
+            value = _reference_6j(*t)
+            if value == 0.0 or max(t) < low:
+                continue
+            if not _same_float(wigner_6j(*(Fraction(x, 2) for x in t)), value):
+                failures.append(f"6j{t}")
+            checked += 1
     for twice_I, twice_j in itertools.product(range(25), range(1, 24)):
         I, j = Fraction(twice_I, 2), Fraction(twice_j, 2)
         for B in (1.0, -3.7e-5):
@@ -121,13 +124,21 @@ def main() -> int:
                 failures.append(f"ladder (I, j, B) = ({I}, {j}, {B})")
         if twice_I >= 2 and twice_j >= 3 and abs(centroid(hfs_e2_levels(I, j, 1.0))) > 1e-14:
             failures.append(f"centroid of ladder (I, j) = ({I}, {j})")
-    for bad in ((Fraction(1, 3), 1, 1, 1, 1, 1), (0.3, 1, 1, 1, 1, 1), (-1, 1, 1, 1, 1, 1)):
+    for bad in ((Fraction(1, 3), 1, 1, 1, 1, 1), (0.3, 1, 1, 1, 1, 1), (-1, 1, 1, 1, 1, 1),
+                (True, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, False)):
         for _ in range(2):
             try:
                 wigner_6j(*bad)
                 failures.append(f"6j{bad} was not refused")
             except ValidationError:
                 pass
+    for name, refused in (("ladder of I = True", lambda: hfs_e2_levels(True, Fraction(3, 2), 1.0)),
+                          ("half-integer True", lambda: parse_half_integer(True, "j"))):
+        try:
+            refused()
+            failures.append(f"the {name} was not refused")
+        except ValidationError:
+            pass
     if _twice(Fraction(7, 2)) != 7:
         failures.append("_twice(7/2)")
     if "numpy" in sys.modules:

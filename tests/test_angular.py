@@ -12,10 +12,12 @@ from gkpforge.angular import (
     LADDER_MEMO_SIZE,
     SIXJ_MEMO_SIZE,
     ElectronicChannel,
+    HyperfineLevel,
     _twice,
     centroid,
     default_channels,
     hfs_e2_levels,
+    parse_half_integer,
     triangle_ok,
     wigner_6j,
 )
@@ -162,22 +164,36 @@ def test_wigner_6j_bit_identical_to_fraction_sum_small():
     assert mismatches == []
 
 
-def test_wigner_6j_bit_identical_to_fraction_sum_large():
-    rng = random.Random(99)
-    checked = 0
-    while checked < 500:
-        t1, t2, t4, t5 = (rng.randint(0, 99) for _ in range(4))
+def _closing_sixj(rng: random.Random, low: int, high: int):
+    """Doubled arguments, each at most high and the largest at least low,
+    of a 6j whose four triads close."""
+    while True:
+        t1, t2, t4, t5 = (rng.randint(0, high) for _ in range(4))
         if (t1 + t2 + t4 + t5) % 2:
             continue
-        lo3, hi3 = max(abs(t1 - t2), abs(t4 - t5)), min(t1 + t2, t4 + t5, 99)
-        lo6, hi6 = max(abs(t1 - t5), abs(t4 - t2)), min(t1 + t5, t4 + t2, 99)
+        lo3, hi3 = max(abs(t1 - t2), abs(t4 - t5)), min(t1 + t2, t4 + t5, high)
+        lo6, hi6 = max(abs(t1 - t5), abs(t4 - t2)), min(t1 + t5, t4 + t2, high)
         if lo3 > hi3 or lo6 > hi6:
             continue
         t = (t1, t2, rng.randrange(lo3, hi3 + 1, 2), t4, t5, rng.randrange(lo6, hi6 + 1, 2))
-        if max(t) <= 49:
-            continue
+        if max(t) >= low:
+            return t
+
+
+def test_wigner_6j_bit_identical_to_fraction_sum_large():
+    rng = random.Random(99)
+    for _ in range(500):
+        t = _closing_sixj(rng, 50, 99)
         assert _same_float(wigner_6j(*(Fraction(x, 2) for x in t)), _reference_6j(*t)), t
-        checked += 1
+
+
+# the benchmark's middle size buckets: the largest doubled argument 10-21 and 22-49
+@pytest.mark.parametrize("low, high", [(10, 21), (22, 49)])
+def test_wigner_6j_bit_identical_to_fraction_sum_in_the_middle_buckets(low, high):
+    rng = random.Random(high)
+    for _ in range(500):
+        t = _closing_sixj(rng, low, high)
+        assert _same_float(wigner_6j(*(Fraction(x, 2) for x in t)), _reference_6j(*t)), t
 
 
 @pytest.mark.parametrize("B", [1.0, -3.7e-5])
@@ -243,6 +259,58 @@ def test_twice_refuses_non_half_integers_and_negatives():
     for bad in (Fraction(1, 3), Fraction(-1, 2), Fraction(-2), -1, -0.5):
         with pytest.raises(ValidationError):
             _twice(bad)
+
+
+def test_a_bool_is_not_a_half_integer():
+    assert wigner_6j(1, 1, 1, 1, 1, 1) == wigner_6j(Fraction(1), 1, 1, 1, 1, 1) != 0.0
+    for _ in range(3):  # refused on every call, memos warm or not
+        for position, bool_value in itertools.product(range(6), (True, False)):
+            args = [1] * 6
+            args[position] = bool_value
+            with pytest.raises(ValidationError, match=f"j{position + 1} {bool_value} is a bool"):
+                wigner_6j(*args)
+        with pytest.raises(ValidationError, match="I True is a bool"):
+            hfs_e2_levels(True, Fraction(3, 2), 1.0)
+        with pytest.raises(ValidationError, match="j True is a bool"):
+            hfs_e2_levels(Fraction(5, 2), True, 1.0)
+        with pytest.raises(ValidationError, match="j False is a bool"):
+            parse_half_integer(False, "j")
+        with pytest.raises(ValidationError, match="is a bool"):
+            ElectronicChannel(n=2, l=1, j=True, label="2p")
+        with pytest.raises(ValidationError, match="is a bool"):
+            triangle_ok(True, 1, 1)
+    assert parse_half_integer(3, "j") == Fraction(3) and parse_half_integer(Fraction(3, 2), "j") == Fraction(3, 2)
+
+
+def test_a_level_is_an_immutable_tuple_built_by_keyword():
+    level = HyperfineLevel(F=Fraction(3, 2), K_casimir=Fraction(-15, 4), quadrupole_coefficient=Fraction(1, 4))
+    assert level.shift_eV == 0.0
+    assert level == (Fraction(3, 2), Fraction(-15, 4), Fraction(1, 4), 0.0)
+    with pytest.raises(AttributeError):
+        level.shift_eV = 1.0
+    with pytest.raises(TypeError):
+        level[3] = 1.0
+    ladder = hfs_e2_levels(Fraction(5, 2), Fraction(3, 2), 0.37)
+    assert all(type(lvl) is HyperfineLevel for lvl in ladder)
+    assert ladder[0] == tuple(ladder[0]) == (ladder[0].F, ladder[0].K_casimir,
+                                             ladder[0].quadrupole_coefficient, ladder[0].shift_eV)
+
+
+def test_weight_is_two_F_plus_one():
+    for twice_F in range(0, 60):
+        weight = HyperfineLevel(Fraction(twice_F, 2), Fraction(0), Fraction(0)).weight
+        assert weight == twice_F + 1 and type(weight) is int
+
+
+@pytest.mark.parametrize("B", [0.37, -3.7e-5])
+def test_centroid_is_the_left_to_right_weighted_mean(B):
+    for twice_I, twice_j in itertools.product(range(25), range(1, 24)):
+        levels = hfs_e2_levels(Fraction(twice_I, 2), Fraction(twice_j, 2), B)
+        weighted, weights = 0.0, 0
+        for level in levels:
+            weighted = weighted + int(2 * level.F + 1) * level.shift_eV
+            weights = weights + int(2 * level.F + 1)
+        assert _same_float(centroid(levels), weighted / weights), (twice_I, twice_j)
 
 
 def test_rank2_allowed():

@@ -190,54 +190,49 @@ def test_block_rng_is_default_rng_of_seed_and_block(seed, block):
     assert _block_rng(seed, block).bit_generator.state == np.random.default_rng([seed, block]).bit_generator.state
 
 
-def _allocating_draw(param, rng, size):
-    """A parameter's draws as numpy's allocating draws give them."""
-    if param.distribution == "uniform":
-        return rng.uniform(param.low, param.high, size)
-    if param.distribution == "log-uniform":
-        return np.exp(rng.uniform(math.log(param.low), math.log(param.high), size))
-    return rng.normal(param.mean, param.sigma, size)
-
-
-def _allocating_guarded_draw(param, rng, size):
-    """Guarded draw from allocating draws, every value re-tested each round."""
-    values = _allocating_draw(param, rng, size)
+def _numpy_guarded_draw(draw, band, rng, size):
+    """Guarded draw from draw(rng, n), every value re-tested each round."""
+    values = draw(rng, size)
     rejected = 0
     while True:
-        bad = np.abs(values) < param.exclude_abs_below
+        bad = np.abs(values) < band
         count = int(bad.sum())
         if not count:
             return values, rejected
         rejected += count
-        values[bad] = _allocating_draw(param, rng, count)
+        values[bad] = draw(rng, count)
 
 
-# each band rejects part of its distribution's support; sigma = 5e-324
-# rounds every sigma z below one half in size to a signed zero, so the
-# zero-mean cases check the +0.0 that rng.normal's 0.0 + sigma z gives
+# each case with numpy's own draw written out; each band rejects part of its
+# distribution's support; sigma = 5e-324 rounds every sigma z below one half
+# in size to a signed zero, so the zero-mean cases check the +0.0 that
+# rng.normal's 0.0 + sigma z gives
 DRAWS = [
-    ("uniform", {"low": -0.25, "high": 1.0}, 0.1),
-    ("uniform", {"low": 4.0, "high": 20.0}, 5.0),
-    ("log-uniform", {"low": 1e-3, "high": 1e3}, 1.0),
-    ("log-uniform", {"low": 4.0, "high": 20.0}, 6.0),
-    ("gaussian", {"mean": 0.3, "sigma": 0.4}, 0.05),
-    ("gaussian", {"mean": 0.0, "sigma": 1.0}, 0.6744897501960817),
-    ("gaussian", {"mean": 0.0, "sigma": 5e-324}, 0.0),
-    ("gaussian", {"mean": -0.0, "sigma": 5e-324}, 0.0),
+    ("uniform", {"low": -0.25, "high": 1.0}, 0.1, lambda rng, n: rng.uniform(-0.25, 1.0, n)),
+    ("uniform", {"low": 4.0, "high": 20.0}, 5.0, lambda rng, n: rng.uniform(4.0, 20.0, n)),
+    ("log-uniform", {"low": 1e-3, "high": 1e3}, 1.0,
+     lambda rng, n: np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))),
+    ("log-uniform", {"low": 4.0, "high": 20.0}, 6.0,
+     lambda rng, n: np.exp(rng.uniform(math.log(4.0), math.log(20.0), n))),
+    ("gaussian", {"mean": 0.3, "sigma": 0.4}, 0.05, lambda rng, n: rng.normal(0.3, 0.4, n)),
+    ("gaussian", {"mean": 0.0, "sigma": 1.0}, 0.6744897501960817, lambda rng, n: rng.normal(0.0, 1.0, n)),
+    ("gaussian", {"mean": 0.0, "sigma": 5e-324}, 0.0, lambda rng, n: rng.normal(0.0, 5e-324, n)),
+    ("gaussian", {"mean": -0.0, "sigma": 5e-324}, 0.0, lambda rng, n: rng.normal(-0.0, 5e-324, n)),
 ]
 
 
-@pytest.mark.parametrize("distribution, bounds, band", DRAWS)
+@pytest.mark.parametrize("distribution, bounds, band, numpy_draw", DRAWS)
 @pytest.mark.parametrize("guarded", [False, True], ids=["unguarded", "guarded"])
 @pytest.mark.parametrize("size", [1, 1024, 5000])
-def test_draws_in_place_are_the_bits_of_numpys_allocating_draws(distribution, bounds, band, guarded, size):
-    param = ParameterSpec(name="x", distribution=distribution, exclude_abs_below=band if guarded else 0.0, **bounds)
+def test_guarded_draws_are_the_bits_of_numpys_own_draws(distribution, bounds, band, numpy_draw, guarded, size):
+    band = band if guarded else 0.0
+    param = ParameterSpec(name="x", distribution=distribution, exclude_abs_below=band, **bounds)
     rng, reference_rng = _block_rng(11, size), np.random.default_rng([11, size])
     values = np.full(size, np.nan)
     rejected = _draw_guarded(param, rng, values)
-    expected, expected_rejected = _allocating_guarded_draw(param, reference_rng, size)
+    expected, expected_rejected = _numpy_guarded_draw(numpy_draw, band, reference_rng, size)
     assert values.tobytes() == expected.tobytes() and rejected == expected_rejected  # signed zeros included
-    if not guarded or band == 0.0:
+    if band == 0.0:
         assert rejected == 0
     elif size > 1:
         assert rejected > 0  # the redraws ran
@@ -722,11 +717,13 @@ def test_kappa_draws_sample_the_default_rng_blocks_with_numpys_draws(mo_chain, c
     grids = []
     monkeypatch.setattr(montecarlo, "condition_numbers", lambda grid: (grids.append(grid), condition_numbers(grid))[1])
     _, excluded = kappa_draws(mo_chain, coeffs, spec)
+    draws = ((lambda rng, k: rng.normal(0.3, 0.4, k), 0.05),
+             (lambda rng, k: np.exp(rng.uniform(math.log(4.0), math.log(20.0), k)), 0.0))
     qs, be2, rejected = [], [], 0
     for block, start in enumerate(range(0, n, BLOCK_SIZE)):
         rng = np.random.default_rng([seed, block])
-        for param, values in zip(spec.parameters, (qs, be2)):
-            drawn, count = _allocating_guarded_draw(param, rng, min(BLOCK_SIZE, n - start))
+        for (draw, band), values in zip(draws, (qs, be2)):
+            drawn, count = _numpy_guarded_draw(draw, band, rng, min(BLOCK_SIZE, n - start))
             values.append(drawn)
             rejected += count
     t = coeffs.rank2_transitions()[0]
