@@ -7,19 +7,21 @@ the squared symbol becomes a float through a single correctly rounded
 int/int division before the square root. At desk scale (arguments up to
 99/2) results are correct to about one ulp.
 
-Every argument is validated on every call (a bool is refused), and each
-exact value is then computed once per symmetry class. A 6j's doubled triad
-sums alpha (four) and column sums beta (three), each sorted, are invariant
-under all 144 classical and Regge symmetries, and the Racah sum and the
-Delta product are exact integers that depend only on them: the sum's range
-and its multinomial terms are read from the sorted sums themselves. So the
-symbol is memoised on (sorted alpha, sorted beta), for at most
-SIXJ_MEMO_SIZE classes, and every member of a class gets the same float. A
-quadrupole ladder's F, K and exact coefficients do not depend on B and are
-memoised per (2I, 2j), for at most LADDER_MEMO_SIZE manifolds; each call
-multiplies B by the same float of each coefficient, so the shifts are the
-same bits as an unmemoised ladder's, and each level is a named tuple built
-from its memo row.
+Every argument is validated on every call: it must be a Fraction, an int
+or a real number (float, numpy's floats and ints, Decimal), so a bool, a
+numpy bool, a str and None are refused. Each exact value is then computed
+once per symmetry class. A 6j's doubled triad sums alpha (four) and column
+sums beta (three), each sorted, are invariant under all 144 classical and
+Regge symmetries, and the Racah sum and the Delta product are exact
+integers that depend only on them: the sum's range and its multinomial
+terms are read from the sorted sums themselves. So the symbol is memoised
+on (sorted alpha, sorted beta), for at most SIXJ_MEMO_SIZE classes, and
+every member of a class gets the same float. A quadrupole ladder's F, K
+and exact coefficients do not depend on B and are memoised per (2I, 2j),
+for at most LADDER_MEMO_SIZE manifolds; each call multiplies B by the same
+float of each coefficient, so the shifts are the same bits as an
+unmemoised ladder's, and each level is a named tuple built from its memo
+row.
 
 The module is also the one parser of half-integers (angular momenta and
 nuclear spins alike), and provides the electronic channels and the
@@ -31,7 +33,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
+from numbers import Real
 from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -68,8 +72,13 @@ def _twice(j, name: str = "argument") -> int:
         if isinstance(j, bool):
             raise ValidationError(f"{name} {j!r} is a bool, not a half-integer")
         tj = 2 * j
+    elif not isinstance(j, (Real, Decimal)):  # a numpy bool, a str or None
+        raise ValidationError(f"{name} {j!r} is a {type(j).__name__}, not a real number")
     else:
-        twice = 2 * float(j)
+        try:
+            twice = 2 * float(j)
+        except ValueError:  # a signaling NaN Decimal
+            twice = math.nan
         if not twice.is_integer():  # nor is a NaN, an inf or a double that overflows
             raise ValidationError(f"{name} {j!r} is not a half-integer whose double is a finite float")
         tj = int(twice)

@@ -10,6 +10,13 @@ as `head` stopped early; 141 is what a shell reports for a process ended
 by SIGPIPE). A closed stdout prints nothing and no traceback; --out
 files are written before stdout and are complete.
 
+The parsers are built once per process. A command line that starts with
+a command is parsed by that command's own parser, which is all that the
+top-level parser would do with it. The top-level parser handles the
+rest: no arguments, --help, --version, an unknown command, and words
+that the command's parser leaves over. So usage, errors and exit codes
+are those of the top-level parser.
+
 Each handler imports the layers it runs, so that a command loads only
 those: budget, solvability, milestones and ramsey are closed-form and
 start without numpy; condition and extract load the numerical layers
@@ -214,10 +221,16 @@ def _json_text(report: dict) -> str:
     return "".join(out)
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    """A dataclass's field names in field order, read once per class."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _fields(obj) -> dict:
     """A dataclass's fields in field order, sharing its values: the leaves
     are immutable, so the deep copy of dataclasses.asdict buys nothing."""
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
 
 
 def _emit(args, report: dict, *, seed: int | None = None,
@@ -483,8 +496,9 @@ def _half_life(text: str) -> float | None:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """Built once per process and shared by every main() call: keep it stateless."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name, built
+    once per process and shared by every main() call: keep them stateless."""
     parser = argparse.ArgumentParser(
         prog="gkpforge",
         description="Barrier budgets, topology checks, conditioning studies, rank-2 extraction, "
@@ -497,50 +511,63 @@ def _build_parser() -> argparse.ArgumentParser:
     chain_help = "chain file or bundled resource name (default: %(default)s)"
 
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("budget", parents=[common], help="electromagnetic barrier budget for a probe isotope")
+    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
+        p = commands[name] = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("budget", cmd_budget, "electromagnetic barrier budget for a probe isotope")
     p.add_argument("--anchors", default="mo41-anchors-v1", metavar="PATH")
     p.add_argument("--scenario", choices=["current", "projected"], default="current")
     p.add_argument("--probe", type=int, default=None, metavar="A")
     p.add_argument("--chain", default="mo-chain-v1", metavar="PATH", help=chain_help)
-    p.set_defaults(handler=cmd_budget)
 
-    p = sub.add_parser("solvability", parents=[common], help="topology counting for the rank-2 extraction")
+    p = command("solvability", cmd_solvability, "topology counting for the rank-2 extraction")
     p.add_argument("--transitions", type=int, default=1, metavar="N")
     p.add_argument("--nbkg", type=int, default=2, metavar="K")
     p.add_argument("--add-isotope", type=int, action="append", default=[], metavar="A",
                    help="count an additional odd isotope (topology counting only)")
     p.add_argument("--chain", default="mo-chain-v1", metavar="PATH", help=chain_help)
-    p.set_defaults(handler=cmd_solvability)
 
-    p = sub.add_parser("condition", parents=[common], help="Monte Carlo conditioning of the design matrix")
+    p = command("condition", cmd_condition, "Monte Carlo conditioning of the design matrix")
     p.add_argument("--spec", default="mo91-sampling-v1", metavar="PATH")
     p.add_argument("--coeffs", default="mo41-coeffs-v1", metavar="PATH")
     p.add_argument("--samples", type=int, default=None, metavar="N")
     p.add_argument("--seed", type=int, default=None, metavar="SEED")
     p.add_argument("--chain", default="mo-chain-v1", metavar="PATH", help=chain_help)
-    p.set_defaults(handler=cmd_condition)
 
-    p = sub.add_parser("extract", parents=[common], help="weighted rank-2 extraction from an rhs file")
+    p = command("extract", cmd_extract, "weighted rank-2 extraction from an rhs file")
     p.add_argument("--coeffs", default="mo41-coeffs-v1", metavar="PATH")
     p.add_argument("--anchors", default="mo41-anchors-v1", metavar="PATH")
     p.add_argument("--rhs", required=True, metavar="PATH")
     p.add_argument("--chain", default="mo-chain-frib-synthetic-v1", metavar="PATH", help=chain_help)
-    p.set_defaults(handler=cmd_extract)
 
-    p = sub.add_parser("milestones", parents=[common], help="sensitivity milestone ladder and lookup")
+    p = command("milestones", cmd_milestones, "sensitivity milestone ladder and lookup")
     p.add_argument("--ladder", default="milestones-v1", metavar="PATH")
     p.add_argument("--target", type=float, default=None, metavar="EV")
-    p.set_defaults(handler=cmd_milestones)
 
-    p = sub.add_parser("ramsey", parents=[common], help="decay-limited Ramsey interrogation plan")
+    p = command("ramsey", cmd_ramsey, "decay-limited Ramsey interrogation plan")
     p.add_argument("--half-life", type=_half_life, default=None, metavar="S",
                    help="half-life in seconds, or 'stable'")
     p.add_argument("--tr", type=_finite_float, required=True, metavar="S", help="requested interrogation time")
     p.add_argument("--reps", type=int, default=1, metavar="N")
-    p.set_defaults(handler=cmd_ramsey)
 
-    return parser
+    return parser, commands
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed into a fresh namespace, whose inputs _load fills: by
+    the command's own parser when it takes all of argv, else by the
+    top-level parser, as the module docstring says."""
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        namespace = argparse.Namespace(inputs={}, command=argv[0])
+        args, rest = commands[argv[0]].parse_known_args(argv[1:], namespace)
+        if not rest:
+            return args
+    return parser.parse_args(argv, argparse.Namespace(inputs={}))
 
 
 def _numerical_errors() -> tuple[type[Exception], ...]:
@@ -551,8 +578,7 @@ def _numerical_errors() -> tuple[type[Exception], ...]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv, argparse.Namespace(inputs={}))  # inputs: filled by _load
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit

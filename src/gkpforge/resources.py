@@ -57,6 +57,13 @@ def _bundled_data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
+@functools.cache
+def _bundled_path(basename: str) -> Path:
+    """The bundled data file of a basename, built once per basename; whether
+    it exists is asked on every lookup."""
+    return _bundled_data_dir() / basename
+
+
 def resource_path(name: str) -> Path:
     """Resolve a resource name (or a direct file path) to a local path."""
     if name in RESOURCE_FILES:
@@ -66,7 +73,7 @@ def resource_path(name: str) -> Path:
             candidate = Path(override) / basename
             if candidate.exists():
                 return candidate
-        path = _bundled_data_dir() / basename
+        path = _bundled_path(basename)
         if not path.exists():
             raise ValidationError(f"bundled resource {name!r} is missing its data file {basename!r}")
         return path

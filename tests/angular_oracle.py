@@ -15,6 +15,7 @@ import itertools
 import math
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 def _reference_delta_sq(ta, tb, tc):
@@ -88,7 +89,7 @@ _CLASSICAL = (
 
 
 def main() -> int:
-    from gkpforge.angular import _twice, centroid, hfs_e2_levels, parse_half_integer, wigner_6j
+    from gkpforge.angular import _twice, centroid, hfs_e2_levels, parse_half_integer, triangle_ok, wigner_6j
     from gkpforge.errors import ValidationError
 
     failures = []
@@ -125,7 +126,8 @@ def main() -> int:
         if twice_I >= 2 and twice_j >= 3 and abs(centroid(hfs_e2_levels(I, j, 1.0))) > 1e-14:
             failures.append(f"centroid of ladder (I, j) = ({I}, {j})")
     for bad in ((Fraction(1, 3), 1, 1, 1, 1, 1), (0.3, 1, 1, 1, 1, 1), (-1, 1, 1, 1, 1, 1),
-                (True, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, False)):
+                (True, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, False), ("0.5", 1, 1, 1, 1, 1),
+                (1, 1, "1/2", 1, 1, 1), (1, 1, 1, None, 1, 1)):
         for _ in range(2):
             try:
                 wigner_6j(*bad)
@@ -133,7 +135,11 @@ def main() -> int:
             except ValidationError:
                 pass
     for name, refused in (("ladder of I = True", lambda: hfs_e2_levels(True, Fraction(3, 2), 1.0)),
-                          ("half-integer True", lambda: parse_half_integer(True, "j"))):
+                          ("half-integer True", lambda: parse_half_integer(True, "j")),
+                          ("ladder of I = '7/2'", lambda: hfs_e2_levels("7/2", Fraction(3, 2), 1.0)),
+                          ("ladder of j = None", lambda: hfs_e2_levels(Fraction(7, 2), None, 1.0)),
+                          ("triangle of '1'", lambda: triangle_ok("1", 1, 1)),
+                          ("half-integer None", lambda: parse_half_integer(None, "j"))):
         try:
             refused()
             failures.append(f"the {name} was not refused")
@@ -141,6 +147,9 @@ def main() -> int:
             pass
     if _twice(Fraction(7, 2)) != 7:
         failures.append("_twice(7/2)")
+    # a Decimal is a real number, read as its float
+    if wigner_6j(*map(Decimal, ("1.5", "1", "1.5", "2", "2.5", "1"))) != wigner_6j(1.5, 1, 1.5, 2, 2.5, 1):
+        failures.append("6j of Decimal arguments")
     if "numpy" in sys.modules:
         failures.append("gkpforge.angular imported numpy")
     version = sys.version.split()[0]

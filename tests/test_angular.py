@@ -3,8 +3,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gkpforge import angular
@@ -148,8 +150,9 @@ def test_wigner_6j_rejects_non_half_integers():
         wigner_6j(0.3, 1, 1, 1, 1, 1)
     with pytest.raises(ValidationError):
         wigner_6j(-1, 1, 1, 1, 1, 1)
-    # a float whose double is not finite is refused, not an OverflowError
-    for bad in (1e308, -1e308, math.inf, -math.inf, math.nan):
+    # a float whose double is not finite is refused, not an OverflowError,
+    # and so is a Decimal that float() reads as such or refuses (sNaN)
+    for bad in (1e308, -1e308, math.inf, -math.inf, math.nan, Decimal("1e400"), Decimal("NaN"), Decimal("sNaN")):
         with pytest.raises(ValidationError, match="j1"):
             wigner_6j(bad, 1, 1, 1, 1, 1)
         with pytest.raises(ValidationError, match="I"):
@@ -280,6 +283,63 @@ def test_a_bool_is_not_a_half_integer():
         with pytest.raises(ValidationError, match="is a bool"):
             triangle_ok(True, 1, 1)
     assert parse_half_integer(3, "j") == Fraction(3) and parse_half_integer(Fraction(3, 2), "j") == Fraction(3, 2)
+
+
+# what is neither a Fraction nor an int must be a real number: numpy's
+# bools, a str and None are refused by every entry point that doubles it
+NOT_REAL = [np.True_, np.False_, "0.5", "1/2", None]
+
+
+@pytest.mark.parametrize("bad", NOT_REAL, ids=repr)
+def test_a_value_that_is_not_a_real_number_is_refused_by_every_angular_function(bad):
+    for _ in range(2):  # refused on every call, memos warm or not
+        for position in range(6):
+            args = [1] * 6
+            args[position] = bad
+            with pytest.raises(ValidationError, match=f"j{position + 1} .* not a real number"):
+                wigner_6j(*args)
+        with pytest.raises(ValidationError, match="I .* not a real number"):
+            hfs_e2_levels(bad, Fraction(3, 2), 1.0)
+        with pytest.raises(ValidationError, match="j .* not a real number"):
+            hfs_e2_levels(Fraction(5, 2), bad, 1.0)
+        for position in range(3):
+            args = [1] * 3
+            args[position] = bad
+            with pytest.raises(ValidationError, match="not a real number"):
+                triangle_ok(*args)
+
+
+@pytest.mark.parametrize("bad", [np.True_, np.False_, None], ids=repr)
+def test_the_half_integer_parser_refuses_numpy_bools_and_none(bad):
+    with pytest.raises(ValidationError, match="cannot parse j"):
+        parse_half_integer(bad, "j")
+    with pytest.raises(ValidationError, match="cannot parse j"):
+        ElectronicChannel(n=2, l=1, j=bad, label="2p")
+
+
+def test_the_half_integer_parser_still_reads_a_str():
+    assert parse_half_integer("0.5", "j") == parse_half_integer("1/2", "j") == HALF
+    assert ElectronicChannel(n=2, l=1, j="3/2", label="2p3/2").j == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("real", [float, np.float64, np.int64, Decimal], ids=lambda real: real.__name__)
+def test_real_numbers_keep_their_values(real):
+    whole = real is np.int64  # an np.int64 carries only whole arguments
+    sixj, ladder = ((2, 4, 4, 2, 4, 2), (6, 4)) if whole else ((3, 2, 3, 4, 5, 2), (7, 5))  # doubled
+
+    def half(t):
+        return real(t // 2) if whole else real(t) / 2
+
+    exact = [Fraction(t, 2) for t in sixj]
+    assert wigner_6j(*exact) != 0.0
+    for position in range(6):
+        args = list(exact)
+        args[position] = half(sixj[position])
+        assert _same_float(wigner_6j(*args), wigner_6j(*exact))
+    assert _same_float(wigner_6j(*map(half, sixj)), wigner_6j(*exact))
+    I, j = map(half, ladder)
+    assert hfs_e2_levels(I, j, 1.0) == hfs_e2_levels(*(Fraction(t, 2) for t in ladder), 1.0)
+    assert triangle_ok(I, j, half(2)) is True and triangle_ok(I, j, half(ladder[0] + ladder[1] + 2)) is False
 
 
 def test_a_level_is_an_immutable_tuple_built_by_keyword():

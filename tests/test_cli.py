@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import math
@@ -20,6 +21,8 @@ from gkpforge.cli import main
 from gkpforge.errors import NumericalError
 from gkpforge.nucdata import chain_to_csv, load_bundled_chain
 from gkpforge.resources import resource_path, schema_path
+from golden_cases import CASES
+from test_golden import FORMATS, GOLDEN
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -1167,6 +1170,131 @@ def test_version_exits_zero_twice(capsys, fresh_parser):
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out == f"gkpforge {__version__}\n"
+
+
+def test_each_command_has_its_own_parser():
+    _, commands = cli._build_parser()
+    assert {name: parser.prog for name, parser in commands.items()} == {
+        name: f"gkpforge {name}" for name in ("budget", "solvability", "condition", "extract", "milestones", "ramsey")}
+
+
+def test_clearing_the_parser_cache_rebuilds_the_command_map(capsys, fresh_parser):
+    parser, commands = cli._build_parser()
+    cli._build_parser.cache_clear()
+    rebuilt, rebuilt_commands = cli._build_parser()
+    assert rebuilt is not parser
+    assert all(rebuilt_commands[name] is not commands[name] for name in commands)
+    # main parses with the rebuilt map: a default set on the old one is not seen
+    commands["budget"].set_defaults(scenario="projected")
+    code, report = _run_json(capsys, "budget")
+    assert code == 0 and report["scenario"] == "current"
+
+
+def _top_level_parse(argv: list[str]) -> argparse.Namespace:
+    """The reference parse: every request through the top-level parser."""
+    parser, _ = cli._build_parser()
+    return parser.parse_args(argv, argparse.Namespace(inputs={}))
+
+
+def _outcome(capsys, argv: list[str]) -> tuple[object, str, str]:
+    """Exit code (returned or raised), stdout and stderr of main(argv)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# every golden case in each format, the invalid requests of gkpbench's
+# cli_mix, and the command lines that the top-level parser answers itself
+ABSENT = "<golden>/absent.json"
+DIFFERENTIAL = [
+    *([*argv, "--format", fmt] for argv in CASES.values() for fmt in FORMATS),
+    ["budget", "--scenario", "bogus"],
+    ["budget", "--probe", "99"],
+    ["solvability", "--nbkg", "-1"],
+    ["milestones", "--target", "1e-30"],
+    ["ramsey", "--tr", "-1"],
+    ["extract", "--rhs", ABSENT],
+    ["condition", "--spec", ABSENT],
+    [],
+    ["--help"],
+    ["--version"],
+    ["budget", "--help"],
+    ["-h", "budget"],
+    ["bogus"],
+    ["budget", "--bogus"],
+    ["budget", "extra"],
+    ["budget", "--version"],
+    ["--format", "json", "budget"],
+    ["budget", "--format=json"],
+    ["ramsey", "--tr=2", "--format=csv"],
+    ["budget", "--format", "json", "--"],
+    ["budget", "--", "--format", "json"],
+    ["--", "budget"],
+    ["budget", "--form", "json"],
+    ["extract"],
+    ["ramsey", "--tr"],
+]
+
+
+@pytest.mark.parametrize("argv", DIFFERENTIAL, ids=lambda argv: " ".join(argv) or "(no argv)")
+def test_a_command_line_gives_what_the_top_level_parser_gives(capsys, monkeypatch, argv):
+    places = {"<data>": str(resource_path("mo-chain-v1").parent), "<golden>": str(GOLDEN)}
+    for placeholder, path in places.items():
+        argv = [arg.replace(placeholder, path) for arg in argv]
+    got = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse_args", _top_level_parse)
+    assert _outcome(capsys, argv) == got
+
+
+def test_only_what_a_command_parser_leaves_reaches_the_top_level_parser(capsys, monkeypatch, fresh_parser):
+    parser, _ = cli._build_parser()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return argparse.ArgumentParser.parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", counted)
+    for argv in (["budget", "--format", "json"], ["ramsey", "--tr", "1"], ["solvability", "--add-isotope", "91"]):
+        assert _outcome(capsys, argv)[0] == 0
+    assert calls == []
+    for argv in (["budget", "--bogus"], ["bogus"], ["--version"], []):
+        _outcome(capsys, argv)
+    assert len(calls) == 4
+
+
+REPORT_DATACLASSES = {"BarrierBudget", "BarrierEntry", "Topology", "KappaSummary", "DesignMatrix",
+                      "ExtractionResult", "Milestone", "RamseyPlan"}
+
+
+def test_fields_are_the_dataclass_fields_in_field_order(capsys, monkeypatch):
+    fields, seen = cli._fields, {}
+
+    def recorded(obj):
+        seen.setdefault(type(obj).__name__, obj)
+        return fields(obj)
+
+    monkeypatch.setattr(cli, "_fields", recorded)
+    requests = [["budget"], ["solvability"], ["condition", "--samples", "64"], ["extract", "--rhs", RHS_FIXTURE],
+                ["milestones", "--target", "1e-15"], ["ramsey", "--tr", "1"]]
+    for argv in requests:
+        assert main([*argv, "--format", "json"]) == 0
+    capsys.readouterr()
+    assert set(seen) == REPORT_DATACLASSES
+    for obj in seen.values():
+        got = fields(obj)
+        want = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        assert list(got) == list(want)
+        assert all(got[name] is want[name] for name in want)
+    # the names are read once per class
+    misses = cli._field_names.cache_info().misses
+    for argv in requests:
+        assert main([*argv, "--format", "json"]) == 0
+    capsys.readouterr()
+    assert cli._field_names.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------
