@@ -16,7 +16,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from .constants import PLANCK_EV_S
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .resources import json_field, load_validated
 
 __all__ = [
@@ -177,7 +177,8 @@ def ramsey_plan(half_life_s: float | None, T_R_requested_s: float, repetitions: 
     Stable species interrogate for the requested time. Decay-limited
     species cap the time at T_opt = half_life / (2 ln 2) and warn when the
     request exceeds the optimum. The per-shot linewidth is 1/(2 pi T_R)
-    and the campaign sensitivity divides by sqrt(repetitions).
+    and the campaign sensitivity divides by sqrt(repetitions). One of them
+    below the smallest normal float is refused as a NumericalError.
     """
     if not (math.isfinite(T_R_requested_s) and T_R_requested_s > 0):
         raise ValidationError("requested interrogation time must be positive and finite")
@@ -204,15 +205,22 @@ def ramsey_plan(half_life_s: float | None, T_R_requested_s: float, repetitions: 
             )
     linewidth = 1.0 / (2.0 * math.pi * T_R)
     campaign_hz = linewidth / math.sqrt(repetitions)
+    sensitivities = {
+        "per_shot_linewidth_Hz": linewidth,
+        "campaign_sensitivity_Hz": campaign_hz,
+        "campaign_sensitivity_eV": campaign_hz * PLANCK_EV_S,
+    }
+    # an infinite one is left to the report writer's non-finite refusal
+    for name, value in sensitivities.items():
+        if value < sys.float_info.min:
+            raise NumericalError(f"{name} underflows to {value!r}, below the smallest normal float")
     return RamseyPlan(
         half_life_s=half_life_s,
         T_R_requested_s=T_R_requested_s,
         T_R_s=T_R,
         T_R_opt_s=T_opt,
-        per_shot_linewidth_Hz=linewidth,
         repetitions=repetitions,
-        campaign_sensitivity_Hz=campaign_hz,
-        campaign_sensitivity_eV=campaign_hz * PLANCK_EV_S,
         decay_penalty_at_request=penalty,
         warning=warning,
+        **sensitivities,
     )

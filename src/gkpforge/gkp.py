@@ -72,6 +72,9 @@ __all__ = [
 
 COLUMN_NAMES = ("qs_background", "alpha_t_background", "gravitomagnetic")
 
+# a transition's electronic coefficients (H, P, G), one per column
+_COEFFICIENT_FIELDS = ("H_eV_per_b", "P_eV_per_wu", "G_eV_per_lever")
+
 # sigma_min below this multiple of machine epsilon x sigma_max counts as
 # numerically rank deficient
 RANK_DEFICIENCY_RTOL = 1e3 * np.finfo(float).eps
@@ -92,13 +95,10 @@ class TransitionCoefficients:
         return self.upper_j >= RANK2_MIN_J
 
     def __post_init__(self):
-        for name in ("H_eV_per_b", "P_eV_per_wu", "G_eV_per_lever"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
+        for name in _COEFFICIENT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"transition {self.label!r}: {name} must be finite")
-        if not self.rank2_sensitive() and any(
-            getattr(self, n) != 0.0 for n in ("H_eV_per_b", "P_eV_per_wu", "G_eV_per_lever")
-        ):
+        if not self.rank2_sensitive() and any(getattr(self, name) != 0.0 for name in _COEFFICIENT_FIELDS):
             raise ValidationError(
                 f"transition {self.label!r} has a j < 3/2 upper state and must have zero rank-2 coefficients"
             )
@@ -156,13 +156,8 @@ def _coefficients_from_json(obj: dict, path: Path) -> ElectronicCoefficients:
             ElectronicChannel(n=n, l=l, j=j, label=label)
         except ValidationError as exc:
             raise ValidationError(f"{where}: upper state of {exc}") from None
-        transitions.append(TransitionCoefficients(
-            label=label,
-            H_eV_per_b=json_field(t, "H_eV_per_b", "number", context),
-            P_eV_per_wu=json_field(t, "P_eV_per_wu", "number", context),
-            G_eV_per_lever=json_field(t, "G_eV_per_lever", "number", context),
-            upper_j=j,
-        ))
+        coefficients = {name: json_field(t, name, "number", context) for name in _COEFFICIENT_FIELDS}
+        transitions.append(TransitionCoefficients(label=label, upper_j=j, **coefficients))
     return ElectronicCoefficients(
         name=json_field(obj, "name", "string", where),
         transitions=tuple(transitions),
@@ -248,7 +243,7 @@ def design_entries(nuclear, transitions: Sequence[TransitionCoefficients]) -> li
     each factor a float or an (n,) array of draws, times the transitions'
     (H, P, G) as floats: a float factor gives a float entry, as a
     condition_numbers grid holds. The column-norm check refuses overflow."""
-    electronic = [(float(t.H_eV_per_b), float(t.P_eV_per_wu), float(t.G_eV_per_lever)) for t in transitions]
+    electronic = [[float(getattr(t, name)) for name in _COEFFICIENT_FIELDS] for t in transitions]
     with np.errstate(over="ignore"):
         return [[factor * e for factor, e in zip(row, hpg)] for row in nuclear for hpg in electronic]
 

@@ -269,6 +269,10 @@ class KappaSummary:
             raise ValidationError("rank-deficient fraction outside [0, 1]")
 
 
+# the A = 91 parameters each draw samples: nuclear factor columns 0 and 1
+_SAMPLED = ("Qs_91", "BE2_91")
+
+
 def kappa_draws(chain: IsotopeChain, coeffs: ElectronicCoefficients,
                 spec: SamplingSpec) -> tuple[np.ndarray, float]:
     """Per-draw condition numbers of the three-odd-isotope design matrix:
@@ -276,10 +280,15 @@ def kappa_draws(chain: IsotopeChain, coeffs: ElectronicCoefficients,
 
     Each draw stacks the sampled A=91 nuclear factors (I = 9/2) under the
     measured A=95 and A=97 ones, over the first rank-2 transition. Returns
-    (kappas, guard-band excluded fraction of proposals).
+    (kappas, guard-band excluded fraction of proposals). A spec parameter
+    that no draw reads is refused.
     """
     n, seed = spec.sample_count, spec.seed
-    sampled = (spec.parameter("Qs_91"), spec.parameter("BE2_91"))  # nuclear factor columns 0 and 1
+    for param in spec.parameters:
+        if param.name not in _SAMPLED:
+            raise ValidationError(f"sampling spec parameter {param.name!r} is read by no draw, "
+                                  f"which samples only {' and '.join(_SAMPLED)}")
+    sampled = [spec.parameter(name) for name in _SAMPLED]
     transitions = coeffs.rank2_transitions()[:1]
     measured = design_entries([nuclear_factors(chain.isotope(A)) for A in (95, 97)], transitions)  # floats
     draws = np.empty((2, min(n, KAPPA_BATCH)))  # the sampled factors; every batch reuses it

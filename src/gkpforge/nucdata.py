@@ -235,14 +235,27 @@ def partition(chain: IsotopeChain) -> tuple[tuple[IsotopeRecord, ...], tuple[Iso
 # ---------------------------------------------------------------------------
 # loading / serialization
 
-_CSV_COLUMNS = ["A", "Z", "I", "parity", "r_ch", "beta2", "Qs", "BE2_up", "delta_r2", "half_life_s"]
+# an isotope record's measured fields, in file order; r_ch is the required one
+_MEASURED_FIELDS = ("r_ch", "beta2", "Qs", "BE2_up", "delta_r2")
+
+_CSV_COLUMNS = ["A", "Z", "I", "parity", *_MEASURED_FIELDS, "half_life_s"]
 
 
-def _measured_or_none(token: str, context: str) -> Measured | None:
-    token = token.strip()
-    if not token:
+def _record(read_measured, source: dict, ctx: str, **fields) -> IsotopeRecord:
+    """The isotope record of both chain formats: fields, and each measured
+    field in turn as read_measured(source, key, ctx, required) reads it
+    from a CSV row or a JSON object."""
+    for key in _MEASURED_FIELDS:
+        fields[key] = read_measured(source, key, ctx, key == "r_ch")
+    return IsotopeRecord(**fields)
+
+
+def _measured_from_cell(row: dict, key: str, ctx: str, required: bool) -> Measured | None:
+    """A parenthetical CSV cell; an empty optional cell is absent."""
+    token = row[key].strip()
+    if not token and not required:
         return None
-    return parse_measured(token, context=context)
+    return parse_measured(token, context=f"{ctx} field {key}")
 
 
 def _record_from_csv_row(row: dict, lineno: int) -> IsotopeRecord:
@@ -266,18 +279,7 @@ def _record_from_csv_row(row: dict, lineno: int) -> IsotopeRecord:
         half_life_s = float(half_life) if half_life else None
     except ValueError:
         raise ValidationError(f"{ctx} field half_life_s: {half_life!r} is not a number") from None
-    return IsotopeRecord(
-        A=A,
-        Z=Z,
-        spin=spin,
-        parity=parity,
-        r_ch=parse_measured(row["r_ch"], context=f"{ctx} field r_ch"),
-        beta2=_measured_or_none(row.get("beta2", ""), f"{ctx} field beta2"),
-        Qs=_measured_or_none(row.get("Qs", ""), f"{ctx} field Qs"),
-        BE2_up=_measured_or_none(row.get("BE2_up", ""), f"{ctx} field BE2_up"),
-        delta_r2=_measured_or_none(row.get("delta_r2", ""), f"{ctx} field delta_r2"),
-        half_life_s=half_life_s,
-    )
+    return _record(_measured_from_cell, row, ctx, A=A, Z=Z, spin=spin, parity=parity, half_life_s=half_life_s)
 
 
 def _chain_from_csv_text(text: str) -> IsotopeChain:
@@ -321,7 +323,7 @@ def json_spin(obj: dict, key: str, context: str) -> Fraction:
         raise ValidationError(f"{context} field {key}: {exc}") from None
 
 
-def _measured_from_json(iso: dict, key: str, ctx: str, required: bool = False) -> Measured | None:
+def _measured_from_json(iso: dict, key: str, ctx: str, required: bool) -> Measured | None:
     obj = json_field(iso, key, "object", ctx, required)
     if obj is None:
         return None
@@ -343,20 +345,14 @@ def _chain_from_json_obj(obj: dict) -> IsotopeChain:
             raise ValidationError(f"JSON chain isotope record {k} repeats record {index_of[A]}: mass number A={A}")
         index_of[A] = k
         ctx = f"isotope A={A}"
-        records.append(
-            IsotopeRecord(
-                A=A,
-                Z=json_field(iso, "Z", "integer", ctx),
-                spin=json_spin(iso, "I", ctx),
-                parity=json_field(iso, "parity", "integer", ctx),
-                r_ch=_measured_from_json(iso, "r_ch", ctx, required=True),
-                beta2=_measured_from_json(iso, "beta2", ctx),
-                Qs=_measured_from_json(iso, "Qs", ctx),
-                BE2_up=_measured_from_json(iso, "BE2_up", ctx),
-                delta_r2=_measured_from_json(iso, "delta_r2", ctx),
-                half_life_s=json_field(iso, "half_life_s", "number", ctx, required=False),
-            )
-        )
+        records.append(_record(
+            _measured_from_json, iso, ctx,
+            A=A,
+            Z=json_field(iso, "Z", "integer", ctx),
+            spin=json_spin(iso, "I", ctx),
+            parity=json_field(iso, "parity", "integer", ctx),
+            half_life_s=json_field(iso, "half_life_s", "number", ctx, required=False),
+        ))
     return IsotopeChain(
         element=json_field(obj, "element", "string", "JSON chain"),
         reference_A=json_field(obj, "reference_A", "integer", "JSON chain"),
@@ -419,11 +415,7 @@ def chain_to_json(chain: IsotopeChain) -> str:
             "Z": r.Z,
             "I": str(r.spin),
             "parity": r.parity,
-            "r_ch": _measured_to_json(r.r_ch),
-            "beta2": _measured_to_json(r.beta2),
-            "Qs": _measured_to_json(r.Qs),
-            "BE2_up": _measured_to_json(r.BE2_up),
-            "delta_r2": _measured_to_json(r.delta_r2),
+            **{key: _measured_to_json(getattr(r, key)) for key in _MEASURED_FIELDS},
             "half_life_s": r.half_life_s,
         }
         for r in chain.records
@@ -445,16 +437,13 @@ def chain_to_csv(chain: IsotopeChain) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for r in chain.records:
+        measured = [getattr(r, key) for key in _MEASURED_FIELDS]
         writer.writerow([
             r.A,
             r.Z,
             str(r.spin),
             f"{r.parity:+d}",
-            format_measured(r.r_ch),
-            format_measured(r.beta2) if r.beta2 is not None else "",
-            format_measured(r.Qs) if r.Qs is not None else "",
-            format_measured(r.BE2_up) if r.BE2_up is not None else "",
-            format_measured(r.delta_r2) if r.delta_r2 is not None else "",
+            *("" if m is None else format_measured(m) for m in measured),
             repr(r.half_life_s) if r.half_life_s is not None else "",
         ])
     return buf.getvalue()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
@@ -14,7 +15,7 @@ from gkpforge.budget import (
     ramsey_plan,
 )
 from gkpforge.constants import PLANCK_EV_S
-from gkpforge.errors import ValidationError
+from gkpforge.errors import NumericalError, ValidationError
 
 HALF_LIFE_91 = 930.0  # 15.5 min
 
@@ -124,6 +125,22 @@ def test_ramsey_rejects_non_finite_times(value):
         ramsey_plan(None, value, 1)
     with pytest.raises(ValidationError, match="finite"):
         ramsey_plan(value, 10.0, 1)
+
+
+@pytest.mark.parametrize("T_R, repetitions, field", [
+    (3e307, 1, "per_shot_linewidth_Hz"),  # 2 pi T_R overflows, so the linewidth is 0.0
+    (1e200, 10**300, "campaign_sensitivity_Hz"),  # 0.0 once divided by sqrt(10**300)
+    (1e300, 1, "campaign_sensitivity_eV"),  # subnormal once times h in eV s
+])
+def test_ramsey_refuses_a_sensitivity_that_underflows(T_R, repetitions, field):
+    with pytest.raises(NumericalError, match=f"^{field} underflows"):
+        ramsey_plan(None, T_R, repetitions)
+
+
+def test_ramsey_keeps_sensitivities_at_the_normal_floats():
+    plan = ramsey_plan(None, 1e290, 1)
+    assert plan.campaign_sensitivity_eV >= sys.float_info.min
+    assert plan.campaign_sensitivity_eV == pytest.approx(PLANCK_EV_S / (2 * math.pi * 1e290), rel=1e-12)
 
 
 def test_decay_penalty_normalization_and_divergence():

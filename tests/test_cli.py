@@ -581,6 +581,18 @@ def test_ramsey_reps_beyond_float_range_exit2(capsys):
     assert "repetitions must be at most 1.79769e+308" in err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["--tr", "3e307"], "per_shot_linewidth_Hz"),
+    (["--tr", "1e200", "--reps", "1" + "0" * 300], "campaign_sensitivity_Hz"),
+    (["--tr", "1e300"], "campaign_sensitivity_eV"),
+])
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_ramsey_sensitivity_that_underflows_exits_3(capsys, argv, field, fmt):
+    code, out, err = _run(capsys, "ramsey", *argv, "--format", fmt)
+    assert (code, out) == (3, "")
+    assert f"{field} underflows" in err
+
+
 def _set_of_2p32(key, value):
     def edit(obj):
         next(t for t in obj["transitions"] if t["label"] == "1s-2p3/2")[key] = value
@@ -813,6 +825,14 @@ def test_spec_negative_guard_band_exit2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "parameter 'Qs_91': exclude_abs_below must be non-negative" in err
+
+
+def test_spec_parameter_no_draw_reads_exit2(capsys, tmp_path):
+    spec = _edited_resource(tmp_path, "mo91-sampling-v1",
+                            lambda obj: obj["parameters"].append(dict(obj["parameters"][0], name="Qs_93")))
+    code, out, err = _run(capsys, "condition", "--spec", spec, "--samples", "64", "--format", "json")
+    assert (code, out) == (2, "")
+    assert "sampling spec parameter 'Qs_93' is read by no draw" in err
 
 
 def test_chain_overflowing_spin_exit2(capsys, tmp_path):

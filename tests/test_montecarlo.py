@@ -343,6 +343,17 @@ def test_spec_missing_parameter_rejected(mo_chain, coeffs):
         sample_kappa(mo_chain, coeffs, spec)
 
 
+@pytest.mark.parametrize("name", ["Qs_93", "BE2_93", "qs_91", ""])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_spec_parameter_no_draw_reads_rejected(mo_chain, coeffs, name, position):
+    shipped = _spec(sample_count=10, seed=1)
+    parameters = list(shipped.parameters)
+    parameters.insert(position, ParameterSpec(name=name, distribution="uniform", low=0.0, high=1.0))
+    spec = dataclasses.replace(shipped, parameters=tuple(parameters))
+    with pytest.raises(ValidationError, match=f"^sampling spec parameter {name!r} is read by no draw"):
+        kappa_draws(mo_chain, coeffs, spec)
+
+
 def test_single_draw_matches_condition_number(mo_chain, coeffs):
     spec = _spec(sample_count=1, seed=123)
     kappas, _ = kappa_draws(mo_chain, coeffs, spec)

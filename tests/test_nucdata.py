@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -7,8 +8,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from gkpforge.cli import main
 from gkpforge.errors import ValidationError
 from gkpforge.nucdata import (
+    _MEASURED_FIELDS,
     IsotopeChain,
     IsotopeRecord,
     Measured,
@@ -126,6 +129,71 @@ def test_round_trip_json_and_csv(mo_chain, tmp_path):
     assert via_csv.reference_A == mo_chain.reference_A
     # and a second pass through CSV is byte-stable
     assert chain_to_csv(via_csv) == chain_to_csv(mo_chain)
+
+
+WRITERS = {"csv": chain_to_csv, "json": chain_to_json}
+
+
+def _load_text(tmp_path, suffix: str, text: str):
+    path = tmp_path / f"chain.{suffix}"
+    path.write_text(text, encoding="utf-8")
+    return load_chain(path)
+
+
+def _csv_with_cell(chain, A: int, column: str, cell: str) -> str:
+    """chain_to_csv text of chain with one cell of the row of A replaced."""
+    header, *rows = chain_to_csv(chain).splitlines()
+    k = header.split(",").index(column)
+    edited = []
+    for row in rows:
+        cells = row.split(",")
+        if cells[0] == str(A):
+            cells[k] = cell
+        edited.append(",".join(cells))
+    return "\n".join([header, *edited]) + "\n"
+
+
+@pytest.mark.parametrize("suffix", WRITERS)
+@pytest.mark.parametrize("key", [key for key in _MEASURED_FIELDS if key != "r_ch"])
+@pytest.mark.parametrize("present", [False, True], ids=["without", "with"])
+def test_an_optional_measured_field_loads_as_written(mo_chain, tmp_path, suffix, key, present):
+    rec = mo_chain.isotope(95)  # odd and not the reference, so every field is free to go
+    if present:
+        variant = dataclasses.replace(rec, **{key: Measured(0.25, 0.01, effective=True)})
+    else:  # a record without Qs must be spinless
+        variant = dataclasses.replace(rec, **{key: None}, **({"spin": Fraction(0)} if key == "Qs" else {}))
+    chain = IsotopeChain(element="Mo", reference_A=92,
+                         records=tuple(r for r in mo_chain.records if r.A != 95) + (variant,))
+    loaded = _load_text(tmp_path, suffix, WRITERS[suffix](chain))
+    assert loaded.records == chain.records
+    assert loaded.isotope(95) == variant
+
+
+@pytest.mark.parametrize("suffix", WRITERS)
+def test_a_record_without_r_ch_is_refused_naming_the_field(mo_chain, tmp_path, suffix):
+    if suffix == "csv":
+        text, message = _csv_with_cell(mo_chain, 95, "r_ch", ""), "cannot parse measured value '' in row 4 field r_ch"
+    else:
+        obj = json.loads(chain_to_json(mo_chain))
+        del obj["isotopes"][2]["r_ch"]
+        text, message = json.dumps(obj), "isotope A=95 is missing the 'r_ch' key"
+    with pytest.raises(ValidationError, match=f"^chain file .*chain.{suffix}': {message}$"):
+        _load_text(tmp_path, suffix, text)
+
+
+@pytest.mark.parametrize("A, cell, found", [(92, "", "[]"), (94, "0", "[92, 94]")],
+                         ids=["no zero row", "two zero rows"])
+def test_a_csv_chain_needs_exactly_one_reference_row(mo_chain, tmp_path, capsys, A, cell, found):
+    path = tmp_path / "chain.csv"
+    path.write_text(_csv_with_cell(mo_chain, A, "delta_r2", cell), encoding="utf-8")
+    message = f"chain file {str(path)!r}: CSV chain must contain exactly one delta_r2 = 0 reference row; found {found}"
+    with pytest.raises(ValidationError) as exc:
+        load_chain(path)
+    assert str(exc.value) == message
+    code = main(["budget", "--chain", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert message in captured.err
 
 
 def test_a_beta4_key_or_column_is_ignored(mo_chain, tmp_path):
