@@ -185,11 +185,21 @@ class ElectronicChannel:
         return self.j >= RANK2_MIN_J
 
 
+def _ascii_number(text: str) -> str:
+    """text, refused (ValueError) if int(), float() or Fraction() would read
+    it only by taking `_` or a non-ASCII digit."""
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"{text!r} is not written in ASCII digits")
+    return text
+
+
 def parse_half_integer(value, name: str) -> Fraction:
     """An exact non-negative half-integer from a str such as "5/2" or "2.5",
     a Fraction, an int or a float, read exactly (a huge float is a huge
     half-integer for the caller's range check); else a ValidationError."""
     try:
+        if isinstance(value, str):
+            _ascii_number(value)
         exact = value if isinstance(value, int) else Fraction(value)  # a bool is refused by _twice
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise ValidationError(f"cannot parse {name} {value!r} as a half-integer") from None

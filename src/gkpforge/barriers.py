@@ -35,7 +35,7 @@ from .budget import chi_bound
 from .constants import FINE_STRUCTURE_ALPHA, z_alpha_squared
 from .errors import ValidationError
 from .nucdata import IsotopeChain, IsotopeRecord, spin_mass_lever
-from .resources import freeze, json_field, load_validated
+from .resources import freeze, json_entries, json_field, load_validated
 
 __all__ = [
     "SignalModel",
@@ -116,10 +116,7 @@ def _anchors_from_json(obj: dict, path: Path) -> AnchorSet:
     if len(band) != 2:
         raise ValidationError(f"{where}: f_tilde has band_raw = {band!r}, expected two numbers")
     scenarios = {}
-    for name, knobs in json_field(obj, "scenarios", "object", where).items():
-        context = f"{where}: scenario {name}"
-        if type(knobs) is not dict:
-            raise ValidationError(f"{context} is not an object")
+    for name, context, knobs in json_entries(json_field(obj, "scenarios", "object", where), where, "scenario"):
         theory = json_field(knobs, "hfs2_theory_fraction", "number", context)
         if not 0.0 < theory <= 1.0:
             raise ValidationError(f"{context}: hfs2_theory_fraction must lie in (0, 1], got {theory!r}")

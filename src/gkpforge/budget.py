@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .constants import PLANCK_EV_S
 from .errors import NumericalError, ValidationError
-from .resources import json_field, load_validated
+from .resources import json_entries, json_field, load_validated
 
 __all__ = [
     "chi_bound",
@@ -102,10 +102,7 @@ def _milestones_from_json(obj: dict, path: Path) -> MilestoneLadder:
     where = f"milestone file {path}"
     boundary = json_field(obj, "era_boundary_eV", "number", where)
     rows = []
-    for k, r in enumerate(json_field(obj, "rows", "list", where)):
-        context = f"{where}: row {k}"
-        if type(r) is not dict:
-            raise ValidationError(f"{context} is not an object")
+    for _, context, r in json_entries(json_field(obj, "rows", "list", where), where, "row"):
         sensitivity = json_field(r, "sensitivity_eV", "number", context)
         rows.append(Milestone(
             sensitivity_eV=sensitivity,

@@ -65,7 +65,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import NumericalError, RefusalError, ValidationError
-from .resources import json_field, load_json, resource_path, sha256_of
+from .resources import json_entries, json_field, load_json, refuse_repeat, resource_path, sha256_of
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -386,20 +386,15 @@ def _load_rhs_file(path: Path) -> dict[tuple[int, str], tuple[float, float]]:
     rows = json_field(load_json(path, "rhs file"), "rows", "list", f"rhs file {path}")
     if not rows:
         raise ValidationError(f"rhs file {path} must contain a non-empty 'rows' list")
-    by_key, row_of = {}, {}
-    for k, row in enumerate(rows):
-        context = f"rhs file {path}: row {k}"
-        if type(row) is not dict:
-            raise ValidationError(f"{context} is not an object")
+    by_key, first = {}, {}
+    for k, context, row in json_entries(rows, f"rhs file {path}", "row"):
         key = json_field(row, "A", "integer", context), json_field(row, "transition", "string", context)
         delta = json_field(row, "delta_eV", "number", context)
         sigma = json_field(row, "sigma_eV", "number", context)
         if sigma <= 0:
             raise ValidationError(f"{context} has non-positive sigma_eV")
-        if key in row_of:
-            raise ValidationError(f"{context} repeats row {row_of[key]}: A={key[0]}, transition {key[1]!r}")
+        refuse_repeat(first, key, k, context, "row", f"A={key[0]}, transition {key[1]!r}")
         by_key[key] = delta, sigma
-        row_of[key] = k
     return by_key
 
 

@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .nucdata import IsotopeRecord, json_spin, spin_mass_lever
-from .resources import json_field, load_validated
+from .resources import json_entries, json_field, load_validated, refuse_repeat
 from .topology import Topology, solvability_verdict, solvable  # re-exported: numpy-free counting
 
 __all__ = [
@@ -138,15 +138,10 @@ def load_coefficients(source: str | Path = "mo41-coeffs-v1") -> ElectronicCoeffi
 
 def _coefficients_from_json(obj: dict, path: Path) -> ElectronicCoefficients:
     where = f"coefficients file {path}"
-    transitions, index_of = [], {}
-    for k, t in enumerate(json_field(obj, "transitions", "list", where)):
-        context = f"{where}: transition {k}"
-        if type(t) is not dict:
-            raise ValidationError(f"{context} is not an object")
+    transitions, first = [], {}
+    for k, context, t in json_entries(json_field(obj, "transitions", "list", where), where, "transition"):
         label = json_field(t, "label", "string", context)
-        if label in index_of:
-            raise ValidationError(f"{context} repeats transition {index_of[label]}: label {label!r}")
-        index_of[label] = k
+        refuse_repeat(first, label, k, context, "transition", f"label {label!r}")
         upper = json_field(t, "upper", "object", context)
         upper_context = f"{context} upper"
         n = json_field(upper, "n", "integer", upper_context)

@@ -40,7 +40,7 @@ from .errors import ValidationError
 from .gkp import (ElectronicCoefficients, build_design, condition_numbers, design_entries, nuclear_factors,
                   solve_many)
 from .nucdata import IsotopeChain, partition
-from .resources import json_field, load_validated
+from .resources import json_entries, json_field, load_validated, refuse_repeat
 
 __all__ = [
     "ParameterSpec",
@@ -144,15 +144,10 @@ def load_sampling_spec(source: str | Path = "mo91-sampling-v1") -> SamplingSpec:
 
 def _sampling_spec_from_json(obj: dict, path: Path) -> SamplingSpec:
     where = f"sampling spec {path}"
-    params, index_of = [], {}
-    for k, p in enumerate(json_field(obj, "parameters", "list", where)):
-        context = f"{where}: parameter {k}"
-        if type(p) is not dict:
-            raise ValidationError(f"{context} is not an object")
+    params, first = [], {}
+    for k, context, p in json_entries(json_field(obj, "parameters", "list", where), where, "parameter"):
         name = json_field(p, "name", "string", context)
-        if name in index_of:
-            raise ValidationError(f"{context} repeats parameter {index_of[name]}: name {name!r}")
-        index_of[name] = k
+        refuse_repeat(first, name, k, context, "parameter", f"name {name!r}")
         params.append(ParameterSpec(
             name=name,
             distribution=json_field(p, "distribution", "string", context),

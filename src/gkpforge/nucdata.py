@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from .angular import parse_half_integer
+from .angular import _ascii_number, parse_half_integer
 from .errors import ValidationError
-from .resources import freeze, json_field, load_validated, resource_path
+from .resources import freeze, json_field, load_validated, refuse_repeat, resource_path
 
 __all__ = [
     "Measured",
@@ -68,7 +68,7 @@ class Measured:
             raise ValidationError(f"negative uncertainty {self.sigma!r}")
 
 
-_PAREN_RE = re.compile(r"^(~?)([+-]?)(\d+)(?:\.(\d+))?(?:\((\d+)\))?$")
+_PAREN_RE = re.compile(r"^(~?)([+-]?)(\d+)(?:\.(\d+))?(?:\((\d+)\))?$", re.ASCII)
 
 
 def parse_measured(text: str, *, context: str = "") -> Measured:
@@ -268,15 +268,15 @@ def _record_from_csv_row(row: dict, lineno: int) -> IsotopeRecord:
     if None in row:
         raise ValidationError(f"{ctx}: {len(row[None])} more cells than the header")
     try:
-        A = int(row["A"])
-        Z = int(row["Z"])
-        parity = int(row["parity"])
+        A = int(_ascii_number(row["A"]))
+        Z = int(_ascii_number(row["Z"]))
+        parity = int(_ascii_number(row["parity"]))
     except (KeyError, ValueError) as exc:
         raise ValidationError(f"{ctx}: bad integer field ({exc})") from exc
     spin = parse_spin(row["I"])
     half_life = row["half_life_s"].strip()
     try:
-        half_life_s = float(half_life) if half_life else None
+        half_life_s = float(_ascii_number(half_life)) if half_life else None
     except ValueError:
         raise ValidationError(f"{ctx} field half_life_s: {half_life!r} is not a number") from None
     return _record(_measured_from_cell, row, ctx, A=A, Z=Z, spin=spin, parity=parity, half_life_s=half_life_s)
@@ -289,12 +289,10 @@ def _chain_from_csv_text(text: str) -> IsotopeChain:
     missing = [c for c in _CSV_COLUMNS if c not in reader.fieldnames]
     if missing:
         raise ValidationError(f"CSV chain header is missing columns {missing}")
-    records, line_of = [], {}
+    records, first = [], {}
     for lineno, row in enumerate(reader, start=2):
         record = _record_from_csv_row(row, lineno)
-        if record.A in line_of:
-            raise ValidationError(f"row {lineno} repeats row {line_of[record.A]}: mass number A={record.A}")
-        line_of[record.A] = lineno
+        refuse_repeat(first, record.A, lineno, f"row {lineno}", "row", f"mass number A={record.A}")
         records.append(record)
     if not records:
         raise ValidationError("CSV chain file has a header but no rows")
@@ -336,14 +334,13 @@ def _measured_from_json(iso: dict, key: str, ctx: str, required: bool) -> Measur
 
 
 def _chain_from_json_obj(obj: dict) -> IsotopeChain:
-    records, index_of = [], {}
+    records, first = [], {}
     for k, iso in enumerate(json_field(obj, "isotopes", "list", "JSON chain")):
+        context = f"JSON chain isotope record {k}"
         if type(iso) is not dict:
-            raise ValidationError(f"JSON chain isotope record {k} is not an object")
-        A = json_field(iso, "A", "integer", f"JSON chain isotope record {k}")
-        if A in index_of:
-            raise ValidationError(f"JSON chain isotope record {k} repeats record {index_of[A]}: mass number A={A}")
-        index_of[A] = k
+            raise ValidationError(f"{context} is not an object")
+        A = json_field(iso, "A", "integer", context)
+        refuse_repeat(first, A, k, context, "record", f"mass number A={A}")
         ctx = f"isotope A={A}"
         records.append(_record(
             _measured_from_json, iso, ctx,
@@ -392,9 +389,8 @@ def load_chain(source: str | Path) -> IsotopeChain:
         raise ValidationError(f"chain file {str(p)!r} does not exist") from None
 
 
-def load_bundled_chain(name: str = "mo-chain-v1") -> IsotopeChain:
-    """Load a named bundled chain (default: the reference Mo chain)."""
-    return load_chain(name)
+# the name the gkpbench workloads load their chains by
+load_bundled_chain = load_chain
 
 
 def _measured_to_json(m: Measured | None):

@@ -8,9 +8,10 @@ override the bundled tables without reinstalling.
 Every data file is opened once per load, by _read: it reads the bytes,
 takes their sha256 and decodes the text from those same bytes, and refuses
 (ValidationError) a file that cannot be opened or decoded. JSON files go
-on through load_json and json_field, which refuse what is not a JSON
-object, NaN and Infinity, and fields of the wrong type; range checks
-belong to the dataclass that owns the value.
+on through load_json (refusing what is not a JSON object, NaN, Infinity
+and a key given twice in one object), json_field (a field of the wrong
+type), json_entries and refuse_repeat; range checks belong to the
+dataclass that owns the value.
 
 The data loaders go through load_validated, which memoizes the validated
 object on (validator, sha256 of the bytes read): a file whose bytes were
@@ -144,7 +145,18 @@ def _name_non_finite(pairs: list) -> dict:
     return dict(pairs)
 
 
-_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+def _refuse_repeated_key(pairs: list) -> dict:
+    """object_pairs_hook refusing a key given twice in one object, which
+    json.loads would read as its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for k, key in enumerate(keys) if key in keys[:k])
+        raise ValidationError(f"repeats the key {repeated!r} in one object")
+    return obj
+
+
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant, object_pairs_hook=_refuse_repeated_key)
 
 
 def _read(path: str | Path, what: str, kind: str) -> tuple[str, str]:
@@ -234,3 +246,20 @@ def json_field(obj: dict, key: str, kind: str, context: str, required: bool = Tr
     if key not in obj:
         raise ValidationError(f"{context} is missing the {key!r} key")
     raise ValidationError(f"{context} has {key} = {value!r}, expected {_KINDS[kind][1]}")
+
+
+def json_entries(entries, where: str, item: str):
+    """(k, "<where>: <item> <k>", entry) for each entry of a JSON list or
+    object; an entry that is not an object is refused."""
+    for k, entry in entries.items() if type(entries) is dict else enumerate(entries):
+        context = f"{where}: {item} {k}"
+        if type(entry) is not dict:
+            raise ValidationError(f"{context} is not an object")
+        yield k, context, entry
+
+
+def refuse_repeat(first: dict, identity, label, context: str, item: str, described: str) -> None:
+    """Refuse an entry whose identity is in first, else record its label."""
+    if identity in first:
+        raise ValidationError(f"{context} repeats {item} {first[identity]}: {described}")
+    first[identity] = label

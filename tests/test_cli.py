@@ -429,6 +429,14 @@ def test_extract_refuses_an_upper_spin_naming_file_and_transition(capsys, tmp_pa
     assert err == f"invalid input: coefficients file {coeffs}: transition 0 upper field j: {message}\n"
 
 
+@pytest.mark.parametrize("j", ["1_5/10", "٣/2"])
+def test_an_upper_spin_is_written_in_ascii_digits(capsys, tmp_path, j):
+    coeffs = _edited_resource(tmp_path, "mo41-coeffs-v1", lambda obj: obj["transitions"][0]["upper"].__setitem__("j", j))
+    code, out, err = _run(capsys, "condition", "--samples", "64", "--coeffs", coeffs, "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: coefficients file {coeffs}: transition 0 upper field j: cannot parse spin {j!r} as a half-integer\n"
+
+
 def test_extract_missing_rhs_file(capsys):
     code, _, err = _run(capsys, "extract", "--rhs", "nowhere.json")
     assert code == 2
@@ -888,6 +896,41 @@ def test_repeated_name_in_a_data_file_exit2(capsys, tmp_path, flag, name, edit, 
     code, out, err = _run(capsys, *argv, flag, path, "--format", "json")
     assert (code, out) == (2, "")
     assert refusal.format(path) in err
+
+
+@pytest.mark.parametrize("flag, name, edit, argv, refusal", [
+    ("--coeffs", "mo41-coeffs-v1", lambda obj: obj["transitions"].__setitem__(1, "1s-2p3/2"),
+     ["condition", "--samples", "64"], "coefficients file {}: transition 1 is not an object"),
+    ("--spec", "mo91-sampling-v1", lambda obj: obj["parameters"].__setitem__(1, 0.5),
+     ["condition", "--samples", "64"], "sampling spec {}: parameter 1 is not an object"),
+    ("--ladder", "milestones-v1", lambda obj: obj["rows"].__setitem__(1, [1e-14]),
+     ["milestones"], "milestone file {}: row 1 is not an object"),
+    ("--anchors", "mo41-anchors-v1", lambda obj: obj["scenarios"].__setitem__("current", None),
+     ["budget"], "anchor file {}: scenario current is not an object"),
+], ids=["coeffs", "spec", "milestones", "anchors"])
+def test_an_entry_that_is_not_an_object_exit2(capsys, tmp_path, flag, name, edit, argv, refusal):
+    path = _edited_resource(tmp_path, name, edit)
+    code, out, err = _run(capsys, *argv, flag, path, "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: {refusal.format(path)}\n"
+
+
+@pytest.mark.parametrize("flag, name, key, argv, what", [
+    ("--chain", "mo-chain-v1", "r_ch", ["budget"], "chain file"),
+    ("--anchors", "mo41-anchors-v1", "fs_gap_eV", ["budget"], "anchor file"),
+    ("--coeffs", "mo41-coeffs-v1", "H_eV_per_b", ["condition", "--samples", "64"], "coefficients file"),
+    ("--spec", "mo91-sampling-v1", "low", ["condition", "--samples", "64"], "sampling spec"),
+    ("--ladder", "milestones-v1", "sensitivity_eV", ["milestones"], "milestone file"),
+    ("--rhs", "synthetic-rhs-noiseless-v1", "delta_eV", ["extract"], "rhs file"),
+], ids=["chain", "anchors", "coeffs", "spec", "milestones", "rhs"])
+def test_a_key_repeated_in_one_object_exit2(capsys, tmp_path, flag, name, key, argv, what):
+    text = resource_path(name).read_text(encoding="utf-8")
+    assert f'"{key}":' in text
+    path = tmp_path / resource_path(name).name
+    path.write_text(text.replace(f'"{key}":', f'"{key}": 1.0, "{key}":', 1), encoding="utf-8")
+    code, out, err = _run(capsys, *argv, flag, str(path), "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: {what} {str(path)!r} repeats the key {key!r} in one object\n"
 
 
 def test_budget_of_vanishing_residuals_is_a_float(capsys, tmp_path):

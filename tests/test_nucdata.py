@@ -94,6 +94,74 @@ def test_parse_spin_forms():
     assert type(huge) is Fraction and huge == int(1e308)
 
 
+@pytest.mark.parametrize("text", ["5_0/2", "\u0665/2", "2.\u0665", "5/\u0662"])
+def test_parse_spin_refuses_underscores_and_non_ascii_digits(text):
+    with pytest.raises(ValidationError) as exc:
+        parse_spin(text)
+    assert str(exc.value) == f"cannot parse spin {text!r} as a half-integer"
+
+
+def test_parse_spin_takes_surrounding_blanks():
+    assert parse_spin(" 5/2 ") == Fraction(5, 2)
+
+
+@pytest.mark.parametrize("text", ["\u0664.\u0663\u0661\u0665(\u0663)", "4.315(\u0663)", "4.\u0663", "4_3.1"])
+def test_parse_measured_refuses_non_ascii_digits(text):
+    with pytest.raises(ValidationError) as exc:
+        parse_measured(text, context="row 2 field r_ch")
+    assert str(exc.value) == f"cannot parse measured value {text!r} in row 2 field r_ch"
+
+
+def test_json_chain_spin_with_an_underscore_is_refused(mo_chain, tmp_path):
+    obj = json.loads(chain_to_json(mo_chain))
+    obj["isotopes"][2]["I"] = "5_0/2"
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ValidationError) as exc:
+        load_chain(path)
+    assert str(exc.value) == f"chain file {str(path)!r}: isotope A=95 field I: cannot parse spin '5_0/2' as a half-integer"
+
+
+def _csv_chain_with_cell(mo_chain, tmp_path, A: int, column: str, cell: str) -> Path:
+    """mo_chain as CSV, with the cell of isotope A in column replaced."""
+    header, *rows = [line.split(",") for line in chain_to_csv(mo_chain).splitlines()]
+    for row in rows:
+        if row[0] == str(A):
+            row[header.index(column)] = cell
+    path = tmp_path / "chain.csv"
+    path.write_text("".join(",".join(cells) + "\n" for cells in [header, *rows]), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("A, column, cell, refusal", [
+    (95, "A", "9_5", "row 4: bad integer field ('9_5' is not written in ASCII digits)"),
+    (97, "A", "\u0669\u0667", "row 6: bad integer field ('\u0669\u0667' is not written in ASCII digits)"),
+    (97, "Z", "4_2", "row 6: bad integer field ('4_2' is not written in ASCII digits)"),
+    (97, "parity", "+\u0661", "row 6: bad integer field ('+\u0661' is not written in ASCII digits)"),
+    (95, "I", "5_0/2", "cannot parse spin '5_0/2' as a half-integer"),
+    (95, "half_life_s", "9_3.0", "row 4 field half_life_s: '9_3.0' is not a number"),
+    (95, "half_life_s", "\u0669.3e2", "row 4 field half_life_s: '\u0669.3e2' is not a number"),
+    (95, "r_ch", "4.\u0663", "cannot parse measured value '4.\u0663' in row 4 field r_ch"),
+], ids=["A-underscore", "A-arabic-indic", "Z", "parity", "spin", "half-life-underscore",
+        "half-life-arabic-indic", "r_ch"])
+def test_csv_chain_text_numbers_are_ascii(mo_chain, tmp_path, A, column, cell, refusal):
+    path = _csv_chain_with_cell(mo_chain, tmp_path, A, column, cell)
+    with pytest.raises(ValidationError) as exc:
+        load_chain(path)
+    assert str(exc.value) == f"chain file {str(path)!r}: {refusal}"
+
+
+@pytest.mark.parametrize("column, cell, attribute, value", [
+    ("I", " 5/2 ", "spin", Fraction(5, 2)),
+    ("parity", "+1", "parity", 1),
+    ("half_life_s", "9.3e2", "half_life_s", 930.0),
+    ("A", " 95", "A", 95),
+])
+def test_csv_chain_still_reads_blanks_signs_and_exponents(mo_chain, tmp_path, column, cell, attribute, value):
+    chain = load_chain(_csv_chain_with_cell(mo_chain, tmp_path, 95, column, cell))
+    assert getattr(chain.isotope(95), attribute) == value
+
+
 def test_bundled_chain_matches_reference_table(mo_chain):
     assert mo_chain.element == "Mo"
     assert mo_chain.reference_A == 92

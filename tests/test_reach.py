@@ -52,7 +52,6 @@ ALLOWED = {
     "montecarlo.injection_recovery": "criterion 07; gkpbench injection; TRACED",
     "montecarlo.sample_kappa": "criterion 05; TRACED (ROADMAP items 1 and 11)",
     "nucdata.IsotopeChain.with_isotope": "ROADMAP item 6",
-    "nucdata.load_bundled_chain": "every gkpbench workload loads its chains through it (ROADMAP item 11)",
     "nucdata.chain_to_json": "criterion 10's JSON round trip",
     "nucdata._measured_to_json": "criterion 10's JSON round trip, through chain_to_json",
     "nucdata.chain_to_csv": "criterion 10's CSV round trip",

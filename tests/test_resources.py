@@ -5,7 +5,7 @@ import re
 import pytest
 
 from gkpforge.errors import ValidationError
-from gkpforge.resources import json_field, load_json
+from gkpforge.resources import json_entries, json_field, load_json, refuse_repeat
 
 
 @pytest.mark.parametrize("value, kind, expected", [
@@ -77,3 +77,44 @@ def test_load_json_requires_an_object(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValidationError, match="must hold a JSON object"):
         load_json(path, "data file")
+
+
+def test_load_json_refuses_a_key_repeated_in_one_object(tmp_path):
+    path = tmp_path / "data.json"
+    path.write_text('{"rows": [{"width": 1, "depth": 2, "width": 3}]}', encoding="utf-8")
+    with pytest.raises(ValidationError) as exc:
+        load_json(path, "data file")
+    assert str(exc.value) == f"data file '{path}' repeats the key 'width' in one object"
+
+
+def test_load_json_takes_one_key_in_many_objects(tmp_path):
+    path = tmp_path / "data.json"
+    path.write_text('{"rows": [{"width": 1}, {"width": 3}], "width": 5}', encoding="utf-8")
+    assert load_json(path, "data file") == {"rows": [{"width": 1}, {"width": 3}], "width": 5}
+
+
+def test_json_entries_walks_a_list_and_an_object():
+    assert list(json_entries([{"a": 1}, {}], "file f", "row")) == [
+        (0, "file f: row 0", {"a": 1}), (1, "file f: row 1", {})]
+    assert list(json_entries({"low": {}, "high": {"b": 2}}, "file f", "scenario")) == [
+        ("low", "file f: scenario low", {}), ("high", "file f: scenario high", {"b": 2})]
+
+
+@pytest.mark.parametrize("entries, refusal", [
+    ([{}, 3], "file f: row 1 is not an object"),
+    ({"low": {}, "high": [1]}, "file f: row high is not an object"),
+])
+def test_json_entries_refuses_an_entry_that_is_not_an_object(entries, refusal):
+    with pytest.raises(ValidationError) as exc:
+        list(json_entries(entries, "file f", "row"))
+    assert str(exc.value) == refusal
+
+
+def test_refuse_repeat_names_the_first_entry():
+    first = {}
+    refuse_repeat(first, "x", 0, "file f: row 0", "row", "name 'x'")
+    refuse_repeat(first, "y", 1, "file f: row 1", "row", "name 'y'")
+    with pytest.raises(ValidationError) as exc:
+        refuse_repeat(first, "x", 2, "file f: row 2", "row", "name 'x'")
+    assert str(exc.value) == "file f: row 2 repeats row 0: name 'x'"
+    assert first == {"x": 0, "y": 1}
