@@ -21,9 +21,9 @@ Each handler imports the layers it runs, so that a command loads only
 those: budget, solvability, milestones and ramsey are closed-form and
 start without numpy; condition and extract load the numerical layers
 (`gkp`, `montecarlo`, numpy). A handler loads each input that a flag
-names through `_load`, builds its report from dataclass fields and hands
-it to `_emit`, which adds the manifest from the inputs `_load` recorded,
-writes --out and prints.
+names through `_load`, makes one library call, which holds the physics,
+and hands the result's fields (`_fields`) to `_emit`, which adds the
+manifest from the inputs `_load` recorded, writes --out and prints.
 
 Table, csv and json are three views of one report. json prints all of
 it; csv and table print the rows of `_groups`: a row [key, *values] for
@@ -65,7 +65,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import NumericalError, RefusalError, ValidationError
-from .resources import json_entries, json_field, load_json, refuse_repeat, resource_path, sha256_of
+from .resources import resource_path, sha256_of
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -222,15 +222,26 @@ def _json_text(report: dict) -> str:
 
 
 @functools.cache
-def _field_names(cls) -> tuple[str, ...]:
-    """A dataclass's field names in field order, read once per class."""
-    return tuple(f.name for f in dataclasses.fields(cls))
+def _field_names(cls) -> tuple[str, ...] | None:
+    """The field names of a dataclass or named tuple class in field order,
+    else None; read once per class."""
+    if dataclasses.is_dataclass(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+    return getattr(cls, "_fields", None) if issubclass(cls, tuple) else None
 
 
 def _fields(obj) -> dict:
-    """A dataclass's fields in field order, sharing its values: the leaves
-    are immutable, so the deep copy of dataclasses.asdict buys nothing."""
-    return {name: getattr(obj, name) for name in _field_names(type(obj))}
+    """A dataclass's or named tuple's fields in field order, sharing its
+    values: the leaves are immutable, so the deep copy of dataclasses.asdict
+    buys nothing. A tuple of dataclasses or named tuples becomes the list
+    of their _fields."""
+    report = {}
+    for name in _field_names(type(obj)):
+        value = getattr(obj, name)
+        if type(value) is tuple and value and _field_names(type(value[0])):
+            value = [_fields(item) for item in value]
+        report[name] = value
+    return report
 
 
 def _emit(args, report: dict, *, seed: int | None = None,
@@ -281,9 +292,7 @@ def cmd_budget(args) -> int:
     chain = _load(args, "chain", nucdata.load_chain)
     anchors = _load(args, "anchors", barriers.load_anchors)
     result = barriers.build_budget(chain, angular.default_channels(), anchors, scenario=args.scenario, probe_A=args.probe)
-    # the entries keep the position the spread gave them
-    _emit(args, {**_fields(result), "entries": [_fields(e) for e in result.entries]},
-          versions={"anchors": anchors.name})
+    _emit(args, _fields(result), versions={"anchors": anchors.name})
     return EXIT_OK
 
 
@@ -293,68 +302,13 @@ def cmd_budget(args) -> int:
 def cmd_solvability(args) -> int:
     from . import nucdata, topology
 
-    def row(top: topology.Topology) -> dict:
-        """One topology's counts, counting solvability and verdict as a report row."""
-        ok, n_eq, n_unk = topology.solvable(top, args.nbkg)
-        return {
-            **_fields(top),
-            "solvable": ok,
-            "n_equations": n_eq,
-            "n_unknowns": n_unk,
-            "verdict": topology.solvability_verdict(top, args.nbkg),
-        }
-
     chain = _load(args, "chain", nucdata.load_chain)
-    counted = {r.A for r in chain.records}
-    for A in args.add_isotope:
-        if A < chain.Z:
-            why = f"is below Z={chain.Z}, which would mean a negative neutron number"
-        elif A % 2 == chain.Z % 2 == 0:
-            why = "is even-even and adds no rank-2 equation"
-        elif A in counted:
-            why = "is already counted"
-        else:
-            counted.add(A)
-            continue
-        raise ValidationError(f"--add-isotope {A}: A={A} {why}")
-    even_even, odd = nucdata.partition(chain)
-    n_ee = len(even_even) - (1 if any(r.A == chain.reference_A for r in even_even) else 0)
-    n_odd_stable = sum(r.stable for r in odd)
-
-    Topology = topology.Topology
-    enumeration = [
-        ("Stable, 1 trans.", Topology(n_ee, n_odd_stable, 1)),
-        ("+ FRIB 91Mo", Topology(n_ee, n_odd_stable + 1, 1)),
-        ("Stable, 2 trans.", Topology(n_ee, n_odd_stable, 2)),
-        ("+ FRIB + 2 trans.", Topology(n_ee, n_odd_stable + 1, 2)),
-    ]
-    rows = [{"label": label, **row(top)} for label, top in enumeration]
-    selected = dict(row(Topology(n_ee, len(odd) + len(args.add_isotope), args.transitions)), N_bkg=args.nbkg)
-
-    _emit(args, {"topologies": rows, "selected": selected})
+    _emit(args, topology.solvability_table(chain, args.add_isotope, args.transitions, args.nbkg))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # condition
-
-def _histogram_csv(kappas) -> str:
-    """np.histogram of the finite κ draws on 48 log-spaced bins from 1 to
-    1000, then the finite draws above 1000 (overflow) and the non-finite
-    ones (+inf, or NaN from a failed draw), counted as rank deficient."""
-    import numpy as np
-
-    finite = kappas[np.isfinite(kappas)]
-    counts, edges = np.histogram(finite, bins=np.logspace(0.0, 3.0, 49))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["bin_left", "bin_right", "count"])
-    for left, right, count in zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()):
-        writer.writerow([repr(left), repr(right), count])
-    writer.writerow([repr(float(edges[-1])), "inf", int(np.count_nonzero(finite > edges[-1]))])
-    writer.writerow(["rank_deficient", "", kappas.size - finite.size])
-    return buf.getvalue()
-
 
 def cmd_condition(args) -> int:
     """Condition numbers of the sampled three-isotope design: the summary
@@ -370,7 +324,7 @@ def cmd_condition(args) -> int:
 
     kappas, excluded = montecarlo.kappa_draws(chain, coeffs, spec)
     summary = montecarlo.summarize_kappa(kappas, excluded, spec.seed)
-    histogram = _histogram_csv(kappas) if args.format == "csv" or args.out else None
+    histogram = montecarlo.kappa_histogram_csv(kappas) if args.format == "csv" or args.out else None
 
     _emit(args, {"summary": _fields(summary)}, seed=spec.seed,
           versions={"coeffs": coeffs.name, "spec": spec.name}, histogram=histogram)
@@ -380,69 +334,15 @@ def cmd_condition(args) -> int:
 # ---------------------------------------------------------------------------
 # extract
 
-def _load_rhs_file(path: Path) -> dict[tuple[int, str], tuple[float, float]]:
-    """The rows of an rhs file as {(A, transition): (delta_eV, sigma_eV)};
-    a repeated (A, transition) is refused."""
-    rows = json_field(load_json(path, "rhs file"), "rows", "list", f"rhs file {path}")
-    if not rows:
-        raise ValidationError(f"rhs file {path} must contain a non-empty 'rows' list")
-    by_key, first = {}, {}
-    for k, context, row in json_entries(rows, f"rhs file {path}", "row"):
-        key = json_field(row, "A", "integer", context), json_field(row, "transition", "string", context)
-        delta = json_field(row, "delta_eV", "number", context)
-        sigma = json_field(row, "sigma_eV", "number", context)
-        if sigma <= 0:
-            raise ValidationError(f"{context} has non-positive sigma_eV")
-        refuse_repeat(first, key, k, context, "row", f"A={key[0]}, transition {key[1]!r}")
-        by_key[key] = delta, sigma
-    return by_key
-
-
 def cmd_extract(args) -> int:
-    import numpy as np
-
-    from . import barriers, budget, gkp, nucdata
+    from . import barriers, gkp, nucdata
 
     chain = _load(args, "chain", nucdata.load_chain)
     coeffs = _load(args, "coeffs", gkp.load_coefficients)
     anchors = _load(args, "anchors", barriers.load_anchors)
-    rhs_rows = _load(args, "rhs", _load_rhs_file)
-
-    _, odd = nucdata.partition(chain)
-    rhs_isotopes = sorted({A for A, _ in rhs_rows})
-    rhs_transitions = sorted({transition for _, transition in rhs_rows})
-    odd_used = [rec for rec in odd if rec.A in rhs_isotopes]
-    missing = set(rhs_isotopes) - {rec.A for rec in odd_used}
-    if missing:
-        raise ValidationError(f"rhs references isotopes absent from the chain's odd subset: {sorted(missing)}")
-    coeffs_used = coeffs.subset(rhs_transitions)
-
-    design = gkp.build_design(odd_used, coeffs_used)
-    missing_rows = [key for key in design.rows if key not in rhs_rows]
-    if missing_rows:
-        raise ValidationError(f"rhs file lacks entries for design rows: {missing_rows}")
-    rhs, sigma = np.array([rhs_rows[key] for key in design.rows]).T
-
-    pre = gkp.precondition(design)
-    result = gkp.extract(pre, rhs, sigma)
-    # after the solve, so that an underdetermined design (no rhs edit cures
-    # it) is refused first; leftover rows are of transitions blind to rank 2
-    unused_rows = sorted(set(rhs_rows).difference(design.rows))
-    if unused_rows:
-        raise ValidationError(f"rhs file has entries that no design row uses: {unused_rows}")
-    bound = budget.chi_bound_from_extraction(result, anchors.signal_anchor_eV)
-
-    report = {
-        "rows": design.rows,
-        "design": {**_fields(pre), "entries": pre.entries.tolist(),
-                   "rhs": rhs.tolist(), "rhs_sigma": sigma.tolist()},
-        **_fields(result),
-        "background_estimates": [e._asdict() for e in result.background_estimates],
-        "chi_bound": bound,
-        "signal_at_chi1_eV": anchors.signal_anchor_eV,
-        "alpha_t_convention": coeffs.alpha_t_convention,
-    }
-    _emit(args, report, versions={"coeffs": coeffs.name, "anchors": anchors.name})
+    rhs_rows = _load(args, "rhs", gkp.load_rhs)
+    result = gkp.extract_rows(chain, coeffs, rhs_rows, anchors.signal_anchor_eV)
+    _emit(args, _fields(result), versions={"coeffs": coeffs.name, "anchors": anchors.name})
     return EXIT_OK
 
 
@@ -453,10 +353,8 @@ def cmd_milestones(args) -> int:
     from . import budget
 
     ladder = _load(args, "ladder", budget.load_milestones)
-    report = {
-        "rows": [_fields(r) for r in ladder.rows],
-        "era_boundary_eV": ladder.era_boundary_eV,
-    }
+    report = _fields(ladder)
+    del report["name"]  # the manifest's config_versions names the ladder
     if args.target is not None:
         row = budget.milestone_lookup(args.target, ladder)
         report["target"] = dict(_fields(row), sensitivity_eV=args.target)

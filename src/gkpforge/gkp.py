@@ -16,6 +16,10 @@ numerically rank-deficient systems are refused rather than regularized:
 silently pseudo-inverting a degenerate extraction is exactly the failure
 mode this analysis exists to prevent.
 
+load_rhs reads the rows of an rhs file, one (delta, sigma) per (isotope,
+transition), and extract_rows solves them over the odd isotopes and
+transitions they name: the extract command's report.
+
 condition_numbers takes raw designs and returns the kappa of each one's
 column-normalized matrix A. For 3x3 designs A is never built: its Gram
 matrix has a unit diagonal, so a closed form reads kappa off the raw Gram
@@ -42,8 +46,9 @@ from .errors import (
     UnderdeterminedError,
     ValidationError,
 )
-from .nucdata import IsotopeRecord, json_spin, spin_mass_lever
-from .resources import json_entries, json_field, load_validated, refuse_repeat
+from .budget import chi_bound_from_extraction
+from .nucdata import IsotopeChain, IsotopeRecord, json_spin, partition, spin_mass_lever
+from .resources import json_entries, json_field, load_json, load_validated, refuse_repeat
 from .topology import Topology, solvability_verdict, solvable  # re-exported: numpy-free counting
 
 __all__ = [
@@ -67,6 +72,9 @@ __all__ = [
     "ExtractionResult",
     "solve_many",
     "extract",
+    "load_rhs",
+    "Extraction",
+    "extract_rows",
     "RANK_DEFICIENCY_RTOL",
 ]
 
@@ -614,3 +622,65 @@ def extract(m: DesignMatrix, rhs, sigma) -> ExtractionResult:
         condition_number=kappa,
         residual_norm_eV=residual,
     )
+
+
+# ---------------------------------------------------------------------------
+# extraction from rhs rows
+
+def load_rhs(path: Path) -> dict[tuple[int, str], tuple[float, float]]:
+    """The rows of an rhs file as {(A, transition): (delta_eV, sigma_eV)};
+    a repeated (A, transition) is refused."""
+    rows = json_field(load_json(path, "rhs file"), "rows", "list", f"rhs file {path}")
+    if not rows:
+        raise ValidationError(f"rhs file {path} must contain a non-empty 'rows' list")
+    by_key, first = {}, {}
+    for k, context, row in json_entries(rows, f"rhs file {path}", "row"):
+        key = json_field(row, "A", "integer", context), json_field(row, "transition", "string", context)
+        delta = json_field(row, "delta_eV", "number", context)
+        sigma = json_field(row, "sigma_eV", "number", context)
+        if sigma <= 0:
+            raise ValidationError(f"{context} has non-positive sigma_eV")
+        refuse_repeat(first, key, k, context, "row", f"A={key[0]}, transition {key[1]!r}")
+        by_key[key] = delta, sigma
+    return by_key
+
+
+@dataclass(frozen=True)
+class Extraction(ExtractionResult):
+    """extract_rows' result, whose fields are the extract report but its manifest."""
+
+    rows: tuple[tuple[int, str], ...]
+    design: dict  # the solved preconditioned design's fields, with its rhs and rhs_sigma
+    chi_bound: float
+    signal_at_chi1_eV: float
+    alpha_t_convention: str
+
+
+def extract_rows(chain: IsotopeChain, coeffs: ElectronicCoefficients, rhs_rows: dict,
+                 signal_at_chi1_eV: float) -> Extraction:
+    """extract on load_rhs's rows over the chain's odd isotopes and the
+    transitions they name, with the chi bound at the signal given. Refuses
+    an absent isotope, an unknown transition, a design row without an rhs
+    row, what extract refuses, then unused rhs rows: an underdetermined
+    design, which no rhs edit cures, comes first; unused rows are of
+    transitions blind to rank 2."""
+    _, odd = partition(chain)
+    rhs_isotopes = sorted({A for A, _ in rhs_rows})
+    odd_used = [rec for rec in odd if rec.A in rhs_isotopes]
+    missing = set(rhs_isotopes) - {rec.A for rec in odd_used}
+    if missing:
+        raise ValidationError(f"rhs references isotopes absent from the chain's odd subset: {sorted(missing)}")
+    design = build_design(odd_used, coeffs.subset(sorted({transition for _, transition in rhs_rows})))
+    missing_rows = [key for key in design.rows if key not in rhs_rows]
+    if missing_rows:
+        raise ValidationError(f"rhs file lacks entries for design rows: {missing_rows}")
+    rhs, sigma = np.array([rhs_rows[key] for key in design.rows]).T
+    pre = precondition(design)
+    result = extract(pre, rhs, sigma)
+    unused_rows = sorted(set(rhs_rows).difference(design.rows))
+    if unused_rows:
+        raise ValidationError(f"rhs file has entries that no design row uses: {unused_rows}")
+    entries = {"entries": pre.entries.tolist(), "rhs": rhs.tolist(), "rhs_sigma": sigma.tolist()}
+    return Extraction(**vars(result), rows=design.rows, design={**vars(pre), **entries},
+                      chi_bound=chi_bound_from_extraction(result, signal_at_chi1_eV),
+                      signal_at_chi1_eV=signal_at_chi1_eV, alpha_t_convention=coeffs.alpha_t_convention)

@@ -49,6 +49,7 @@ __all__ = [
     "KappaSummary",
     "kappa_draws",
     "summarize_kappa",
+    "kappa_histogram_csv",
     "sample_kappa",
     "RecoveryStats",
     "injection_recovery",
@@ -360,6 +361,20 @@ def summarize_kappa(kappas: np.ndarray, excluded_fraction: float, seed: int) -> 
         seed=int(seed),
         sample_count=int(kappas.size),
     )
+
+
+def kappa_histogram_csv(kappas: np.ndarray) -> str:
+    """The condition command's csv: np.histogram of the finite κ draws on
+    48 log-spaced bins from 1 to 1000, then the finite draws above 1000
+    (overflow) and the non-finite ones (+inf, or NaN from a failed draw),
+    counted as rank deficient."""
+    finite = kappas[np.isfinite(kappas)]
+    counts, edges = np.histogram(finite, bins=np.logspace(0.0, 3.0, 49))
+    bins = map("{!r},{!r},{}".format, edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
+    overflow = np.count_nonzero(finite > edges[-1])
+    rows = ["bin_left,bin_right,count", *bins, f"{float(edges[-1])!r},inf,{overflow}",
+            f"rank_deficient,,{kappas.size - finite.size}"]
+    return "\n".join(rows) + "\n"
 
 
 def sample_kappa(chain: IsotopeChain, coeffs: ElectronicCoefficients, spec: SamplingSpec) -> KappaSummary:

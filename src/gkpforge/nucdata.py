@@ -289,6 +289,9 @@ def _chain_from_csv_text(text: str) -> IsotopeChain:
     missing = [c for c in _CSV_COLUMNS if c not in reader.fieldnames]
     if missing:
         raise ValidationError(f"CSV chain header is missing columns {missing}")
+    repeated = [c for k, c in enumerate(reader.fieldnames) if c in reader.fieldnames[:k]]
+    if repeated:  # csv.DictReader would read the last of them
+        raise ValidationError(f"CSV chain header repeats the column {repeated[0]!r}")
     records, first = [], {}
     for lineno, row in enumerate(reader, start=2):
         record = _record_from_csv_row(row, lineno)

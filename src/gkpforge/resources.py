@@ -7,11 +7,11 @@ override the bundled tables without reinstalling.
 
 Every data file is opened once per load, by _read: it reads the bytes,
 takes their sha256 and decodes the text from those same bytes, and refuses
-(ValidationError) a file that cannot be opened or decoded. JSON files go
-on through load_json (refusing what is not a JSON object, NaN, Infinity
-and a key given twice in one object), json_field (a field of the wrong
-type), json_entries and refuse_repeat; range checks belong to the
-dataclass that owns the value.
+(ValidationError) a file that cannot be opened or decoded, or that starts
+with a UTF-8 byte-order mark. JSON files go on through load_json
+(refusing what is not a JSON object, NaN, Infinity and a key given twice
+in one object), json_field (a field of the wrong type), json_entries and
+refuse_repeat; range checks belong to the dataclass that owns the value.
 
 The data loaders go through load_validated, which memoizes the validated
 object on (validator, sha256 of the bytes read): a file whose bytes were
@@ -162,14 +162,17 @@ _DECODER = json.JSONDecoder(parse_constant=_refuse_constant, object_pairs_hook=_
 def _read(path: str | Path, what: str, kind: str) -> tuple[str, str]:
     """The UTF-8 text of a data file and the sha256 of its bytes, from one
     read, which sha256_of then reports for path; a file that cannot be
-    opened or decoded is refused, named by what ("chain file", ...) and its
-    kind ("JSON", "CSV")."""
+    opened or decoded, or that starts with a byte-order mark, is refused,
+    named by what ("chain file", ...) and its kind ("JSON", "CSV")."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
         text = data.decode("utf-8")
     except (OSError, ValueError) as exc:
         raise ValidationError(f"{what} {str(path)!r} cannot be read as {kind}: {exc}") from exc
+    if text.startswith("\ufeff"):  # the parsers would read it as part of the first column or value
+        raise ValidationError(f"{what} {str(path)!r} cannot be read as {kind}: "
+                              "it starts with a UTF-8 byte-order mark")
     digest = hashlib.sha256(data).hexdigest()
     _remember(_parsed_digests, os.fspath(path), digest)
     if "\r" in text:  # the newlines open() gives in text mode

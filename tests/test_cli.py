@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkpforge import __version__, cli
+from gkpforge import __version__, cli, montecarlo
 from gkpforge.cli import main
 from gkpforge.errors import NumericalError
 from gkpforge.nucdata import chain_to_csv, load_bundled_chain
@@ -236,7 +236,7 @@ def test_histogram_csv_counts_are_numpys_histogram():
     rng = np.random.default_rng(28)
     kappas = np.concatenate([edges, edges[::3], special, 10 ** rng.uniform(-0.5, 3.5, 500)])
     rng.shuffle(kappas)
-    rows = [line.split(",") for line in cli._histogram_csv(kappas).splitlines()]
+    rows = [line.split(",") for line in montecarlo.kappa_histogram_csv(kappas).splitlines()]
     finite = kappas[np.isfinite(kappas)]
     counts, _ = np.histogram(finite, bins=edges)
     assert rows[1:-2] == [[repr(float(left)), repr(float(right)), str(count)]
@@ -255,8 +255,8 @@ def test_histogram_csv_counts_are_numpys_histogram():
 ])
 def test_condition_builds_the_histogram_only_for_csv_and_out(capsys, tmp_path, monkeypatch, argv, builds):
     calls = []
-    histogram_csv = cli._histogram_csv
-    monkeypatch.setattr(cli, "_histogram_csv", lambda kappas: calls.append(1) or histogram_csv(kappas))
+    histogram_csv = montecarlo.kappa_histogram_csv
+    monkeypatch.setattr(montecarlo, "kappa_histogram_csv", lambda kappas: calls.append(1) or histogram_csv(kappas))
     argv = [str(tmp_path) if a == "OUT" else a for a in argv]
     code, _, _ = _run(capsys, "condition", "--samples", "64", *argv)
     assert code == 0
@@ -1329,8 +1329,14 @@ def test_only_what_a_command_parser_leaves_reaches_the_top_level_parser(capsys, 
     assert len(calls) == 4
 
 
-REPORT_DATACLASSES = {"BarrierBudget", "BarrierEntry", "Topology", "KappaSummary", "DesignMatrix",
-                      "ExtractionResult", "Milestone", "RamseyPlan"}
+# the types the commands pass to _fields: their results, and the dataclasses
+# and named tuples in a tuple field of one
+REPORT_DATACLASSES = {"BarrierBudget", "BarrierEntry", "KappaSummary", "Extraction", "Estimate",
+                      "MilestoneLadder", "Milestone", "RamseyPlan"}
+
+
+def _field_names(obj) -> list[str]:
+    return list(obj._fields) if isinstance(obj, tuple) else [f.name for f in dataclasses.fields(obj)]
 
 
 def test_fields_are_the_dataclass_fields_in_field_order(capsys, monkeypatch):
@@ -1347,11 +1353,23 @@ def test_fields_are_the_dataclass_fields_in_field_order(capsys, monkeypatch):
         assert main([*argv, "--format", "json"]) == 0
     capsys.readouterr()
     assert set(seen) == REPORT_DATACLASSES
+    listed = set()
     for obj in seen.values():
         got = fields(obj)
-        want = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-        assert list(got) == list(want)
-        assert all(got[name] is want[name] for name in want)
+        assert list(got) == _field_names(obj)
+        for name, value in got.items():
+            want = getattr(obj, name)
+            if type(want) is tuple and want and all(type(item).__name__ in REPORT_DATACLASSES for item in want):
+                # a tuple of dataclasses or named tuples: the list of their fields, each in field order,
+                # each value shared
+                listed.add(type(want[0]).__name__)
+                assert type(value) is list and len(value) == len(want)
+                for row, item in zip(value, want):
+                    assert list(row) == _field_names(item)
+                    assert all(row[key] is getattr(item, key) for key in row)
+            else:
+                assert value is want
+    assert listed == {"BarrierEntry", "Estimate", "Milestone"}
     # the names are read once per class
     misses = cli._field_names.cache_info().misses
     for argv in requests:

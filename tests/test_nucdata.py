@@ -277,6 +277,21 @@ def test_a_beta4_key_or_column_is_ignored(mo_chain, tmp_path):
         assert load_chain(path).records == mo_chain.records
 
 
+def test_a_csv_header_that_repeats_a_column_is_refused_naming_it(mo_chain, tmp_path, capsys):
+    # csv.DictReader would read every r_ch from the second column
+    lines = chain_to_csv(mo_chain).splitlines()
+    cells = ["r_ch"] + ["9.9(1)"] * (len(lines) - 1)
+    path = tmp_path / "chain.csv"
+    path.write_text("".join(f"{line},{cell}\n" for line, cell in zip(lines, cells)), encoding="utf-8")
+    message = f"chain file {str(path)!r}: CSV chain header repeats the column 'r_ch'"
+    with pytest.raises(ValidationError) as exc:
+        load_chain(path)
+    assert str(exc.value) == message
+    code = main(["budget", "--chain", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"invalid input: {message}\n")
+
+
 def test_partition_counts(mo_chain):
     even_even, odd = partition(mo_chain)
     assert [r.A for r in even_even] == [92, 94, 96, 98, 100]

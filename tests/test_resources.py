@@ -4,8 +4,10 @@ import re
 
 import pytest
 
+from gkpforge.cli import main
 from gkpforge.errors import ValidationError
-from gkpforge.resources import json_entries, json_field, load_json, refuse_repeat
+from gkpforge.nucdata import chain_to_csv, load_chain
+from gkpforge.resources import json_entries, json_field, load_json, refuse_repeat, resource_path
 
 
 @pytest.mark.parametrize("value, kind, expected", [
@@ -118,3 +120,18 @@ def test_refuse_repeat_names_the_first_entry():
         refuse_repeat(first, "x", 2, "file f: row 2", "row", "name 'x'")
     assert str(exc.value) == "file f: row 2 repeats row 0: name 'x'"
     assert first == {"x": 0, "y": 1}
+
+
+@pytest.mark.parametrize("flag, name, what, kind", [
+    ("--chain", "chain.csv", "chain file", "CSV"),
+    ("--anchors", "anchors.json", "anchor file", "JSON"),
+], ids=["csv", "json"])
+def test_a_byte_order_mark_is_refused_naming_it(capsys, tmp_path, flag, name, what, kind):
+    # read as text, the mark would be part of the CSV header's first column or the JSON's first token
+    text = chain_to_csv(load_chain("mo-chain-v1")) if kind == "CSV" else resource_path("mo41-anchors-v1").read_text()
+    path = tmp_path / name
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    code = main(["budget", flag, str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    message = f"{what} {str(path)!r} cannot be read as {kind}: it starts with a UTF-8 byte-order mark"
+    assert (code, captured.out, captured.err) == (2, "", f"invalid input: {message}\n")
