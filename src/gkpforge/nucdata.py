@@ -64,6 +64,10 @@ class Measured:
     effective: bool = False
 
     def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValidationError(f"measured value {self.value!r} is not finite")
+        if self.sigma is not None and not math.isfinite(self.sigma):
+            raise ValidationError(f"uncertainty {self.sigma!r} is not finite")
         if self.sigma is not None and self.sigma < 0:
             raise ValidationError(f"negative uncertainty {self.sigma!r}")
 
@@ -80,8 +84,8 @@ def parse_measured(text: str, *, context: str = "") -> Measured:
     """
     token = text.strip()
     m = _PAREN_RE.match(token)
+    where = f" in {context}" if context else ""
     if m is None:
-        where = f" in {context}" if context else ""
         raise ValidationError(f"cannot parse measured value {text!r}{where}")
     effective = m.group(1) == "~"
     sign = -1.0 if m.group(2) == "-" else 1.0
@@ -91,7 +95,10 @@ def parse_measured(text: str, *, context: str = "") -> Measured:
     if unc_digits is not None:
         # decimal-string construction keeps round trips bit-exact
         sigma = float(f"{int(unc_digits)}e-{len(frac_part)}")
-    return Measured(value=value, sigma=sigma, effective=effective)
+    try:  # a cell of 400 digits reads as inf
+        return Measured(value=value, sigma=sigma, effective=effective)
+    except ValidationError as exc:
+        raise ValidationError(f"{exc}{where}") from None
 
 
 def format_measured(m: Measured) -> str:
@@ -273,7 +280,7 @@ def _record_from_csv_row(row: dict, lineno: int) -> IsotopeRecord:
         parity = int(_ascii_number(row["parity"]))
     except (KeyError, ValueError) as exc:
         raise ValidationError(f"{ctx}: bad integer field ({exc})") from exc
-    spin = parse_spin(row["I"])
+    spin = json_spin(row, "I", ctx)  # a cell is a string to it
     half_life = row["half_life_s"].strip()
     try:
         half_life_s = float(_ascii_number(half_life)) if half_life else None
@@ -313,9 +320,9 @@ def _chain_from_csv_text(text: str) -> IsotopeChain:
 
 
 def json_spin(obj: dict, key: str, context: str) -> Fraction:
-    """A spin field of a JSON data file: a string such as "5/2", or a number.
-    A value that is not a half-integer is refused naming the context and
-    the key."""
+    """A spin field of a JSON data file or a CSV chain row: a string such as
+    "5/2", or a number. A value that is not a half-integer is refused
+    naming the context and the key."""
     kind = "number" if type(obj.get(key)) in (int, float) else "string"
     value = json_field(obj, key, kind, context)
     try:

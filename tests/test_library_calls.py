@@ -7,9 +7,6 @@ prefix; a successful call gives the report but its manifest."""
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -256,34 +253,3 @@ def test_solvability_table_is_the_solvability_report(capsys, chain, add, n_trans
     assert [row["label"] for row in table["topologies"]] == [
         "Stable, 1 trans.", "+ FRIB 91Mo", "Stable, 2 trans.", "+ FRIB + 2 trans."]
 
-
-# a child whose import system refuses numpy, as if it were not installed
-WITHOUT_NUMPY = """
-import json, sys
-
-class RefuseNumpy:
-    @staticmethod
-    def find_spec(name, path=None, target=None):
-        if name.partition(".")[0] == "numpy":
-            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-        return None
-
-sys.meta_path.insert(0, RefuseNumpy)
-try:
-    import numpy
-except ModuleNotFoundError:
-    pass
-else:
-    sys.exit("numpy was imported")
-from gkpforge import nucdata, topology
-print(json.dumps(topology.solvability_table(nucdata.load_chain("mo-chain-v1"), [91], 2, 2)))
-"""
-
-
-def test_solvability_table_runs_where_numpy_cannot_be_imported(mo_chain):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
-    child = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY], env=env, capture_output=True, text=True,
-                           timeout=120)
-    assert child.returncode == 0, child.stderr
-    table = topology.solvability_table(mo_chain, [91], 2, 2)
-    assert json.loads(child.stdout) == json.loads(json.dumps(table))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -138,7 +139,7 @@ def _csv_chain_with_cell(mo_chain, tmp_path, A: int, column: str, cell: str) -> 
     (97, "A", "\u0669\u0667", "row 6: bad integer field ('\u0669\u0667' is not written in ASCII digits)"),
     (97, "Z", "4_2", "row 6: bad integer field ('4_2' is not written in ASCII digits)"),
     (97, "parity", "+\u0661", "row 6: bad integer field ('+\u0661' is not written in ASCII digits)"),
-    (95, "I", "5_0/2", "cannot parse spin '5_0/2' as a half-integer"),
+    (95, "I", "5_0/2", "row 4 field I: cannot parse spin '5_0/2' as a half-integer"),
     (95, "half_life_s", "9_3.0", "row 4 field half_life_s: '9_3.0' is not a number"),
     (95, "half_life_s", "\u0669.3e2", "row 4 field half_life_s: '\u0669.3e2' is not a number"),
     (95, "r_ch", "4.\u0663", "cannot parse measured value '4.\u0663' in row 4 field r_ch"),
@@ -149,6 +150,32 @@ def test_csv_chain_text_numbers_are_ascii(mo_chain, tmp_path, A, column, cell, r
     with pytest.raises(ValidationError) as exc:
         load_chain(path)
     assert str(exc.value) == f"chain file {str(path)!r}: {refusal}"
+
+
+@pytest.mark.parametrize("value, sigma", [(math.nan, math.nan), (math.inf, None), (-math.inf, 0.1), (1.0, math.inf)])
+def test_measured_refuses_a_value_or_sigma_that_is_not_finite(value, sigma):
+    with pytest.raises(ValidationError, match="is not finite"):
+        Measured(value, sigma)
+
+
+NINES = "9" * 400  # a number that float() reads as inf
+
+
+@pytest.mark.parametrize("column, cell, key, csv_refusal", [
+    ("r_ch", NINES, "value", "measured value inf is not finite in row 4 field r_ch"),
+    ("Qs", NINES, "value", "measured value inf is not finite in row 4 field Qs"),
+    ("r_ch", f"4.330({NINES})", "sigma", "uncertainty inf is not finite in row 4 field r_ch"),
+], ids=["r_ch", "Qs", "sigma"])
+def test_a_chain_number_that_overflows_is_invalid_input(capsys, mo_chain, tmp_path, column, cell, key, csv_refusal):
+    csv_path = _csv_chain_with_cell(mo_chain, tmp_path, 95, column, cell)
+    obj = json.loads(chain_to_json(mo_chain))
+    obj["isotopes"][2][column][key] = "overflow"
+    json_path = tmp_path / "chain.json"
+    json_path.write_text(json.dumps(obj).replace('"overflow"', "1e400"), encoding="utf-8")
+    json_refusal = f"isotope A=95 field {column} has {key} = inf, expected a number"
+    for path, refusal in ((csv_path, csv_refusal), (json_path, json_refusal)):
+        assert main(["budget", "--chain", str(path)]) == 2
+        assert capsys.readouterr()[:2] == ("", f"invalid input: chain file {str(path)!r}: {refusal}\n")
 
 
 @pytest.mark.parametrize("column, cell, attribute, value", [

@@ -1,6 +1,7 @@
-"""Start-up boundaries: each command loads only the layers it runs, the
-closed-form commands run without numpy, and the lazily loaded layers
-behave as before.
+"""Start-up boundaries on the numpy side: the solving commands load numpy
+and only the layers they run, and the lazily loaded layers behave as
+before. What must run without numpy is a row of numpy_free_cases.py, and
+test_numpy_free_case runs every row.
 
 Which modules are loaded can only be seen in a fresh interpreter, so each
 case runs in its own child process.
@@ -18,26 +19,17 @@ import pytest
 import gkpforge
 from gkpforge import cli, montecarlo
 from gkpforge.resources import resource_path
+from numpy_free_cases import CASES, run_case
 
+# prints main(argv)'s exit code, whether numpy loaded, and the layers loaded
 RUN_MAIN = """
-import sys
-from gkpforge import cli
-code = cli.main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
-"""
-
-# the gkpforge submodules loaded in the child, as a sorted list
-LOADED = "sorted(name.split('.', 1)[1] for name in sys.modules if name.startswith('gkpforge.'))"
-
-RUN_MAIN_QUIET = f"""
 import contextlib, io, sys
 from gkpforge import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, *{LOADED})
+layers = sorted(name.split(".", 1)[1] for name in sys.modules if name.startswith("gkpforge."))
+print(code, "numpy" in sys.modules, *layers)
 """
-
-UNUSED_BY_CLOSED_FORM_PLANS = {"nucdata", "angular", "barriers", "topology", "gkp", "montecarlo"}
 
 
 def _child(code: str, *argv: str) -> str:
@@ -48,53 +40,19 @@ def _child(code: str, *argv: str) -> str:
     return child.stdout.splitlines()[-1]
 
 
-@pytest.mark.parametrize("module", ["gkpforge", "gkpforge.cli"])
-def test_import_leaves_numpy_unloaded(module):
-    assert _child(f"import sys, {module}; print('numpy' in sys.modules)") == "False"
-
-
-@pytest.mark.parametrize("module, loaded", [
-    ("gkpforge", ["errors"]),
-    ("gkpforge.cli", ["cli", "errors", "resources"]),
-], ids=["gkpforge", "gkpforge.cli"])
-def test_import_loads_no_layer(module, loaded):
-    assert _child(f"import sys, {module}; print({LOADED})") == str(loaded)
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_numpy_free_case(case):
+    assert run_case(case) is None
 
 
 @pytest.mark.parametrize("argv, unused", [
-    (["ramsey", "--half-life", "15.5", "--tr", "1"], UNUSED_BY_CLOSED_FORM_PLANS),
-    (["milestones", "--target", "1e-17"], UNUSED_BY_CLOSED_FORM_PLANS),
-    (["solvability", "--transitions", "2"], {"barriers", "budget", "gkp", "montecarlo"}),
-    (["budget"], {"topology", "gkp", "montecarlo"}),
     (["condition", "--samples", "16"], {"barriers"}),
     (["extract", "--rhs", str(resource_path("synthetic-rhs-noiseless-v1"))], {"montecarlo"}),
-], ids=["ramsey", "milestones", "solvability", "budget", "condition", "extract"])
-def test_commands_load_only_the_layers_they_run(argv, unused):
-    code, *loaded = _child(RUN_MAIN_QUIET, *argv, "--format", "json").split()
-    assert code == "0"
-    assert unused.isdisjoint(loaded), sorted(unused.intersection(loaded))
-
-
-@pytest.mark.parametrize("argv, code", [
-    (["budget"], 0),
-    (["budget", "--anchors", "no-such-anchors"], 2),
-    (["solvability", "--transitions", "2"], 0),
-    (["solvability", "--nbkg", "-1"], 2),
-    (["milestones", "--target", "1e-17"], 0),
-    (["milestones", "--target", "-1"], 2),
-    (["ramsey", "--half-life", "15.5", "--tr", "1"], 0),
-    (["ramsey", "--tr", "1", "--reps", "0"], 2),
-], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
-def test_closed_form_commands_run_without_numpy(argv, code):
-    assert _child(RUN_MAIN, *argv, "--format", "json") == f"{code} False"
-
-
-@pytest.mark.parametrize("argv", [
-    ["condition", "--samples", "16"],
-    ["extract", "--rhs", str(resource_path("synthetic-rhs-noiseless-v1"))],
 ], ids=["condition", "extract"])
-def test_solving_commands_load_numpy(argv):
-    assert _child(RUN_MAIN, *argv, "--format", "json") == "0 True"
+def test_solving_commands_load_numpy_and_only_the_layers_they_run(argv, unused):
+    code, numpy, *loaded = _child(RUN_MAIN, *argv, "--format", "json").split()
+    assert (code, numpy) == ("0", "True")
+    assert unused.isdisjoint(loaded), sorted(unused.intersection(loaded))
 
 
 def test_lazy_submodules_resolve_after_bare_import():
@@ -106,11 +64,6 @@ def test_lazy_submodules_resolve_after_bare_import():
     )
     assert _child(code) == ("gkpforge.angular gkpforge.barriers gkpforge.budget gkpforge.gkp "
                             "gkpforge.montecarlo gkpforge.nucdata gkpforge.topology True")
-
-
-def test_bare_import_reads_topology_alone():
-    code = f"import sys, gkpforge; top = gkpforge.topology; print(top.__name__, 'numpy' in sys.modules, *{LOADED})"
-    assert _child(code) == "gkpforge.topology False errors topology"
 
 
 def test_package_namespace_unchanged():
