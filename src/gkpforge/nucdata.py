@@ -147,6 +147,8 @@ class IsotopeRecord:
             raise ValidationError(f"{tag}: spin must be a non-negative half-integer no larger than A")
         if self.r_ch.value <= 0:
             raise ValidationError(f"{tag}: charge radius must be positive")
+        if self.BE2_up is not None and self.BE2_up.value < 0:
+            raise ValidationError(f"{tag} field BE2_up: B(E2) must be non-negative, got {self.BE2_up.value!r}")
         if self.Qs is not None and self.spin < 1:
             raise ValidationError(
                 f"{tag}: spectroscopic quadrupole moment given for I={self.spin} < 1"
@@ -336,11 +338,13 @@ def _measured_from_json(iso: dict, key: str, ctx: str, required: bool) -> Measur
     if obj is None:
         return None
     context = f"{ctx} field {key}"
-    return Measured(
-        value=json_field(obj, "value", "number", context),
-        sigma=json_field(obj, "sigma", "number", context, required=False),
-        effective="effective" in obj and json_field(obj, "effective", "boolean", context),
-    )
+    value = json_field(obj, "value", "number", context)
+    sigma = json_field(obj, "sigma", "number", context, required=False)
+    effective = "effective" in obj and json_field(obj, "effective", "boolean", context)
+    try:
+        return Measured(value=value, sigma=sigma, effective=effective)
+    except ValidationError as exc:
+        raise ValidationError(f"{context}: {exc}") from None
 
 
 def _chain_from_json_obj(obj: dict) -> IsotopeChain:

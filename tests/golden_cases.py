@@ -1,13 +1,15 @@
 """The golden cases, listed once: each case's directory under tests/golden
-and the command line that makes it. In a command line, <data> stands for
-the bundled data directory and <golden> for tests/golden.
+and the command line that makes it, with the one placeholder rule and the
+one pinned timestamp that every run of them uses. In a command line or a
+golden file, <data> stands for the bundled data directory and <golden>
+for tests/golden.
 
 test_golden.py and test_reach.py run every case in process. Run as a
 script, this module diffs one group of cases through the real entry
-point with same_as_golden.sh, from the repository root with gkpforge
-importable and the timestamp pinned:
+point, `python -m gkpforge.cli`: each case's stdout in every format, and
+the files that --out writes. Run it with gkpforge importable:
 
-    GKPFORGE_TIMESTAMP=2026-08-09T00:00:00+00:00 PYTHONPATH=src python tests/golden_cases.py closed-form
+    PYTHONPATH=src python tests/golden_cases.py closed-form
 
 closed-form runs the commands that start without numpy (budget,
 solvability, milestones, ramsey), numerical the others (condition,
@@ -17,8 +19,11 @@ the closed-form group runs before numpy is installed.
 
 from __future__ import annotations
 
+import difflib
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 CASES = {
@@ -42,6 +47,64 @@ CASES = {
 }
 
 CLOSED_FORM = {"budget", "solvability", "milestones", "ramsey"}
+FORMATS = ("json", "csv", "table")
+GOLDEN = Path(__file__).resolve().parent / "golden"
+TIMESTAMP = "2026-08-09T00:00:00+00:00"  # every golden report's, as GKPFORGE_TIMESTAMP
+
+
+def _placeholders() -> dict[str, str]:
+    from gkpforge.resources import resource_path
+
+    return {"<data>": str(resource_path("mo-chain-v1").parent), "<golden>": str(GOLDEN)}
+
+
+def with_paths(text: str) -> str:
+    """text with each placeholder replaced by the directory it stands for."""
+    for placeholder, path in _placeholders().items():
+        text = text.replace(placeholder, path)
+    return text
+
+
+def with_placeholders(text: str) -> str:
+    """text with each directory replaced by its placeholder."""
+    for placeholder, path in _placeholders().items():
+        text = text.replace(path, placeholder)
+    return text
+
+
+def _differs(expected: Path, got: str) -> bool:
+    want = expected.read_text(encoding="utf-8")
+    sys.stderr.writelines(difflib.unified_diff(want.splitlines(True), got.splitlines(True), str(expected), "got"))
+    return want != got
+
+
+def _same_as_golden(case: str, root: Path) -> bool:
+    """Whether case's stdout in every format and its --out files are the
+    golden bytes, run through `python -m gkpforge.cli` from root."""
+    argv = [sys.executable, "-m", "gkpforge.cli", *map(with_paths, CASES[case])]
+    env = {**os.environ, "GKPFORGE_TIMESTAMP": TIMESTAMP}
+
+    def run(*extra: str) -> str | None:
+        child = subprocess.run([*argv, *extra], cwd=root, env=env, capture_output=True, text=True, timeout=300)
+        sys.stderr.write(child.stderr)
+        return None if child.returncode else with_placeholders(child.stdout)
+
+    golden = GOLDEN / case
+    stdouts = [run("--format", fmt) for fmt in FORMATS]
+    if None in stdouts:
+        return False
+    same = [not _differs(golden / f"stdout.{fmt}", stdout) for fmt, stdout in zip(FORMATS, stdouts)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / case
+        if run("--format", "json", "--out", str(out)) is None:
+            return False
+        names = sorted(p.name for p in out.iterdir())
+        if names != sorted(p.name for p in (golden / "out").iterdir()):
+            print(f"{case}: --out wrote {names}", file=sys.stderr)
+            return False
+        same += [not _differs(golden / "out" / name, with_placeholders((out / name).read_text(encoding="utf-8")))
+                 for name in names]
+    return all(same)
 
 
 def main(argv: list[str]) -> int:
@@ -50,8 +113,7 @@ def main(argv: list[str]) -> int:
         return 2
     root = Path(__file__).resolve().parents[1]
     cases = [case for case, command in CASES.items() if (command[0] in CLOSED_FORM) == (argv[0] == "closed-form")]
-    failed = [case for case in cases
-              if subprocess.run(["bash", "tests/same_as_golden.sh", case, *CASES[case]], cwd=root).returncode]
+    failed = [case for case in cases if not _same_as_golden(case, root)]
     print(f"{len(cases) - len(failed)} of {len(cases)} {argv[0]} golden cases match"
           + (f"; these differ: {', '.join(failed)}" if failed else ""))
     return 1 if failed else 0

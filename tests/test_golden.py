@@ -26,32 +26,19 @@ from unittest import mock
 import pytest
 
 from gkpforge.cli import ENV_TIMESTAMP, main
-from gkpforge.resources import ENV_DATA_DIR, resource_path
-from golden_cases import CASES
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
-TIMESTAMP = "2026-08-09T00:00:00+00:00"
-FORMATS = ("json", "csv", "table")
-
-
-def _swap(text: str, pairs) -> str:
-    for old, new in pairs:
-        text = text.replace(old, new)
-    return text
+from gkpforge.resources import ENV_DATA_DIR
+from golden_cases import CASES, FORMATS, GOLDEN, TIMESTAMP, with_paths, with_placeholders
 
 
 def _run(argv: list[str], fmt: str, out_dir: Path | None) -> tuple[str, dict[str, str]]:
     """stdout and the --out files of one run, with placeholders for paths."""
-    places = {"<data>": str(resource_path("mo-chain-v1").parent), "<golden>": str(GOLDEN)}
-    argv = [_swap(arg, places.items()) for arg in argv]
-    argv += ["--format", fmt] + (["--out", str(out_dir)] if out_dir else [])
+    argv = [with_paths(arg) for arg in argv] + ["--format", fmt] + (["--out", str(out_dir)] if out_dir else [])
     stdout = io.StringIO()
     with mock.patch.dict(os.environ, {ENV_TIMESTAMP: TIMESTAMP}), contextlib.redirect_stdout(stdout):
         os.environ.pop(ENV_DATA_DIR, None)
         assert main(argv) == 0
-    back = [(path, name) for name, path in places.items()]
-    files = {p.name: _swap(p.read_text(encoding="utf-8"), back) for p in out_dir.iterdir()} if out_dir else {}
-    return _swap(stdout.getvalue(), back), files
+    files = {p.name: with_placeholders(p.read_text(encoding="utf-8")) for p in out_dir.iterdir()} if out_dir else {}
+    return with_placeholders(stdout.getvalue()), files
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

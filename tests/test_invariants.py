@@ -82,9 +82,8 @@ def _odd_probes():
 
 @pytest.mark.parametrize("chain, probe", _odd_probes())
 @pytest.mark.parametrize("scenario", ["current", "projected"])
-def test_the_nominal_chi_bound_is_the_band_bound_at_the_nominal_form_factor(capsys, monkeypatch, chain,
+def test_the_nominal_chi_bound_is_the_band_bound_at_the_nominal_form_factor(capsys, pinned_timestamp, chain,
                                                                            probe, scenario):
-    monkeypatch.setenv("GKPFORGE_TIMESTAMP", "2026-08-09T00:00:00+00:00")
     assert main(["budget", "--chain", chain, "--probe", str(probe), "--scenario", scenario, "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     loaded = load_bundled_chain(chain)

@@ -26,14 +26,11 @@ CHAIN = resource_path("mo-chain-v1").read_bytes()
 # the same chain with the probe's (A = 95) B(E2) raised, at the same size
 EDITED = CHAIN.replace(b'"BE2_up": {"value": 8.0,', b'"BE2_up": {"value": 9.0,')
 
+pytestmark = pytest.mark.usefixtures("pinned_timestamp")
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-@pytest.fixture(autouse=True)
-def pinned_timestamp(monkeypatch):
-    monkeypatch.setenv("GKPFORGE_TIMESTAMP", "2026-08-09T00:00:00+00:00")
 
 
 def _budget(capsys, *argv) -> dict:

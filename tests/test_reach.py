@@ -30,10 +30,8 @@ import sys
 from pathlib import Path
 
 from gkpforge.cli import ENV_TIMESTAMP
-from gkpforge.nucdata import IsotopeChain, chain_to_csv
-from gkpforge.resources import ENV_DATA_DIR, resource_path
-from golden_cases import CASES
-from test_golden import FORMATS, GOLDEN, TIMESTAMP
+from gkpforge.resources import ENV_DATA_DIR
+from golden_cases import CASES, FORMATS, TIMESTAMP, with_paths
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gkpforge"
 
@@ -106,26 +104,22 @@ def _functions() -> dict[tuple[str, int], str]:
     return found
 
 
-def _matrix(tmp_path: Path, chain: IsotopeChain) -> tuple[list[list[str]], list[int]]:
+def _matrix(tmp_path: Path, edited) -> tuple[list[list[str]], list[int]]:
     """The command lines and the exit code each must give."""
-    places = {"<data>": str(resource_path("mo-chain-v1").parent), "<golden>": str(GOLDEN)}
     runs = []
     for case, argv in sorted(CASES.items()):
-        for old, new in places.items():
-            argv = [arg.replace(old, new) for arg in argv]
+        argv = [with_paths(arg) for arg in argv]
         runs += [(argv + ["--format", fmt, "--out", str(tmp_path / f"{case}-{fmt}")], 0) for fmt in FORMATS]
 
-    csv_chain = tmp_path / "chain.csv"
-    csv_chain.write_text(chain_to_csv(chain), encoding="utf-8")
-    noiseless = json.loads(resource_path("synthetic-rhs-noiseless-v1").read_text(encoding="utf-8"))
-    underdetermined = tmp_path / "rhs_underdetermined.json"
-    underdetermined.write_text(json.dumps({"rows": [
-        row for row in noiseless["rows"] if row["transition"] == "1s-2p3/2" and row["A"] in (95, 97)]}),
-        encoding="utf-8")
-    coeffs = json.loads(resource_path("mo41-coeffs-v1").read_text(encoding="utf-8"))
-    next(t for t in coeffs["transitions"] if t["label"] == "1s-2p3/2")["G_eV_per_lever"] = 0.0
-    zero_g = tmp_path / "coeffs_zero_g.json"
-    zero_g.write_text(json.dumps(coeffs), encoding="utf-8")
+    def stable_pair(obj):
+        obj["rows"] = [row for row in obj["rows"] if row["transition"] == "1s-2p3/2" and row["A"] in (95, 97)]
+
+    def without_g(obj):
+        next(t for t in obj["transitions"] if t["label"] == "1s-2p3/2")["G_eV_per_lever"] = 0.0
+
+    csv_chain = edited("mo-chain-v1", lambda header, rows: None, as_csv=True)
+    underdetermined = edited("synthetic-rhs-noiseless-v1", stable_pair)
+    zero_g = edited("mo41-coeffs-v1", without_g)
     nan_rhs = tmp_path / "rhs_nan.json"
     nan_rhs.write_text('{"rows": [{"A": 95, "transition": "1s-2p3/2", "delta_eV": NaN, "sigma_eV": 1e-13}]}',
                        encoding="utf-8")
@@ -142,8 +136,8 @@ def _matrix(tmp_path: Path, chain: IsotopeChain) -> tuple[list[list[str]], list[
     return [argv for argv, _ in runs], [code for _, code in runs]
 
 
-def test_every_function_is_reached_by_a_command_or_allowed(tmp_path, mo_chain):
-    argvs, expected_codes = _matrix(tmp_path, mo_chain)
+def test_every_function_is_reached_by_a_command_or_allowed(tmp_path, edited):
+    argvs, expected_codes = _matrix(tmp_path, edited)
     env = {key: value for key, value in os.environ.items() if key != ENV_DATA_DIR}
     env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE.parent), *filter(None, [env.get("PYTHONPATH")])])
     env[ENV_TIMESTAMP] = TIMESTAMP
