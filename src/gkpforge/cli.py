@@ -97,9 +97,13 @@ def _timestamp() -> str:
 
 def _load(args, flag: str, load):
     """load(path) of the input that --flag names, a resource name or a file
-    path resolved by resource_path; the path is recorded under the flag's
-    name for the manifest that _emit writes, which hashes the bytes loaded."""
-    path = args.inputs[flag] = resource_path(getattr(args, flag))
+    path resolved by resource_path, whose refusal is named by the flag; the
+    path is recorded under the flag's name for the manifest that _emit
+    writes, which hashes the bytes loaded."""
+    try:
+        path = args.inputs[flag] = resource_path(getattr(args, flag))
+    except ValidationError as exc:
+        raise ValidationError(f"--{flag}: {exc}") from None
     return load(path)
 
 

@@ -16,6 +16,16 @@ numerically rank-deficient systems are refused rather than regularized:
 silently pseudo-inverting a degenerate extraction is exactly the failure
 mode this analysis exists to prevent.
 
+solve_many and extract factor each (design, sigma) once. Its plan (the
+preconditioned design, kappa, the whitened SVD, the column norms and the
+standard errors) is memoized on the exact bytes it reads: the design's
+rows, columns, preconditioned flag and column norms, the bytes of its
+entries, and sigma's shape and bytes. Only plans that were built are kept,
+at most PLAN_MEMO_SIZE of them, least recently used dropped first, with
+read-only arrays; a refusal is raised again on every call. A solve that
+finds its plan does only the per-rhs products, the same expressions in the
+same order, so its bits are those of the first solve.
+
 load_rhs reads the rows of an rhs file, one (delta, sigma) per (isotope,
 transition), and extract_rows solves them over the odd isotopes and
 transitions they name: the extract command's report.
@@ -31,6 +41,7 @@ else, and every single design, is normalized and takes the SVD.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -520,23 +531,37 @@ class ExtractionResult:
     residual_norm_eV: float
 
 
-def _solve(m: DesignMatrix, rhs_stack, sigma):
-    """The weighted solve behind solve_many and extract, and the one owner
-    of their input checks; returns the preconditioned design, the
-    (cols, trials) solutions y of the preconditioned system and
-    solve_many's three values. Division is correctly rounded and each
-    product sums over the rows in the same order, so the solve keeps the
-    bits of the trials-first expression (((rhs / sigma) @ u) / s) @ vt / norms."""
-    rhs_stack = np.ascontiguousarray(rhs_stack, dtype=float)
-    if rhs_stack.ndim != 2 or rhs_stack.shape[0] != len(m.rows):
-        raise ValidationError(
-            f"the rhs stack has shape {rhs_stack.shape}; expected ({len(m.rows)}, trials), "
-            "one value per design row in each trial"
-        )
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (len(m.rows),) or not (np.isfinite(sigma) & (sigma > 0)).all():
-        raise ValidationError("sigma must provide one positive, finite uncertainty per row")
+class _Plan(NamedTuple):
+    """What solving one design against one sigma reads besides the rhs; its
+    arrays are read-only."""
 
+    pre: DesignMatrix  # the preconditioned design
+    kappa: float
+    u: np.ndarray  # the SVD u s vt of the row-whitened pre
+    s: np.ndarray
+    vt: np.ndarray
+    norms: np.ndarray  # pre's column norms
+    errors: np.ndarray  # the standard errors
+
+
+_OUT_OF_RANGE = ("the weighted solve left the floating-point range: the squared whitened singular "
+                 "values overflowed or underflowed, or the estimates are not finite; check the "
+                 "scale of the rhs values and uncertainties")
+
+# solve plans kept, the least recently used dropped first
+PLAN_MEMO_SIZE = 32
+
+
+@functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
+def _plan(rows, columns, preconditioned, column_norms, entries: bytes, sigma_shape, sigma: bytes) -> _Plan:
+    """The plan of the design of these fields and entry bytes against the
+    sigma of these bytes, or its refusal: underdetermined, rank deficient,
+    a whitened design that overflows, or squared singular values or
+    standard errors outside the floating-point range. lru_cache keeps only
+    what returns, so a refusal is raised again on every call."""
+    m = DesignMatrix(rows, columns, np.frombuffer(entries).reshape(len(rows), len(columns)),
+                     preconditioned, column_norms)
+    sigma = np.frombuffer(sigma).reshape(sigma_shape)
     _refuse_underdetermined(m)
     pre = precondition(m)
     kappa = float(_svd_condition_numbers(pre.entries))
@@ -559,20 +584,46 @@ def _solve(m: DesignMatrix, rhs_stack, sigma):
                 "the row-whitened design matrix is numerically rank deficient; "
                 "check the spread of the rhs uncertainties"
             )
-        y = vt.T @ ((u.T @ (rhs_stack / sigma[:, None])) / s[:, None])
         s2 = s * s
         cov_y = (vt.T / s2) @ vt
-        estimates = y / norms[:, None]
         errors = np.sqrt(np.diag(cov_y / np.outer(norms, norms)))
     # an overflowing s*s turns the standard errors into 0.0, and one that
     # underflows to zero turns them into inf
-    if not (np.isfinite(s2).all() and np.isfinite(errors).all() and np.isfinite(estimates).all()):
-        raise NumericalError(
-            "the weighted solve left the floating-point range: the squared whitened singular "
-            "values overflowed or underflowed, or the estimates are not finite; check the "
-            "scale of the rhs values and uncertainties"
+    if not (np.isfinite(s2).all() and np.isfinite(errors).all()):
+        raise NumericalError(_OUT_OF_RANGE)
+    for array in (u, s, vt, norms, errors):
+        array.setflags(write=False)
+    return _Plan(pre, kappa, u, s, vt, norms, errors)
+
+
+def _solve(m: DesignMatrix, rhs_stack, sigma):
+    """The weighted solve behind solve_many and extract, and the one owner
+    of their input checks; returns the preconditioned design, the
+    (cols, trials) solutions y of the preconditioned system and
+    solve_many's three values. The rhs shape and sigma are checked on every
+    call; the rest comes from the memoized plan of (m, sigma), and only y
+    and the estimates are computed per call. Division is correctly rounded
+    and each product sums over the rows in the same order, so the solve
+    keeps the bits of the trials-first expression
+    (((rhs / sigma) @ u) / s) @ vt / norms."""
+    rhs_stack = np.ascontiguousarray(rhs_stack, dtype=float)
+    if rhs_stack.ndim != 2 or rhs_stack.shape[0] != len(m.rows):
+        raise ValidationError(
+            f"the rhs stack has shape {rhs_stack.shape}; expected ({len(m.rows)}, trials), "
+            "one value per design row in each trial"
         )
-    return pre, y, estimates, errors, kappa
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (len(m.rows),) or not (np.isfinite(sigma) & (sigma > 0)).all():
+        raise ValidationError("sigma must provide one positive, finite uncertainty per row")
+
+    plan = _plan(m.rows, m.columns, m.preconditioned, m.column_norms, m.entries.tobytes(),
+                 sigma.shape, sigma.tobytes())
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y = plan.vt.T @ ((plan.u.T @ (rhs_stack / sigma[:, None])) / plan.s[:, None])
+        estimates = y / plan.norms[:, None]
+    if not np.isfinite(estimates).all():
+        raise NumericalError(_OUT_OF_RANGE)
+    return plan.pre, y, estimates, plan.errors, plan.kappa
 
 
 def solve_many(m: DesignMatrix, rhs_stack, sigma):
@@ -590,7 +641,8 @@ def solve_many(m: DesignMatrix, rhs_stack, sigma):
     singular values overflow or underflow to zero, or when an estimate is
     not finite. Returns (estimates (cols, trials), standard errors
     (cols,), kappa); residual norms are left to extract, the one caller
-    that reports them.
+    that reports them. The standard errors are the memoized plan's
+    read-only array, shared by every solve of the same design and sigma.
     """
     return _solve(m, rhs_stack, sigma)[2:]
 

@@ -9,9 +9,10 @@ Every data file is opened once per load, by _read: it reads the bytes,
 takes their sha256 and decodes the text from those same bytes, and refuses
 (ValidationError) a file that cannot be opened or decoded, or that starts
 with a UTF-8 byte-order mark. JSON files go on through load_json
-(refusing what is not a JSON object, NaN, Infinity and a key given twice
-in one object), json_field (a field of the wrong type), json_entries and
-refuse_repeat; range checks belong to the dataclass that owns the value.
+(refusing what is not a JSON object, NaN and Infinity, the first one
+named by its JSON path, and a key given twice in one object), json_field
+(a field of the wrong type), json_entries and refuse_repeat; range checks
+belong to the dataclass that owns the value.
 
 The data loaders go through load_validated, which memoizes the validated
 object on (validator, sha256 of the bytes read): a file whose bytes were
@@ -131,18 +132,28 @@ _KINDS = {
 _FLOAT_MAX = sys.float_info.max
 
 
+class _NonFinite(ValidationError):
+    """A NaN or Infinity literal, refused by the first decode."""
+
+
 def _refuse_constant(name: str):
-    raise ValidationError(f"has a non-finite number ({name})")
+    raise _NonFinite(f"has a non-finite number ({name})")
 
 
-def _name_non_finite(pairs: list) -> dict:
-    """object_pairs_hook that refuses, by its key, a value that is NaN or
-    Infinity or a list holding one."""
-    for key, value in pairs:
-        for item in value if type(value) is list else (value,):
-            if type(item) is float and not isfinite(item):
-                raise ValidationError(f"has a non-finite {key}")
-    return dict(pairs)
+def _literal_path(text: str) -> str:
+    """The JSON path (isotopes[1].r_ch.value) of the first NaN or Infinity
+    literal in text, which holds one and decodes once they are allowed."""
+    literal = object()
+    # objects decode to tuples of their (key, value) pairs, a key given twice among them
+    todo = [("", json.loads(text, parse_constant=lambda name: literal, object_pairs_hook=tuple))]
+    while todo:  # depth first, in document order
+        path, value = todo.pop()
+        if value is literal:
+            return path or "the top level"
+        if type(value) is tuple:
+            todo.extend((f"{path}.{key}" if path else key, item) for key, item in reversed(value))
+        elif type(value) is list:
+            todo.extend((f"{path}[{k}]", value[k]) for k in reversed(range(len(value))))
 
 
 def _refuse_repeated_key(pairs: list) -> dict:
@@ -207,14 +218,14 @@ def load_validated(source: str | Path, what: str, kind: str, validate):
 
 def _json_object(text: str, where: str) -> dict:
     try:
-        obj = _DECODER.decode(text)
+        try:
+            obj = _DECODER.decode(text)
+        except _NonFinite as exc:  # decode again, keeping the literals, to say where the first one is
+            raise ValidationError(f"{exc} at {_literal_path(text)}") from None
     except ValidationError as exc:
-        try:  # decode again, keeping the literal, to name the key that holds it
-            json.loads(text, object_pairs_hook=_name_non_finite)
-        except ValidationError as named:
-            exc = named
         raise ValidationError(f"{where} {exc}") from None
-    except ValueError as exc:
+    # a syntax error, also one after a literal, or nesting deeper than the decoder recurses
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{where} cannot be read as JSON: {exc}") from exc
     if type(obj) is not dict:
         raise ValidationError(f"{where} must hold a JSON object")

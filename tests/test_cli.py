@@ -798,7 +798,7 @@ CONDITION = ["condition", "--samples", "64"]
 EXTRACT = ["extract", "--rhs", RHS_FIXTURE]
 NORM_OUT_OF_RANGE = ("numerical failure: column 'qs_background' has a norm outside the floating-point range: "
                      "an entry or its square overflows, or the squares underflow")
-NOT_A_RESOURCE = ("invalid input: {!r} is neither a known resource name (milestones-v1, mo-chain-frib-synthetic-v1, "
+NOT_A_RESOURCE = ("invalid input: {}: {!r} is neither a known resource name (milestones-v1, mo-chain-frib-synthetic-v1, "
                   "mo-chain-v1, mo41-anchors-v1, mo41-coeffs-v1, mo91-sampling-v1, synthetic-rhs-noiseless-v1) "
                   "nor an existing file")
 TOO_LARGE = f"invalid input: sample_count {2**62} is too large: its array cannot be allocated"
@@ -845,7 +845,18 @@ def _repeated_key(name: str, key: str) -> str:
 
 REFUSALS = {
     "budget missing anchors file": Refusal(["budget", "--anchors", "missing_anchors.json"], 2,
-                                           NOT_A_RESOURCE.format("missing_anchors.json")),
+                                           NOT_A_RESOURCE.format("--anchors", "missing_anchors.json")),
+    "budget missing chain file": Refusal(["budget", "--chain", "nope.json"], 2,
+                                         NOT_A_RESOURCE.format("--chain", "nope.json")),
+    # a NaN or Infinity literal, named by its JSON path
+    "budget chain NaN r_ch": Refusal(["budget", "--chain", "{chain}"], 2,
+                                     "invalid input: chain file '{chain}' has a non-finite number (NaN) "
+                                     "at isotopes[1].r_ch.value",
+                                     {"chain": (STABLE, _set("isotopes", 1, "r_ch", "value", value=math.nan))}),
+    "extract chain infinite Qs sigma": Refusal(
+        [*EXTRACT, "--chain", "{chain}"], 2,
+        "invalid input: chain file '{chain}' has a non-finite number (Infinity) at isotopes[3].Qs.sigma",
+        {"chain": (FRIB, _set("isotopes", 3, "Qs", "sigma", value=math.inf))}),
     "budget even-even probe": Refusal(["budget", "--probe", "92"], 2,
                                       "invalid input: probe A=92 is even-even (I = 0) and carries no rank-2 signal"),
     # a finite Qs whose square overflows the second-order hyperfine residual
@@ -892,7 +903,7 @@ REFUSALS = {
     "extract coeffs H = 1e308": Refusal([*EXTRACT, "--coeffs", "{coeffs}"], 3, NORM_OUT_OF_RANGE,
                                         {"coeffs": (COEFFS, _set("transitions", 0, "H_eV_per_b", value=1e308))}),
     "extract missing rhs file": Refusal(["extract", "--rhs", "nowhere.json"], 2,
-                                        NOT_A_RESOURCE.format("nowhere.json")),
+                                        NOT_A_RESOURCE.format("--rhs", "nowhere.json")),
     "extract stable pair": Refusal(
         ["extract", "--chain", STABLE, "--rhs", "{rhs}"], 1,
         "refused: underdetermined topology: 2 equations for 3 unknowns. With 1 rank-2 transition(s) the counting "

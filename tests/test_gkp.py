@@ -625,12 +625,148 @@ def test_underdetermined_stable_pair_refused(mo_chain, coeffs):
         extract(design, rhs, np.full(2, 1e-22))
 
 
-def test_solve_many_preconditions_once(frib_chain, coeffs, monkeypatch):
+@pytest.fixture
+def cold():
+    """The plan memo emptied before and after the test."""
+    gkp._plan.cache_clear()
+    yield
+    gkp._plan.cache_clear()
+
+
+def _memo() -> tuple[int, int, int]:
+    """The plan memo's hits, misses and size."""
+    info = gkp._plan.cache_info()
+    return info.hits, info.misses, info.currsize
+
+
+def test_solve_many_preconditions_once(frib_chain, coeffs, monkeypatch, cold):
+    # a cold solve preconditions once, and an identical warm one not at all
     calls = []
     monkeypatch.setattr(gkp, "precondition", lambda m: calls.append(m) or precondition(m))
     design = build_design(partition(frib_chain)[1], coeffs)
     gkp.solve_many(design, (design.entries @ TRUTH)[:, None], np.ones(6))
     assert len(calls) == 1
+    gkp.solve_many(design, (design.entries @ TRUTH)[:, None], np.ones(6))
+    assert len(calls) == 1
+
+
+def _solved(design, rhs, sigma) -> tuple:
+    """solve_many's estimates, errors and kappa as bytes, and extract's
+    result on the first trial, whose float reprs round-trip every bit."""
+    estimates, errors, kappa = gkp.solve_many(design, rhs, sigma)
+    return estimates.tobytes(), errors.tobytes(), np.float64(kappa).tobytes(), repr(extract(design, rhs[:, 0], sigma))
+
+
+def _noisy(design, seed: int, trials: int = 5):
+    """A (rows, trials) rhs around TRUTH and its spread per-row sigma."""
+    rng = np.random.default_rng(seed)
+    sigma = 10.0 ** rng.uniform(-15.0, -12.0, len(design.rows))
+    return (design.entries @ TRUTH)[:, None] + sigma[:, None] * rng.normal(size=(len(design.rows), trials)), sigma
+
+
+@pytest.mark.parametrize("chain, labels", [("frib_chain", ["1s-2p3/2"]), ("frib_chain", None), ("mo_chain", None)],
+                         ids=["frib-one-transition", "frib-two-transitions", "stable-two-transitions"])
+def test_a_warm_solve_has_the_bytes_of_a_cold_one(request, coeffs, cold, chain, labels):
+    # the stable chain with one transition is underdetermined: see the refusals below
+    used = coeffs if labels is None else coeffs.subset(labels)
+    raw = build_design(partition(request.getfixturevalue(chain))[1], used)
+    rhs, sigma = _noisy(raw, 31)
+    for design in (raw, precondition(raw)):  # what a campaign and extract_rows solve
+        gkp._plan.cache_clear()
+        first = _solved(design, rhs, sigma)
+        assert _memo() == (1, 1, 1)  # extract found the plan solve_many built
+        assert _solved(design, rhs, sigma) == first
+        assert _memo() == (3, 1, 1)
+
+
+def test_repeated_campaigns_give_equal_reprs(frib_chain, coeffs, cold):
+    used, truth = coeffs.subset(["1s-2p3/2"]), {"backgrounds": (1.0, 1.0), "alpha_manko": 0.0}
+    runs = [repr(montecarlo.injection_recovery(frib_chain, used, truth, 1e-13, 500, seed)) for seed in (7, 8, 7)]
+    assert runs[0] == runs[2] != runs[1]
+    assert _memo() == (2, 1, 1)
+
+
+PLAN_REFUSALS = {
+    "underdetermined": ("mo_chain", ["1s-2p3/2"], lambda rows: np.ones(rows), UnderdeterminedError,
+                        "2 equations for 3 unknowns"),
+    "whitened rank deficient": ("frib_chain", ["1s-2p3/2"], lambda rows: np.array([1e-20, 1.0, 1.0]),
+                                RankDeficiencyError, "check the spread of the rhs uncertainties"),
+    "whitened overflow": ("frib_chain", ["1s-2p3/2"], lambda rows: np.full(rows, 5e-324), NumericalError,
+                          "row-whitened design matrix overflowed"),
+    "squared singular values overflow": ("frib_chain", None, lambda rows: np.full(rows, 1e-300), NumericalError,
+                                         "overflowed or underflowed"),
+    "squared singular values underflow": ("frib_chain", None, lambda rows: np.full(rows, 1e300), NumericalError,
+                                          "overflowed or underflowed"),
+}
+
+
+@pytest.mark.parametrize("case", PLAN_REFUSALS)
+def test_a_refusal_is_raised_on_every_call_and_never_stored(request, coeffs, cold, case):
+    chain, labels, sigma_of, error, message = PLAN_REFUSALS[case]
+    used = coeffs if labels is None else coeffs.subset(labels)
+    design = build_design(partition(request.getfixturevalue(chain))[1], used)
+    sigma = sigma_of(len(design.rows))
+    for calls in (1, 2, 3):
+        with pytest.raises(error, match=message):
+            gkp.solve_many(design, (design.entries @ TRUTH)[:, None], sigma)
+        assert _memo() == (0, calls, 0)
+
+
+def test_rank_deficient_and_zero_column_designs_are_refused_on_every_call(cold):
+    rows = ((1, "t"), (2, "t"), (3, "t"))
+    degenerate = np.column_stack([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 0.0]])
+    for entries, error in ((degenerate, RankDeficiencyError), (np.eye(3) * [1.0, 1.0, 0.0], RankDeficiencyError),
+                           (np.eye(3) * [1e300, 1.0, 1.0], NumericalError)):
+        m = DesignMatrix(rows=rows, columns=COLUMN_NAMES, entries=entries)
+        for _ in range(2):
+            with pytest.raises(error):
+                extract(m, np.ones(3), np.ones(3))
+    assert _memo() == (0, 6, 0)
+
+
+def test_non_finite_estimates_are_refused_on_every_call_from_a_stored_plan(frib_chain, coeffs, cold):
+    design = build_design(partition(frib_chain)[1], coeffs.subset(["1s-2p3/2"]))
+    for calls in (1, 2):
+        with pytest.raises(NumericalError, match="estimates are not finite"):
+            gkp.solve_many(design, np.full((3, 1), 1e308), np.full(3, 1e-13))
+    assert _memo() == (1, 1, 1)  # the plan holds; only the rhs is out of range
+
+
+def test_the_plan_memo_holds_no_more_than_its_bound(frib_chain, coeffs, cold):
+    assert gkp._plan.cache_info().maxsize == gkp.PLAN_MEMO_SIZE == 32
+    design = build_design(partition(frib_chain)[1], coeffs)
+    rhs = (design.entries @ TRUTH)[:, None]
+    for k in range(gkp.PLAN_MEMO_SIZE + 5):
+        gkp.solve_many(design, rhs, np.full(6, 1e-13 * (1 + k)))
+        assert _memo()[2] == min(k + 1, gkp.PLAN_MEMO_SIZE)
+    gkp.solve_many(design, rhs, np.full(6, 1e-13))  # the least recently used went first
+    assert _memo() == (0, gkp.PLAN_MEMO_SIZE + 6, gkp.PLAN_MEMO_SIZE)
+
+
+def test_writing_to_a_returned_array_cannot_change_a_later_solve(frib_chain, coeffs, cold):
+    design = build_design(partition(frib_chain)[1], coeffs)
+    rhs, sigma = _noisy(design, 37)
+    first = _solved(design, rhs, sigma)
+    estimates, errors, _ = gkp.solve_many(design, rhs, sigma)
+    estimates[:] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        errors[:] = 0.0
+    given = sigma.copy()
+    sigma[:] = 1.0  # the caller's own sigma, rewritten after its solve
+    assert _solved(design, rhs, given) == first
+
+
+def test_new_row_labels_or_one_bit_of_sigma_miss(frib_chain, coeffs, cold):
+    design = build_design(partition(frib_chain)[1], coeffs)
+    rhs, sigma = _noisy(design, 41)
+    first = _solved(design, rhs, sigma)
+    relabeled = dataclasses.replace(design, rows=tuple((A, f"{label}'") for A, label in design.rows))
+    assert _solved(relabeled, rhs, sigma) == first  # labels enter no arithmetic
+    assert _memo() == (2, 2, 2)
+    nudged = sigma.copy()
+    nudged[0] = np.nextafter(sigma[0], np.inf)
+    assert _solved(design, rhs, nudged) != first
+    assert _memo() == (3, 3, 3)
 
 
 def test_solve_many_refuses_an_rhs_stack_of_the_wrong_row_count(frib_chain, coeffs):

@@ -71,7 +71,7 @@ LOAD_RHS_REFUSALS = {
     "mistyped A": (_rows(lambda rows: rows[0].__setitem__("A", "x")),
                    "rhs file {path}: row 0 has A = 'x', expected an integer"),
     "non-finite delta": (_rows(lambda rows: rows[0].__setitem__("delta_eV", float("nan"))),
-                         "rhs file '{path}' has a non-finite delta_eV"),
+                         "rhs file '{path}' has a non-finite number (NaN) at rows[0].delta_eV"),
     "zero sigma": (_rows(lambda rows: rows[1].__setitem__("sigma_eV", 0.0)),
                    "rhs file {path}: row 1 has non-positive sigma_eV"),
     "repeated row": (_rows(lambda rows: rows.append(dict(rows[0]))),

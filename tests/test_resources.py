@@ -48,21 +48,44 @@ def test_json_field_missing_and_optional():
 def test_load_json_refuses_non_finite_literals(tmp_path, literal):
     path = tmp_path / "data.json"
     path.write_text('{"name": "x", "rows": [{"width": %s}]}' % literal, encoding="utf-8")
-    with pytest.raises(ValidationError, match=re.escape(f"data file '{path}' has a non-finite width")):
+    with pytest.raises(ValidationError, match=re.escape(f"data file '{path}' has a non-finite number ({literal}) "
+                                                        "at rows[0].width")):
         load_json(path, "data file")
 
 
 def test_load_json_names_the_list_that_holds_a_non_finite_literal(tmp_path):
     path = tmp_path / "data.json"
     path.write_text('{"band_raw": [1, NaN], "width": NaN}', encoding="utf-8")
-    with pytest.raises(ValidationError, match=re.escape(f"data file '{path}' has a non-finite band_raw")):
+    with pytest.raises(ValidationError, match=re.escape(f"data file '{path}' has a non-finite number (NaN) "
+                                                        "at band_raw[1]")):
         load_json(path, "data file")
 
 
 def test_load_json_without_a_key_for_the_literal(tmp_path):
     path = tmp_path / "data.json"
     path.write_text('{"rows": [[NaN]]}', encoding="utf-8")
-    with pytest.raises(ValidationError, match=re.escape(f"data file '{path}' has a non-finite number (NaN)")):
+    with pytest.raises(ValidationError, match=re.escape(f"data file '{path}' has a non-finite number (NaN) "
+                                                        "at rows[0][0]")):
+        load_json(path, "data file")
+
+
+@pytest.mark.parametrize("text, where", [("NaN", "the top level"), ('{"a": {"b": 1}, "c": NaN, "c": 2}', "c"),
+                                         ('[{"x": 1, "x": NaN}]', "[0].x")])
+def test_load_json_names_the_first_literal_by_its_path_in_document_order(tmp_path, text, where):
+    # a key given twice is kept, so a literal in its first value has a path too
+    path = tmp_path / "data.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError) as exc:
+        load_json(path, "data file")
+    assert str(exc.value) == f"data file '{path}' has a non-finite number (NaN) at {where}"
+
+
+@pytest.mark.parametrize("text, error", [('{"a": NaN, ', "Expecting property name enclosed in double quotes"),
+                                         ("[" * 100_000, "maximum recursion depth exceeded")])
+def test_load_json_refuses_a_literal_before_a_syntax_error_and_deep_nesting(tmp_path, text, error):
+    path = tmp_path / "data.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape(f"data file '{path}' cannot be read as JSON: {error}")):
         load_json(path, "data file")
 
 
